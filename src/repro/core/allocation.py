@@ -86,9 +86,8 @@ class AllocationPlanner:
         even when the new stage's demand is clipped.
         """
         plan = self.library.peak_of(self.library.loading_type) * (1.0 + self.headroom)
-        arr = plan.array.copy()
-        arr[1] = arr[1] * 1.3 + 2.0
-        plan = ResourceVector.from_array(arr)
+        cpu, gpu, gpu_mem, ram = plan.values
+        plan = ResourceVector(cpu=cpu, gpu=gpu * 1.3 + 2.0, gpu_mem=gpu_mem, ram=ram)
         return (plan + self._encoder_overhead()).clip(0.0, 100.0)
 
     def throttled_loading(self, fraction: float) -> ResourceVector:

@@ -122,9 +122,8 @@ class Regulator:
             return None
         if not self.config.enabled:
             return 0
-        free = (self.budget - current_allocation).array
-        cap = self.budget.array
-        headroom = float((free / cap).min())
+        free = (self.budget - current_allocation).values
+        headroom = min(f / c for f, c in zip(free, self.budget.values))
         tight = headroom < self.config.prefer_short_when_headroom_below
         for i, request in enumerate(pending):
             is_long = bool(long_term_of(request))

@@ -21,7 +21,7 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -59,6 +59,16 @@ __all__ = [
     "Decision",
     "RolloutMemo",
 ]
+
+
+def _total(vectors: Iterable[ResourceVector]) -> ResourceVector:
+    """Sum of a non-empty sequence of vectors, added in order (the
+    ``np.sum(rows, axis=0)`` order, so totals stay bit-identical)."""
+    it = iter(vectors)
+    total = next(it)
+    for vec in it:
+        total = total + vec
+    return total
 
 
 class RolloutMemo(Protocol):
@@ -666,16 +676,17 @@ class CoCGScheduler:
             try:
                 granted = self.allocator.allocation_of(
                     ctl.session.session_id
-                ).array
+                ).values
             except KeyError:  # pragma: no cover - defensive
-                granted = ctl.desired.array
+                granted = ctl.desired.values
             # "Pinned" must mean *clipped at the ceiling*, not merely high:
             # q95-planned ceilings put healthy usage at 0.85–0.95 of the
             # grant.  A 5-second usage mean within noise of the grant
             # itself only happens when demand exceeds it every second.
-            meaningful = granted > 1.0
-            slack = np.maximum(0.8, 0.015 * granted)
-            pinned = bool(np.any(meaningful & (window >= granted - slack)))
+            pinned = any(
+                g > 1.0 and w >= g - max(0.8, 0.015 * g)
+                for g, w in zip(granted, window.tolist())
+            )
             if pinned:
                 gpu_granted = granted[1]
                 voluntary_gpu_drop = (
@@ -688,15 +699,12 @@ class CoCGScheduler:
                     # capped at the whole-game peak) until usage unpins —
                     # only then can the frame be judged faithfully.
                     target = ctl.planner.peak_plan()
-                    probe = np.minimum(
-                        ctl.desired.array * 1.3 + 2.0, target.array
-                    )
-                    ctl.desired = ctl.desired.maximum(
-                        ResourceVector.from_array(probe)
-                    )
+                    step = ResourceVector.full(2.0)
+                    probe = (ctl.desired * 1.3 + step).minimum(target)
+                    ctl.desired = ctl.desired.maximum(probe)
                     self._log(
                         ctl.session.session_id, "probe",
-                        f"ceiling raised toward {np.round(target.array, 1)}",
+                        f"ceiling raised toward {target!r}",
                     )
                     return
             self._control_execution(ctl, judgment)
@@ -776,9 +784,9 @@ class CoCGScheduler:
             try:
                 granted = self.allocator.allocation_of(
                     ctl.session.session_id
-                ).array
+                ).values
             except KeyError:  # pragma: no cover - defensive
-                granted = ctl.desired.array
+                granted = ctl.desired.values
             window = self._last_window
             if (
                 window is not None
@@ -891,33 +899,36 @@ class CoCGScheduler:
         if not self._sessions:
             return
         placements = self.allocator.server.placements
-        budget = self.allocator.capped_capacity(0).array
+        budget = self.allocator.capped_capacity(0).values
 
-        desired: Dict[str, np.ndarray] = {
-            sid: ctl.desired.array.copy() for sid, ctl in self._sessions.items()
+        desired: Dict[str, ResourceVector] = {
+            sid: ctl.desired for sid, ctl in self._sessions.items()
         }
-        total = np.sum(list(desired.values()), axis=0)
-        over = total > budget + 1e-9
-        if over.any():
+        total = _total(desired.values()).values
+        over = [t > b + 1e-9 for t, b in zip(total, budget)]
+        if any(over):
             # Phase 1: throttle loading sessions on the violated dims.
             steal = self.config.regulator.steal_fraction
             for sid, ctl in self._sessions.items():
                 if ctl.phase == "loading":
-                    throttled = ctl.planner.throttled_loading(steal).array
-                    desired[sid] = np.where(over, np.minimum(desired[sid], throttled), desired[sid])
-            total = np.sum(list(desired.values()), axis=0)
+                    throttled = ctl.planner.throttled_loading(steal).values
+                    desired[sid] = ResourceVector.from_array([
+                        (d if d < c else c) if o else d
+                        for d, c, o in zip(desired[sid].values, throttled, over)
+                    ])
+            total = _total(desired.values()).values
             # Phase 2: proportional scale on still-violated dims.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factors = np.where(total > budget, budget / np.maximum(total, 1e-9), 1.0)
+            factors = ResourceVector.from_array([
+                b / (t if t > 1e-9 else 1e-9) if t > b else 1.0
+                for t, b in zip(total, budget)
+            ])
             for sid in desired:
-                desired[sid] = desired[sid] * factors
+                desired[sid] = desired[sid].scale(factors)
 
         # Apply: shrinks first, then grows (cap-safe ordering).
         shrinks, grows = [], []
         for sid, vec in desired.items():
-            old = placements[sid].allocation.array
-            (shrinks if np.all(vec <= old + 1e-9) else grows).append(sid)
+            old = placements[sid].allocation
+            (shrinks if vec.fits_within(old) else grows).append(sid)
         for sid in shrinks + grows:
-            self.allocator.retune_clamped(
-                sid, ResourceVector.from_array(desired[sid]), time=time
-            )
+            self.allocator.retune_clamped(sid, desired[sid], time=time)

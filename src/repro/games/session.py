@@ -22,10 +22,9 @@ bursts — the source of the misjudgment/callback events in Figs 9/10.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.games.player import BurstEvent, PlayerModel
 from repro.games.spec import GameSpec, ScriptSpec, StageKind, StageSpec
@@ -39,6 +38,10 @@ _session_counter = itertools.count()
 
 #: AR(1) correlation of within-cluster demand (per second).
 _AR_RHO = 0.85
+#: Scale of the AR(1) innovation that keeps the stationary std at ``std``.
+_NOISE_SCALE = math.sqrt(1.0 - _AR_RHO**2)
+#: AR(1) state at a stage or cluster change.
+_NO_DEVIATION = (0.0, 0.0, 0.0, 0.0)
 #: Minimum realized execution-stage duration in seconds.
 _MIN_STAGE_SECONDS = 5.0
 
@@ -133,7 +136,9 @@ class GameSession:
         self._stage_progress = 0.0  # seconds (execution) or work units (loading)
         self._active_cluster: str = ""
         self._dwell_left = 0.0
-        self._deviation = np.zeros(4)  # AR(1) state
+        self._deviation = _NO_DEVIATION  # AR(1) state
+        #: Per cluster: (mean, std) scaled to the platform, built on first use.
+        self._scaled: Dict[str, Tuple[Tuple[float, ...], Tuple[float, ...]]] = {}
         self._bursts: List[BurstEvent] = []
         self.history: List[Tuple[str, int, int]] = []  # (stage, start, end)
         self._stage_start = 0
@@ -164,7 +169,7 @@ class GameSession:
         inst = self._stages[self._stage_idx]
         self._stage_progress = 0.0
         self._stage_start = self._elapsed
-        self._deviation = np.zeros(4)
+        self._deviation = _NO_DEVIATION
         self._bursts = []
         self._active_cluster = inst.spec.clusters[
             int(self._rng.integers(len(inst.spec.clusters)))
@@ -173,7 +178,7 @@ class GameSession:
 
     def _sample_dwell(self, stage: StageSpec) -> float:
         if len(stage.clusters) == 1:
-            return np.inf
+            return math.inf
         # Uniform around the mean (0.6–1.4×): dwell heavy tails would let a
         # single cluster monopolise a short stage, aliasing the stage type.
         return max(5.0, float(stage.cluster_dwell * self._rng.uniform(0.6, 1.4)))
@@ -268,14 +273,25 @@ class GameSession:
             others = [c for c in stage.clusters if c != self._active_cluster]
             self._active_cluster = others[int(self._rng.integers(len(others)))]
             self._dwell_left = self._sample_dwell(stage)
-            self._deviation = np.zeros(4)
+            self._deviation = _NO_DEVIATION
 
     def _sample_demand(self, cluster, stage: StageSpec) -> ResourceVector:
-        mean = self.platform.scale_demand(cluster.mean).array
-        std = cluster.std.array * self.platform.factors.array
-        noise = self._rng.normal(size=4) * std * np.sqrt(1.0 - _AR_RHO**2)
-        self._deviation = _AR_RHO * self._deviation + noise
-        demand = mean + self._deviation
+        # Plain float arithmetic in numpy's operation order: the demand
+        # stream stays bit-identical to the vectorized formula
+        # ``clip(clip(mean·f) + ρ·dev + (n·(std·f))·√(1-ρ²) + bursts, 0, 100)``.
+        scaled = self._scaled.get(cluster.name)
+        if scaled is None:
+            scaled = self._scaled[cluster.name] = (
+                self.platform.scale_demand(cluster.mean).values,
+                cluster.std.scale(self.platform.factors).values,
+            )
+        mean, std = scaled
+        noise = self._rng.normal(size=4).tolist()
+        self._deviation = deviation = [
+            _AR_RHO * d + (n * s) * _NOISE_SCALE
+            for d, n, s in zip(self._deviation, noise, std)
+        ]
+        demand = [m + d for m, d in zip(mean, deviation)]
 
         if stage.kind is StageKind.EXECUTION:
             burst = self.player.maybe_burst(self._rng)
@@ -283,11 +299,11 @@ class GameSession:
                 self._bursts.append(burst)
             if self._bursts:
                 for b in self._bursts:
-                    demand = demand + b.extra.array
+                    demand = [x + e for x, e in zip(demand, b.extra.values)]
                 self._bursts = [b.tick() for b in self._bursts]
                 self._bursts = [b for b in self._bursts if b.active]
 
-        return ResourceVector.from_array(np.clip(demand, 0.0, 100.0))
+        return ResourceVector.from_array(demand).clip(0.0, 100.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = "finished" if self.finished else self.current_stage.name

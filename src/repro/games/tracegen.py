@@ -143,14 +143,14 @@ def generate_trace(
     )
     unconstrained = ResourceVector.full(100.0)
 
-    demands: List[np.ndarray] = []
+    demands: List[Tuple[float, ...]] = []
     stage_names: List[str] = []
     stage_types: List[FrozenSet[str]] = []
     clusters: List[str] = []
     loading: List[bool] = []
     while not session.finished:
         tick = session.advance(unconstrained)
-        demands.append(tick.demand.array)
+        demands.append(tick.demand.values)
         stage_names.append(tick.stage_name)
         stage_types.append(tick.stage_type)
         clusters.append(tick.cluster)
@@ -158,7 +158,7 @@ def generate_trace(
         if len(demands) >= max_seconds:
             break
 
-    series = ResourceSeries(np.stack(demands), DIMENSIONS, period=1.0)
+    series = ResourceSeries(np.array(demands), DIMENSIONS, period=1.0)
     truth = GroundTruth(
         stage_names=tuple(stage_names),
         stage_types=tuple(stage_types),

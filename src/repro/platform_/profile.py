@@ -16,6 +16,7 @@ with only the cluster centroids rescaled
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.platform_.resources import ResourceVector
@@ -52,9 +53,9 @@ class PlatformProfile:
         for field_name in ("cpu_factor", "gpu_factor", "gpu_mem_factor", "ram_factor"):
             check_positive(field_name, getattr(self, field_name))
 
-    @property
+    @cached_property
     def factors(self) -> ResourceVector:
-        """The four multipliers as a vector."""
+        """The four multipliers as a vector (built once per profile)."""
         return ResourceVector(
             cpu=self.cpu_factor,
             gpu=self.gpu_factor,

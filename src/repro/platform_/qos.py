@@ -65,13 +65,17 @@ class FpsModel:
 
         Dimensions with zero demand never bind.
         """
-        d = demand.array
-        a = allocation.array
-        active = d > 1e-9
-        if not active.any():
+        ratios = [
+            a / d for a, d in zip(allocation.values, demand.values) if d > 1e-9
+        ]
+        if not ratios:
             return 1.0
-        ratios = a[active] / d[active]
-        return float(np.clip(ratios.min(), 0.0, 1.0))
+        # numpy's min-reduction and clip, tie rule on signed zeros included.
+        binding = ratios[0]
+        for r in ratios[1:]:
+            binding = binding if binding < r else r
+        binding = 0.0 if binding < 0.0 else binding
+        return 1.0 if binding > 1.0 else binding
 
     def fps(
         self,

@@ -217,19 +217,22 @@ class Server:
             raise ValueError(f"allocation must be non-negative, got {allocation}")
         old = placement.allocation
         placement.allocation = allocation
-        if (
-            self.allocated_host()[0] > self.cpu_capacity + 1e-9
-            or self.allocated_host()[1] > self.ram_capacity + 1e-9
-            or any(
-                self.allocated_gpu(i)[0] > g.gpu_capacity + 1e-9
-                or self.allocated_gpu(i)[1] > g.gpu_mem_capacity + 1e-9
-                for i, g in enumerate(self.gpus)
-            )
-        ):
+        if self._overcommitted():
             placement.allocation = old
             raise CapacityError(
                 f"allocation {allocation} for {session_id!r} exceeds capacity"
             )
+
+    def _overcommitted(self) -> bool:
+        """Whether the placed ceilings exceed the host or any device."""
+        host_cpu, host_ram = self.allocated_host().tolist()
+        if host_cpu > self.cpu_capacity + 1e-9 or host_ram > self.ram_capacity + 1e-9:
+            return True
+        for i, g in enumerate(self.gpus):
+            dev_gpu, dev_mem = self.allocated_gpu(i).tolist()
+            if dev_gpu > g.gpu_capacity + 1e-9 or dev_mem > g.gpu_mem_capacity + 1e-9:
+                return True
+        return False
 
     def remove(self, session_id: str) -> Placement:
         """Release a session's reservation."""

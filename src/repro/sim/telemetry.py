@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,9 @@ __all__ = [
     "TelemetryPerturbation",
     "TelemetryRecorder",
 ]
+
+#: Stored in place of a sample lost to a dropout fault.
+_DROPPED_ROW = (math.nan,) * N_DIMS
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,8 @@ class TelemetryRecorder:
         self.noise_std = float(noise_std)
         self._rng = as_rng(seed)
         self._samples: Dict[str, List[UsageSample]] = {}
-        self._observed: Dict[str, List[np.ndarray]] = {}
+        #: Observed rows per session, flattened: 4 float64s per second.
+        self._observed: Dict[str, array] = {}
         self._valid: Dict[str, List[bool]] = {}
         self._times: Dict[str, List[int]] = {}
         self._perturbations: List[TelemetryPerturbation] = []
@@ -216,27 +221,38 @@ class TelemetryRecorder:
         """
         sample = UsageSample(int(time), session_id, demand, allocation)
         self._samples.setdefault(session_id, []).append(sample)
-        usage = sample.usage.array
+        usage = sample.usage
         if self.noise_std > 0:
-            observed = usage + self._rng.normal(scale=self.noise_std, size=N_DIMS)
-            observed = np.clip(observed, 0.0, 100.0)
+            noise = self._rng.normal(scale=self.noise_std, size=N_DIMS).tolist()
+            observed = ResourceVector.from_array(
+                [u + n for u, n in zip(usage.values, noise)]
+            ).clip(0.0, 100.0)
         else:
-            observed = usage.copy()
-        stored: Optional[np.ndarray] = observed
+            observed = usage
+        # Perturbations work on arrays; most samples meet none of them.
+        perturbed: Optional[np.ndarray] = None
+        valid = True
         for pert in self._perturbations:
-            if stored is None or not pert.applies(time, session_id):
+            if not pert.applies(time, session_id):
                 continue
-            stored = pert.apply(stored)
-        valid = stored is not None
-        if valid:
-            stored = np.clip(stored, 0.0, 100.0)
-        else:
+            perturbed = pert.apply(observed.array if perturbed is None else perturbed)
+            if perturbed is None:
+                valid = False
+                break
+        row: Sequence[float]
+        if not valid:
             self.dropped_samples += 1
-            stored = np.full(N_DIMS, np.nan)
-        self._observed.setdefault(session_id, []).append(stored)
+            row = _DROPPED_ROW
+        elif perturbed is not None:
+            row = np.clip(perturbed, 0.0, 100.0).tolist()
+        elif self.noise_std > 0:
+            row = observed.values  # already clipped; clip is idempotent
+        else:
+            row = observed.clip(0.0, 100.0).values
+        self._observed.setdefault(session_id, array("d")).extend(row)
         self._valid.setdefault(session_id, []).append(valid)
         self._times.setdefault(session_id, []).append(int(time))
-        return ResourceVector.from_array(observed)
+        return observed
 
     # ------------------------------------------------------------------
     @property
@@ -253,11 +269,21 @@ class TelemetryRecorder:
 
         Samples lost to a dropout fault appear as NaN rows.
         """
-        rows = self._observed.get(session_id)
-        if not rows:
+        rows = self._rows(session_id)
+        if rows is None:
             raise KeyError(f"no telemetry for session {session_id!r}")
         start = float(self._times[session_id][0])
-        return ResourceSeries(np.stack(rows), DIMENSIONS, period=1.0, start=start)
+        return ResourceSeries(rows, DIMENSIONS, period=1.0, start=start)
+
+    def _rows(self, session_id: str, last: int = 0) -> Optional[np.ndarray]:
+        """The session's observed rows (the ``last`` ones when given) as a
+        fresh ``(n, 4)`` array, or ``None`` without samples."""
+        flat = self._observed.get(session_id)
+        if not flat:
+            return None
+        if last:
+            flat = flat[-last * N_DIMS:]
+        return np.array(flat).reshape(-1, N_DIMS)
 
     def observed_window(
         self, session_id: str, seconds: int
@@ -268,13 +294,13 @@ class TelemetryRecorder:
         window) or when every sample in the window was dropped; samples
         lost to a dropout fault are masked out of the mean.
         """
-        rows = self._observed.get(session_id)
-        if rows is None or len(rows) < seconds:
+        if self.n_samples(session_id) < seconds:
             return None
-        window = rows[-seconds:]
-        flags = self._valid[session_id][-seconds:]
-        kept = [row for row, ok in zip(window, flags) if ok]
-        if not kept:
+        window = self._rows(session_id, seconds)
+        if window is None:
+            return None
+        kept = window[self._valid[session_id][-seconds:]]
+        if not len(kept):
             return None
         return np.mean(kept, axis=0)
 
@@ -329,10 +355,15 @@ class TelemetryRecorder:
         Seconds with no running session contribute zero.
         """
         total = np.zeros((int(horizon), N_DIMS))
-        for sid, samples in self._samples.items():
-            for s in samples:
-                if 0 <= s.time < horizon:
-                    total[s.time] += s.usage.array
+        kept = [
+            s for samples in self._samples.values() for s in samples
+            if 0 <= s.time < horizon
+        ]
+        if kept:
+            # ``add.at`` accumulates in sample order, like a row-by-row loop.
+            np.add.at(
+                total, [s.time for s in kept], np.array([s.usage.values for s in kept])
+            )
         return total
 
     def peak_total_usage(self, horizon: int) -> np.ndarray:
@@ -355,10 +386,9 @@ class TelemetryRecorder:
             h.update(
                 np.asarray(self._valid[sid], dtype=np.bool_).tobytes()
             )
-            for row, ok in zip(self._observed[sid], self._valid[sid]):
-                h.update(
-                    np.round(row, 6).tobytes() if ok else b"<dropped>"
-                )
+            rounded = np.round(self._rows(sid), 6)
+            for row, ok in zip(rounded, self._valid[sid]):
+                h.update(row.tobytes() if ok else b"<dropped>")
         for ev in self.fault_events:
             h.update(f"{ev.time:.6f}|{ev.kind}|{ev.detail}\n".encode())
         # Gateway outcomes extend the digest without perturbing it for

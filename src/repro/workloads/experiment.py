@@ -192,7 +192,7 @@ class ColocationExperiment:
                     allocation,
                     frame_lock=tick.frame_lock,
                 )
-                total_usage[t] += demand.minimum(allocation).array
+                total_usage[t] += demand.minimum(allocation).values
                 if tick.finished:
                     completed[session.spec.name] += 1
                     strategy.release(sid, time=t)

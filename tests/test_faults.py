@@ -24,6 +24,7 @@ from repro.faults import (
 from repro.games.player import PlayerModel
 from repro.games.session import GameSession
 from repro.platform_.allocator import Allocator
+from repro.platform_.profile import WEAK_GPU_PLATFORM
 from repro.platform_.server import GPUDevice, Server
 from repro.sim.telemetry import TelemetryPerturbation, TelemetryRecorder
 from repro.workloads.requests import GameRequest
@@ -665,3 +666,44 @@ class TestFaultedExperiment:
             fault_plan=plan,
         ).run()
         assert result.degraded_seconds > 0
+
+
+class TestPerturbedTelemetryDigest:
+    """A cross-commit oracle for the perturbation branch of ``record()``.
+
+    The corpus fault plans only kill sessions, and the chaos replay
+    check compares a run with itself, so a change to how dropout, noise
+    or spikes are applied would otherwise go unseen.  The pinned value
+    was captured before the resource substrate moved from numpy arrays
+    to float tuples.  Node ``n1`` runs on a weaker-GPU platform, so
+    non-unit demand factors flow through scheduling and telemetry too.
+    """
+
+    DIGEST = (
+        "0e1a385407bb760132a9b18e4f356ac45f1f10923e62dc9ff3b4f0d3f9e6cbc4"
+    )
+
+    def test_digest_is_pinned(self, toy_spec, toy_profile):
+        nodes = [
+            FleetNode("n0", CoCGStrategy(), {"toygame": toy_profile}, seed=0),
+            FleetNode(
+                "n1", CoCGStrategy(), {"toygame": toy_profile},
+                platform=WEAK_GPU_PLATFORM, seed=1,
+            ),
+        ]
+        plan = (
+            FaultPlan(seed=3)
+            .telemetry_dropout(0.0, duration=400.0, rate=0.1)
+            .telemetry_noise(
+                100.0, duration=300.0, std=2.0, spike_prob=0.3, spike_scale=60.0
+            )
+        )
+        result = FleetExperiment(
+            ClusterScheduler(nodes, policy="round-robin"),
+            [toy_spec],
+            horizon=600,
+            rate_per_minute=3.0,
+            seed=9,
+            fault_plan=plan,
+        ).run()
+        assert result.telemetry_digest == self.DIGEST

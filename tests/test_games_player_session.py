@@ -1,5 +1,7 @@
 """Tests for the player model and the runtime game session."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from repro.games.category import GameCategory
 from repro.games.player import PlayerModel
 from repro.games.session import GameSession
 from repro.games.spec import StageKind
+from repro.platform_.profile import (
+    BIG_SERVER_PLATFORM,
+    REFERENCE_PLATFORM,
+    WEAK_GPU_PLATFORM,
+)
 from repro.platform_.resources import ResourceVector
 
 
@@ -168,3 +175,63 @@ class TestGameSession:
         s = GameSession(catalog["genshin"], "run-battle-fly", seed=0)
         tick = s.advance(FULL)
         assert tick.frame_lock == 60
+
+
+# ----------------------------------------------------------------------
+# Bit-exact demand streams on non-unit platforms
+# ----------------------------------------------------------------------
+#: sha256 of 600 s of demand per (game, platform), captured before the
+#: resource substrate moved from numpy arrays to float tuples.  Any
+#: change to float operation order in demand sampling, platform scaling
+#: or clipping shows up here: the corpus traces all run on the
+#: reference platform, whose unit factors hide it.
+DEMAND_STREAM_SHA256 = {
+    ('contra', 'i7-7700+gtx2080'): "ea8f99ee722399140463d0d6fc9c189da635b4cc579022b3cd2bf3263f52338a",
+    ('csgo', 'i7-7700+gtx2080'): "d98aa417ddc5c8a6fd1ff22ec6c37f23c52936ffa08b9a3eae348eee8e54e9b5",
+    ('devil_may_cry', 'i7-7700+gtx2080'): "27d51db44eaecf3374504036354900f89e004b80d8635f4684b16a9223099afc",
+    ('dota2', 'i7-7700+gtx2080'): "74a56dfb561236635c0271bd1e2c866a42e0cdbed74e5955b39f0b414104835c",
+    ('genshin', 'i7-7700+gtx2080'): "2e8412cc6624e6209b650a6381a7002d92ba690fb2ae2c76ad23e2c202abdea0",
+    ('contra', 'weak-gpu'): "b40c113cd6f88ad04ac94883a3dbf055826ee24965e6dae10897389e89877730",
+    ('csgo', 'weak-gpu'): "32270a8c32a8bcafdb61e9489df215979068134a8a3a3801d6eb7eb1187cd176",
+    ('devil_may_cry', 'weak-gpu'): "5a98b41e043865c3ea81d10298ec76e2be089116fe44518329beed15e4b52cb7",
+    ('dota2', 'weak-gpu'): "84e404179ebff76923b6d2b1356ab33a28cd10fb2d4e81b7ca0aa30998152c11",
+    ('genshin', 'weak-gpu'): "2bbfde65b45eaca851dc00530c946a222a76b9b45cfec517358fa185d279ae4b",
+    ('contra', 'big-server'): "7a7525ddf6b4d8721b0d88d0b5c3f8204a47e840934b8cb473ff12cecb844875",
+    ('csgo', 'big-server'): "33c55ee9d841ebfbf136e27f6020b31bd17ab5837f35dcce0047e3540d8080b5",
+    ('devil_may_cry', 'big-server'): "a60d9d83b3269735faf26a553acb9df6000aaebb204fb11a3317ad34315fbd8e",
+    ('dota2', 'big-server'): "6d56526891d4eaa3a49ad5921a958fdc5333a81c013987de42cf2bbea786a833",
+    ('genshin', 'big-server'): "b88841f6e3365d232632534eadf02da78f61dd9433e7d11763c1e39493779d17",
+}
+
+
+def demand_stream_digest(spec, platform, seconds=600):
+    """sha256 over the raw float64 bytes of ``seconds`` of demand.
+
+    Sessions are replayed back to back (seed 0, 1, …) until the budget
+    is spent.  Every third second the CPU ceiling drops to 15 %, so
+    loading stages progress at a fractional rate.
+    """
+    throttled = ResourceVector(cpu=15.0, gpu=100.0, gpu_mem=100.0, ram=100.0)
+    h = hashlib.sha256()
+    t = 0
+    run = 0
+    while t < seconds:
+        session = GameSession(
+            spec, seed=run, platform=platform, session_id=f"{spec.name}#{run}"
+        )
+        run += 1
+        while not session.finished and t < seconds:
+            tick = session.advance(throttled if t % 3 == 0 else FULL)
+            h.update(tick.demand.array.tobytes())
+            t += 1
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "platform", [REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM],
+    ids=lambda p: p.name,
+)
+def test_demand_streams_are_pinned(catalog, platform):
+    for name in sorted(catalog):
+        digest = demand_stream_digest(catalog[name], platform)
+        assert digest == DEMAND_STREAM_SHA256[(name, platform.name)], name
