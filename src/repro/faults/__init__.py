@@ -2,9 +2,9 @@
 
 The package splits into leaves and heavy modules:
 
-* :mod:`repro.faults.plan` is a leaf, and :mod:`repro.faults.health`
-  re-exports the breaker that now lives in :mod:`repro.core.health`
-  (the scheduler owns it; CG017 keeps the layering acyclic);
+* :mod:`repro.faults.plan` is a leaf, and ``BreakerState`` /
+  ``PredictorHealth`` are re-exported from :mod:`repro.core.health`
+  (the scheduler owns the breaker; CG017 keeps the layering acyclic);
 * :mod:`repro.faults.injector` / :mod:`repro.faults.chaos` import the
   cluster layer, which imports the scheduler — so they are exposed
   lazily here to keep the import graph acyclic.
@@ -12,7 +12,7 @@ The package splits into leaves and heavy modules:
 
 from __future__ import annotations
 
-from repro.faults.health import BreakerState, PredictorHealth
+from repro.core.health import BreakerState, PredictorHealth
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, validate_plan_payload
 
 __all__ = [  # lint: disable=CG004

@@ -40,7 +40,7 @@ Use it three ways:
   machines, ``--changed``/``--baseline`` to scope what fails a run,
   and a content-hash incremental cache making warm runs re-analyze
   only changed modules);
-* :func:`lint_paths` / :func:`lint_file` as a library;
+* :func:`lint_paths` as a library;
 * ``# lint: disable=CGxxx`` pragmas to suppress a finding at a line
   (trailing comment) or for a whole file (standalone comment).
 
@@ -72,7 +72,7 @@ from repro.lint.effects import (
     infer_effects,
     render_effects,
 )
-from repro.lint.engine import LintResult, iter_python_files, lint_file, lint_paths
+from repro.lint.engine import LintResult, iter_python_files, lint_paths
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions, parse_suppressions
 from repro.lint.project import (
@@ -140,7 +140,6 @@ __all__ = [
     "parse_suppressions",
     "LintResult",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "LintCache",
     "cache_signature",

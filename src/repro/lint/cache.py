@@ -13,10 +13,11 @@ per-module content digests): on a fully warm run the byte-identical
 text is served without re-deriving the call graph.
 
 The whole store is guarded by a *signature* combining
-:data:`~repro.lint.registry.ANALYZER_VERSION` with the exact rule
-selection: bumping a rule, or linting with a different
-``--select``/``--ignore`` set, invalidates everything rather than ever
-serving findings a different configuration produced.
+:data:`~repro.lint.registry.ANALYZER_VERSION`, a hash of the analyzer's
+own source files, and the exact rule selection: editing any rule, or
+linting with a different ``--select``/``--ignore`` set, invalidates
+everything rather than ever serving findings a different analyzer or
+configuration produced.
 """
 
 from __future__ import annotations
@@ -36,11 +37,28 @@ __all__ = ["CacheEntry", "LintCache", "cache_signature", "content_digest",
 
 _FORMAT = 1
 
+#: The analyzer's source directory; its ``*.py`` bytes key the cache.
+_ANALYZER_DIR = Path(__file__).resolve().parent
+
+
+def _analyzer_digest() -> str:
+    """SHA-256 over the name and bytes of every analyzer source file."""
+    digest = hashlib.sha256()
+    for source in sorted(_ANALYZER_DIR.glob("*.py")):
+        digest.update(source.name.encode("utf-8") + b"\0")
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
+
 
 def cache_signature(rule_ids: Iterable[str],
                     project_rule_ids: Iterable[str]) -> str:
-    """The invalidation key: analyzer version + exact rule selection."""
-    return (f"v{_FORMAT}:a{ANALYZER_VERSION}"
+    """The invalidation key: analyzer version and source + rule selection.
+
+    The source hash means a rule edit without an
+    :data:`~repro.lint.registry.ANALYZER_VERSION` bump still never
+    replays findings the old rule code produced.
+    """
+    return (f"v{_FORMAT}:a{ANALYZER_VERSION}:s{_analyzer_digest()}"
             f":{','.join(sorted(rule_ids))}"
             f":{','.join(sorted(project_rule_ids))}")
 

@@ -36,26 +36,18 @@ from __future__ import annotations
 
 import json
 from typing import Dict, FrozenSet, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.lint.dataflow import (
-    CallGraph,
     Witness,
-    build_call_graph,
     entry_chain,
     reach_from,
     reach_taints,
     render_chain,
     witness_chain,
 )
-from repro.lint.project import ProjectContext, ProjectRule
+from repro.lint.project import FunctionSummary, ProjectContext, ProjectRule
 from repro.lint.registry import ANALYZER_VERSION, register_project
-from repro.lint.shards import (
-    SHARD_ENTRY_PACKAGES,
-    SHARD_ENTRY_TERMINALS,
-    SHARD_EXEMPT_PACKAGES,
-    shard_entry_points,
-)
+from repro.lint.shards import SHARD_EXEMPT_PACKAGES, shard_entry_points
 
 __all__ = [
     "EFFECT_NAMES",
@@ -93,34 +85,36 @@ _SEED_FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+def _first_site(fn: FunctionSummary, effect: str) -> Optional[str]:
+    """Description of the first site in ``fn`` seeding ``effect``."""
+    for name in _SEED_FIELDS[effect]:
+        sites = getattr(fn, name)
+        if sites:
+            return sites[0].desc
+    return None
+
+
 class EffectInference:
-    """Per-function effect signatures over one project call graph.
+    """Per-function effect signatures over the project's call graph.
 
     Construction runs the whole inference (six reverse BFS passes);
-    queries afterwards are dictionary lookups.  Use
-    :func:`infer_effects` to share one instance across the CG015–CG018
-    rules and the artifact writer within a run.
+    queries afterwards are dictionary lookups.  The
+    :class:`~repro.lint.project.ProjectContext` owns one instance per
+    run (:func:`infer_effects`), shared by CG012, CG015–CG018 and the
+    artifact writer.
     """
 
-    def __init__(self, project: ProjectContext,
-                 graph: Optional[CallGraph] = None):
+    def __init__(self, project: ProjectContext):
         self.project = project
-        self.graph = graph if graph is not None else build_call_graph(project)
-        self._witnesses: Dict[str, Dict[str, Witness]] = {}
-        for effect in EFFECT_NAMES:
-            fields = _SEED_FIELDS[effect]
-
-            def first_site(node_id: str, fields=fields) -> Optional[str]:
-                fn = self.project.function(node_id)
-                for name in fields:
-                    sites = getattr(fn, name)
-                    if sites:
-                        return sites[0].desc
-                return None
-
-            self._witnesses[effect] = reach_taints(
-                project, self.graph, first_site,
+        self._witnesses: Dict[str, Dict[str, Witness]] = {
+            effect: reach_taints(
+                project, project.graph,
+                lambda node, effect=effect: _first_site(
+                    project.function(node), effect,
+                ),
             )
+            for effect in EFFECT_NAMES
+        }
 
     def effects_of(self, node_id: str) -> FrozenSet[str]:
         """The inferred (transitive) signature of a function."""
@@ -131,14 +125,13 @@ class EffectInference:
     def own_effects_of(self, node_id: str) -> Dict[str, str]:
         """Effects seeded *in the function itself*: effect -> first site."""
         fn = self.project.function(node_id)
-        out: Dict[str, str] = {}
-        for effect in EFFECT_NAMES:
-            for name in _SEED_FIELDS[effect]:
-                sites = getattr(fn, name)
-                if sites:
-                    out[effect] = sites[0].desc
-                    break
-        return out
+        own = {effect: _first_site(fn, effect) for effect in EFFECT_NAMES}
+        return {effect: site for effect, site in own.items()
+                if site is not None}
+
+    def reaching(self, effect: str) -> Dict[str, Witness]:
+        """Every function with ``effect``, mapped to its witness."""
+        return self._witnesses[effect]
 
     def witness(self, node_id: str, effect: str) -> Optional[Witness]:
         """Why ``node_id`` has ``effect`` (``None`` when it does not)."""
@@ -149,27 +142,12 @@ class EffectInference:
         return witness_chain(self._witnesses[effect], node_id)
 
 
-#: One inference per ProjectContext per run (the four rules and the
-#: artifact writer all share it); weakly keyed so nothing outlives the
-#: run.
-_INFERENCE_MEMO: "WeakKeyDictionary[ProjectContext, EffectInference]" = (
-    WeakKeyDictionary()
-)
+def infer_effects(project: ProjectContext) -> EffectInference:
+    """The project's effect inference (built once, on first use)."""
+    return project.effects
 
 
-def infer_effects(project: ProjectContext,
-                  graph: Optional[CallGraph] = None) -> EffectInference:
-    """The (memoised) effect inference for a project context."""
-    inference = _INFERENCE_MEMO.get(project)
-    if inference is None or (graph is not None
-                             and inference.graph is not graph):
-        inference = EffectInference(project, graph)
-        _INFERENCE_MEMO[project] = inference
-    return inference
-
-
-def render_effects(project: ProjectContext,
-                   inference: Optional[EffectInference] = None) -> str:
+def render_effects(project: ProjectContext) -> str:
     """The ``effects.json`` artifact text (sorted, newline-terminated).
 
     Lists every function whose inferred signature is non-empty or that
@@ -177,7 +155,7 @@ def render_effects(project: ProjectContext,
     Module names only — no absolute paths — so a double run and a
     cold-vs-warm-cache pair produce byte-identical output.
     """
-    inference = inference if inference is not None else infer_effects(project)
+    inference = infer_effects(project)
     functions: Dict[str, dict] = {}
     total = 0
     for name in sorted(project.modules):
@@ -220,10 +198,7 @@ def render_effects(project: ProjectContext,
 # Entry-point discovery and the exemption set live in
 # :mod:`repro.lint.shards` (the shard-interference analyzer) so CG015
 # and the CG019–CG022 certification rules can never disagree about what
-# an entry point is.  Re-exported names keep the old import path alive.
-_SHARD_ENTRY_TERMINALS = SHARD_ENTRY_TERMINALS
-_SHARD_ENTRY_PACKAGES = SHARD_ENTRY_PACKAGES
-_SHARD_EXEMPT_PACKAGES = SHARD_EXEMPT_PACKAGES
+# an entry point is.
 
 
 @register_project
@@ -257,12 +232,11 @@ class ShardSafetyRule(ProjectRule):
     )
 
     def check(self) -> None:
-        inference = infer_effects(self.project)
         entries = sorted(shard_entry_points(self.project))
-        parents = reach_from(inference.graph, entries)
+        parents = reach_from(self.project.graph, entries)
         for node in sorted(parents):
             mod = self.project.module_of(node)
-            if mod.package in _SHARD_EXEMPT_PACKAGES:
+            if mod.package in SHARD_EXEMPT_PACKAGES:
                 continue
             fn = self.project.function(node)
             if not fn.global_writes:

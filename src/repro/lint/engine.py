@@ -5,8 +5,9 @@
 1. **Per-file** — expand files and directories into ``*.py`` targets,
    parse each with :mod:`ast`, build a
    :class:`~repro.lint.registry.FileContext` (including the pragma
-   table), and run every applicable CG001–CG009 rule.  Each parsed
-   module is also distilled into a
+   table and the file's one :class:`~repro.lint.project.ImportTable`
+   pre-pass), and run every applicable CG001–CG009 rule.  Each parsed
+   module is also distilled, from the same import table, into a
    :class:`~repro.lint.project.ModuleSummary` for phase two.  With an
    incremental :class:`~repro.lint.cache.LintCache`, files whose
    content hash is unchanged skip this phase entirely — findings and
@@ -15,7 +16,8 @@
 
 2. **Whole-program** — the summaries form a
    :class:`~repro.lint.project.ProjectContext` over which the
-   CG010–CG013 rules run taint/reachability queries.  This phase is
+   CG010–CG022 rules run taint/reachability queries on one shared call
+   graph, effect inference and shard analysis.  This phase is
    cheap graph work and is recomputed every run, cached summaries
    included: a changed module can shift reachability for *unchanged*
    reverse dependencies, so their project findings must never be
@@ -58,7 +60,7 @@ import repro.lint.project_rules  # noqa: F401  (side-effect import)
 import repro.lint.shards as _shards  # registers CG019-CG022
 import repro.lint.effects as _effects  # registers CG015-CG018
 
-__all__ = ["LintResult", "lint_file", "lint_paths", "iter_python_files"]
+__all__ = ["LintResult", "lint_paths", "iter_python_files"]
 
 #: Rule id used for files that do not parse at all.
 _SYNTAX_RULE_ID = "CG000"
@@ -207,22 +209,9 @@ def _analyze_file(
     ctx.findings.extend(_pragma_hygiene(display, suppressions))
     summary = summarize_module(
         tree, path=display, rel_parts=rel, suppressions=suppressions,
+        imports=ctx.imports,
     )
     return sorted(ctx.findings), summary
-
-
-def lint_file(
-    file: Path,
-    *,
-    root: Optional[Path] = None,
-    rules: Optional[Iterable[Type[Rule]]] = None,
-) -> list[Finding]:
-    """Lint one file (per-file phase only), findings sorted by location."""
-    if rules is None:
-        rules = resolve_rules()
-    root = root if root is not None else file.parent
-    findings, _summary = _analyze_file(file, root=root, rules=rules)
-    return findings
 
 
 def lint_paths(

@@ -17,8 +17,16 @@ two steps:
    re-parsing unchanged files entirely.
 
 2. A :class:`ProjectContext` aggregates every summary into the module
-   graph and a project-wide function index, over which
-   :mod:`repro.lint.dataflow` runs taint/reachability queries.
+   graph and a project-wide function index.  It owns the one call
+   graph (:mod:`repro.lint.dataflow`), effect inference
+   (:mod:`repro.lint.effects`) and shard analysis
+   (:mod:`repro.lint.shards`) of a run, each built on first use, so
+   every project rule queries the same instances.
+
+The per-file facts both phases need — import aliases, the
+``TYPE_CHECKING`` split, class names — come from one
+:class:`ImportTable` per file, shared by the per-file rules and the
+summariser.
 
 A :class:`ProjectRule` is the whole-program analogue of
 :class:`~repro.lint.registry.Rule`: it is constructed once per run with
@@ -29,11 +37,18 @@ honouring that module's pragma table.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, ClassVar, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
+
+if TYPE_CHECKING:
+    from repro.lint.dataflow import CallGraph
+    from repro.lint.effects import EffectInference
+    from repro.lint.shards import ShardAnalysis
 
 __all__ = [
     "CallSite",
@@ -44,8 +59,10 @@ __all__ = [
     "EventClass",
     "FunctionSummary",
     "ModuleSummary",
+    "ImportTable",
     "ProjectContext",
     "ProjectRule",
+    "dotted_name",
     "module_name_from_parts",
     "summarize_module",
 ]
@@ -75,18 +92,23 @@ _ORDER_SANITIZERS = frozenset({
     "set", "frozenset", "Counter",
 })
 
-_WALL_CLOCK_FNS = frozenset({
+#: ``time`` functions that read the wall clock (CG005, clock seeds).
+WALL_CLOCK_FNS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
     "perf_counter_ns", "process_time", "process_time_ns",
     "localtime", "gmtime", "ctime",
 })
-_DATETIME_CLASS_FNS = frozenset({"now", "utcnow", "today"})
+#: ``datetime``/``date`` class methods that read the wall clock.
+DATETIME_CLASS_FNS = frozenset({"now", "utcnow", "today"})
 
-_NP_RANDOM_ALLOWED = frozenset({
+#: Deterministic ``numpy.random`` constructors that are allowed anywhere:
+#: they create a fresh, explicitly seeded stream rather than touching
+#: hidden state (CG001, RNG seeds).
+NP_RANDOM_ALLOWED = frozenset({
     "default_rng", "Generator", "BitGenerator", "SeedSequence",
     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
 })
-_STDLIB_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
+STDLIB_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
 
 #: Method terminals that schedule simulation-engine events when called
 #: on an object (``engine.at/after/every``) — the ``engine_emit`` seed.
@@ -445,7 +467,8 @@ class ModuleSummary:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for an Attribute/Name chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -456,16 +479,41 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-class _ImportTable:
-    """Module-level import aliases relevant to RNG/clock detection."""
+def _is_type_checking_guard(stmt: ast.stmt) -> bool:
+    """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
+    test = getattr(stmt, "test", None)
+    return isinstance(stmt, ast.If) and (
+        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+    )
+
+
+class ImportTable:
+    """The per-file facts every consumer shares, from one walk of the AST.
+
+    The engine builds one table per parsed file.  The per-file rules
+    read it as :attr:`FileContext.imports <repro.lint.registry.FileContext>`
+    (CG001 the random aliases, CG005 the clock aliases, CG009 the deque
+    aliases) and :func:`summarize_module` reads the same instance for
+    the RNG/clock seeds, the import graph, the ``TYPE_CHECKING`` split,
+    and the class names.
+    """
 
     def __init__(self, tree: ast.Module):
+        #: names bound to the numpy package (``np``).
         self.numpy: Set[str] = set()
+        #: names bound to ``numpy.random``.
         self.np_random: Set[str] = set()
+        #: names bound to the stdlib ``random`` module.
         self.stdlib_random: Set[str] = set()
         self.time: Set[str] = set()
         self.datetime_mod: Set[str] = set()
+        #: names bound to the ``datetime``/``date`` classes.
         self.datetime_cls: Set[str] = set()
+        #: names bound to the ``collections`` module.
+        self.collections: Set[str] = set()
+        #: names bound to ``collections.deque``.
+        self.deque: Set[str] = set()
         #: bare names from-imported from the random modules that draw
         #: from global state when called.
         self.random_fns: Set[str] = set()
@@ -474,88 +522,123 @@ class _ImportTable:
         #: bare names bound to numpy's default_rng / repro's as_rng.
         self.rng_ctors: Set[str] = set()
         self.modules: Set[str] = set()
-        #: module -> first line it is imported on.
+        #: module -> first line it is imported on (in ``ast.walk`` order).
         self.module_lines: Dict[str, int] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for target in (
-                    [alias.name for alias in node.names]
-                    if isinstance(node, ast.Import)
-                    else ([node.module] if node.module else [])
-                ):
-                    if target not in self.module_lines:
-                        self.module_lines[target] = node.lineno
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules.add(alias.name)
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        if alias.name == "numpy.random" and alias.asname:
-                            self.np_random.add(alias.asname)
-                        else:
-                            self.numpy.add(bound)
-                    elif alias.name == "random":
-                        self.stdlib_random.add(bound)
-                    elif alias.name == "time":
-                        self.time.add(alias.asname or "time")
-                    elif alias.name == "datetime":
-                        self.datetime_mod.add(alias.asname or "datetime")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module:
-                    self.modules.add(node.module)
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if node.module == "random":
-                        if alias.name not in _STDLIB_RANDOM_ALLOWED:
-                            self.random_fns.add(bound)
-                    elif node.module == "numpy.random":
-                        if alias.name == "default_rng":
-                            self.rng_ctors.add(bound)
-                        elif alias.name not in _NP_RANDOM_ALLOWED:
-                            self.random_fns.add(bound)
-                    elif node.module == "numpy" and alias.name == "random":
-                        self.np_random.add(bound)
-                    elif node.module == "time":
-                        if alias.name in _WALL_CLOCK_FNS:
-                            self.clock_fns.add(bound)
-                    elif node.module == "datetime":
-                        if alias.name in ("datetime", "date"):
-                            self.datetime_cls.add(bound)
-                    elif node.module is not None and (
-                        node.module == "repro.util.rng"
-                        or node.module.endswith("util.rng")
-                    ):
-                        if alias.name == "as_rng":
-                            self.rng_ctors.add(bound)
+        #: modules imported *only* under a top-level ``if TYPE_CHECKING:``.
+        self.type_only: Set[str] = set()
+        #: classes defined anywhere in the module.
+        self.class_names: Set[str] = set()
 
-
-def _type_only_imports(tree: ast.Module) -> Set[str]:
-    """Modules imported *only* under a top-level ``if TYPE_CHECKING:``."""
-
-    def collect(stmts: List[ast.stmt]) -> Set[str]:
-        found: Set[str] = set()
-        for stmt in stmts:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Import):
-                    found.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    found.add(node.module)
-        return found
-
-    guarded: Set[str] = set()
-    runtime: Set[str] = set()
-    for stmt in tree.body:
-        test = getattr(stmt, "test", None)
-        is_guard = isinstance(stmt, ast.If) and (
-            (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
-            or (isinstance(test, ast.Attribute)
-                and test.attr == "TYPE_CHECKING")
+        # Breadth-first, in ast.walk order, with each node tagged by the
+        # set its imports count toward for the TYPE_CHECKING split: a
+        # top-level guard's body is type-only, its test and else branch
+        # count toward neither, everything else is runtime.
+        guarded: Set[str] = set()
+        runtime: Set[str] = set()
+        guards = {id(stmt) for stmt in tree.body
+                  if _is_type_checking_guard(stmt)}
+        todo: Deque[Tuple[ast.AST, Optional[Set[str]]]] = deque(
+            [(tree, runtime)]
         )
-        if is_guard:
-            guarded |= collect(stmt.body)
-        else:
-            runtime |= collect([stmt])
-    return guarded - runtime
+        while todo:
+            node, bucket = todo.popleft()
+            if id(node) in guards:
+                body = {id(stmt) for stmt in node.body}  # type: ignore[attr-defined]
+                todo.extend(
+                    (child, guarded if id(child) in body else None)
+                    for child in ast.iter_child_nodes(node)
+                )
+            else:
+                todo.extend(
+                    (child, bucket) for child in ast.iter_child_nodes(node)
+                )
+            if isinstance(node, ast.Import):
+                self._note_import(node, bucket)
+            elif isinstance(node, ast.ImportFrom):
+                self._note_import_from(node, bucket)
+            elif isinstance(node, ast.ClassDef):
+                self.class_names.add(node.name)
+        self.type_only = guarded - runtime
+
+    def random_namespace(self, parts: List[str]) -> Optional[str]:
+        """``"numpy.random"``/``"random"`` when the dotted call ``parts``
+        go through a global random *module* namespace, else ``None``."""
+        if ((len(parts) == 3 and parts[1] == "random"
+             and parts[0] in self.numpy)
+                or (len(parts) == 2 and parts[0] in self.np_random)):
+            return "numpy.random"
+        if len(parts) == 2 and parts[0] in self.stdlib_random:
+            return "random"
+        return None
+
+    def reads_clock(self, parts: List[str]) -> bool:
+        """Whether the dotted call ``parts`` reads the wall clock through
+        a ``time``/``datetime`` module or class alias."""
+        fn = parts[-1]
+        prefix = ".".join(parts[:-1])
+        return ((prefix in self.time and fn in WALL_CLOCK_FNS)
+                or (prefix in self.datetime_cls and fn in DATETIME_CLASS_FNS)
+                or (len(parts) == 3 and parts[0] in self.datetime_mod
+                    and parts[1] in ("datetime", "date")
+                    and fn in DATETIME_CLASS_FNS))
+
+    def _note_module(self, target: str, line: int,
+                     bucket: Optional[Set[str]]) -> None:
+        self.modules.add(target)
+        self.module_lines.setdefault(target, line)
+        if bucket is not None:
+            bucket.add(target)
+
+    def _note_import(self, node: ast.Import,
+                     bucket: Optional[Set[str]]) -> None:
+        for alias in node.names:
+            self._note_module(alias.name, node.lineno, bucket)
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.name == "numpy" or alias.name.startswith("numpy."):
+                if alias.name == "numpy.random" and alias.asname:
+                    self.np_random.add(alias.asname)
+                else:
+                    self.numpy.add(bound)
+            elif alias.name == "random":
+                self.stdlib_random.add(bound)
+            elif alias.name == "time":
+                self.time.add(alias.asname or "time")
+            elif alias.name == "datetime":
+                self.datetime_mod.add(alias.asname or "datetime")
+            elif alias.name == "collections":
+                self.collections.add(alias.asname or "collections")
+
+    def _note_import_from(self, node: ast.ImportFrom,
+                          bucket: Optional[Set[str]]) -> None:
+        if node.module:
+            self._note_module(node.module, node.lineno, bucket)
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if node.module == "random":
+                if alias.name not in STDLIB_RANDOM_ALLOWED:
+                    self.random_fns.add(bound)
+            elif node.module == "numpy.random":
+                if alias.name == "default_rng":
+                    self.rng_ctors.add(bound)
+                elif alias.name not in NP_RANDOM_ALLOWED:
+                    self.random_fns.add(bound)
+            elif node.module == "numpy" and alias.name == "random":
+                self.np_random.add(bound)
+            elif node.module == "time":
+                if alias.name in WALL_CLOCK_FNS:
+                    self.clock_fns.add(bound)
+            elif node.module == "datetime":
+                if alias.name in ("datetime", "date"):
+                    self.datetime_cls.add(bound)
+            elif node.module == "collections":
+                if alias.name == "deque":
+                    self.deque.add(bound)
+            elif node.module is not None and (
+                node.module == "repro.util.rng"
+                or node.module.endswith("util.rng")
+            ):
+                if alias.name == "as_rng":
+                    self.rng_ctors.add(bound)
 
 
 def _module_level_names(tree: ast.Module) -> Set[str]:
@@ -622,7 +705,7 @@ def _root_name(node: ast.expr) -> Optional[str]:
 class _Summarizer(ast.NodeVisitor):
     """One pass over a module AST producing its :class:`ModuleSummary`."""
 
-    def __init__(self, summary: ModuleSummary, imports: _ImportTable,
+    def __init__(self, summary: ModuleSummary, imports: ImportTable,
                  tree: ast.Module):
         self.summary = summary
         self.imports = imports
@@ -640,11 +723,6 @@ class _Summarizer(ast.NodeVisitor):
         #: names bound at module level — a store through one of these
         #: from inside a function is shared-state mutation.
         self._module_names: Set[str] = _module_level_names(tree)
-        #: classes defined anywhere in the module (``Cls.attr = v``).
-        self._class_names: Set[str] = {
-            node.name for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-        }
 
     # -- scope bookkeeping ---------------------------------------------
     @property
@@ -679,7 +757,7 @@ class _Summarizer(ast.NodeVisitor):
         imports the decorated module.
         """
         if not (isinstance(node, ast.Call)
-                and (_dotted(node.func) or "").split(".")[-1] == "effects"):
+                and (dotted_name(node.func) or "").split(".")[-1] == "effects"):
             return False, None, False
         declared = sorted({
             arg.value for arg in node.args
@@ -703,7 +781,7 @@ class _Summarizer(ast.NodeVisitor):
         ``@effects(...)`` — the analyzer never imports the module.
         """
         if isinstance(node, ast.Call):
-            terminal = (_dotted(node.func) or "").split(".")[-1]
+            terminal = (dotted_name(node.func) or "").split(".")[-1]
             if terminal == "shard_entry":
                 group = next(
                     (arg.value for arg in node.args
@@ -722,7 +800,7 @@ class _Summarizer(ast.NodeVisitor):
             if terminal == "shard_merge_point":
                 return None, True
             return None, False
-        terminal = (_dotted(node) or "").split(".")[-1]
+        terminal = (dotted_name(node) or "").split(".")[-1]
         if terminal == "shard_merge_point":
             return None, True
         return None, False
@@ -761,7 +839,7 @@ class _Summarizer(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if node.name.endswith("Event") and any(
-            _dotted(d.func if isinstance(d, ast.Call) else d) in
+            dotted_name(d.func if isinstance(d, ast.Call) else d) in
             ("dataclass", "dataclasses.dataclass")
             for d in node.decorator_list
         ):
@@ -778,7 +856,7 @@ class _Summarizer(ast.NodeVisitor):
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            callee = _dotted(node.func)
+            callee = dotted_name(node.func)
             return callee in ("set", "frozenset")
         return False
 
@@ -787,7 +865,7 @@ class _Summarizer(ast.NodeVisitor):
         if isinstance(node, (ast.Dict, ast.DictComp)):
             return True
         if isinstance(node, ast.Call):
-            return _dotted(node.func) == "dict"
+            return dotted_name(node.func) == "dict"
         return False
 
     def _classify_iter(self, node: ast.expr) -> Optional[Tuple[str, str]]:
@@ -799,7 +877,7 @@ class _Summarizer(ast.NodeVisitor):
         if (isinstance(node, ast.Call) and not node.args
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("items", "keys", "values")):
-            owner = _dotted(node.func.value) or "<dict>"
+            owner = dotted_name(node.func.value) or "<dict>"
             return "dict", f"un-sorted iteration over {owner}.{node.func.attr}()"
         if isinstance(node, ast.Name):
             kind = self._local_kinds[-1].get(node.id)
@@ -889,7 +967,7 @@ class _Summarizer(ast.NodeVisitor):
         root = _root_name(node)
         if root is None or root == "self":
             return None
-        if root == "cls" or root in self._class_names:
+        if root == "cls" or root in self.imports.class_names:
             return f"class-level {root!r}"
         if root in self._module_names:
             return f"module-level {root!r}"
@@ -922,17 +1000,14 @@ class _Summarizer(ast.NodeVisitor):
         imp = self.imports
         parts = dotted.split(".")
         fn = parts[-1]
-        prefix = ".".join(parts[:-1])
-        if (
-            (len(parts) == 3 and parts[1] == "random" and parts[0] in imp.numpy)
-            or (len(parts) == 2 and prefix in imp.np_random)
-        ):
-            if fn not in _NP_RANDOM_ALLOWED:
+        namespace = imp.random_namespace(parts)
+        if namespace == "numpy.random":
+            if fn not in NP_RANDOM_ALLOWED:
                 self._record_draw(node, f"numpy.random.{fn}() (global state)")
             elif fn == "default_rng" and not node.args:
                 self._record_draw(node, "default_rng() with no seed (OS entropy)")
-        elif len(parts) == 2 and prefix in imp.stdlib_random:
-            if fn not in _STDLIB_RANDOM_ALLOWED:
+        elif namespace == "random":
+            if fn not in STDLIB_RANDOM_ALLOWED:
                 self._record_draw(node, f"random.{fn}() (global state)")
         elif len(parts) == 1:
             if fn in imp.random_fns:
@@ -946,20 +1021,11 @@ class _Summarizer(ast.NodeVisitor):
                     self._record_draw(node, f"{fn}(None) (OS entropy)")
 
     def _check_clock(self, node: ast.Call, dotted: str) -> None:
-        imp = self.imports
         parts = dotted.split(".")
-        fn = parts[-1]
-        prefix = ".".join(parts[:-1])
-        if prefix in imp.time and fn in _WALL_CLOCK_FNS:
+        if self.imports.reads_clock(parts):
             self._record_clock(node, f"{dotted}() (wall clock)")
-        elif prefix in imp.datetime_cls and fn in _DATETIME_CLASS_FNS:
-            self._record_clock(node, f"{dotted}() (wall clock)")
-        elif (len(parts) == 3 and parts[0] in imp.datetime_mod
-              and parts[1] in ("datetime", "date")
-              and fn in _DATETIME_CLASS_FNS):
-            self._record_clock(node, f"{dotted}() (wall clock)")
-        elif len(parts) == 1 and fn in imp.clock_fns:
-            self._record_clock(node, f"{fn}() (wall clock)")
+        elif len(parts) == 1 and parts[0] in self.imports.clock_fns:
+            self._record_clock(node, f"{parts[0]}() (wall clock)")
 
     def _emit_priority(
         self, node: ast.Call,
@@ -971,7 +1037,7 @@ class _Summarizer(ast.NodeVisitor):
             const = _const_int(kw.value)
             if const is not None:
                 return const, None, True
-            ref = _dotted(kw.value)
+            ref = dotted_name(kw.value)
             if ref is not None and ref != "self" \
                     and not ref.startswith("self."):
                 return None, ref.split(".")[-1], True
@@ -1023,7 +1089,7 @@ class _Summarizer(ast.NodeVisitor):
                     node, f"{dotted}() mutates {shared}",
                 )
         if is_method:
-            receiver = _dotted(node.func.value)
+            receiver = dotted_name(node.func.value)
             last = receiver.split(".")[-1] if receiver else ""
             if last in ("rng", "_rng") or last.endswith("_rng"):
                 self._fn.stream_draws.append(TaintSite(
@@ -1032,7 +1098,7 @@ class _Summarizer(ast.NodeVisitor):
                 ))
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             terminal = dotted.split(".")[-1]
             if terminal in _ORDER_SANITIZERS:
@@ -1067,18 +1133,22 @@ def summarize_module(
     path: str,
     rel_parts: Tuple[str, ...],
     suppressions: Suppressions,
+    imports: ImportTable,
 ) -> ModuleSummary:
-    """Distill one parsed module into its :class:`ModuleSummary`."""
+    """Distill one parsed module into its :class:`ModuleSummary`.
+
+    ``imports`` is the file's :class:`ImportTable` — the same instance
+    the per-file rules read as ``FileContext.imports``.
+    """
     summary = ModuleSummary(
         module=module_name_from_parts(rel_parts),
         path=path,
         rel_parts=rel_parts,
         suppressions=suppressions,
     )
-    imports = _ImportTable(tree)
     summary.imported_modules = set(imports.modules)
     summary.import_lines = dict(imports.module_lines)
-    summary.type_only_imports = _type_only_imports(tree)
+    summary.type_only_imports = set(imports.type_only)
     summary.int_constants = _module_int_constants(tree)
     _Summarizer(summary, imports, tree).visit(tree)
     return summary
@@ -1098,6 +1168,26 @@ class ProjectContext:
                 terminal = qual.split(".")[-1]
                 node_id = f"{mod.module}::{qual}"
                 self.function_index.setdefault(terminal, []).append(node_id)
+
+    # The analyses below are built on first use and shared by every
+    # project rule and artifact writer of the run.
+    @cached_property
+    def graph(self) -> "CallGraph":
+        """The conservative call graph (:mod:`repro.lint.dataflow`)."""
+        from repro.lint.dataflow import build_call_graph
+        return build_call_graph(self)
+
+    @cached_property
+    def effects(self) -> "EffectInference":
+        """Per-function effect signatures over :attr:`graph`."""
+        from repro.lint.effects import EffectInference
+        return EffectInference(self)
+
+    @cached_property
+    def shards(self) -> "ShardAnalysis":
+        """Shard reachability and interference over :attr:`graph`."""
+        from repro.lint.shards import ShardAnalysis
+        return ShardAnalysis(self)
 
     def function(self, node_id: str) -> FunctionSummary:
         """Look a function summary up by its ``module::qualname`` id."""

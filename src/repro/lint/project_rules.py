@@ -16,21 +16,23 @@ CG013     an event dataclass emitted by ``faults``/``serve``/``sim``
 ========  ==============================================================
 
 All four run on :class:`~repro.lint.project.ProjectContext` summaries
-and the conservative call graph from :mod:`repro.lint.dataflow`; see
-``docs/LINT.md`` for the full rationale and the pragma escape hatches.
+and the context's one conservative call graph
+(:mod:`repro.lint.dataflow`); see ``docs/LINT.md`` for the full
+rationale and the pragma escape hatches.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.lint.dataflow import (
-    build_call_graph,
+    Witness,
     reach_sinks,
     reach_taints,
     render_chain,
     witness_chain,
 )
+from repro.lint.effects import infer_effects
 from repro.lint.project import ProjectRule
 from repro.lint.registry import register_project
 
@@ -88,8 +90,7 @@ class UnorderedIterationToSink(ProjectRule):
                    "queue admission, or the fleet digest; sort it")
 
     def check(self) -> None:
-        graph = build_call_graph(self.project)
-        reaching = reach_sinks(self.project, graph, ORDER_SINKS)
+        reaching = reach_sinks(self.project, self.project.graph, ORDER_SINKS)
         for node in self.project.functions_in(*DETERMINISM_PACKAGES):
             witness = reaching.get(node)
             if witness is None:
@@ -115,7 +116,8 @@ class _TaintRule(ProjectRule):
     #: packages whose functions must stay clear of the taint.
     critical_packages: tuple = ()
 
-    def _taint_of(self, node: str) -> Optional[str]:
+    def _reaching(self) -> Dict[str, Witness]:
+        """Every function that reaches the taint, with its witness."""
         raise NotImplementedError
 
     def _own_sites(self, node: str) -> list:
@@ -133,8 +135,7 @@ class _TaintRule(ProjectRule):
             )
 
     def check(self) -> None:
-        graph = build_call_graph(self.project)
-        reaching = reach_taints(self.project, graph, self._taint_of)
+        reaching = self._reaching()
         critical = set(self.project.functions_in(*self.critical_packages))
         for node in sorted(critical):
             if self._own_sites(node):
@@ -202,6 +203,9 @@ class RngStreamDiscipline(_TaintRule):
         sites = self._own_sites(node)
         return sites[0].desc if sites else None
 
+    def _reaching(self) -> Dict[str, Witness]:
+        return reach_taints(self.project, self.project.graph, self._taint_of)
+
 
 @register_project
 class WallClockTaint(_TaintRule):
@@ -232,9 +236,10 @@ class WallClockTaint(_TaintRule):
         # report.  Never double-report them.
         return []
 
-    def _taint_of(self, node: str) -> Optional[str]:
-        sites = self.project.function(node).clock_reads
-        return sites[0].desc if sites else None
+    def _reaching(self) -> Dict[str, Witness]:
+        # Seeded from each function's first clock read: exactly the
+        # effect inference's ``clock`` pass, so reuse its witnesses.
+        return infer_effects(self.project).reaching("clock")
 
 
 @register_project

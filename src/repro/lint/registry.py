@@ -4,7 +4,8 @@ A rule is an :class:`ast.NodeVisitor` subclass decorated with
 :func:`register`.  The engine instantiates each enabled rule once per
 file with a :class:`FileContext` and calls :meth:`Rule.check`; the rule
 walks the tree and calls :meth:`Rule.report` on violations.  Pragma
-suppression and finding collection live in the context, so a new rule is
+suppression, finding collection and the file's import aliases
+(:attr:`FileContext.imports`) live in the context, so a new rule is
 typically ~30 lines: a class-level id/description, an optional
 :meth:`Rule.applies_to` scope, and one or two ``visit_*`` methods.
 """
@@ -17,6 +18,7 @@ from typing import ClassVar, Iterable, Optional, Type
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
+from repro.lint.project import ImportTable
 
 __all__ = [
     "FileContext",
@@ -33,8 +35,11 @@ __all__ = [
     "ANALYZER_VERSION",
 ]
 
-#: Bumped whenever a rule's behaviour changes; part of the incremental
-#: cache signature so stale findings never survive a rule upgrade.
+#: The analyzer's artifact version, written into ``effects.json`` and
+#: ``shardplan.json``; bump it when their schema changes.  It is also
+#: part of the incremental cache signature, which additionally hashes
+#: the analyzer source, so a rule edit invalidates caches without a
+#: bump.
 #: v4: module summaries grew the effect-system facts (global/engine/
 #: digest/io seeds, stream draws, @effects declarations, import lines).
 #: v5: shard-certification facts (emit priorities, derive_seed
@@ -62,6 +67,9 @@ class FileContext:
         self.rel_parts = rel_parts
         self.tree = tree
         self.suppressions = suppressions
+        #: The file's import aliases, ``TYPE_CHECKING`` split and class
+        #: names, from the one pre-pass the summariser shares.
+        self.imports = ImportTable(tree)
         self.findings: list[Finding] = []
 
     def report(self, rule_id: str, node: ast.AST, message: str) -> None:

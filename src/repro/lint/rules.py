@@ -25,6 +25,12 @@ import ast
 import re
 from typing import Optional, Union
 
+from repro.lint.project import (
+    NP_RANDOM_ALLOWED,
+    STDLIB_RANDOM_ALLOWED,
+    WALL_CLOCK_FNS,
+    dotted_name,
+)
 from repro.lint.registry import FileContext, Rule, register
 
 __all__ = [
@@ -43,30 +49,9 @@ __all__ = [
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for an Attribute/Name chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 # ----------------------------------------------------------------------
 # CG001
 # ----------------------------------------------------------------------
-
-#: Deterministic constructors that are allowed anywhere: they create a
-#: fresh, explicitly seeded stream rather than touching hidden state.
-_NP_RANDOM_ALLOWED = frozenset({
-    "default_rng", "Generator", "BitGenerator", "SeedSequence",
-    "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
-})
-_STDLIB_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
-
 
 @register
 class NoGlobalRandomness(Rule):
@@ -97,62 +82,32 @@ class NoGlobalRandomness(Rule):
     def applies_to(cls, ctx: FileContext) -> bool:
         return not ctx.is_module("util", "rng.py")
 
-    def check(self) -> None:
-        # Pre-pass: learn what the random modules are called locally.
-        self._numpy_aliases: set[str] = set()       # e.g. {"np", "numpy"}
-        self._np_random_aliases: set[str] = set()   # bound to numpy.random
-        self._stdlib_aliases: set[str] = set()      # bound to stdlib random
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        if alias.name == "numpy.random" and alias.asname:
-                            self._np_random_aliases.add(alias.asname)
-                        else:
-                            self._numpy_aliases.add(bound)
-                    elif alias.name == "random":
-                        self._stdlib_aliases.add(bound)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "numpy":
-                    for alias in node.names:
-                        if alias.name == "random":
-                            self._np_random_aliases.add(alias.asname or "random")
-        self.visit(self.ctx.tree)
-
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "random":
             bad = [a.name for a in node.names
-                   if a.name not in _STDLIB_RANDOM_ALLOWED]
+                   if a.name not in STDLIB_RANDOM_ALLOWED]
             if bad:
                 self.report(node, f"import of global-state random function(s) "
                                   f"{', '.join(sorted(bad))} from the random module")
         elif node.module == "numpy.random":
             bad = [a.name for a in node.names
-                   if a.name not in _NP_RANDOM_ALLOWED]
+                   if a.name not in NP_RANDOM_ALLOWED]
             if bad:
                 self.report(node, f"import of global-state numpy.random "
                                   f"function(s) {', '.join(sorted(bad))}")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             parts = dotted.split(".")
             fn = parts[-1]
-            prefix = ".".join(parts[:-1])
-            if (
-                (len(parts) == 3 and parts[1] == "random"
-                 and parts[0] in self._numpy_aliases)
-                or (len(parts) == 2 and prefix in self._np_random_aliases)
-            ):
-                if fn not in _NP_RANDOM_ALLOWED:
-                    self.report(node, f"call to global-state numpy.random.{fn}; "
-                                      f"use util.rng.as_rng and Generator methods")
-            elif len(parts) == 2 and prefix in self._stdlib_aliases:
-                if fn not in _STDLIB_RANDOM_ALLOWED:
-                    self.report(node, f"call to global-state random.{fn}; "
-                                      f"use util.rng.as_rng and Generator methods")
+            namespace = self.ctx.imports.random_namespace(parts)
+            allowed = (NP_RANDOM_ALLOWED if namespace == "numpy.random"
+                       else STDLIB_RANDOM_ALLOWED)
+            if namespace is not None and fn not in allowed:
+                self.report(node, f"call to global-state {namespace}.{fn}; "
+                                  f"use util.rng.as_rng and Generator methods")
         self.generic_visit(node)
 
 
@@ -193,7 +148,7 @@ class NoMutableDefaults(Rule):
             if isinstance(default, _MUTABLE_DISPLAY):
                 self.report(default, f"mutable default in {label}")
             elif isinstance(default, ast.Call):
-                callee = _dotted_name(default.func)
+                callee = dotted_name(default.func)
                 if callee is not None and callee.split(".")[-1] in _MUTABLE_CALLS:
                     self.report(default,
                                 f"mutable default {callee}(...) in {label}")
@@ -338,7 +293,7 @@ class DunderAllConsistency(Rule):
                             exported.extend(names)
                 elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                     call = stmt.value
-                    dotted = _dotted_name(call.func)
+                    dotted = dotted_name(call.func)
                     if dotted == "__all__.append":
                         if (len(call.args) == 1
                                 and isinstance(call.args[0], ast.Constant)
@@ -400,14 +355,6 @@ class DunderAllConsistency(Rule):
 # CG005
 # ----------------------------------------------------------------------
 
-_WALL_CLOCK_FNS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-    "perf_counter_ns", "process_time", "process_time_ns",
-    "localtime", "gmtime", "ctime",
-})
-_DATETIME_CLASS_FNS = frozenset({"now", "utcnow", "today"})
-
-
 @register
 class NoWallClockInSim(Rule):
     """CG005 — simulation code never reads the wall clock.
@@ -430,47 +377,18 @@ class NoWallClockInSim(Rule):
     def applies_to(cls, ctx: FileContext) -> bool:
         return ctx.in_subpackage("sim")
 
-    def check(self) -> None:
-        self._time_aliases: set[str] = set()
-        self._datetime_mod_aliases: set[str] = set()
-        self._datetime_cls_aliases: set[str] = set()
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        self._time_aliases.add(alias.asname or "time")
-                    elif alias.name == "datetime":
-                        self._datetime_mod_aliases.add(alias.asname or "datetime")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "datetime":
-                    for alias in node.names:
-                        if alias.name in ("datetime", "date"):
-                            self._datetime_cls_aliases.add(alias.asname or alias.name)
-        self.visit(self.ctx.tree)
-
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "time":
-            bad = [a.name for a in node.names if a.name in _WALL_CLOCK_FNS]
+            bad = [a.name for a in node.names if a.name in WALL_CLOCK_FNS]
             if bad:
                 self.report(node, f"import of wall-clock function(s) "
                                   f"{', '.join(sorted(bad))} from the time module")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            parts = dotted.split(".")
-            fn = parts[-1]
-            prefix = ".".join(parts[:-1])
-            if prefix in self._time_aliases and fn in _WALL_CLOCK_FNS:
-                self.report(node, f"wall-clock call {dotted}() in sim/")
-            elif (prefix in self._datetime_cls_aliases
-                  and fn in _DATETIME_CLASS_FNS):
-                self.report(node, f"wall-clock call {dotted}() in sim/")
-            elif (len(parts) == 3 and parts[0] in self._datetime_mod_aliases
-                  and parts[1] in ("datetime", "date")
-                  and fn in _DATETIME_CLASS_FNS):
-                self.report(node, f"wall-clock call {dotted}() in sim/")
+        dotted = dotted_name(node.func)
+        if dotted is not None and self.ctx.imports.reads_clock(dotted.split(".")):
+            self.report(node, f"wall-clock call {dotted}() in sim/")
         self.generic_visit(node)
 
 
@@ -511,9 +429,9 @@ class ExceptionHygiene(Rule):
             return True
         names = []
         if isinstance(handler_type, ast.Tuple):
-            names = [_dotted_name(e) for e in handler_type.elts]
+            names = [dotted_name(e) for e in handler_type.elts]
         else:
-            names = [_dotted_name(handler_type)]
+            names = [dotted_name(handler_type)]
         return any(n in ("Exception", "BaseException") for n in names if n)
 
     @staticmethod
@@ -617,7 +535,7 @@ class CanonicalDimensions(Rule):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if (dotted is not None and dotted.endswith(".index")
                 and len(node.args) == 1):
             dim = _dim_constant(node.args[0])
@@ -679,7 +597,7 @@ class FaultPathAccountability(Rule):
                 if isinstance(node, ast.Raise):
                     return True
                 if isinstance(node, ast.Call):
-                    dotted = _dotted_name(node.func)
+                    dotted = dotted_name(node.func)
                     if dotted is not None and (
                         dotted.split(".")[-1] in _FAULT_ACCOUNTING_CALLS
                     ):
@@ -744,29 +662,14 @@ class BoundedQueues(Rule):
     def applies_to(cls, ctx: FileContext) -> bool:
         return ctx.in_subpackage("serve", "cluster")
 
-    def check(self) -> None:
-        self._deque_aliases: set[str] = set()       # from collections import deque
-        self._collections_aliases: set[str] = set()  # import collections [as c]
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "collections":
-                        self._collections_aliases.add(alias.asname or "collections")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "collections":
-                    for alias in node.names:
-                        if alias.name == "deque":
-                            self._deque_aliases.add(alias.asname or "deque")
-        self.visit(self.ctx.tree)
-
     def _is_deque_call(self, node: ast.Call) -> bool:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return False
         parts = dotted.split(".")
         if len(parts) == 1:
-            return parts[0] in self._deque_aliases
-        return (len(parts) == 2 and parts[0] in self._collections_aliases
+            return parts[0] in self.ctx.imports.deque
+        return (len(parts) == 2 and parts[0] in self.ctx.imports.collections
                 and parts[1] == "deque")
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -868,7 +771,7 @@ class RegistryBackedAggregates(Rule):
                               ast.DictComp, ast.ListComp, ast.SetComp)):
             return True
         if isinstance(value, ast.Call):
-            dotted = _dotted_name(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 return dotted.split(".")[-1] in _AGGREGATE_CALLS
         return False

@@ -46,12 +46,9 @@ from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.lint.dataflow import (
-    CallGraph,
     Witness,
-    build_call_graph,
     entry_chain,
     reach_from,
     reach_taints,
@@ -144,15 +141,15 @@ class ShardAnalysis:
     """Reachability + interference facts for one project context.
 
     Construction runs one forward BFS per entry point (for per-entry
-    witness chains) and one reverse BFS for write-interference; the
-    CG019–CG022 rules and the certificate writer all query the same
-    instance (share it via :func:`shard_analysis`).
+    witness chains) and one reverse BFS for write-interference over the
+    project's call graph; the
+    :class:`~repro.lint.project.ProjectContext` owns one instance per
+    run (:func:`shard_analysis`), shared by the CG019–CG022 rules and
+    the certificate writer.
     """
 
-    def __init__(self, project: ProjectContext,
-                 graph: Optional[CallGraph] = None):
+    def __init__(self, project: ProjectContext):
         self.project = project
-        self.graph = graph if graph is not None else build_call_graph(project)
         #: entry node id -> group name.
         self.entries: Dict[str, str] = shard_entry_points(project)
         #: entry node id -> forward parent pointers from that entry.
@@ -160,7 +157,7 @@ class ShardAnalysis:
         #: reachable node -> sorted entry node ids that reach it.
         self.reached_by: Dict[str, List[str]] = {}
         for entry in sorted(self.entries):
-            parents = reach_from(self.graph, [entry])
+            parents = reach_from(project.graph, [entry])
             self.entry_parents[entry] = parents
             for node in parents:
                 self.reached_by.setdefault(node, []).append(entry)
@@ -169,7 +166,7 @@ class ShardAnalysis:
         #: node -> witness of the nearest reachable shared-state write
         #: (exempt packages' writes do not count).
         self.write_reach: Dict[str, Witness] = reach_taints(
-            project, self.graph, self._own_write,
+            project, project.graph, self._own_write,
         )
 
     def _own_write(self, node: str) -> Optional[str]:
@@ -254,30 +251,15 @@ class ShardAnalysis:
         return values.pop() if len(values) == 1 else None
 
 
-#: One analysis per ProjectContext per run (the four rules and the
-#: certificate writer all share it); weakly keyed so nothing outlives
-#: the run.
-_ANALYSIS_MEMO: "WeakKeyDictionary[ProjectContext, ShardAnalysis]" = (
-    WeakKeyDictionary()
-)
-
-
-def shard_analysis(project: ProjectContext,
-                   graph: Optional[CallGraph] = None) -> ShardAnalysis:
-    """The (memoised) shard analysis for a project context."""
-    analysis = _ANALYSIS_MEMO.get(project)
-    if analysis is None or (graph is not None
-                            and analysis.graph is not graph):
-        analysis = ShardAnalysis(project, graph)
-        _ANALYSIS_MEMO[project] = analysis
-    return analysis
+def shard_analysis(project: ProjectContext) -> ShardAnalysis:
+    """The project's shard analysis (built once, on first use)."""
+    return project.shards
 
 
 _CLASS_RANK = {cls: i for i, cls in enumerate(SHARD_CLASSES)}
 
 
-def render_shard_plan(project: ProjectContext,
-                      analysis: Optional[ShardAnalysis] = None) -> str:
+def render_shard_plan(project: ProjectContext) -> str:
     """The ``shardplan.json`` certificate text (sorted, byte-stable).
 
     Keys are ``module::qualname`` / dotted module names only — no
@@ -288,7 +270,7 @@ def render_shard_plan(project: ProjectContext,
     partition-safe module set, and records every blocking write with
     its witness chains.
     """
-    analysis = analysis if analysis is not None else shard_analysis(project)
+    analysis = shard_analysis(project)
     functions: Dict[str, dict] = {}
     module_class: Dict[str, str] = {}
     module_counts: Dict[str, int] = {}

@@ -52,8 +52,8 @@ class MicroBatcher:
     :meth:`begin_round` once per pump and :meth:`dispatch_one` per due
     request.  Counters expose how much work batching saved; they live in
     ``registry`` (the gateway's shared one, or a private registry when
-    ``None``) as ``serve_batcher_events_total{event=...}``, with the
-    historical attribute names kept as read-only views.
+    ``None``) as ``serve_batcher_events_total{event=...}`` and are read
+    through :meth:`stats`.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -74,34 +74,6 @@ class MicroBatcher:
         #: (non-CoCG strategy or unknown game profile).
         self._c_fallback_probes = events.labels(event="fallback_probes")
         self._batches: Dict[str, BatchEvaluation] = {}
-
-    # ------------------------------------------------------------------
-    # Counter views (kept for compatibility with pre-registry callers)
-    # ------------------------------------------------------------------
-    @property
-    def rounds(self) -> int:
-        """Batch rounds begun (registry-backed view)."""
-        return int(self._c_rounds.value)
-
-    @property
-    def evaluations(self) -> int:
-        """Pre-screen Algorithm-1 evaluations (registry-backed view)."""
-        return int(self._c_evaluations.value)
-
-    @property
-    def prescreen_rejects(self) -> int:
-        """Candidates rejected before ``try_admit`` (registry-backed)."""
-        return int(self._c_prescreen_rejects.value)
-
-    @property
-    def admissions(self) -> int:
-        """Batched dispatches that stuck (registry-backed view)."""
-        return int(self._c_admissions.value)
-
-    @property
-    def fallback_probes(self) -> int:
-        """Probes that fell back to plain ``try_admit`` (registry view)."""
-        return int(self._c_fallback_probes.value)
 
     # ------------------------------------------------------------------
     def begin_round(self) -> None:
@@ -173,11 +145,12 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Counters as a flat dict (for benchmark artifacts)."""
+        """Counters as a flat dict of ints (``admissions`` counts batched
+        dispatches that stuck)."""
         return {
-            "rounds": self.rounds,
-            "evaluations": self.evaluations,
-            "prescreen_rejects": self.prescreen_rejects,
-            "admissions": self.admissions,
-            "fallback_probes": self.fallback_probes,
+            "rounds": int(self._c_rounds.value),
+            "evaluations": int(self._c_evaluations.value),
+            "prescreen_rejects": int(self._c_prescreen_rejects.value),
+            "admissions": int(self._c_admissions.value),
+            "fallback_probes": int(self._c_fallback_probes.value),
         }

@@ -214,9 +214,8 @@ class AdmissionGateway:
         Optional :class:`~repro.obs.Observer`.  When given, every pump
         round becomes a ``gateway.pump`` span on the ``serve`` stream
         and the outcome counters land in the shared registry; when
-        ``None`` the counters back onto a private registry (so the
-        ``queued``/``shed``/… views keep working) and no spans are
-        recorded.
+        ``None`` the counters back onto a private registry (still read
+        through :meth:`stats`) and no spans are recorded.
     trace:
         Optional :class:`~repro.trace.TraceRecorder` (the nullable
         ``trace=`` handle).  Every admission verdict — ``queued``,
@@ -224,10 +223,8 @@ class AdmissionGateway:
         instant stage record in the request's timeline, alongside the
         telemetry event that already feeds the fleet digest.
 
-    The historical plain-int counters (``queued``, ``shed``,
-    ``admitted``, ``dead_lettered``, ``deferrals``,
-    ``throttled_rounds``) are now read-only views over the registry
-    metrics — same names, same values, one source of truth.
+    The outcome counters live only in the registry; :meth:`stats` reads
+    them as plain ints.
     """
 
     def __init__(
@@ -285,44 +282,6 @@ class AdmissionGateway:
         )
         self._queues: Dict[str, Deque[QueuedRequest]] = {}
         self._seq = itertools.count()
-
-    # ------------------------------------------------------------------
-    # Counter views (kept for compatibility with pre-registry callers)
-    # ------------------------------------------------------------------
-    @property
-    def queued(self) -> int:
-        """Requests that entered a queue (registry-backed view)."""
-        return int(self._c_queued.value)
-
-    @property
-    def shed(self) -> int:
-        """Requests shed at a full queue (registry-backed view)."""
-        return int(self._c_shed.value)
-
-    @property
-    def admitted(self) -> int:
-        """Requests that started on a node (registry-backed view)."""
-        return int(self._c_admitted.value)
-
-    @property
-    def dead_lettered(self) -> int:
-        """Requests that ran out of patience/retries (registry-backed)."""
-        return int(self._c_dead_lettered.value)
-
-    @property
-    def deferrals(self) -> int:
-        """Dispatch attempts that found no willing node this round."""
-        return int(self._c_deferrals.value)
-
-    @property
-    def throttled_rounds(self) -> int:
-        """Pump rounds that ran out of tokens with work still queued."""
-        return int(self._c_throttled.value)
-
-    @property
-    def backpressure_sheds(self) -> int:
-        """Sheds caused by the capacity floor, not a genuinely full queue."""
-        return int(self._c_backpressure.value)
 
     # ------------------------------------------------------------------
     @property
@@ -546,20 +505,28 @@ class AdmissionGateway:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Outcome counters as a flat dict (for benchmark artifacts)."""
+        """Outcome counters as a flat dict of ints.
+
+        ``queued``/``admitted``/``shed``/``dead_lettered`` are verdicts;
+        ``deferrals`` counts dispatch attempts that found no willing
+        node, ``throttled_rounds`` pump rounds that ran out of tokens
+        with work still queued, and ``backpressure_sheds`` sheds caused
+        by the capacity floor rather than a genuinely full queue.
+        """
         return {
-            "queued": self.queued,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "dead_lettered": self.dead_lettered,
-            "deferrals": self.deferrals,
+            "queued": int(self._c_queued.value),
+            "admitted": int(self._c_admitted.value),
+            "shed": int(self._c_shed.value),
+            "dead_lettered": int(self._c_dead_lettered.value),
+            "deferrals": int(self._c_deferrals.value),
             "depth": self.depth,
-            "throttled_rounds": self.throttled_rounds,
-            "backpressure_sheds": self.backpressure_sheds,
+            "throttled_rounds": int(self._c_throttled.value),
+            "backpressure_sheds": int(self._c_backpressure.value),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        stats = self.stats()
         return (
-            f"AdmissionGateway(depth={self.depth}, admitted={self.admitted}, "
-            f"shed={self.shed})"
+            f"AdmissionGateway(depth={stats['depth']}, "
+            f"admitted={stats['admitted']}, shed={stats['shed']})"
         )

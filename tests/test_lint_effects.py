@@ -23,6 +23,7 @@ from repro.lint import (
 )
 from repro.lint.__main__ import main as lint_main
 from repro.lint.pragmas import parse_suppressions
+from repro.lint.project import ImportTable
 from repro.lint.registry import UnknownRuleError
 from repro.util.effects import (
     EFFECTS,
@@ -47,11 +48,13 @@ def build_project(files):
     mods = {}
     for rel, source in files.items():
         source = textwrap.dedent(source)
+        tree = ast.parse(source)
         summary = summarize_module(
-            ast.parse(source),
+            tree,
             path=rel,
             rel_parts=tuple(rel.split("/")),
             suppressions=parse_suppressions(source),
+            imports=ImportTable(tree),
         )
         mods[summary.module] = summary
     return ProjectContext(mods)
@@ -213,6 +216,33 @@ class TestEffectInference:
         project = build_project({"util/x.py": "def f():\n    return 1\n"})
         assert infer_effects(project) is infer_effects(project)
 
+    def test_one_call_graph_per_run(self, tmp_path, monkeypatch):
+        # Every project rule, the inference and the shard analysis share
+        # the context's one graph.
+        import repro.lint.dataflow as dataflow
+
+        built = []
+        original = dataflow.build_call_graph
+
+        def counting(project):
+            built.append(project)
+            return original(project)
+
+        monkeypatch.setattr(dataflow, "build_call_graph", counting)
+        result = lint_paths([write_tree(tmp_path, {
+            "serve/gateway.py": """\
+                import time
+
+                def pump():
+                    return helper()
+
+                def helper():
+                    return time.time()
+                """,
+        })], effects=True, shard_plan=True)
+        assert result.effects is not None and result.shard_plan is not None
+        assert len(built) == 1
+
 
 # ----------------------------------------------------------------------
 # Precise self.method call resolution (dataflow satellite)
@@ -236,10 +266,10 @@ class TestSelfCallResolution:
                     return random.random()
                 """,
         })
-        graph = build_call_graph(project)
+        graph = project.graph
         assert graph.callees("core.a::Walker.entry") == {"core.a::Walker.helper"}
         # ...so the foreign helper's RNG draw does not leak into entry.
-        inf = EffectInference(project, graph)
+        inf = project.effects
         assert inf.effects_of("core.a::Walker.entry") == set()
 
     def test_unknown_self_method_keeps_conservative_fanout(self):

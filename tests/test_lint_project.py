@@ -19,6 +19,7 @@ from repro.lint import (
     resolve_project_rules,
     write_baseline,
 )
+from repro.lint import cache as cache_module
 from repro.lint.__main__ import main as lint_main
 from repro.lint.registry import UnknownRuleError
 
@@ -441,6 +442,23 @@ class TestIncrementalCache:
 
         other = LintCache.load(cache_file, cache_signature(["CG001"], []))
         assert other.entries == {}
+
+    def test_signature_tracks_analyzer_source_bytes(self, tmp_path,
+                                                    monkeypatch):
+        # A rule edit without an ANALYZER_VERSION bump must still
+        # invalidate every cached finding.
+        copy = tmp_path / "lint"
+        copy.mkdir()
+        for source in cache_module._ANALYZER_DIR.glob("*.py"):
+            (copy / source.name).write_bytes(source.read_bytes())
+        monkeypatch.setattr(cache_module, "_ANALYZER_DIR", copy)
+        before = self._signature()
+        assert self._signature() == before
+        rules = copy / "rules.py"
+        data = bytearray(rules.read_bytes())
+        data[-1] ^= 1
+        rules.write_bytes(bytes(data))
+        assert self._signature() != before
 
     def test_corrupt_cache_file_is_ignored(self, tmp_path):
         tree = write_tree(tmp_path / "t", FIXTURE)

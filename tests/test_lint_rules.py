@@ -540,6 +540,68 @@ class TestCG014:
 
 
 # ----------------------------------------------------------------------
+# Alias forms the shared import table must keep resolving
+# ----------------------------------------------------------------------
+
+#: ``(rel path, rule, source, "line:col", message)``; expected values
+#: were captured before CG001/CG005/CG009 moved onto ``ctx.imports``.
+ALIAS_FORMS = [
+    ("games/gen.py", "CG001", """\
+        from numpy import random as r
+
+        def roll():
+            return r.uniform(0, 1)
+        """, "4:12",
+     "call to global-state numpy.random.uniform; use util.rng.as_rng and "
+     "Generator methods"),
+    ("games/gen.py", "CG001", """\
+        def roll():
+            import numpy as np
+            return np.random.rand()
+        """, "3:12",
+     "call to global-state numpy.random.rand; use util.rng.as_rng and "
+     "Generator methods"),
+    ("sim/clock.py", "CG005", """\
+        import datetime as dt
+
+        def stamp():
+            return dt.datetime.now()
+        """, "4:12", "wall-clock call dt.datetime.now() in sim/"),
+    ("sim/clock.py", "CG005", """\
+        import time as t
+
+        def stamp():
+            return t.monotonic()
+        """, "4:12", "wall-clock call t.monotonic() in sim/"),
+    ("sim/clock.py", "CG005", """\
+        from datetime import date
+
+        def stamp():
+            return date.today()
+        """, "4:12", "wall-clock call date.today() in sim/"),
+    ("serve/buffer.py", "CG009", """\
+        import collections as c
+
+        def make():
+            return c.deque()
+        """, "4:12",
+     "deque without maxlen= on the serving path; declare the bound (or "
+     "pragma the external one)"),
+]
+
+
+@pytest.mark.parametrize(
+    ("rel", "rule", "source", "where", "message"), ALIAS_FORMS,
+    ids=["numpy-random-as", "nested-numpy-import", "datetime-module-as",
+         "time-as", "from-datetime-date", "collections-as"],
+)
+def test_alias_forms_resolve(tmp_path, rel, rule, source, where, message):
+    result = lint_source(tmp_path, rel, source, select=[rule])
+    assert [(f.rule_id, f"{f.line}:{f.col}", f.message)
+            for f in result.findings] == [(rule, where, message)]
+
+
+# ----------------------------------------------------------------------
 # Pragmas
 # ----------------------------------------------------------------------
 

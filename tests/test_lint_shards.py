@@ -33,6 +33,7 @@ from repro.lint import (
 )
 from repro.lint.__main__ import main as lint_main
 from repro.lint.pragmas import parse_suppressions
+from repro.lint.project import ImportTable
 from repro.lint.shards import DEFAULT_GROUP
 from repro.sim.engine import ShardPlanError, validate_shard_plan
 from repro.util.effects import (
@@ -62,11 +63,13 @@ def build_project(files):
     mods = {}
     for rel, source in files.items():
         source = textwrap.dedent(source)
+        tree = ast.parse(source)
         summary = summarize_module(
-            ast.parse(source),
+            tree,
             path=rel,
             rel_parts=tuple(rel.split("/")),
             suppressions=parse_suppressions(source),
+            imports=ImportTable(tree),
         )
         mods[summary.module] = summary
     return ProjectContext(mods)

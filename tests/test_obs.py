@@ -320,10 +320,11 @@ class TestGatewayViews:
 
         cluster = build_fleet(toy_profile, obs=None)
         gateway = cluster.gateway
-        assert gateway.queued == 0
+        assert gateway.stats()["queued"] == 0
         gateway.offer(make_request(toy_spec, rid=0), time=0.0)
-        assert gateway.queued == 1 and isinstance(gateway.queued, int)
-        assert gateway.shed == 0
+        queued = gateway.stats()["queued"]
+        assert queued == 1 and isinstance(queued, int)
+        assert gateway.stats()["shed"] == 0
         # no spans recorded when unobserved — pump still works
         gateway.pump(0.0, lambda request, incarnation: 1)
         assert isinstance(SloTracker(), SloTracker)  # registry optional

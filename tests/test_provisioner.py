@@ -417,7 +417,7 @@ class TestBackpressureCoupling:
         second = gateway.offer(make_request(toy_spec, 2), time=1.0)
         assert first.accepted
         assert second.kind == "shed" and second.detail == "capacity floor"
-        assert gateway.backpressure_sheds == 1
+        assert gateway.stats()["backpressure_sheds"] == 1
 
     def test_warm_promotion_releases_backpressure(self, toy_profile):
         cluster, gateway = self.make_gated(toy_profile)

@@ -199,7 +199,7 @@ class TestAdmissionGateway:
             assert gateway.offer(make_request(toy_spec, rid=rid), time=0.0).accepted
         outcome = gateway.offer(make_request(toy_spec, rid=2), time=0.0)
         assert outcome.kind == "shed"
-        assert gateway.shed == 1 and gateway.depth == 2
+        assert gateway.stats()["shed"] == 1 and gateway.depth == 2
         assert gateway.telemetry.gateway_events[-1].outcome == "shed"
 
     def test_pump_admits_and_clears_queue(self, toy_spec, toy_profile):
@@ -207,7 +207,7 @@ class TestAdmissionGateway:
         cluster.submit(make_request(toy_spec, rid=0), time=0.0)
         started = cluster.pump(0.0, lambda req, inc: 7)
         assert [r.request_id for r in started] == [0]
-        assert gateway.admitted == 1 and gateway.depth == 0
+        assert gateway.stats()["admitted"] == 1 and gateway.depth == 0
         assert gateway.telemetry.gateway_events[-1].outcome == "admitted"
         assert cluster.nodes[0].n_running + cluster.nodes[1].n_running == 1
 
@@ -218,9 +218,9 @@ class TestAdmissionGateway:
         cluster.nodes[0].health = NodeHealth.DOWN
         gateway.offer(make_request(toy_spec, rid=0), time=0.0)
         gateway.pump(5.0, lambda req, inc: 0)
-        assert gateway.dead_lettered == 0
+        assert gateway.stats()["dead_lettered"] == 0
         gateway.pump(11.0, lambda req, inc: 0)
-        assert gateway.dead_lettered == 1 and gateway.depth == 0
+        assert gateway.stats()["dead_lettered"] == 1 and gateway.depth == 0
         assert len(cluster.dead_letters) == 1
         assert "patience" in cluster.dead_letters[0].reason
 
@@ -231,7 +231,7 @@ class TestAdmissionGateway:
         gateway.offer(make_request(toy_spec, rid=0), time=0.0)
         for k in range(1, 4):
             gateway.pump(float(k), lambda req, inc: 0)
-        assert gateway.dead_lettered == 1
+        assert gateway.stats()["dead_lettered"] == 1
         assert "retries" in cluster.dead_letters[0].reason
 
     def test_token_bucket_throttles_round(self, toy_spec, toy_profile):
@@ -242,7 +242,7 @@ class TestAdmissionGateway:
         started = gateway.pump(0.0, lambda req, inc: 0)
         # Two tokens -> at most two dispatch attempts this round.
         assert len(started) <= 2
-        assert gateway.throttled_rounds == 1
+        assert gateway.stats()["throttled_rounds"] == 1
         assert gateway.depth == 5 - len(started)
 
     def test_stats_shape(self, toy_profile):
@@ -298,7 +298,7 @@ class TestBatchedDispatchEquivalence:
         assert naive.stats() == batched.stats()
         assert naive.telemetry.digest() == batched.telemetry.digest()
         # The batched run actually shared evaluation passes.
-        assert batched.batcher.rounds > 0
+        assert batched.batcher.stats()["rounds"] > 0
 
 
 # ----------------------------------------------------------------------
