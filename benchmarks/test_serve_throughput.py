@@ -211,8 +211,9 @@ def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
             max_queue_seconds=120.0,
             micro_batching=batched,
         ),
-        obs=obs,
     )
+    if obs is not None:
+        gateway.attach_observer(obs)
     cluster.attach_gateway(gateway)
 
     def seed_for(request, incarnation):

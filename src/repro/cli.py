@@ -35,6 +35,12 @@ Four subcommands cover the operator workflow the paper describes:
   whole-program rules CG010–CG014 and the effect system
   CG015–CG018) over the codebase.
 
+Every fleet command turns its flags into one
+:class:`~repro.trace.harness.RunConfig` and builds its run through
+:func:`repro.trace.harness.build_experiment` (``cocg chaos`` hands the
+harness builders to :func:`~repro.faults.run_chaos`), so the CLI, the
+corpus, regional shards and replay assemble a fleet the same way.
+
 Diagnostics (bad plans, unknown games/scenarios, digest mismatches) go
 to stderr; stdout carries only the requested report, so piping
 ``cocg … | tee`` captures clean output.
@@ -51,9 +57,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.pipeline import GameProfile
+    from repro.trace.harness import RunConfig
 
 __all__ = [
     "main",
@@ -70,8 +80,6 @@ __all__ = [
     "cmd_corpus",
     "cmd_lint",
 ]
-
-_STRATEGIES = ("cocg", "reactive", "gaugur", "vbp", "max-static")
 
 
 def _err(message: str) -> None:
@@ -100,56 +108,52 @@ def _certify_or_fail(args) -> int:
     return 0
 
 
-def _make_strategy(name: str):
-    from repro.baselines import (
-        CoCGStrategy,
-        GAugurStrategy,
-        MaxStaticStrategy,
-        ReactiveStrategy,
-        VBPStrategy,
-    )
+def _run_config(args, **overrides) -> RunConfig:
+    """The :class:`~repro.trace.harness.RunConfig` a command's flags
+    describe: every flag named like a config field, ``--rate`` and
+    ``--no-batching``; ``overrides`` win."""
+    from dataclasses import fields
 
-    return {
-        "cocg": CoCGStrategy,
-        "reactive": ReactiveStrategy,
-        "gaugur": GAugurStrategy,
-        "vbp": VBPStrategy,
-        "max-static": MaxStaticStrategy,
-    }[name]()
+    from repro.trace.harness import RunConfig
+
+    flags = vars(args)
+    values = {f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags}
+    if "rate" in flags:
+        values["rate_per_minute"] = flags["rate"]
+    if "no_batching" in flags:
+        values["micro_batching"] = not flags["no_batching"]
+    values.update(overrides)
+    return RunConfig(**values)
 
 
 def _load_or_build_profiles(
-    games: Sequence[str], args
-) -> Dict[str, "GameProfile"]:
+    config: RunConfig, profiles_dir: Optional[str]
+) -> Dict[str, GameProfile]:
+    """The config's profiles: loaded from ``--profiles-dir`` when saved
+    there, else trained by the harness (and saved when a dir is set)."""
+    from dataclasses import replace
     from pathlib import Path
 
     from repro.core.pipeline import GameProfile
-    from repro.games.catalog import build_catalog
+    from repro.trace.harness import build_profiles, game_specs
 
-    catalog = build_catalog()
-    unknown = [g for g in games if g not in catalog]
-    if unknown:
-        raise SystemExit(
-            f"unknown game(s) {unknown}; available: {', '.join(sorted(catalog))}"
-        )
+    try:
+        specs = game_specs(config.games)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     profiles = {}
-    for game in games:
-        path = Path(args.profiles_dir) / f"{game}.profile.json" if args.profiles_dir else None
+    for game, spec in zip(config.games, specs):
+        path = Path(profiles_dir) / f"{game}.profile.json" if profiles_dir else None
         if path is not None and path.exists():
-            profiles[game] = GameProfile.load(path, catalog[game])
+            profiles[game] = GameProfile.load(path, spec)
             print(f"loaded profile: {path}")
-        else:
-            print(f"profiling {game} (no saved profile)…")
-            profiles[game] = GameProfile.build(
-                catalog[game],
-                n_players=args.players,
-                sessions_per_player=args.sessions,
-                seed=args.seed,
-            )
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                profiles[game].save(path)
-                print(f"saved profile: {path}")
+            continue
+        print(f"profiling {game} (no saved profile)…")
+        profiles[game] = build_profiles(replace(config, games=(game,)))[game]
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            profiles[game].save(path)
+            print(f"saved profile: {path}")
     return profiles
 
 
@@ -202,12 +206,16 @@ def cmd_profile(args) -> int:
 
 def cmd_colocate(args) -> int:
     """``cocg colocate``: run one co-location experiment and report."""
+    from repro.core.predictor import BACKENDS
+    from repro.trace.harness import make_strategy
     from repro.workloads.experiment import ColocationExperiment
 
-    profiles = _load_or_build_profiles(args.games, args)
-    strategy = _make_strategy(args.strategy)
+    profiles = _load_or_build_profiles(
+        _run_config(args, backends=BACKENDS), args.profiles_dir
+    )
     result = ColocationExperiment(
-        profiles, strategy, horizon=args.horizon, seed=args.seed
+        profiles, make_strategy(args.strategy), horizon=args.horizon,
+        seed=args.seed,
     ).run()
     print(f"\nstrategy:           {result.strategy}")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
@@ -225,24 +233,12 @@ def cmd_colocate(args) -> int:
 def _cmd_fleet_regions(args) -> int:
     """The ``cocg fleet --regions N`` path: the fleet-of-fleets."""
     from repro.fleet import FleetOfFleets, RegionSpec
-    from repro.trace import RunConfig
 
     if args.heterogeneous:
         _err("note: --heterogeneous is ignored with --regions "
              "(regional shards run the reference platform)")
     try:
-        config = RunConfig(
-            games=tuple(args.games),
-            nodes=args.nodes,
-            policy=args.policy,
-            strategy=args.strategy,
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            players=args.players,
-            sessions=args.sessions,
-            gateway=False,
-        )
+        config = _run_config(args, gateway=False, heterogeneous=False)
         regions = [RegionSpec(f"r{i}") for i in range(args.regions)]
         result = FleetOfFleets(config, regions).run()
     except ValueError as exc:
@@ -266,41 +262,17 @@ def cmd_fleet(args) -> int:
     """``cocg fleet``: Poisson arrivals over a (possibly heterogeneous)
     fleet of CoCG- or baseline-scheduled nodes; ``--regions N`` runs
     the sharded fleet-of-fleets instead."""
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
-    from repro.games.catalog import build_catalog
-    from repro.platform_.profile import (
-        BIG_SERVER_PLATFORM,
-        REFERENCE_PLATFORM,
-        WEAK_GPU_PLATFORM,
-    )
+    from repro.core.predictor import BACKENDS
+    from repro.trace.harness import build_experiment
 
     rc = _certify_or_fail(args)
     if rc:
         return rc
     if args.regions > 1:
         return _cmd_fleet_regions(args)
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
-    platforms = [REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM]
-    nodes = [
-        FleetNode(
-            f"node-{i}",
-            _make_strategy(args.strategy),
-            profiles,
-            platform=platforms[i % len(platforms)] if args.heterogeneous
-            else REFERENCE_PLATFORM,
-            seed=args.seed + i,
-        )
-        for i in range(args.nodes)
-    ]
-    cluster = ClusterScheduler(nodes, policy=args.policy)
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in args.games],
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-    ).run()
+    config = _run_config(args, backends=BACKENDS, gateway=False)
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
+    result = build_experiment(config, profiles).run()
     print(f"\nfleet of {args.nodes} nodes, policy={args.policy}")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
     print(f"completed runs:     {result.completed_runs}")
@@ -315,50 +287,23 @@ def cmd_fleet(args) -> int:
 
 def cmd_serve(args) -> int:
     """``cocg serve``: the fleet behind the admission gateway."""
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
-    from repro.games.catalog import build_catalog
+    from repro.core.predictor import BACKENDS
     from repro.obs import Observer
-    from repro.serve import AdmissionGateway, GatewayConfig, RolloutCache
+    from repro.serve import RolloutCache
+    from repro.trace.harness import build_experiment
 
     rc = _certify_or_fail(args)
     if rc:
         return rc
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
-    obs = Observer() if getattr(args, "obs_out", None) else None
-    nodes = [
-        FleetNode(
-            f"node-{i}",
-            _make_strategy("cocg"),
-            profiles,
-            seed=args.seed + i,
-        )
-        for i in range(args.nodes)
-    ]
-    cluster = ClusterScheduler(nodes, policy=args.policy)
-    gateway = AdmissionGateway(
-        cluster,
-        config=GatewayConfig(
-            queue_capacity=args.queue_capacity,
-            rate_per_second=args.rate_limit,
-            burst=args.burst,
-            max_queue_seconds=args.max_queue_seconds,
-            micro_batching=not args.no_batching,
-        ),
-        obs=obs,
-    )
-    cluster.attach_gateway(gateway)
+    config = _run_config(args, backends=BACKENDS)
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
+    obs = Observer() if args.obs_out else None
+    experiment = build_experiment(config, profiles, obs=obs)
     cache = RolloutCache()
-    for node in nodes:
+    for node in experiment.cluster.nodes:
         node.strategy.scheduler.attach_rollout_cache(cache)
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in args.games],
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-        obs=obs,
-    ).run()
+    result = experiment.run()
+    gateway = experiment.cluster.gateway
     stats = gateway.stats()
     print(f"\nfleet of {args.nodes} nodes behind the gateway "
           f"(policy={args.policy}, "
@@ -397,7 +342,7 @@ def cmd_chaos(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.cluster import ClusterScheduler, FleetNode, Provisioner, ProvisionerConfig
+    from repro.core.predictor import BACKENDS
     from repro.faults import (
         FaultPlan,
         default_plan,
@@ -405,8 +350,12 @@ def cmd_chaos(args) -> int:
         run_chaos,
         validate_plan_payload,
     )
-    from repro.games.catalog import build_catalog
     from repro.obs import Observer
+    from repro.trace.harness import (
+        build_cluster,
+        game_specs,
+        make_provisioner_factory,
+    )
 
     if args.validate:
         if not args.plan:
@@ -431,8 +380,13 @@ def cmd_chaos(args) -> int:
         _err("at least one GAME is required (unless --validate)")
         return 2
 
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
+    warm_pool = args.warm_pool
+    if warm_pool is None and args.scenario == "reclaim-storm":
+        warm_pool = 1
+    config = _run_config(
+        args, backends=BACKENDS, gateway=False, warm_pool=warm_pool
+    )
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
     if args.plan:
         try:
             plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
@@ -454,46 +408,16 @@ def cmd_chaos(args) -> int:
             args.horizon, seed=args.seed, crash_node=f"node-{args.nodes - 1}"
         )
 
-    def make_cluster() -> ClusterScheduler:
-        nodes = [
-            FleetNode(
-                f"node-{i}",
-                _make_strategy(args.strategy),
-                profiles,
-                seed=args.seed + i,
-            )
-            for i in range(args.nodes)
-        ]
-        return ClusterScheduler(nodes, policy=args.policy)
-
-    make_provisioner = None
-    warm_pool = args.warm_pool
-    if warm_pool is None and args.scenario == "reclaim-storm":
-        warm_pool = 1
-    if warm_pool is not None:
-
-        def make_provisioner(cluster: ClusterScheduler) -> Provisioner:
-            return Provisioner(
-                cluster,
-                lambda node_id: FleetNode(
-                    node_id,
-                    _make_strategy(args.strategy),
-                    profiles,
-                    seed=args.seed,
-                ),
-                config=ProvisionerConfig(warm_pool_size=warm_pool),
-                seed=args.seed,
-            )
-
-    obs = Observer() if getattr(args, "obs_out", None) else None
+    obs = Observer() if args.obs_out else None
     report = run_chaos(
-        make_cluster,
-        [catalog[g] for g in args.games],
+        lambda: build_cluster(config, profiles),
+        game_specs(config.games),
         plan=plan,
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-        make_provisioner=make_provisioner,
+        horizon=config.horizon,
+        rate_per_minute=config.rate_per_minute,
+        seed=config.seed,
+        detect_interval=config.detect_interval,
+        make_provisioner=make_provisioner_factory(config, profiles),
         obs=obs,
     )
     print()
@@ -523,14 +447,24 @@ def cmd_obs(args) -> int:
     seeds and fails unless both artifacts come back byte-identical —
     the same property CI asserts.
     """
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
+    from repro.core.predictor import BACKENDS
     from repro.faults import default_plan
-    from repro.games.catalog import build_catalog
     from repro.obs import Observer
-    from repro.serve import AdmissionGateway
+    from repro.serve import GatewayConfig
+    from repro.trace.harness import build_experiment
 
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
+    # The gateway runs at GatewayConfig's own defaults here, not the
+    # narrower RunConfig ones `cocg serve` and `cocg record` use.
+    defaults = GatewayConfig()
+    config = _run_config(
+        args,
+        backends=BACKENDS,
+        queue_capacity=defaults.queue_capacity,
+        rate_limit=defaults.rate_per_second,
+        burst=defaults.burst,
+        max_queue_seconds=defaults.max_queue_seconds,
+    )
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
     plan = (
         default_plan(
             args.horizon, seed=args.seed, crash_node=f"node-{args.nodes - 1}"
@@ -541,28 +475,7 @@ def cmd_obs(args) -> int:
 
     def run():
         obs = Observer()
-        nodes = [
-            FleetNode(
-                f"node-{i}",
-                _make_strategy("cocg"),
-                profiles,
-                seed=args.seed + i,
-            )
-            for i in range(args.nodes)
-        ]
-        cluster = ClusterScheduler(nodes, policy=args.policy)
-        gateway = AdmissionGateway(cluster, obs=obs)
-        cluster.attach_gateway(gateway)
-        result = FleetExperiment(
-            cluster,
-            [catalog[g] for g in args.games],
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            fault_plan=plan,
-            obs=obs,
-        ).run()
-        return result, obs
+        return build_experiment(config, profiles, plan=plan, obs=obs).run(), obs
 
     result, obs = run()
     if args.check_determinism:
@@ -597,7 +510,7 @@ def cmd_record(args) -> int:
     from pathlib import Path
 
     from repro.faults import FaultPlan
-    from repro.trace import RunConfig, record_run
+    from repro.trace import record_run
 
     plan = None
     if args.plan:
@@ -611,22 +524,7 @@ def cmd_record(args) -> int:
                  f"{args.plan} lists every problem")
             return 2
     try:
-        config = RunConfig(
-            games=tuple(args.games),
-            nodes=args.nodes,
-            policy=args.policy,
-            strategy=args.strategy,
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            players=args.players,
-            sessions=args.sessions,
-            queue_capacity=args.queue_capacity,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_queue_seconds=args.max_queue_seconds,
-            warm_pool=args.warm_pool,
-        )
+        config = _run_config(args)
         result, recorder = record_run(config, plan=plan)
     except ValueError as exc:
         _err(str(exc))
@@ -720,6 +618,10 @@ def cmd_lint(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
+    from repro.cluster import ClusterScheduler
+    from repro.trace.harness import STRATEGIES
+
+    strategies = tuple(STRATEGIES)
     parser = argparse.ArgumentParser(
         prog="cocg",
         description="CoCG: fine-grained cloud game co-location (IPDPS'24 reproduction)",
@@ -740,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("colocate", help="co-locate games on one server")
     c.add_argument("games", nargs="+")
-    c.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    c.add_argument("--strategy", choices=strategies, default="cocg")
     c.add_argument("--horizon", type=int, default=3600)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--players", type=int, default=5)
@@ -751,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fleet", help="Poisson arrivals over a fleet")
     f.add_argument("games", nargs="+")
     f.add_argument("--nodes", type=int, default=3)
-    f.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
+    f.add_argument("--policy", choices=ClusterScheduler.POLICIES,
                    default="first-fit")
-    f.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    f.add_argument("--strategy", choices=strategies, default="cocg")
     f.add_argument("--heterogeneous", action="store_true",
                    help="mix reference/weak-GPU/big-server platforms")
     f.add_argument("--rate", type=float, default=1.0, help="arrivals per minute")
@@ -776,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("games", nargs="+")
     s.add_argument("--nodes", type=int, default=3)
-    s.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
+    s.add_argument("--policy", choices=ClusterScheduler.POLICIES,
                    default="round-robin")
     s.add_argument("--rate", type=float, default=4.0, help="arrivals per minute")
     s.add_argument("--horizon", type=int, default=1800)
@@ -808,9 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("games", nargs="*",
                     help="game mix (required unless --validate)")
     ch.add_argument("--nodes", type=int, default=2)
-    ch.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
+    ch.add_argument("--policy", choices=ClusterScheduler.POLICIES,
                     default="round-robin")
-    ch.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    ch.add_argument("--strategy", choices=strategies, default="cocg")
     ch.add_argument("--plan", help="fault-plan JSON file (default: demo plan)")
     ch.add_argument("--validate", action="store_true",
                     help="parse and check --plan without running; "
@@ -840,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     o.add_argument("games", nargs="+")
     o.add_argument("--nodes", type=int, default=2)
-    o.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
+    o.add_argument("--policy", choices=ClusterScheduler.POLICIES,
                    default="round-robin")
     o.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
     o.add_argument("--horizon", type=int, default=600)
@@ -865,9 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output", default="run.cgtrace",
                    help="trace file to write (default: run.cgtrace)")
     r.add_argument("--nodes", type=int, default=2)
-    r.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
+    r.add_argument("--policy", choices=ClusterScheduler.POLICIES,
                    default="round-robin")
-    r.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    r.add_argument("--strategy", choices=strategies, default="cocg")
     r.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
     r.add_argument("--horizon", type=int, default=600)
     r.add_argument("--seed", type=int, default=0)

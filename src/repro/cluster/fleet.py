@@ -490,9 +490,11 @@ class ClusterScheduler:
         """Wire the fleet into a shared observer.
 
         Registers the cluster dispatch counters and forwards to every
-        node (QoS, CoCG scheduler, distributor).  The plain-int
-        ``dispatched``/``deferred`` attributes stay authoritative; the
-        registry mirrors them so ``metrics.prom`` tells the same story.
+        node (QoS, CoCG scheduler, distributor) and, when a gateway is
+        already attached without its own observer, to the gateway.  The
+        plain-int ``dispatched``/``deferred`` attributes stay
+        authoritative; the registry mirrors them so ``metrics.prom``
+        tells the same story.
         """
         self.obs = obs
         dispatch = obs.counter(
@@ -508,6 +510,8 @@ class ClusterScheduler:
         )
         for node in self.nodes:
             node.attach_observer(obs)
+        if self.gateway is not None and self.gateway.obs is None:
+            self.gateway.attach_observer(obs)
 
     def attach_trace(self, trace: "TraceRecorder") -> None:
         """Wire the fleet into a trace recorder (the ``trace=`` handle).
@@ -547,8 +551,12 @@ class ClusterScheduler:
         token-bucket rate limiting, and overload is *shed* (an explicit
         outcome in gateway telemetry) instead of silently dead-lettered
         by the retry queue.  Detach by setting :attr:`gateway` to None.
+        The cluster's observer and trace recorder, when attached, are
+        forwarded to a gateway that has none of its own.
         """
         self.gateway = gateway
+        if self.obs is not None and gateway.obs is None:
+            gateway.attach_observer(self.obs)
         if self.trace is not None and gateway.trace is None:
             gateway.trace = self.trace
 

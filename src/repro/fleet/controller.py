@@ -33,25 +33,20 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.experiment import (
-    FleetExperiment,
-    FleetResult,
-    default_arrivals,
-)
+from repro.cluster.experiment import FleetResult, default_arrivals
 from repro.faults.plan import FaultPlan
 from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.fleet.router import RoutedArrivals, SessionRouter
 from repro.games.catalog import build_catalog
-from repro.games.spec import GameSpec
 from repro.obs.naming import FLEET_COMPLETED, FLEET_ROUTED
 from repro.obs.observer import Observer
 from repro.sim.engine import run_partitioned
 from repro.trace.harness import (
     RunConfig,
-    build_cluster,
+    build_experiment,
     build_profiles,
-    experiment_seed,
-    make_provisioner_factory,
+    game_specs,
+    record_run,
 )
 from repro.trace.recorder import TraceRecorder
 from repro.util.effects import shard_entry, shard_merge_point
@@ -140,7 +135,6 @@ class RegionShard:
         self,
         name: str,
         config: RunConfig,
-        specs: Sequence[GameSpec],
         profiles: Dict,
         *,
         arrivals: Optional[object] = None,
@@ -149,12 +143,7 @@ class RegionShard:
         scenario: str = "",
     ):
         self.name = name
-        if fault_plan is not None and config.fault_seed != fault_plan.seed:
-            # Pin the plan's streams into the config, exactly like
-            # record_run, so a recorded sub-trace replays them.
-            config = replace(config, fault_seed=fault_plan.seed)
         self.config = config
-        self.specs = list(specs)
         self.profiles = profiles
         self.arrivals = arrivals
         self.fault_plan = fault_plan
@@ -163,29 +152,27 @@ class RegionShard:
 
     @shard_entry("region:shard")
     def run(self) -> RegionOutcome:
-        """Execute this shard's whole event stream, in isolation."""
-        cluster = build_cluster(self.config, self.profiles)
-        factory = make_provisioner_factory(self.config, self.profiles)
-        recorder = None
+        """Execute this shard's whole event stream, in isolation.
+
+        A recording shard goes through :func:`record_run`, which pins
+        the plan's seed into the sub-trace's config so it replays.
+        """
         if self.record:
-            recorder = TraceRecorder(
-                seed=experiment_seed(self.config),
-                config=self.config.to_dict(),
+            result, recorder = record_run(
+                self.config,
                 scenario=self.scenario,
+                plan=self.fault_plan,
+                arrivals=self.arrivals,
+                profiles=self.profiles,
             )
-        result = FleetExperiment(
-            cluster,
-            self.specs,
-            horizon=self.config.horizon,
-            rate_per_minute=self.config.rate_per_minute,
-            seed=experiment_seed(self.config),
-            detect_interval=self.config.detect_interval,
-            fault_plan=self.fault_plan,
-            provisioner=factory(cluster) if factory is not None else None,
+            return RegionOutcome(self.name, result, recorder)
+        result = build_experiment(
+            self.config,
+            self.profiles,
+            plan=self.fault_plan,
             arrivals=self.arrivals,
-            trace=recorder,
         ).run()
-        return RegionOutcome(self.name, result, recorder)
+        return RegionOutcome(self.name, result)
 
 
 @dataclass
@@ -305,12 +292,12 @@ class FleetOfFleets:
     def build_shards(self) -> Dict[str, RegionShard]:
         """Construct every region's independent shard (no execution)."""
         catalog = build_catalog()
-        game_specs = [catalog[g] for g in self.config.games]
+        specs = game_specs(self.config.games, catalog)
         profiles = build_profiles(self.config, catalog)
         names = sorted(self.specs_by_name)
         if self.arrival_mode == "routed":
             stream = default_arrivals(
-                game_specs,
+                specs,
                 rate_per_minute=self.config.rate_per_minute,
                 seed=self.config.seed,
                 horizon=float(self.config.horizon),
@@ -323,7 +310,7 @@ class FleetOfFleets:
         else:
             slices = {
                 name: default_arrivals(
-                    game_specs,
+                    specs,
                     rate_per_minute=self.config.rate_per_minute,
                     seed=region_seed(self.config.seed, name),
                     horizon=float(self.config.horizon),
@@ -338,7 +325,6 @@ class FleetOfFleets:
             name: RegionShard(
                 name,
                 self._region_config(self.specs_by_name[name]),
-                game_specs,
                 profiles,
                 arrivals=slices[name],
                 fault_plan=self.specs_by_name[name].fault_plan,

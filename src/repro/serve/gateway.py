@@ -210,12 +210,6 @@ class AdmissionGateway:
         a noise-free private recorder by default.  Its digest is folded
         into the fleet digest by
         :class:`~repro.cluster.experiment.FleetExperiment`.
-    obs:
-        Optional :class:`~repro.obs.Observer`.  When given, every pump
-        round becomes a ``gateway.pump`` span on the ``serve`` stream
-        and the outcome counters land in the shared registry; when
-        ``None`` the counters back onto a private registry (still read
-        through :meth:`stats`) and no spans are recorded.
     trace:
         Optional :class:`~repro.trace.TraceRecorder` (the nullable
         ``trace=`` handle).  Every admission verdict — ``queued``,
@@ -223,8 +217,9 @@ class AdmissionGateway:
         instant stage record in the request's timeline, alongside the
         telemetry event that already feeds the fleet digest.
 
-    The outcome counters live only in the registry; :meth:`stats` reads
-    them as plain ints.
+    The outcome counters live only in a metrics registry — a private
+    one until :meth:`attach_observer` moves them into an observer's —
+    and :meth:`stats` reads them as plain ints.
     """
 
     def __init__(
@@ -233,7 +228,6 @@ class AdmissionGateway:
         *,
         config: Optional[GatewayConfig] = None,
         telemetry: Optional[TelemetryRecorder] = None,
-        obs: Optional[Observer] = None,
         trace: Optional["TraceRecorder"] = None,
     ):
         self.scheduler = scheduler
@@ -241,9 +235,29 @@ class AdmissionGateway:
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryRecorder(noise_std=0.0)
         )
-        self.obs = obs
+        self.obs: Optional[Observer] = None
         self.trace = trace
-        registry = obs.registry if obs is not None else MetricsRegistry()
+        self._bind_metrics(MetricsRegistry())
+        self.bucket = TokenBucket(
+            self.config.rate_per_second, float(self.config.burst)
+        )
+        self._queues: Dict[str, Deque[QueuedRequest]] = {}
+        self._seq = itertools.count()
+
+    def attach_observer(self, obs: Observer) -> None:
+        """Publish into a shared observer (call before the run starts).
+
+        Every pump round becomes a ``gateway.pump`` span on the
+        ``serve`` stream, and the outcome counters, the SLO tracker and
+        the micro-batcher are re-bound on the observer's registry.
+        :meth:`~repro.cluster.fleet.ClusterScheduler.attach_observer`
+        forwards here, so an observer handed to the experiment reaches
+        the gateway.
+        """
+        self.obs = obs
+        self._bind_metrics(obs.registry)
+
+    def _bind_metrics(self, registry: MetricsRegistry) -> None:
         outcomes = registry.counter(
             GATEWAY_OUTCOMES,
             "Admission-gateway verdicts by outcome.",
@@ -277,11 +291,6 @@ class AdmissionGateway:
         )
         self.slo = SloTracker(registry)
         self.batcher = MicroBatcher(registry)
-        self.bucket = TokenBucket(
-            self.config.rate_per_second, float(self.config.burst)
-        )
-        self._queues: Dict[str, Deque[QueuedRequest]] = {}
-        self._seq = itertools.count()
 
     # ------------------------------------------------------------------
     @property

@@ -43,8 +43,6 @@ from repro.trace.harness import (
     build_profiles,
     experiment_seed,
     record_run,
-    replay_document,
-    replay_path,
 )
 from repro.trace.players import (
     BEHAVIOURS,
@@ -62,6 +60,8 @@ from repro.trace.replayer import (
     ReplayedArrivals,
     ReplayReport,
     TraceReplayer,
+    replay_document,
+    replay_path,
 )
 
 __all__ = [

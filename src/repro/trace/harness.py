@@ -1,24 +1,25 @@
-"""Run configuration and the record/replay composition helpers.
+"""Run configuration and the one composition root.
 
-A :class:`RunConfig` is the JSON-serializable description of one
-gateway-fronted fleet run — games, fleet shape, gateway bounds, profile
-corpus parameters — that a trace header carries.  It is strict both
-ways (defaults elided on write, unknown keys rejected by name on read,
-exactly like :class:`~repro.faults.plan.FaultSpec`), so its canonical
-fingerprint pins the configuration a trace was recorded under.
+A :class:`RunConfig` is the JSON-serializable description of one fleet
+run — games, fleet shape, gateway bounds, profile corpus parameters —
+that a trace header carries.  It is strict both ways (defaults elided
+on write, unknown keys rejected by name on read, exactly like
+:class:`~repro.faults.plan.FaultSpec`), so its canonical fingerprint
+pins the configuration a trace was recorded under.
 
-The helpers compose the rest of the stack from a config:
-:func:`build_profiles` -> :func:`build_cluster` -> :func:`record_run`
-for the recording side, :func:`replay_document`/:func:`replay_path` for
-the replay side.  ``cocg record``/``cocg replay`` and the corpus
-generator are thin wrappers over these.
+:func:`build_experiment` is the one place a config becomes a running
+fleet: it builds the cluster (gateway included), the optional capacity
+plane and the :class:`~repro.cluster.experiment.FleetExperiment`, and
+returns the experiment unrun so callers can reach ``.cluster``.
+:func:`record_run`, :meth:`repro.fleet.RegionShard.run`,
+:meth:`repro.trace.TraceReplayer.run` and every fleet command of the
+CLI call it; :func:`build_profiles` trains the profiles it takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import (
     CoCGStrategy,
@@ -33,26 +34,33 @@ from repro.cluster.provisioner import Provisioner, ProvisionerConfig
 from repro.core.pipeline import GameProfile
 from repro.faults.plan import FaultPlan
 from repro.games.catalog import build_catalog
+from repro.games.spec import GameSpec
+from repro.obs.observer import Observer
+from repro.platform_.profile import (
+    BIG_SERVER_PLATFORM,
+    REFERENCE_PLATFORM,
+    WEAK_GPU_PLATFORM,
+)
 from repro.serve.gateway import AdmissionGateway, GatewayConfig
-from repro.trace.format import TraceDocument
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replayer import ReplayReport, TraceReplayer
 from repro.util.rng import region_seed
 from repro.util.validation import check_in
 
 __all__ = [
+    "STRATEGIES",
     "RunConfig",
     "make_strategy",
     "experiment_seed",
+    "game_specs",
     "build_profiles",
     "build_cluster",
     "make_provisioner_factory",
+    "build_experiment",
     "record_run",
-    "replay_document",
-    "replay_path",
 ]
 
-_STRATEGY_FACTORIES = {
+#: Scheduling strategies by CLI name, in the order the CLI lists them.
+STRATEGIES = {
     "cocg": CoCGStrategy,
     "reactive": ReactiveStrategy,
     "gaugur": GAugurStrategy,
@@ -60,11 +68,16 @@ _STRATEGY_FACTORIES = {
     "max-static": MaxStaticStrategy,
 }
 
+#: Node platforms a heterogeneous fleet cycles through.
+_HETEROGENEOUS_PLATFORMS = (
+    REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM,
+)
+
 
 def make_strategy(name: str):
     """One fresh scheduling strategy instance by CLI name."""
-    check_in("strategy", name, tuple(sorted(_STRATEGY_FACTORIES)))
-    return _STRATEGY_FACTORIES[name]()
+    check_in("strategy", name, tuple(sorted(STRATEGIES)))
+    return STRATEGIES[name]()
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,11 @@ class RunConfig:
     themselves live in the trace body.  ``warm_pool`` attaches a
     :class:`~repro.cluster.provisioner.Provisioner` with that many
     pre-booted standbys (``None`` = no capacity plane).
+
+    ``heterogeneous`` cycles node platforms through reference, weak-GPU
+    and big-server; ``micro_batching`` switches the gateway's shared
+    Algorithm-1 pass (off = naive per-request dispatch).  Both are
+    elided at their defaults, like every other optional field.
 
     ``region`` names the regional shard this run belongs to (empty =
     the classic unsharded fleet).  A region prefixes every node id
@@ -108,6 +126,8 @@ class RunConfig:
     fault_seed: int = 0
     warm_pool: Optional[int] = None
     region: str = ""
+    heterogeneous: bool = False
+    micro_batching: bool = True
 
     #: Keys that may be elided from the payload (everything but games),
     #: in declaration order — one tuple serves serialization and strict
@@ -117,6 +137,7 @@ class RunConfig:
         "seed", "detect_interval", "players", "sessions", "backends",
         "gateway", "queue_capacity", "rate_limit", "burst",
         "max_queue_seconds", "fault_seed", "warm_pool", "region",
+        "heterogeneous", "micro_batching",
     )
 
     def __post_init__(self) -> None:
@@ -126,7 +147,7 @@ class RunConfig:
         object.__setattr__(self, "backends", tuple(self.backends))
         check_in("policy", self.policy, ClusterScheduler.POLICIES)
         check_in(
-            "strategy", self.strategy, tuple(sorted(_STRATEGY_FACTORIES))
+            "strategy", self.strategy, tuple(sorted(STRATEGIES))
         )
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
@@ -189,27 +210,35 @@ def experiment_seed(config: RunConfig) -> int:
     return config.seed
 
 
-def build_profiles(
-    config: RunConfig,
-    catalog: Optional[Dict] = None,
-) -> Dict[str, GameProfile]:
-    """Train the config's game profiles (deterministic in the config)."""
+def game_specs(
+    games: Sequence[str], catalog: Optional[Dict] = None
+) -> List[GameSpec]:
+    """The catalog specs of ``games``, in order; unknown names rejected."""
     catalog = catalog if catalog is not None else build_catalog()
-    unknown = [g for g in config.games if g not in catalog]
+    unknown = [g for g in games if g not in catalog]
     if unknown:
         raise ValueError(
             f"unknown game(s) {unknown}; available: "
             f"{', '.join(sorted(catalog))}"
         )
+    return [catalog[g] for g in games]
+
+
+def build_profiles(
+    config: RunConfig,
+    catalog: Optional[Dict] = None,
+) -> Dict[str, GameProfile]:
+    """Train the config's game profiles (deterministic in the config)."""
+    specs = game_specs(config.games, catalog)
     return {
         game: GameProfile.build(
-            catalog[game],
+            spec,
             n_players=config.players,
             sessions_per_player=config.sessions,
             seed=config.seed,
             backends=config.backends,
         )
-        for game in config.games
+        for game, spec in zip(config.games, specs)
     }
 
 
@@ -225,11 +254,16 @@ def build_cluster(
     """
     prefix = f"{config.region}/" if config.region else ""
     base = experiment_seed(config)
+    platforms = (
+        _HETEROGENEOUS_PLATFORMS if config.heterogeneous
+        else (REFERENCE_PLATFORM,)
+    )
     nodes = [
         FleetNode(
             f"{prefix}node-{i}",
             make_strategy(config.strategy),
             profiles,
+            platform=platforms[i % len(platforms)],
             seed=base + i,
         )
         for i in range(config.nodes)
@@ -243,6 +277,7 @@ def build_cluster(
                 rate_per_second=config.rate_limit,
                 burst=config.burst,
                 max_queue_seconds=config.max_queue_seconds,
+                micro_batching=config.micro_batching,
             ),
         )
         cluster.attach_gateway(gateway)
@@ -274,9 +309,42 @@ def make_provisioner_factory(
     return factory
 
 
-# ---------------------------------------------------------------------------
-# Record / replay
-# ---------------------------------------------------------------------------
+def build_experiment(
+    config: RunConfig,
+    profiles: Dict[str, GameProfile],
+    *,
+    plan: Optional[FaultPlan] = None,
+    arrivals: Optional[object] = None,
+    obs: Optional[Observer] = None,
+    trace: Optional[TraceRecorder] = None,
+    seed: Optional[int] = None,
+) -> FleetExperiment:
+    """The composition root: one config's fleet run, built but not run.
+
+    Builds a fresh cluster (gateway included when configured) and the
+    capacity plane the config implies, and wraps them in a
+    :class:`FleetExperiment` over the config's games, horizon, arrival
+    rate and detect interval.  ``plan``, ``arrivals``, ``obs`` and
+    ``trace`` pass through to the experiment; ``seed`` overrides the
+    experiment seed (default :func:`experiment_seed`), which replay
+    uses to run from the seed its trace header recorded.
+    """
+    cluster = build_cluster(config, profiles)
+    factory = make_provisioner_factory(config, profiles)
+    return FleetExperiment(
+        cluster,
+        game_specs(config.games),
+        horizon=config.horizon,
+        rate_per_minute=config.rate_per_minute,
+        seed=experiment_seed(config) if seed is None else seed,
+        detect_interval=config.detect_interval,
+        fault_plan=plan,
+        provisioner=factory(cluster) if factory is not None else None,
+        obs=obs,
+        arrivals=arrivals,
+        trace=trace,
+    )
+
 
 def record_run(
     config: RunConfig,
@@ -296,61 +364,13 @@ def record_run(
     """
     if plan is not None and config.fault_seed != plan.seed:
         config = replace(config, fault_seed=plan.seed)
-    catalog = build_catalog()
     if profiles is None:
-        profiles = build_profiles(config, catalog)
-    cluster = build_cluster(config, profiles)
-    factory = make_provisioner_factory(config, profiles)
+        profiles = build_profiles(config)
     recorder = TraceRecorder(
         seed=experiment_seed(config), config=config.to_dict(),
         scenario=scenario,
     )
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in config.games],
-        horizon=config.horizon,
-        rate_per_minute=config.rate_per_minute,
-        seed=experiment_seed(config),
-        detect_interval=config.detect_interval,
-        fault_plan=plan,
-        provisioner=factory(cluster) if factory is not None else None,
-        arrivals=arrivals,
-        trace=recorder,
+    result = build_experiment(
+        config, profiles, plan=plan, arrivals=arrivals, trace=recorder
     ).run()
     return result, recorder
-
-
-def replay_document(
-    document: TraceDocument,
-    *,
-    profiles: Optional[Dict[str, GameProfile]] = None,
-    strict: bool = True,
-) -> ReplayReport:
-    """Replay a parsed trace against a fleet rebuilt from its header."""
-    config = RunConfig.from_dict(document.header.config)
-    catalog = build_catalog()
-    if profiles is None:
-        profiles = build_profiles(config, catalog)
-    # The header elides default-valued keys, so resolve horizon and
-    # detect interval through RunConfig rather than the raw dict.
-    replayer = TraceReplayer(
-        document,
-        lambda: build_cluster(config, profiles),
-        {g: catalog[g] for g in config.games},
-        horizon=config.horizon,
-        detect_interval=config.detect_interval,
-        make_provisioner=make_provisioner_factory(config, profiles),
-    )
-    return replayer.run(strict=strict)
-
-
-def replay_path(
-    path: Union[str, Path],
-    *,
-    profiles: Optional[Dict[str, GameProfile]] = None,
-    strict: bool = True,
-) -> ReplayReport:
-    """Load one ``.cgtrace`` file and replay it (the CLI/CI entry)."""
-    return replay_document(
-        TraceDocument.load(path), profiles=profiles, strict=strict
-    )

@@ -4,8 +4,9 @@ A :class:`TraceReplayer` drives a :class:`~repro.cluster.experiment.FleetExperim
 from a parsed trace instead of a live load generator: arrivals are
 rebuilt from the trace's arrival records (players reconstructed from the
 behaviour registry — pure functions of ``(player_id, category,
-behaviour)``), the fault plan from its fault records, and the horizon,
-seeds and detect interval from the header.  After the run, the replayed
+behaviour)``), the fault plan from its fault records, and the fleet
+from the header's :class:`~repro.trace.harness.RunConfig` through the
+same composition root a live run uses.  After the run, the replayed
 fleet telemetry digest is checked against the digest the trailer
 recorded; a mismatch raises :class:`ReplayDivergence` with the first
 divergent timeline record, so "what changed" is one error message away.
@@ -14,19 +15,32 @@ divergent timeline record, so "what changed" is one error message away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Union
 
-from repro.cluster.experiment import FleetExperiment, FleetResult
-from repro.cluster.fleet import ClusterScheduler
-from repro.cluster.provisioner import Provisioner
+from repro.cluster.experiment import FleetResult
+from repro.core.pipeline import GameProfile
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.games.spec import GameSpec
 from repro.trace.format import TraceDocument, TraceError, TraceFormatError
+from repro.trace.harness import (
+    RunConfig,
+    build_experiment,
+    build_profiles,
+    game_specs,
+)
 from repro.trace.players import make_player
 from repro.trace.recorder import TraceRecorder
 from repro.workloads.requests import GameRequest
 
-__all__ = ["ReplayDivergence", "ReplayedArrivals", "ReplayReport", "TraceReplayer"]
+__all__ = [
+    "ReplayDivergence",
+    "ReplayedArrivals",
+    "ReplayReport",
+    "TraceReplayer",
+    "replay_document",
+    "replay_path",
+]
 
 
 class ReplayDivergence(TraceError):
@@ -115,59 +129,37 @@ class TraceReplayer:
     ----------
     document:
         The parsed trace (``TraceDocument.load(path)``).
-    make_cluster:
-        Builds a *fresh* fleet matching the recorded configuration —
-        nodes and strategies are stateful, so every replay needs its
-        own.  :mod:`repro.trace.harness` derives one from the header
-        config; pass your own to replay against a custom fleet.
-    specs:
-        Game name -> :class:`GameSpec` for every game the trace names.
-    horizon / detect_interval:
-        Overrides; default to the header config (``horizon`` is
-        required there when not given here).
-    make_provisioner:
-        Optional capacity plane, built fresh over the replay's cluster.
+    config:
+        The header's run configuration,
+        ``RunConfig.from_dict(document.header.config)``.  Every replay
+        builds a fresh fleet from it through
+        :func:`~repro.trace.harness.build_experiment`, and its
+        ``horizon``, ``detect_interval`` and ``fault_seed`` drive the
+        run.
+    profiles:
+        The trained game profiles (``build_profiles(config)``).
     """
 
     def __init__(
         self,
         document: TraceDocument,
-        make_cluster: Callable[[], ClusterScheduler],
-        specs: Mapping[str, GameSpec],
-        *,
-        horizon: Optional[int] = None,
-        detect_interval: Optional[int] = None,
-        make_provisioner: Optional[
-            Callable[[ClusterScheduler], Provisioner]
-        ] = None,
+        config: RunConfig,
+        profiles: Dict[str, GameProfile],
     ):
         self.document = document
-        self.make_cluster = make_cluster
-        self.specs = dict(specs)
-        config = document.header.config
-        if horizon is None:
-            if "horizon" not in config:
-                raise TraceFormatError(
-                    "trace config carries no 'horizon' and none was "
-                    "given; pass horizon= to TraceReplayer"
-                )
-            horizon = int(config["horizon"])
-        self.horizon = int(horizon)
-        self.detect_interval = int(
-            detect_interval
-            if detect_interval is not None
-            else config.get("detect_interval", 5)
-        )
-        self.make_provisioner = make_provisioner
+        self.config = config
+        self.profiles = profiles
+        self.specs = {
+            spec.name: spec for spec in game_specs(config.games)
+        }
 
     # ------------------------------------------------------------------
     def fault_plan(self) -> Optional[FaultPlan]:
         """The fault schedule rebuilt from the trace's fault records."""
         if not self.document.faults:
             return None
-        seed = int(self.document.header.config.get("fault_seed", 0))
         return FaultPlan(
-            seed=seed,
+            seed=self.config.fault_seed,
             faults=[
                 FaultSpec.from_dict(f.spec)
                 for f in sorted(self.document.faults, key=lambda f: f.index)
@@ -182,27 +174,18 @@ class TraceReplayer:
         ``matched=False`` and the first divergent record named.
         """
         header = self.document.header
-        cluster = self.make_cluster()
-        provisioner = (
-            self.make_provisioner(cluster)
-            if self.make_provisioner is not None
-            else None
-        )
         # Re-record the replay so a divergence can name the first
         # timeline record that differs, not just the digests.
         echo = TraceRecorder(
             seed=header.seed, config=header.config, scenario=header.scenario
         )
-        result = FleetExperiment(
-            cluster,
-            [self.specs[name] for name in sorted(self.specs)],
-            horizon=self.horizon,
-            seed=header.seed,
-            detect_interval=self.detect_interval,
-            fault_plan=self.fault_plan(),
-            provisioner=provisioner,
+        result = build_experiment(
+            self.config,
+            self.profiles,
+            plan=self.fault_plan(),
             arrivals=ReplayedArrivals(self.document, self.specs),
             trace=echo,
+            seed=header.seed,
         ).run()
         expected = self.document.trailer.fleet_digest
         replayed = result.telemetry_digest
@@ -213,7 +196,7 @@ class TraceReplayer:
         report = ReplayReport(
             scenario=header.scenario,
             seed=header.seed,
-            horizon=self.horizon,
+            horizon=self.config.horizon,
             expected_digest=expected,
             replayed_digest=replayed,
             matched=matched,
@@ -229,6 +212,31 @@ class TraceReplayer:
                    else "")
             )
         return report
+
+
+def replay_document(
+    document: TraceDocument,
+    *,
+    profiles: Optional[Dict[str, GameProfile]] = None,
+    strict: bool = True,
+) -> ReplayReport:
+    """Replay a parsed trace against a fleet rebuilt from its header."""
+    config = RunConfig.from_dict(document.header.config)
+    if profiles is None:
+        profiles = build_profiles(config)
+    return TraceReplayer(document, config, profiles).run(strict=strict)
+
+
+def replay_path(
+    path: Union[str, Path],
+    *,
+    profiles: Optional[Dict[str, GameProfile]] = None,
+    strict: bool = True,
+) -> ReplayReport:
+    """Load one ``.cgtrace`` file and replay it (the CLI/CI entry)."""
+    return replay_document(
+        TraceDocument.load(path), profiles=profiles, strict=strict
+    )
 
 
 def _first_divergence(

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -298,3 +299,84 @@ class TestTraceCommands:
         ])
         assert code == 2
         assert "nonsuch" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Pinned output: every fleet command's stdout (and artifacts), by hash
+# ----------------------------------------------------------------------
+
+_SMALL = ["--players", "2", "--sessions", "2", "--horizon", "240"]
+
+#: Case -> (commands run in order, artifact files hashed after them).
+#: ``{tmp}`` stands for the test's temporary directory.
+_PINNED_CASES = {
+    "fleet-heterogeneous": (
+        [["fleet", "contra", "--nodes", "3", "--heterogeneous", *_SMALL]],
+        []),
+    "fleet-regions": ([["fleet", "contra", "--regions", "2", *_SMALL]], []),
+    "serve": ([["serve", "contra", *_SMALL]], []),
+    "serve-no-batching": (
+        [["serve", "contra", "--no-batching", *_SMALL]], []),
+    "serve-obs": (
+        [["serve", "contra", "--obs-out", "{tmp}/serve-obs", *_SMALL]],
+        ["serve-obs/metrics.prom", "serve-obs/trace.json"]),
+    "chaos": ([["chaos", "contra", *_SMALL]], []),
+    "chaos-reclaim-storm": (
+        [["chaos", "contra", "--scenario", "reclaim-storm", *_SMALL]], []),
+    "obs-faults": (
+        [["obs", "contra", "--faults", "--out", "{tmp}/obs", *_SMALL]],
+        ["obs/metrics.prom", "obs/trace.json"]),
+    "record-replay": (
+        [["record", "contra", "-o", "{tmp}/run.cgtrace", *_SMALL],
+         ["replay", "{tmp}/run.cgtrace"]],
+        ["run.cgtrace"]),
+}
+
+#: sha256 over each case's stdout (temporary paths normalised) and
+#: artifact bytes.
+_PINNED_SHA256 = {
+    "fleet-heterogeneous": (
+        "04ca24f3ed2e63cf52be8a2d44d4567e"
+        "8c429a302ea33aeac20669fcf7d1e890"),
+    "fleet-regions": (
+        "f28939cf189afc4b84565e17effcbb19"
+        "76e0523db7e4bcf47214586c48e8acf6"),
+    "serve": (
+        "6ff8da5bfb0aa921a42634a444cd4a95"
+        "55bc63c84b6cf10ed554b101c9f1669b"),
+    "serve-no-batching": (
+        "a52f0ed4880329d584efa800eeb4c7ee"
+        "d7e78b51d60c5aedd8415945d2698c55"),
+    "serve-obs": (
+        "e7ced2eaf166807439fe0ef0fb3362fc"
+        "1d1bc57bdc1e258881cea04730e191e7"),
+    "chaos": (
+        "e327b47114ee8ec541bd08c90fdf09c6"
+        "f8505d7e276a95b96475951f344fa37f"),
+    "chaos-reclaim-storm": (
+        "c2973b1df02457ea7da9ac2a30a3f97f"
+        "b262fa61d7293ffaf05cbd74358db651"),
+    "obs-faults": (
+        "1f5f0fbea63b27d0cafdd56d55d2b48c"
+        "c5345bb2f49251ea5c8e5adfc359249f"),
+    "record-replay": (
+        "eebb48e669ac23d27c4c5e6a06ce1131"
+        "87464781a4ee8a898caf5b97f5260ed8"),
+}
+
+
+class TestPinnedOutput:
+    """Fleet commands print exactly what they printed when pinned."""
+
+    @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+    def test_output_is_pinned(self, case, capsys, tmp_path):
+        commands, artifacts = _PINNED_CASES[case]
+        digest = hashlib.sha256()
+        for command in commands:
+            argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+            assert main(argv) == 0
+            out = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+            digest.update(out.encode())
+        for name in artifacts:
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == _PINNED_SHA256[case]

@@ -304,9 +304,9 @@ def build_fleet(toy_profile, *, obs=None, n_nodes=2):
         for i in range(n_nodes)
     ]
     cluster = ClusterScheduler(nodes, policy="round-robin")
-    gateway = AdmissionGateway(
-        cluster, config=GatewayConfig(queue_capacity=64), obs=obs
-    )
+    gateway = AdmissionGateway(cluster, config=GatewayConfig(queue_capacity=64))
+    if obs is not None:
+        gateway.attach_observer(obs)
     cluster.attach_gateway(gateway)
     return cluster
 
@@ -340,6 +340,52 @@ class TestGatewayViews:
         cluster.gateway.offer(make_request(toy_spec, rid=0), time=0.0)
         family = obs.registry.get(GATEWAY_OUTCOMES)
         assert family is not None
+        assert family.labels(outcome="queued").value == 1.0
+
+
+class TestObserverReachesGateway:
+    """An observer wired into the cluster reaches its gateway, whichever
+    of the two is attached first (the same forwarding trace= gets)."""
+
+    def test_experiment_observer_reaches_harness_gateway(self):
+        from repro.trace.harness import (
+            RunConfig,
+            build_cluster,
+            build_profiles,
+            game_specs,
+        )
+
+        config = RunConfig(
+            games=("contra",), players=2, sessions=2, horizon=120
+        )
+        obs = Observer()
+        FleetExperiment(
+            build_cluster(config, build_profiles(config)),
+            game_specs(config.games),
+            horizon=config.horizon,
+            rate_per_minute=config.rate_per_minute,
+            seed=config.seed,
+            obs=obs,
+        ).run()
+        assert "serve_gateway_outcomes_total" in obs.metrics_text()
+        assert "serve" in obs.tracer.streams()
+
+    def test_gateway_attached_after_observer_inherits_it(
+        self, toy_spec, toy_profile
+    ):
+        from repro.obs.naming import GATEWAY_OUTCOMES
+        from tests.test_serve import make_request
+
+        obs = Observer()
+        cluster = ClusterScheduler(
+            [FleetNode("n0", CoCGStrategy(), {"toygame": toy_profile})]
+        )
+        cluster.attach_observer(obs)
+        gateway = AdmissionGateway(cluster)
+        cluster.attach_gateway(gateway)
+        assert gateway.obs is obs
+        gateway.offer(make_request(toy_spec, rid=0), time=0.0)
+        family = obs.registry.get(GATEWAY_OUTCOMES)
         assert family.labels(outcome="queued").value == 1.0
 
 

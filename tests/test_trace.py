@@ -26,10 +26,12 @@ from repro.trace import (
     TraceDocument,
     TraceFormatError,
     TraceRecorder,
+    TraceReplayer,
     TraceSchemaError,
     TraceTruncatedError,
     behaviour_names,
     behaviour_of,
+    build_profiles,
     config_fingerprint,
     get_behaviour,
     get_scenario,
@@ -162,6 +164,21 @@ class TestRunConfig:
         assert payload["nodes"] == 4 and payload["warm_pool"] == 2
         assert "policy" not in payload  # still default
         assert RunConfig.from_dict(payload) == config
+
+    def test_fleet_flags_elided_at_defaults(self):
+        # --heterogeneous and --no-batching ride in the config without
+        # changing any shipped header or fingerprint.
+        payload = RunConfig(games=("contra",)).to_dict()
+        assert "heterogeneous" not in payload
+        assert "micro_batching" not in payload
+        config = RunConfig(
+            games=("contra",), heterogeneous=True, micro_batching=False
+        )
+        assert config.to_dict() == {
+            "games": ["contra"], "heterogeneous": True,
+            "micro_batching": False,
+        }
+        assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="zzz"):
@@ -330,6 +347,18 @@ class TestCorpus:
         arrivals = ScenarioArrivals(scenario, specs)
         seen = {behaviour_of(r.player) for r in arrivals.requests}
         assert "raider" in seen
+
+    @pytest.mark.parametrize("name", ["launch-day", "mobile-burst"])
+    def test_replayer_resolves_elided_horizon(self, name):
+        # These headers elide the default 600 s horizon: the replayer
+        # reads it from the parsed RunConfig, not the raw header dict.
+        path = Path(__file__).resolve().parents[1] / "corpus" / f"{name}.cgtrace"
+        document = TraceDocument.load(path)
+        assert "horizon" not in document.header.config
+        config = RunConfig.from_dict(document.header.config)
+        report = TraceReplayer(document, config, build_profiles(config)).run()
+        assert report.horizon == 600
+        assert report.replayed_digest == document.trailer.fleet_digest
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_shipped_corpus_replays_digest_stable(self, name):
