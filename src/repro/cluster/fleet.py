@@ -240,19 +240,18 @@ class FleetNode:
     def tick(self, t: int) -> None:
         """Advance every hosted session one second."""
         degraded = set(self.strategy.degraded_sessions())
-        for sid in list(self.sessions):
-            session = self.sessions[sid]
-            allocation = self.strategy.allocation_of(sid)
+        allocation_of = self.strategy.allocation_of
+        record = self.telemetry.record
+        record_second = self.qos.record_second
+        for sid, session in list(self.sessions.items()):
+            allocation = allocation_of(sid)
             tick = session.advance(allocation)
-            self.telemetry.record(t, sid, tick.demand, allocation)
-            self.qos.record_second(
-                sid,
-                tick.nominal_fps,
-                tick.demand,
-                allocation,
+            record(t, sid, tick.demand, allocation)
+            record_second(
+                sid, tick.nominal_fps, tick.demand, allocation,
                 frame_lock=tick.frame_lock,
             )
-            if sid in degraded:
+            if degraded and sid in degraded:
                 self.qos.note_degraded(sid)
             if tick.stage_completed and self.trace is not None:
                 # The session just appended (stage, start, end) — in

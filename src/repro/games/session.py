@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.games.player import BurstEvent, PlayerModel
 from repro.games.spec import GameSpec, ScriptSpec, StageKind, StageSpec
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import ResourceVector, _clipped_percent
 from repro.util.rng import Seed, as_rng
 
 __all__ = ["SessionTick", "GameSession"]
@@ -46,12 +46,13 @@ _NO_DEVIATION = (0.0, 0.0, 0.0, 0.0)
 _MIN_STAGE_SECONDS = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SessionTick:
     """What one simulated second of a session looked like.
 
     ``demand`` is what the game *wants*; what it gets is the caller's
-    allocation, and actual usage is ``min(demand, allocation)``.
+    allocation, and actual usage is ``min(demand, allocation)``.  A
+    slotted plain record: one is built per session-second.
     """
 
     time: int
@@ -253,16 +254,9 @@ class GameSession:
                 self._enter_stage()
 
         return SessionTick(
-            time=self._elapsed,
-            demand=demand,
-            stage_name=stage.name,
-            stage_kind=stage.kind,
-            stage_type=stage.stage_type,
-            cluster=cluster.name,
-            nominal_fps=cluster.nominal_fps,
-            frame_lock=self.spec.frame_lock,
-            stage_completed=stage_completed,
-            finished=self.finished,
+            self._elapsed, demand, stage.name, stage.kind, stage.stage_type,
+            cluster.name, cluster.nominal_fps, self.spec.frame_lock,
+            stage_completed, self.finished,
         )
 
     def _advance_cluster_dwell(self, stage: StageSpec) -> None:
@@ -285,13 +279,15 @@ class GameSession:
                 self.platform.scale_demand(cluster.mean).values,
                 cluster.std.scale(self.platform.factors).values,
             )
-        mean, std = scaled
-        noise = self._rng.normal(size=4).tolist()
-        self._deviation = deviation = [
-            _AR_RHO * d + (n * s) * _NOISE_SCALE
-            for d, n, s in zip(self._deviation, noise, std)
-        ]
-        demand = [m + d for m, d in zip(mean, deviation)]
+        (m0, m1, m2, m3), (s0, s1, s2, s3) = scaled
+        n0, n1, n2, n3 = self._rng.normal(size=4).tolist()
+        v0, v1, v2, v3 = self._deviation
+        v0 = _AR_RHO * v0 + (n0 * s0) * _NOISE_SCALE
+        v1 = _AR_RHO * v1 + (n1 * s1) * _NOISE_SCALE
+        v2 = _AR_RHO * v2 + (n2 * s2) * _NOISE_SCALE
+        v3 = _AR_RHO * v3 + (n3 * s3) * _NOISE_SCALE
+        self._deviation = (v0, v1, v2, v3)
+        demand = [m0 + v0, m1 + v1, m2 + v2, m3 + v3]
 
         if stage.kind is StageKind.EXECUTION:
             burst = self.player.maybe_burst(self._rng)
@@ -303,7 +299,7 @@ class GameSession:
                 self._bursts = [b.tick() for b in self._bursts]
                 self._bursts = [b for b in self._bursts if b.active]
 
-        return ResourceVector.from_array(demand).clip(0.0, 100.0)
+        return _clipped_percent(demand)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = "finished" if self.finished else self.current_stage.name

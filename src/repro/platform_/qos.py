@@ -20,8 +20,10 @@ fraction-of-best FPS (the y-axis of Fig 13).
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +33,11 @@ from repro.platform_.resources import ResourceVector
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["FpsModel", "QoSReport", "QoSTracker"]
+
+
+def _fps_columns() -> Tuple[array, array]:
+    """One session's empty (fps, best fps) columns."""
+    return array("d"), array("d")
 
 
 @dataclass
@@ -65,15 +72,15 @@ class FpsModel:
 
         Dimensions with zero demand never bind.
         """
-        ratios = [
-            a / d for a, d in zip(allocation.values, demand.values) if d > 1e-9
-        ]
-        if not ratios:
-            return 1.0
         # numpy's min-reduction and clip, tie rule on signed zeros included.
-        binding = ratios[0]
-        for r in ratios[1:]:
-            binding = binding if binding < r else r
+        binding = None
+        for a, d in zip(allocation.values, demand.values):
+            if d > 1e-9:
+                r = a / d
+                if binding is None or not binding < r:
+                    binding = r
+        if binding is None:
+            return 1.0
         binding = 0.0 if binding < 0.0 else binding
         return 1.0 if binding > 1.0 else binding
 
@@ -141,8 +148,8 @@ class QoSTracker:
 
     def __init__(self, model: Optional[FpsModel] = None):
         self.model = model if model is not None else FpsModel()
-        self._fps: Dict[str, List[float]] = {}
-        self._best: Dict[str, List[float]] = {}
+        #: Per session: the (fps, best fps) columns, one entry per second.
+        self._columns: Dict[str, Tuple[array, array]] = defaultdict(_fps_columns)
         self._degraded: Dict[str, int] = {}
         self._c_degraded = None
 
@@ -180,8 +187,9 @@ class QoSTracker:
         """Record one second of play."""
         check_nonnegative("fps", fps)
         check_positive("best_fps", best_fps)
-        self._fps.setdefault(session_id, []).append(float(fps))
-        self._best.setdefault(session_id, []).append(float(best_fps))
+        fps_column, best_column = self._columns[session_id]
+        fps_column.append(float(fps))
+        best_column.append(float(best_fps))
 
     def record_second(
         self,
@@ -192,29 +200,37 @@ class QoSTracker:
         *,
         frame_lock: Optional[float] = None,
     ) -> float:
-        """Evaluate the FPS model for one second and record it."""
-        fps = self.model.fps(nominal_fps, demand, allocation, frame_lock=frame_lock)
-        self.record(
-            session_id, fps, self.model.best_fps(nominal_fps, frame_lock=frame_lock)
-        )
-        return fps
+        """Evaluate the FPS model for one second and record it (game specs
+        validate ``nominal_fps``/``frame_lock``, so nothing is re-checked)."""
+        model = self.model
+        best = float(nominal_fps)
+        fps = nominal_fps * model.satisfaction(demand, allocation) ** model.gamma
+        if frame_lock is not None:
+            lock = float(frame_lock)
+            fps = min(fps, lock)
+            best = min(best, lock)
+        fps_column, best_column = self._columns[session_id]
+        fps_column.append(fps)
+        best_column.append(best)
+        return float(fps)
 
     # ------------------------------------------------------------------
     @property
     def session_ids(self) -> List[str]:
         """Sessions with at least one FPS sample."""
-        return list(self._fps)
+        return list(self._columns)
 
     def fps_series(self, session_id: str) -> np.ndarray:
         """Recorded per-second FPS for one session."""
-        return np.asarray(self._fps.get(session_id, ()), dtype=float)
+        columns = self._columns.get(session_id)
+        return np.array(columns[0] if columns is not None else (), dtype=float)
 
     def report(self, session_id: str) -> QoSReport:
         """Aggregate one session's samples into a :class:`QoSReport`."""
         fps = self.fps_series(session_id)
         if fps.size == 0:
             raise KeyError(f"no samples recorded for session {session_id!r}")
-        best = np.asarray(self._best[session_id], dtype=float)
+        best = np.array(self._columns[session_id][1], dtype=float)
         violations = int(np.sum(fps < self.model.qos_floor_fps))
         return QoSReport(
             session_id=session_id,
@@ -231,10 +247,9 @@ class QoSTracker:
         """Time-weighted fraction-of-best across every session (Fig 13)."""
         num = 0.0
         den = 0
-        for sid in self._fps:
-            fps = np.asarray(self._fps[sid])
-            best = np.asarray(self._best[sid])
-            num += float(np.sum(fps / best))
+        for fps_column, best_column in self._columns.values():
+            fps = np.array(fps_column)
+            num += float(np.sum(fps / np.array(best_column)))
             den += fps.size
         if den == 0:
             raise RuntimeError("no samples recorded")

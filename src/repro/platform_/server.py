@@ -11,7 +11,8 @@ per-device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -91,6 +92,7 @@ class Server:
         if not self.gpus:
             raise ValueError("a server needs at least one GPU")
         self._placements: Dict[str, Placement] = {}
+        self._view: Mapping[str, Placement] = MappingProxyType(self._placements)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -101,9 +103,9 @@ class Server:
         return len(self.gpus)
 
     @property
-    def placements(self) -> Dict[str, Placement]:
-        """Read-only view of hosted sessions."""
-        return dict(self._placements)
+    def placements(self) -> Mapping[str, Placement]:
+        """Read-only live view of hosted sessions (no copy)."""
+        return self._view
 
     @property
     def session_ids(self) -> List[str]:
@@ -130,49 +132,49 @@ class Server:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def _totals(self) -> Tuple[float, float, List[List[float]]]:
+        """Summed cpu and ram ceilings, and ``[gpu, gpu_mem]`` per device:
+        one pass in placement order from 0, equal to ``sum()`` bit for bit."""
+        cpu = ram = 0
+        devices: List[List[float]] = [[0, 0] for _ in self.gpus]
+        for p in self._placements.values():
+            c, g, m, r = p.allocation.values
+            cpu += c
+            ram += r
+            dev = devices[p.gpu_index]
+            dev[0] += g
+            dev[1] += m
+        return cpu, ram, devices
+
     def allocated_host(self) -> np.ndarray:
         """Summed (cpu, ram) allocation over all sessions."""
-        cpu = sum(p.allocation.cpu for p in self._placements.values())
-        ram = sum(p.allocation.ram for p in self._placements.values())
+        cpu, ram, _ = self._totals()
         return np.array([cpu, ram])
 
     def allocated_gpu(self, gpu_index: int) -> np.ndarray:
         """Summed (gpu, gpu_mem) allocation on one device."""
         self._gpu(gpu_index)
-        g = sum(
-            p.allocation.gpu
-            for p in self._placements.values()
-            if p.gpu_index == gpu_index
-        )
-        m = sum(
-            p.allocation.gpu_mem
-            for p in self._placements.values()
-            if p.gpu_index == gpu_index
-        )
-        return np.array([g, m])
+        return np.array(self._totals()[2][gpu_index])
 
     def available(self, gpu_index: int) -> ResourceVector:
         """Remaining capacity for a new session pinned to ``gpu_index``."""
-        host = self.allocated_host()
-        dev = self.allocated_gpu(gpu_index)
         gpu = self._gpu(gpu_index)
+        cpu, ram, devices = self._totals()
+        dev_gpu, dev_mem = devices[gpu_index]
         return ResourceVector(
-            cpu=self.cpu_capacity - host[0],
-            gpu=gpu.gpu_capacity - dev[0],
-            gpu_mem=gpu.gpu_mem_capacity - dev[1],
-            ram=self.ram_capacity - host[1],
+            cpu=self.cpu_capacity - cpu,
+            gpu=gpu.gpu_capacity - dev_gpu,
+            gpu_mem=gpu.gpu_mem_capacity - dev_mem,
+            ram=self.ram_capacity - ram,
         )
 
     def headroom_fraction(self) -> float:
         """Smallest relative slack across host dims and all GPU dims."""
-        fracs = [
-            1.0 - self.allocated_host()[0] / self.cpu_capacity,
-            1.0 - self.allocated_host()[1] / self.ram_capacity,
-        ]
-        for i, gpu in enumerate(self.gpus):
-            dev = self.allocated_gpu(i)
-            fracs.append(1.0 - dev[0] / gpu.gpu_capacity)
-            fracs.append(1.0 - dev[1] / gpu.gpu_mem_capacity)
+        cpu, ram, devices = self._totals()
+        fracs = [1.0 - cpu / self.cpu_capacity, 1.0 - ram / self.ram_capacity]
+        for gpu, (dev_gpu, dev_mem) in zip(self.gpus, devices):
+            fracs.append(1.0 - dev_gpu / gpu.gpu_capacity)
+            fracs.append(1.0 - dev_mem / gpu.gpu_mem_capacity)
         return float(min(fracs))
 
     # ------------------------------------------------------------------
@@ -225,14 +227,13 @@ class Server:
 
     def _overcommitted(self) -> bool:
         """Whether the placed ceilings exceed the host or any device."""
-        host_cpu, host_ram = self.allocated_host().tolist()
-        if host_cpu > self.cpu_capacity + 1e-9 or host_ram > self.ram_capacity + 1e-9:
+        cpu, ram, devices = self._totals()
+        if cpu > self.cpu_capacity + 1e-9 or ram > self.ram_capacity + 1e-9:
             return True
-        for i, g in enumerate(self.gpus):
-            dev_gpu, dev_mem = self.allocated_gpu(i).tolist()
-            if dev_gpu > g.gpu_capacity + 1e-9 or dev_mem > g.gpu_mem_capacity + 1e-9:
-                return True
-        return False
+        return any(
+            dev_gpu > g.gpu_capacity + 1e-9 or dev_mem > g.gpu_mem_capacity + 1e-9
+            for g, (dev_gpu, dev_mem) in zip(self.gpus, devices)
+        )
 
     def remove(self, session_id: str) -> Placement:
         """Release a session's reservation."""
@@ -248,9 +249,8 @@ class Server:
 
     def least_loaded_gpu(self) -> int:
         """GPU index with the most remaining core capacity."""
-        slack = [
-            g.gpu_capacity - self.allocated_gpu(i)[0] for i, g in enumerate(self.gpus)
-        ]
+        devices = self._totals()[2]
+        slack = [g.gpu_capacity - d[0] for g, d in zip(self.gpus, devices)]
         return int(np.argmax(slack))
 
     def __repr__(self) -> str:

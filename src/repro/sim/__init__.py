@@ -16,8 +16,8 @@ from repro.sim.engine import (
     run_partitioned,
     validate_shard_plan,
 )
-from repro.sim.telemetry import TelemetryRecorder, UsageSample
+from repro.sim.telemetry import TelemetryRecorder
 
 __all__ = ["SimulationEngine", "Event", "ShardPlanError",
            "validate_shard_plan", "run_partitioned",
-           "TelemetryRecorder", "UsageSample"]
+           "TelemetryRecorder"]

@@ -26,19 +26,17 @@ __all__ = ["Event", "SimulationEngine", "ShardPlanError",
            "SHARD_PLAN_SCHEMA", "validate_shard_plan"]
 
 
-@dataclass(order=True)
+@dataclass
 class Event:  # lint: disable=CG013 -- engine-internal heap entry, not telemetry
     """A scheduled callback.  Ordering: time, then priority, then FIFO."""
 
     time: float
     priority: int
     seq: int
-    callback: Callable[["SimulationEngine"], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _done: bool = field(default=False, compare=False, repr=False)
-    _on_cancel: Optional[Callable[[], None]] = field(
-        default=None, compare=False, repr=False
-    )
+    callback: Callable[["SimulationEngine"], None]
+    cancelled: bool = False
+    _done: bool = field(default=False, repr=False)
+    _on_cancel: Optional[Callable[[], None]] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it (idempotent; a no-op
@@ -60,7 +58,9 @@ class SimulationEngine:
 
     def __init__(self, *, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)``; ``seq`` is unique, so heap
+        #: order is plain tuple order and events are never compared.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
         self._live = 0
@@ -102,7 +102,7 @@ class SimulationEngine:
             float(time), int(priority), next(self._seq), callback,
             _on_cancel=self._note_cancel,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         self._live += 1
         return event
 
@@ -155,7 +155,7 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             event._done = True  # cancel() after this point is a no-op
@@ -170,10 +170,10 @@ class SimulationEngine:
         """Run events with ``time <= end_time``; advance the clock to it."""
         while self._heap:
             head = self._heap[0]
-            if head.cancelled:
+            if head[3].cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if head.time > end_time + 1e-9:
+            if head[0] > end_time + 1e-9:
                 break
             self.step()
         self._now = max(self._now, float(end_time))

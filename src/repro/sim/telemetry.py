@@ -13,18 +13,23 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.platform_.resources import DIMENSIONS, N_DIMS, ResourceVector
+from repro.platform_.resources import (
+    DIMENSIONS,
+    N_DIMS,
+    ResourceVector,
+    _clipped_percent,
+)
 from repro.util.rng import Seed, as_rng
 from repro.util.timeseries import ResourceSeries
 from repro.util.validation import check_fraction, check_nonnegative
 
 __all__ = [
-    "UsageSample",
     "FaultEvent",
     "GatewayEvent",
     "TelemetryPerturbation",
@@ -33,21 +38,6 @@ __all__ = [
 
 #: Stored in place of a sample lost to a dropout fault.
 _DROPPED_ROW = (math.nan,) * N_DIMS
-
-
-@dataclass(frozen=True)
-class UsageSample:
-    """One second of one session's telemetry."""
-
-    time: int
-    session_id: str
-    demand: ResourceVector
-    allocation: ResourceVector
-
-    @property
-    def usage(self) -> ResourceVector:
-        """True consumption: demand clipped at the ceiling."""
-        return self.demand.minimum(self.allocation)
 
 
 @dataclass(frozen=True)
@@ -158,6 +148,32 @@ class TelemetryPerturbation:
         return perturbed
 
 
+class _Columns:
+    """One session's telemetry columns: per second, one time and flag and
+    4 floats each of demand, allocation and observed usage."""
+
+    __slots__ = ("times", "valid", "demand", "allocation", "observed")
+
+    def __init__(self) -> None:
+        self.times = array("q")
+        self.valid: List[bool] = []
+        self.demand = array("d")
+        self.allocation = array("d")
+        self.observed = array("d")
+
+
+def _matrix(column: array) -> np.ndarray:
+    """A fresh ``(n, 4)`` copy of a flat float column (never a view: a
+    view would pin the column's buffer and forbid further appends)."""
+    return np.array(column).reshape(-1, N_DIMS)
+
+
+def _usage(cols: _Columns) -> np.ndarray:
+    """True usage rows: demand ∧ allocation (``np.minimum`` keeps the
+    second operand on ties, like :meth:`ResourceVector.minimum`)."""
+    return np.minimum(_matrix(cols.demand), _matrix(cols.allocation))
+
+
 class TelemetryRecorder:
     """Accumulates per-session usage and serves it back as time series.
 
@@ -175,11 +191,7 @@ class TelemetryRecorder:
         check_nonnegative("noise_std", noise_std)
         self.noise_std = float(noise_std)
         self._rng = as_rng(seed)
-        self._samples: Dict[str, List[UsageSample]] = {}
-        #: Observed rows per session, flattened: 4 float64s per second.
-        self._observed: Dict[str, array] = {}
-        self._valid: Dict[str, List[bool]] = {}
-        self._times: Dict[str, List[int]] = {}
+        self._columns: Dict[str, _Columns] = defaultdict(_Columns)
         self._perturbations: List[TelemetryPerturbation] = []
         self.fault_events: List[FaultEvent] = []
         self.gateway_events: List[GatewayEvent] = []
@@ -219,16 +231,21 @@ class TelemetryRecorder:
         :meth:`observed_window`) and the clean observation is returned —
         the sensor failed, not the game.
         """
-        sample = UsageSample(int(time), session_id, demand, allocation)
-        self._samples.setdefault(session_id, []).append(sample)
-        usage = sample.usage
+        cols = self._columns[session_id]
+        d, a = demand.values, allocation.values
+        cols.times.append(int(time))
+        cols.demand.extend(d)
+        cols.allocation.extend(a)
         if self.noise_std > 0:
             noise = self._rng.normal(scale=self.noise_std, size=N_DIMS).tolist()
-            observed = ResourceVector.from_array(
-                [u + n for u, n in zip(usage.values, noise)]
-            ).clip(0.0, 100.0)
+            # ``(demand.minimum(allocation) + noise).clip(0, 100)``.
+            observed = _clipped_percent([
+                (x if x < y else y) + n for x, y, n in zip(d, a, noise)
+            ])
+            row = observed.values
         else:
-            observed = usage
+            observed = demand.minimum(allocation)
+            row = observed.clip(0.0, 100.0).values
         # Perturbations work on arrays; most samples meet none of them.
         perturbed: Optional[np.ndarray] = None
         valid = True
@@ -239,51 +256,41 @@ class TelemetryRecorder:
             if perturbed is None:
                 valid = False
                 break
-        row: Sequence[float]
         if not valid:
             self.dropped_samples += 1
             row = _DROPPED_ROW
         elif perturbed is not None:
             row = np.clip(perturbed, 0.0, 100.0).tolist()
-        elif self.noise_std > 0:
-            row = observed.values  # already clipped; clip is idempotent
-        else:
-            row = observed.clip(0.0, 100.0).values
-        self._observed.setdefault(session_id, array("d")).extend(row)
-        self._valid.setdefault(session_id, []).append(valid)
-        self._times.setdefault(session_id, []).append(int(time))
+        cols.observed.extend(row)
+        cols.valid.append(valid)
         return observed
 
     # ------------------------------------------------------------------
     @property
     def session_ids(self) -> List[str]:
         """Sessions with at least one recorded sample."""
-        return list(self._samples)
+        return list(self._columns)
 
-    def n_samples(self, session_id: str) -> int:
-        """Number of recorded seconds for one session."""
-        return len(self._samples.get(session_id, ()))
+    def _require(self, session_id: str) -> _Columns:
+        cols = self._columns.get(session_id)
+        if cols is None:
+            raise KeyError(f"no telemetry for session {session_id!r}")
+        return cols
+
+    def _series(
+        self, session_id: str, read: Callable[[_Columns], np.ndarray]
+    ) -> ResourceSeries:
+        cols = self._require(session_id)
+        return ResourceSeries(
+            read(cols), DIMENSIONS, period=1.0, start=float(cols.times[0])
+        )
 
     def observed_series(self, session_id: str) -> ResourceSeries:
         """Noisy usage telemetry of one session (what the profiler sees).
 
         Samples lost to a dropout fault appear as NaN rows.
         """
-        rows = self._rows(session_id)
-        if rows is None:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        start = float(self._times[session_id][0])
-        return ResourceSeries(rows, DIMENSIONS, period=1.0, start=start)
-
-    def _rows(self, session_id: str, last: int = 0) -> Optional[np.ndarray]:
-        """The session's observed rows (the ``last`` ones when given) as a
-        fresh ``(n, 4)`` array, or ``None`` without samples."""
-        flat = self._observed.get(session_id)
-        if not flat:
-            return None
-        if last:
-            flat = flat[-last * N_DIMS:]
-        return np.array(flat).reshape(-1, N_DIMS)
+        return self._series(session_id, lambda cols: _matrix(cols.observed))
 
     def observed_window(
         self, session_id: str, seconds: int
@@ -292,61 +299,45 @@ class TelemetryRecorder:
 
         Returns ``None`` when fewer samples exist (a frame needs a full
         window) or when every sample in the window was dropped; samples
-        lost to a dropout fault are masked out of the mean.
+        lost to a dropout fault are masked out of the mean.  The kept
+        rows are summed in row order from ``+0.0`` and divided once,
+        which is ``np.mean(kept, axis=0)`` bit for bit.
         """
-        if self.n_samples(session_id) < seconds:
+        if seconds < 1:
+            raise ValueError(f"seconds must be >= 1, got {seconds}")
+        cols = self._columns.get(session_id)
+        if cols is None or len(cols.valid) < seconds:
             return None
-        window = self._rows(session_id, seconds)
-        if window is None:
+        values = iter(cols.observed[-seconds * N_DIMS:])
+        total = [0.0, 0.0, 0.0, 0.0]  # numpy's reduction starts at +0.0
+        kept = 0
+        for ok, row in zip(
+            cols.valid[-seconds:], zip(values, values, values, values)
+        ):
+            if ok:
+                total = [t + x for t, x in zip(total, row)]
+                kept += 1
+        if not kept:
             return None
-        kept = window[self._valid[session_id][-seconds:]]
-        if not len(kept):
-            return None
-        return np.mean(kept, axis=0)
+        return np.array([t / kept for t in total])
 
     def valid_fraction(self, session_id: str) -> float:
         """Fraction of a session's samples that survived dropout."""
-        flags = self._valid.get(session_id)
-        if not flags:
-            raise KeyError(f"no telemetry for session {session_id!r}")
+        flags = self._require(session_id).valid
         return float(sum(flags)) / len(flags)
 
     def true_demand_series(self, session_id: str) -> ResourceSeries:
         """Ground-truth demand (evaluation only — invisible in a real
         deployment)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.demand.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        return self._series(session_id, lambda cols: _matrix(cols.demand))
 
     def true_usage_series(self, session_id: str) -> ResourceSeries:
         """Ground-truth clipped usage (demand ∧ allocation, no noise)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.usage.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        return self._series(session_id, _usage)
 
     def allocation_series(self, session_id: str) -> ResourceSeries:
         """Granted ceilings over time (the Fig-10 'allocated' line)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.allocation.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        return self._series(session_id, lambda cols: _matrix(cols.allocation))
 
     # ------------------------------------------------------------------
     def total_usage_matrix(self, horizon: int) -> np.ndarray:
@@ -355,15 +346,16 @@ class TelemetryRecorder:
         Seconds with no running session contribute zero.
         """
         total = np.zeros((int(horizon), N_DIMS))
-        kept = [
-            s for samples in self._samples.values() for s in samples
-            if 0 <= s.time < horizon
-        ]
-        if kept:
-            # ``add.at`` accumulates in sample order, like a row-by-row loop.
-            np.add.at(
-                total, [s.time for s in kept], np.array([s.usage.values for s in kept])
-            )
+        times, rows = [], []
+        for cols in self._columns.values():
+            t = np.array(cols.times, dtype=np.int64)
+            keep = (t >= 0) & (t < horizon)
+            times.append(t[keep])
+            rows.append(_usage(cols)[keep])
+        if times:
+            # ``add.at`` accumulates in row order: session by session,
+            # each in time order, like a row-by-row loop.
+            np.add.at(total, np.concatenate(times), np.concatenate(rows))
         return total
 
     def peak_total_usage(self, horizon: int) -> np.ndarray:
@@ -380,14 +372,13 @@ class TelemetryRecorder:
         samples hash as a sentinel so dropout placement is covered too.
         """
         h = hashlib.sha256()
-        for sid in sorted(self._observed):
+        for sid in sorted(self._columns):
+            cols = self._columns[sid]
             h.update(sid.encode())
-            h.update(np.asarray(self._times[sid], dtype=np.int64).tobytes())
-            h.update(
-                np.asarray(self._valid[sid], dtype=np.bool_).tobytes()
-            )
-            rounded = np.round(self._rows(sid), 6)
-            for row, ok in zip(rounded, self._valid[sid]):
+            h.update(np.array(cols.times, dtype=np.int64).tobytes())
+            h.update(np.asarray(cols.valid, dtype=np.bool_).tobytes())
+            rounded = np.round(_matrix(cols.observed), 6)
+            for row, ok in zip(rounded, cols.valid):
                 h.update(row.tobytes() if ok else b"<dropped>")
         for ev in self.fault_events:
             h.update(f"{ev.time:.6f}|{ev.kind}|{ev.detail}\n".encode())

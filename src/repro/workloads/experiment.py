@@ -157,9 +157,7 @@ class ColocationExperiment:
         cap = self.allocator.capped_capacity(0).array
 
         completed: Dict[str, int] = {name: 0 for name in self.profiles}
-        total_usage = np.zeros((self.horizon, 4))
         colocated_seconds = 0
-        over_cap_seconds = 0
 
         self._offer_requests(0.0)
         for t in range(self.horizon):
@@ -192,7 +190,6 @@ class ColocationExperiment:
                     allocation,
                     frame_lock=tick.frame_lock,
                 )
-                total_usage[t] += demand.minimum(allocation).values
                 if tick.finished:
                     completed[session.spec.name] += 1
                     strategy.release(sid, time=t)
@@ -200,14 +197,16 @@ class ColocationExperiment:
                     del self._sessions[sid]
             if len(self._sessions) >= 2:
                 colocated_seconds += 1
-            if np.any(total_usage[t] > cap + 1e-6):
-                over_cap_seconds += 1
 
             # 2. Control + admission every detection interval.
             if (t + 1) % interval == 0:
                 strategy.control(t + 1, self.telemetry)
                 self._offer_requests(float(t + 1))
 
+        # The recorder sums each second's true usage in session order,
+        # exactly as a per-second accumulator would.
+        total_usage = self.telemetry.total_usage_matrix(self.horizon)
+        over_cap_seconds = int(np.any(total_usage > cap + 1e-6, axis=1).sum())
         return self._aggregate(
             completed, total_usage, colocated_seconds, over_cap_seconds
         )

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform_.resources import ResourceVector
 from repro.sim.engine import SimulationEngine
-from repro.sim.telemetry import TelemetryRecorder
+from repro.sim.telemetry import TelemetryPerturbation, TelemetryRecorder
 
 
 def rv(cpu=0, gpu=0, gpu_mem=0, ram=0):
@@ -97,6 +99,58 @@ class TestEngine:
         assert eng.pending == 1
 
 
+    def test_equal_time_events_fire_by_priority_then_fifo(self):
+        eng = SimulationEngine()
+        order = []
+        for name, priority in [("a", 2), ("b", 0), ("c", 1), ("d", 0),
+                               ("e", 2), ("f", 1)]:
+            eng.at(3, lambda e, name=name: order.append(name),
+                   priority=priority)
+        eng.at(1, lambda e: order.append("early"), priority=9)
+        eng.run()
+        assert order == ["early", "b", "d", "c", "f", "a", "e"]
+
+    def test_cancelled_head_and_buried_events_are_skipped(self):
+        eng = SimulationEngine()
+        fired = []
+        events = [
+            eng.at(t, lambda e, t=t: fired.append(t)) for t in range(1, 7)
+        ]
+        events[0].cancel()  # the heap head
+        events[3].cancel()  # buried
+        eng.run_until(3)
+        assert fired == [2, 3]
+        events[4].cancel()  # the new head, before run_until reaches it
+        eng.run()
+        assert fired == [2, 3, 6]
+        assert eng.processed == 3
+
+    def test_pending_stays_exact(self):
+        eng = SimulationEngine()
+        events = [eng.at(t, lambda e: None) for t in (1, 2, 3, 4)]
+        assert eng.pending == 4
+        events[2].cancel()
+        events[2].cancel()  # idempotent
+        assert eng.pending == 3
+        eng.step()
+        assert eng.pending == 2
+        eng.run_until(3)
+        assert eng.pending == 1
+        eng.run()
+        assert eng.pending == 0
+
+    def test_cancel_after_firing_is_a_noop(self):
+        eng = SimulationEngine()
+        first = eng.at(1, lambda e: None)
+        eng.at(2, lambda e: None)
+        eng.step()
+        first.cancel()
+        assert not first.cancelled
+        assert eng.pending == 1
+        eng.run()
+        assert eng.processed == 2
+
+
 class TestTelemetry:
     def test_observed_is_clipped_at_allocation(self):
         rec = TelemetryRecorder(noise_std=0.0, seed=0)
@@ -117,6 +171,14 @@ class TestTelemetry:
         rec.record(4, "s", rv(gpu=10), rv(gpu=100))
         win = rec.observed_window("s", 5)
         np.testing.assert_allclose(win, [0, 10, 0, 0])
+
+    @pytest.mark.parametrize("seconds", [0, -1, -3])
+    def test_observed_window_rejects_nonpositive_seconds(self, seconds):
+        rec = TelemetryRecorder(noise_std=0.0)
+        for t in range(6):
+            rec.record(t, "s", rv(gpu=10 * t), rv(gpu=100))
+        with pytest.raises(ValueError, match="seconds must be >= 1"):
+            rec.observed_window("s", seconds)
 
     def test_series_roundtrip(self):
         rec = TelemetryRecorder(noise_std=0.0)
@@ -146,3 +208,43 @@ class TestTelemetry:
     def test_missing_session(self):
         with pytest.raises(KeyError):
             TelemetryRecorder().observed_series("ghost")
+
+
+#: Observed rows: percentages with both signed zeros among them.
+_rows = st.lists(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 100.0]),
+            st.floats(0.0, 100.0, allow_nan=False),
+        ),
+        min_size=4, max_size=4,
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=_rows)
+def test_observed_window_is_numpy_mean_of_kept_rows(data, rows):
+    """The running window equals ``np.mean(rows[valid], axis=0)`` bit for
+    bit: dropout NaN rows masked, signed zeros kept, ``None`` for an
+    all-dropped window or one longer than the history."""
+    n = len(rows)
+    dropped = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    seconds = data.draw(st.integers(1, n + 3))
+    rec = TelemetryRecorder(noise_std=0.0)
+    for t, lost in enumerate(dropped):
+        if lost:
+            rec.add_perturbation(
+                TelemetryPerturbation(kind="dropout", start=t, end=t + 1)
+            )
+    for t, row in enumerate(rows):
+        # Under a 100 % ceiling the noise-free observation is the row.
+        rec.record(t, "s", ResourceVector.from_array(row),
+                   ResourceVector.full(100.0))
+    got = rec.observed_window("s", seconds)
+    kept = np.array(rows)[-seconds:][~np.array(dropped)[-seconds:]]
+    if seconds > n or not len(kept):
+        assert got is None
+    else:
+        assert got.tobytes() == np.mean(kept, axis=0).tobytes()
