@@ -9,7 +9,7 @@ the regulator uses for time stealing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Hashable, Optional
 
 from repro.core.adjustment import redundancy_allocation
 from repro.core.stages import StageLibrary, StageTypeId
@@ -55,11 +55,17 @@ class AllocationPlanner:
         self.encoder = encoder
         self.stream_fps = float(stream_fps)
         self.headroom = float(headroom)
+        #: Plans already computed, keyed by ``(type, redundancy)`` or by
+        #: ``"loading"``, ``("throttled", fraction)`` and ``"peak"``.  Each
+        #: plan is a pure function of the (frozen) library and the fields
+        #: above; :meth:`set_accuracy` clears the table.
+        self._plans: Dict[Hashable, ResourceVector] = {}
 
     def set_accuracy(self, accuracy: float) -> None:
         """Update ``P`` (after a model replacement or online estimate)."""
         check_fraction("accuracy", accuracy)
         self.accuracy = float(accuracy)
+        self._plans.clear()
 
     # ------------------------------------------------------------------
     def _encoder_overhead(self) -> ResourceVector:
@@ -71,10 +77,16 @@ class AllocationPlanner:
         self, type_id: StageTypeId, *, redundancy: bool = True
     ) -> ResourceVector:
         """Ceiling for an execution stage of the given type."""
+        key = (type_id, redundancy)
+        cached = self._plans.get(key)
+        if cached is not None:
+            return cached
         plan = self.library.peak_of(type_id) * (1.0 + self.headroom)
         if redundancy:
             plan = plan + redundancy_allocation(self.accuracy, self.library.max_peak())
-        return (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        plan = (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        self._plans[key] = plan
+        return plan
 
     def for_loading(self) -> ResourceVector:
         """Full-speed ceiling for a loading stage.
@@ -85,10 +97,15 @@ class AllocationPlanner:
         it immediately.  That gap is the scheduler's loading-exit signal
         even when the new stage's demand is clipped.
         """
+        cached = self._plans.get("loading")
+        if cached is not None:
+            return cached
         plan = self.library.peak_of(self.library.loading_type) * (1.0 + self.headroom)
         cpu, gpu, gpu_mem, ram = plan.values
         plan = ResourceVector(cpu=cpu, gpu=gpu * 1.3 + 2.0, gpu_mem=gpu_mem, ram=ram)
-        return (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        plan = (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        self._plans["loading"] = plan
+        return plan
 
     def throttled_loading(self, fraction: float) -> ResourceVector:
         """Time-stealing ceiling: loading CPU cut to ``fraction``.
@@ -98,15 +115,26 @@ class AllocationPlanner:
         §IV-C2 "extend loading time" lever.
         """
         check_fraction("fraction", fraction)
+        key = ("throttled", fraction)
+        cached = self._plans.get(key)
+        if cached is not None:
+            return cached
         full = self.for_loading()
-        return ResourceVector(
+        plan = ResourceVector(
             cpu=full.cpu * max(fraction, 0.05),
             gpu=full.gpu,
             gpu_mem=full.gpu_mem,
             ram=full.ram,
         )
+        self._plans[key] = plan
+        return plan
 
     def peak_plan(self) -> ResourceVector:
         """Whole-game peak ceiling (what static baselines reserve)."""
+        cached = self._plans.get("peak")
+        if cached is not None:
+            return cached
         plan = self.library.max_peak() * (1.0 + self.headroom)
-        return (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        plan = (plan + self._encoder_overhead()).clip(0.0, 100.0)
+        self._plans["peak"] = plan
+        return plan

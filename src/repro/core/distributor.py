@@ -25,7 +25,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 from repro.obs.metrics import CounterChild
 from repro.obs.naming import ALGO1_BATCHES, ALGO1_EVALUATIONS
 from repro.obs.observer import Observer
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import ResourceVector, _wrap
 from repro.util.effects import effects
 
 __all__ = [
@@ -106,13 +106,12 @@ class BatchEvaluation:
         footprint when the view provides one.
         """
         if self._current is None:
-            current = ResourceVector.zeros()
+            current = [0.0, 0.0, 0.0, 0.0]
             for task in self._running:
                 min_alloc = getattr(task, "min_allocation", None)
-                current = current + (
-                    min_alloc() if callable(min_alloc) else task.current_allocation
-                )
-            self._current = current
+                alloc = min_alloc() if callable(min_alloc) else task.current_allocation
+                current = [c + a for c, a in zip(current, alloc.values)]
+            self._current = _wrap(tuple(current))
         return self._current
 
     @effects(hot_path=True)
@@ -120,21 +119,24 @@ class BatchEvaluation:
         """Lines 10-25: the max predicted co-consumption ``M``.
 
         Computed once per batch; each task's rollout is a single
-        ``predicted_peaks(horizon)`` call shared by every candidate.
+        ``predicted_peaks(horizon)`` call shared by every candidate.  The
+        per-step sums (from ``+0.0``, in task order) and the running
+        element-wise max are the vector algebra on plain floats.
         """
         if self._worst is None:
             horizon = self._distributor.horizon
             per_task_peaks: List[List[ResourceVector]] = [
                 task.predicted_peaks(horizon) for task in self._running
             ]
-            worst = ResourceVector.zeros()
+            worst = [0.0, 0.0, 0.0, 0.0]
             for step in range(horizon):
-                step_total = ResourceVector.zeros()
+                total = [0.0, 0.0, 0.0, 0.0]
                 for peaks in per_task_peaks:
                     if peaks:
-                        step_total = step_total + peaks[min(step, len(peaks) - 1)]
-                worst = worst.maximum(step_total)
-            self._worst = worst
+                        peak = peaks[min(step, len(peaks) - 1)].values
+                        total = [t + p for t, p in zip(total, peak)]
+                worst = [w if w > t else t for w, t in zip(worst, total)]
+            self._worst = _wrap(tuple(worst))
         return self._worst
 
     # ------------------------------------------------------------------

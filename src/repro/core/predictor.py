@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,6 +146,9 @@ class StagePredictor:
         #: Completed :meth:`rollout` calls — the unit the serve-layer
         #: rollout cache saves; benchmarks compare it across paths.
         self.rollout_count: int = 0
+        #: :meth:`predict_next` answers keyed by everything its features
+        #: read (see :meth:`_feature_key`); :meth:`train` starts a new table.
+        self._memo: Dict[Hashable, Tuple[StageTypeId, float]] = {}
 
     # ------------------------------------------------------------------
     # Training
@@ -165,6 +168,7 @@ class StagePredictor:
         datasets = self.builder.build(corpus_segments, self.category)
         accuracies: List[Tuple[float, int]] = []
         self._models = {}
+        self._memo = {}
         for key, ds in sorted(datasets.items()):
             model_seed = derive_seed(self._seed, self.library.game, key, self.backend)
             model = make_backend(self.backend, seed=model_seed)
@@ -225,15 +229,35 @@ class StagePredictor:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _model_for(self, player_id: Optional[str]):
+    def _model_key(self, player_id: Optional[str]) -> Optional[str]:
+        """Key of the model serving ``player_id`` (``None``: the pooled
+        MOBILE fallback)."""
         if self.category is GameCategory.MOBILE:
             if player_id is not None and player_id in self._models:
-                return self._models[player_id]
+                return player_id
             if self._fallback is not None:
-                return self._fallback
+                return None
             # Deterministic fallback: the first per-player model.
-            return next(iter(self._models.values()))
-        return self._models["*"]
+            return next(iter(self._models))
+        return "*"
+
+    def _feature_key(
+        self, model_key: Optional[str], seq: List[int], group_hist
+    ) -> Hashable:
+        """Everything :meth:`StageDatasetBuilder.encode_history` reads of
+        ``seq``: the last ``history`` indices, the per-type counts clipped
+        at 10 and the position clipped at 20 — plus the model and the
+        MMO group histogram.  Equal keys give equal feature vectors."""
+        counts = [0] * self.builder.n_types
+        for idx in seq:
+            counts[idx] += 1
+        return (
+            model_key,
+            tuple(seq[-self.builder.history:]),
+            tuple([c if c < 10 else 10 for c in counts]),
+            min(len(seq), 20),
+            None if group_hist is None else (group_hist.shape, group_hist.tobytes()),
+        )
 
     @effects(hot_path=True)
     def predict_next(
@@ -248,6 +272,9 @@ class StagePredictor:
         Returns ``(type, confidence)``.  Unknown history types are
         skipped; an empty usable history falls back to the library's
         most common first stage (confidence = its empirical share).
+        Answers are memoized per feature vector (the model inference is
+        a pure function of it); an injected failure raises before the
+        memo is consulted.
         """
         if not self.is_trained:
             raise RuntimeError("predictor is not trained; call train() first")
@@ -263,16 +290,24 @@ class StagePredictor:
         if self.category is GameCategory.MMO:
             if group_hist is None:
                 group_hist = np.zeros(self.builder.n_types)
+            else:
+                group_hist = np.asarray(group_hist, dtype=float)
         else:
             group_hist = None
         if not seq:
             return self.prior_prediction()
-        feats = self.builder.encode_history(seq, len(seq), group_hist=group_hist)
-        model = self._model_for(player_id)
-        proba = model.predict_proba(feats[None, :])[0]
-        best = int(np.argmax(proba))
-        label = int(model.classes_[best])
-        return self.builder.types[label], float(proba[best])
+        model_key = self._model_key(player_id)
+        key = self._feature_key(model_key, seq, group_hist)
+        answer = self._memo.get(key)
+        if answer is None:
+            feats = self.builder.encode_history(seq, len(seq), group_hist=group_hist)
+            model = self._fallback if model_key is None else self._models[model_key]
+            proba = model.predict_proba(feats[None, :])[0]
+            best = int(np.argmax(proba))
+            label = int(model.classes_[best])
+            answer = (self.builder.types[label], float(proba[best]))
+            self._memo[key] = answer
+        return answer
 
     @effects(hot_path=True)
     def rollout(

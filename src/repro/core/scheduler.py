@@ -47,7 +47,7 @@ from repro.obs.naming import (
 from repro.obs.observer import Observer
 from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import Floats4, ResourceVector, _wrap
 from repro.sim.telemetry import TelemetryRecorder
 from repro.streaming.encoder import EncoderModel
 from repro.util.effects import effects
@@ -61,13 +61,17 @@ __all__ = [
 ]
 
 
-def _total(vectors: Iterable[ResourceVector]) -> ResourceVector:
-    """Sum of a non-empty sequence of vectors, added in order (the
+#: ``(backend, entry, entry_min, steady_peak)`` — one game's admission plans.
+_AdmissionPlans = Tuple[str, ResourceVector, ResourceVector, ResourceVector]
+
+
+def _total(rows: Iterable[Floats4]) -> List[float]:
+    """Sum of a non-empty sequence of float 4-tuples, added in order (the
     ``np.sum(rows, axis=0)`` order, so totals stay bit-identical)."""
-    it = iter(vectors)
-    total = next(it)
-    for vec in it:
-        total = total + vec
+    it = iter(rows)
+    total = list(next(it))
+    for row in it:
+        total = [t + x for t, x in zip(total, row)]
     return total
 
 
@@ -392,6 +396,7 @@ class CoCGScheduler:
             overshoot_tolerance=self.config.overshoot_tolerance,
         )
         self.regulator = Regulator(budget, config=self.config.regulator)
+        self._budget: Floats4 = budget.values
         self._sessions: Dict[str, SessionControl] = {}
         self._last_window: Optional[np.ndarray] = None
         self._now: float = 0.0
@@ -400,7 +405,7 @@ class CoCGScheduler:
         self.admissions = 0
         #: Shared rollout memo (attached by the serve layer, if any).
         self.rollout_cache: Optional[RolloutMemo] = None
-        self._terms_cache: Dict[str, Tuple[ResourceVector, ResourceVector]] = {}
+        self._admission_cache: Dict[str, _AdmissionPlans] = {}
         #: Shared observer (attached by the fleet, if any).
         self.obs: Optional[Observer] = None
         self._obs_stream: str = node_stream("server")
@@ -437,19 +442,34 @@ class CoCGScheduler:
             encoder=self.config.stream_encoder,
         )
 
-    def _admission_planner(
-        self, profile: GameProfile
-    ) -> Tuple[str, AllocationPlanner]:
-        """The backend (category rotation head) and planner admission uses."""
-        backend = next(
-            (
-                b
-                for b in backend_rotation(profile.spec.category)
-                if b in profile.predictors
-            ),
-            next(iter(profile.predictors)),
-        )
-        return backend, self._make_planner(profile, backend)
+    def _admission_plans(self, profile: GameProfile) -> _AdmissionPlans:
+        """``(backend, entry, entry_min, steady_peak)`` of one game.
+
+        The backend is the head of the category's rotation among the
+        trained ones; ``entry`` is the full boot-loading ceiling and the
+        other two are :meth:`admission_terms`.  All are pure functions
+        of the game's profile, so they are computed once per game.
+        """
+        name = profile.spec.name
+        cached = self._admission_cache.get(name)
+        if cached is None:
+            backend = next(
+                (
+                    b
+                    for b in backend_rotation(profile.spec.category)
+                    if b in profile.predictors
+                ),
+                next(iter(profile.predictors)),
+            )
+            planner = self._make_planner(profile, backend)
+            cached = (
+                backend,
+                planner.for_loading(),
+                planner.throttled_loading(self.config.regulator.steal_fraction),
+                self._typical_plan(planner),
+            )
+            self._admission_cache[name] = cached
+        return cached
 
     def admission_terms(
         self, profile: GameProfile
@@ -463,16 +483,8 @@ class CoCGScheduler:
         memoized per game; the serve-layer batcher calls this once per
         candidate without re-deriving planners.
         """
-        name = profile.spec.name
-        cached = self._terms_cache.get(name)
-        if cached is None:
-            _backend, planner = self._admission_planner(profile)
-            cached = (
-                planner.throttled_loading(self.config.regulator.steal_fraction),
-                self._typical_plan(planner),
-            )
-            self._terms_cache[name] = cached
-        return cached
+        _backend, _entry, entry_min, steady = self._admission_plans(profile)
+        return entry_min, steady
 
     def task_views(self) -> List[SessionControl]:
         """The running set as Algorithm-1 task views (batcher input)."""
@@ -519,10 +531,12 @@ class CoCGScheduler:
         time: float = 0.0,
         gpu_index: Optional[int] = None,
     ) -> AdmissionDecision:
-        """Algorithm-1 admission; on success the session is placed."""
-        backend, planner = self._admission_planner(profile)
-        entry = planner.for_loading()
-        entry_min, steady = self.admission_terms(profile)
+        """Algorithm-1 admission; on success the session is placed.
+
+        Algorithm 1 reads only the per-game terms; a planner of the
+        session's own is built only once the session is placed.
+        """
+        backend, entry, entry_min, steady = self._admission_plans(profile)
         decision = self.distributor.can_admit(
             entry_min, steady, self.task_views()
         )
@@ -532,9 +546,8 @@ class CoCGScheduler:
             self._log(session.session_id, "reject", decision.reason)
             return decision
         gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
-        throttled = planner.throttled_loading(self.config.regulator.steal_fraction)
         grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
-            throttled.minimum(entry)
+            entry_min.minimum(entry)
         )
         try:
             self.allocator.place(session.session_id, grant, gpu_index=gi, time=time)
@@ -544,7 +557,7 @@ class CoCGScheduler:
         ctl = SessionControl(
             session,
             profile,
-            planner,
+            self._make_planner(profile, backend),
             backend,
             self.config.replace_after,
             steal_fraction=self.config.regulator.steal_fraction,
@@ -683,25 +696,29 @@ class CoCGScheduler:
             # q95-planned ceilings put healthy usage at 0.85–0.95 of the
             # grant.  A 5-second usage mean within noise of the grant
             # itself only happens when demand exceeds it every second.
+            usage = window.tolist()
             pinned = any(
                 g > 1.0 and w >= g - max(0.8, 0.015 * g)
-                for g, w in zip(granted, window.tolist())
+                for g, w in zip(granted, usage)
             )
             if pinned:
                 gpu_granted = granted[1]
                 voluntary_gpu_drop = (
                     judgment.kind is JudgmentKind.LOADING
                     and gpu_granted > 1.0
-                    and window[1] < 0.7 * gpu_granted
+                    and usage[1] < 0.7 * gpu_granted
                 )
                 if not voluntary_gpu_drop:
                     # Starved: probe the ceiling upward (geometrically,
                     # capped at the whole-game peak) until usage unpins —
                     # only then can the frame be judged faithfully.
+                    # desired.maximum((desired × 1.3 + 2).minimum(target))
                     target = ctl.planner.peak_plan()
-                    step = ResourceVector.full(2.0)
-                    probe = (ctl.desired * 1.3 + step).minimum(target)
-                    ctl.desired = ctl.desired.maximum(probe)
+                    desired = ctl.desired.values
+                    probe = [p if p < t else t for p, t in
+                             zip([d * 1.3 + 2.0 for d in desired], target.values)]
+                    ctl.desired = _wrap(tuple([d if d > p else p
+                                               for d, p in zip(desired, probe)]))
                     self._log(
                         ctl.session.session_id, "probe",
                         f"ceiling raised toward {target!r}",
@@ -899,12 +916,12 @@ class CoCGScheduler:
         if not self._sessions:
             return
         placements = self.allocator.server.placements
-        budget = self.allocator.capped_capacity(0).values
+        budget = self._budget
 
-        desired: Dict[str, ResourceVector] = {
-            sid: ctl.desired for sid, ctl in self._sessions.items()
+        desired: Dict[str, Floats4] = {
+            sid: ctl.desired.values for sid, ctl in self._sessions.items()
         }
-        total = _total(desired.values()).values
+        total = _total(desired.values())
         over = [t > b + 1e-9 for t, b in zip(total, budget)]
         if any(over):
             # Phase 1: throttle loading sessions on the violated dims.
@@ -912,23 +929,25 @@ class CoCGScheduler:
             for sid, ctl in self._sessions.items():
                 if ctl.phase == "loading":
                     throttled = ctl.planner.throttled_loading(steal).values
-                    desired[sid] = ResourceVector.from_array([
+                    desired[sid] = tuple([
                         (d if d < c else c) if o else d
-                        for d, c, o in zip(desired[sid].values, throttled, over)
+                        for d, c, o in zip(desired[sid], throttled, over)
                     ])
-            total = _total(desired.values()).values
+            total = _total(desired.values())
             # Phase 2: proportional scale on still-violated dims.
-            factors = ResourceVector.from_array([
+            factors = [
                 b / (t if t > 1e-9 else 1e-9) if t > b else 1.0
                 for t, b in zip(total, budget)
-            ])
-            for sid in desired:
-                desired[sid] = desired[sid].scale(factors)
+            ]
+            for sid, vec in desired.items():
+                desired[sid] = tuple([v * f for v, f in zip(vec, factors)])
 
-        # Apply: shrinks first, then grows (cap-safe ordering).
+        # Apply: shrinks first, then grows (cap-safe ordering); a shrink
+        # fits within its old ceiling (``fits_within``'s 1e-9 slack).
         shrinks, grows = [], []
         for sid, vec in desired.items():
-            old = placements[sid].allocation
-            (shrinks if vec.fits_within(old) else grows).append(sid)
+            old = placements[sid].allocation.values
+            fits = all(v <= o + 1e-9 for v, o in zip(vec, old))
+            (shrinks if fits else grows).append(sid)
         for sid in shrinks + grows:
-            self.allocator.retune_clamped(sid, desired[sid], time=time)
+            self.allocator.retune_clamped(sid, _wrap(desired[sid]), time=time)

@@ -208,6 +208,8 @@ class StageLibrary:
         self.frame_seconds = int(frame_seconds)
         self._stats: Dict[StageTypeId, StageStats] = {}
         self._transitions: Dict[StageTypeId, Counter] = {}
+        #: :meth:`max_peak`, once computed; :meth:`observe_segments` clears it.
+        self._max_peak: Optional[ResourceVector] = None
 
     # ------------------------------------------------------------------
     @property
@@ -252,6 +254,7 @@ class StageLibrary:
     # ------------------------------------------------------------------
     def observe_segments(self, segments: Sequence[Segment]) -> None:
         """Fold one trace's segment sequence into stats and transitions."""
+        self._max_peak = None
         for segment in segments:
             stats = self._stats.get(segment.type_id)
             if stats is None:
@@ -284,8 +287,8 @@ class StageLibrary:
         frame = np.asarray(frame, dtype=float).reshape(-1)
         if frame.shape != (N_DIMS,):
             raise ValueError(f"frame must have {N_DIMS} dims, got {frame.shape}")
-        d = np.einsum("kd,kd->k", self.centers - frame, self.centers - frame)
-        return int(np.argmin(d))
+        diff = self.centers - frame
+        return int(np.einsum("kd,kd->k", diff, diff).argmin())
 
     def is_loading_frame(self, frame: np.ndarray) -> bool:
         """Whether a frame falls in a loading cluster."""
@@ -305,13 +308,16 @@ class StageLibrary:
         return ResourceVector.from_array(peak)
 
     def max_peak(self) -> ResourceVector:
-        """Whole-game observed peak (Eq-1's M)."""
-        if not self._stats:
-            raise RuntimeError(f"library for {self.game!r} has no observations")
-        peak = np.zeros(N_DIMS)
-        for stats in self._stats.values():
-            peak = np.maximum(peak, stats.peak)
-        return ResourceVector.from_array(peak)
+        """Whole-game observed peak (Eq-1's M), memoized until the next
+        :meth:`observe_segments`."""
+        if self._max_peak is None:
+            if not self._stats:
+                raise RuntimeError(f"library for {self.game!r} has no observations")
+            peak = np.zeros(N_DIMS)
+            for stats in self._stats.values():
+                peak = np.maximum(peak, stats.peak)
+            self._max_peak = ResourceVector.from_array(peak)
+        return self._max_peak
 
     # ------------------------------------------------------------------
     # Persistence

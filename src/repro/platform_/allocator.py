@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import ResourceVector, _wrap
 from repro.platform_.server import CapacityError, Placement, Server
 from repro.util.validation import check_fraction
 
@@ -61,10 +61,16 @@ class Allocator:
         """Capacity × cap, as seen by a session on ``gpu_index``."""
         return self.server.capacity_vector(gpu_index) * self.utilization_cap
 
+    def _budget(self, gpu_index: int, held: Optional[ResourceVector] = None) -> List[float]:
+        """``(capacity × cap − used).clip(0)`` in floats, then ``(… + held).clip(0)``."""
+        cap, free = self.utilization_cap, self.server.available(gpu_index).values
+        out = [max(c * cap - (c - a), 0.0)
+               for c, a in zip(self.server.capacity_vector(gpu_index).values, free)]
+        return out if held is None else [max(x + h, 0.0) for x, h in zip(out, held.values)]
+
     def capped_available(self, gpu_index: int) -> ResourceVector:
         """Remaining budget under the cap for a new session on ``gpu_index``."""
-        used = self.server.capacity_vector(gpu_index) - self.server.available(gpu_index)
-        return (self.capped_capacity(gpu_index) - used).clip(lo=0.0)
+        return _wrap(tuple(self._budget(gpu_index)))
 
     def can_place(self, allocation: ResourceVector, gpu_index: int) -> bool:
         """Admission test under the cap."""
@@ -93,9 +99,7 @@ class Allocator:
         for gi in candidates:
             if self.can_place(allocation, gi):
                 placement = self.server.place(session_id, gi, allocation)
-                self.events.append(
-                    AllocationEvent(time, "place", session_id, gi, allocation)
-                )
+                self._audit(time, "place", placement, allocation)
                 return placement
         raise AllocationError(
             f"cannot place {session_id!r} with {allocation} under "
@@ -112,11 +116,8 @@ class Allocator:
         AllocationError
             When the new ceiling would push any dimension over the cap.
         """
-        placement = self.server.placements.get(session_id)
-        if placement is None:
-            raise KeyError(f"session {session_id!r} is not placed")
-        others_budget = self.capped_available(placement.gpu_index)
-        budget = (others_budget + placement.allocation).clip(lo=0.0)
+        placement = self._placement(session_id)
+        budget = _wrap(tuple(self._budget(placement.gpu_index, placement.allocation)))
         if not allocation.fits_within(budget):
             raise AllocationError(
                 f"retune of {session_id!r} to {allocation} exceeds the "
@@ -126,9 +127,7 @@ class Allocator:
             self.server.set_allocation(session_id, allocation)
         except CapacityError as exc:  # pragma: no cover - cap < capacity
             raise AllocationError(str(exc)) from exc
-        self.events.append(
-            AllocationEvent(time, "retune", session_id, placement.gpu_index, allocation)
-        )
+        self._audit(time, "retune", placement, allocation)
 
     def retune_clamped(
         self, session_id: str, allocation: ResourceVector, *, time: float = 0.0
@@ -139,27 +138,25 @@ class Allocator:
         regulator uses when it *shrinks* a session to resolve a spike —
         shrinking must never fail.
         """
-        placement = self.server.placements.get(session_id)
-        if placement is None:
-            raise KeyError(f"session {session_id!r} is not placed")
-        budget = (
-            self.capped_available(placement.gpu_index) + placement.allocation
-        ).clip(lo=0.0)
-        granted = allocation.minimum(budget).clip(lo=0.0)
+        placement = self._placement(session_id)
+        budget = self._budget(placement.gpu_index, placement.allocation)
+        granted = _wrap(tuple([max(a if a < b else b, 0.0)
+                               for a, b in zip(allocation.values, budget)]))
         self.server.set_allocation(session_id, granted)
-        self.events.append(
-            AllocationEvent(time, "retune", session_id, placement.gpu_index, granted)
-        )
+        self._audit(time, "retune", placement, granted)
         return granted
 
     def release(self, session_id: str, *, time: float = 0.0) -> None:
         """Remove a session and free its reservation."""
         placement = self.server.remove(session_id)
-        self.events.append(
-            AllocationEvent(
-                time, "release", session_id, placement.gpu_index, ResourceVector.zeros()
-            )
-        )
+        self._audit(time, "release", placement, ResourceVector.zeros())
+
+    def _audit(
+        self, time: float, action: str, placement: Placement, allocation: ResourceVector
+    ) -> None:
+        self.events.append(AllocationEvent(
+            time, action, placement.session_id, placement.gpu_index, allocation
+        ))
 
     # ------------------------------------------------------------------
     def gpu_order(self) -> List[int]:
@@ -172,7 +169,10 @@ class Allocator:
 
     def allocation_of(self, session_id: str) -> ResourceVector:
         """Current ceiling of a hosted session."""
+        return self._placement(session_id).allocation
+
+    def _placement(self, session_id: str) -> Placement:
         placement = self.server.placements.get(session_id)
         if placement is None:
             raise KeyError(f"session {session_id!r} is not placed")
-        return placement.allocation
+        return placement

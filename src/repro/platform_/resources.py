@@ -294,8 +294,9 @@ class ResourceVector:
         return hash(tuple(map(_round9, self._v)))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{d}={v:.1f}" for d, v in zip(DIMENSIONS, self._v))
-        return f"ResourceVector({parts})"
+        return _REPR.format(*self._v)
 
 
 _ZERO = ResourceVector()
+#: ``ResourceVector(cpu=…, gpu=…, gpu_mem=…, ram=…)`` at one decimal.
+_REPR = "ResourceVector(" + ", ".join(f"{d}={{:.1f}}" for d in DIMENSIONS) + ")"

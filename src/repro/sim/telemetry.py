@@ -308,18 +308,20 @@ class TelemetryRecorder:
         cols = self._columns.get(session_id)
         if cols is None or len(cols.valid) < seconds:
             return None
-        values = iter(cols.observed[-seconds * N_DIMS:])
-        total = [0.0, 0.0, 0.0, 0.0]  # numpy's reduction starts at +0.0
+        rows = cols.observed[-seconds * N_DIMS:]
+        c = g = m = r = 0.0  # numpy's reduction starts at +0.0
         kept = 0
-        for ok, row in zip(
-            cols.valid[-seconds:], zip(values, values, values, values)
-        ):
+        for j, ok in enumerate(cols.valid[-seconds:]):
             if ok:
-                total = [t + x for t, x in zip(total, row)]
+                j *= N_DIMS
+                c += rows[j]
+                g += rows[j + 1]
+                m += rows[j + 2]
+                r += rows[j + 3]
                 kept += 1
         if not kept:
             return None
-        return np.array([t / kept for t in total])
+        return np.array([c / kept, g / kept, m / kept, r / kept])
 
     def valid_fraction(self, session_id: str) -> float:
         """Fraction of a session's samples that survived dropout."""

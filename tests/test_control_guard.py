@@ -1,0 +1,106 @@
+"""Guard rail for the control plane (admission, control cycle, grants).
+
+The telemetry digest covers what sessions used, not what the scheduler
+decided.  This guard hashes the scheduler's own record of every node of
+a small fleet: each decision-log entry ``(time, session_id, action,
+detail)``, each :class:`~repro.platform_.allocator.Allocator` audit
+entry and the admission/rejection counters.  The pinned table is the
+output of the code before the planner, predictor and budget arithmetic
+were memoized and moved to plain floats; a changed ``detail`` string, a
+reordered retune or a grant that differs in its last bit moves an entry.
+
+Two runs are covered: the faulted, gateway-off fleet of
+``test_substrate_guard`` and the same fleet with the gateway on.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+from typing import Dict
+
+from repro.faults.plan import FaultPlan
+from repro.trace.harness import build_experiment, build_profiles
+
+from tests.test_substrate_guard import CONFIG
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def _node_table(node) -> Dict[str, object]:
+    scheduler = node.strategy.scheduler
+    events = node.allocator.events
+    return {
+        "decisions": _digest(
+            (d.time, d.session_id, d.action, d.detail)
+            for d in scheduler.decision_log
+        ),
+        "allocator": _digest(
+            (e.time, e.action, e.session_id, e.gpu_index, e.allocation.values)
+            for e in events
+        ),
+        "admissions": scheduler.admissions,
+        "rejections": scheduler.rejections,
+    }
+
+
+def control_tables(*, gateway: bool) -> Dict[str, Dict[str, object]]:
+    """The control-plane table of every node of the fixed fleet."""
+    config = dataclasses.replace(CONFIG, gateway=gateway)
+    plan = None
+    if not gateway:
+        plan = (
+            FaultPlan(seed=3)
+            .telemetry_dropout(30.0, duration=60.0, rate=0.3)
+            .telemetry_noise(100.0, duration=40.0, std=2.0, spike_prob=0.1)
+        )
+    experiment = build_experiment(config, build_profiles(config), plan=plan)
+    experiment.run()
+    return {
+        node.node_id: _node_table(node) for node in experiment.cluster.nodes
+    }
+
+
+PINNED_FAULTED: Dict[str, Dict[str, object]] = {
+    "node-0": {
+        "decisions": "84e9b25f6dad57b0",
+        "allocator": "23a14be78f20f4dc",
+        "admissions": 9,
+        "rejections": 34,
+    },
+    "node-1": {
+        "decisions": "b074491664fa1578",
+        "allocator": "1fcbd5560c677548",
+        "admissions": 5,
+        "rejections": 35,
+    },
+}
+
+PINNED_GATEWAY: Dict[str, Dict[str, object]] = {
+    "node-0": {
+        "decisions": "cce14926d3d9abdc",
+        "allocator": "d17873b80f9aab29",
+        "admissions": 9,
+        "rejections": 1,
+    },
+    "node-1": {
+        "decisions": "e0901817b9bc8f9d",
+        "allocator": "f191ed3e3e5dc20d",
+        "admissions": 5,
+        "rejections": 0,
+    },
+}
+
+
+def test_faulted_fleet_control_plane_is_pinned():
+    assert control_tables(gateway=False) == PINNED_FAULTED
+
+
+def test_gateway_fleet_control_plane_is_pinned():
+    assert control_tables(gateway=True) == PINNED_GATEWAY
