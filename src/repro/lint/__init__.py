@@ -8,8 +8,8 @@ on scheduler/distributor decision paths, complete ``__all__`` exports,
 and type-annotated public APIs.  This package parses the tree with
 :mod:`ast` and enforces each convention in two phases:
 
-* **per-file rules** (**CG001** – **CG009**, **CG014**) walk one AST
-  at a time;
+* **per-file rules** (**CG001** – **CG009**, **CG014**) hook one pass
+  over each file's AST;
 * **whole-program rules** (**CG010** – **CG013**) run
   taint/reachability queries over a project-wide call graph built from
   per-module summaries (:mod:`repro.lint.project`,
@@ -44,12 +44,10 @@ Use it three ways:
 * ``# lint: disable=CGxxx`` pragmas to suppress a finding at a line
   (trailing comment) or for a whole file (standalone comment).
 
-Adding a per-file rule is ~30 lines: subclass :class:`Rule`, set
-``rule_id`` / ``name`` / ``description``, optionally narrow
-``applies_to``, implement ``visit_*`` methods that call
-``self.report``, and decorate with :func:`register`.  Whole-program
-rules subclass :class:`~repro.lint.project.ProjectRule` and are
-decorated with :func:`~repro.lint.registry.register_project`.
+Adding a rule (a :class:`Rule` with :func:`register`, or a
+:class:`~repro.lint.project.ProjectRule` with
+:func:`~repro.lint.registry.register_project`) is described in
+``docs/LINT.md``, "Adding a rule".
 """
 
 from repro.lint.baseline import (

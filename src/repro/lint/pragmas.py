@@ -71,9 +71,12 @@ def parse_suppressions(source: str) -> Suppressions:
     """Extract the pragma table from a module's source text.
 
     Tolerates tokenisation failures (the caller reports the syntax error
-    separately) by returning an empty table.
+    separately) by returning an empty table.  A source the pragma regex
+    never matches cannot hold a pragma comment, so it skips tokenisation.
     """
     table = Suppressions()
+    if _PRAGMA_RE.search(source) is None:
+        return table
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

@@ -37,10 +37,9 @@ honouring that module's pragma table.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple, TypeGuard, Union
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
@@ -65,6 +64,7 @@ __all__ = [
     "dotted_name",
     "module_name_from_parts",
     "summarize_module",
+    "node_hooks",
 ]
 
 #: Pseudo-function holding a module's top-level statements.
@@ -479,7 +479,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_type_checking_guard(stmt: ast.stmt) -> bool:
+def _is_type_checking_guard(stmt: ast.stmt) -> TypeGuard[ast.If]:
     """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
     test = getattr(stmt, "test", None)
     return isinstance(stmt, ast.If) and (
@@ -496,7 +496,8 @@ class ImportTable:
     (CG001 the random aliases, CG005 the clock aliases, CG009 the deque
     aliases) and :func:`summarize_module` reads the same instance for
     the RNG/clock seeds, the import graph, the ``TYPE_CHECKING`` split,
-    and the class names.
+    and the class names; the engine's one rule pass runs over its
+    :attr:`nodes`.
     """
 
     def __init__(self, tree: ast.Module):
@@ -528,34 +529,26 @@ class ImportTable:
         self.type_only: Set[str] = set()
         #: classes defined anywhere in the module.
         self.class_names: Set[str] = set()
+        #: every node of the module, in ``ast.walk`` order.
+        self.nodes: List[ast.AST] = [tree]
 
-        # Breadth-first, in ast.walk order, with each node tagged by the
-        # set its imports count toward for the TYPE_CHECKING split: a
-        # top-level guard's body is type-only, its test and else branch
-        # count toward neither, everything else is runtime.
+        # Breadth-first, in ast.walk order.  For the TYPE_CHECKING split
+        # a top-level guard's body is type-only, its test and else branch
+        # count toward neither, and everything else is runtime.
         guarded: Set[str] = set()
         runtime: Set[str] = set()
-        guards = {id(stmt) for stmt in tree.body
-                  if _is_type_checking_guard(stmt)}
-        todo: Deque[Tuple[ast.AST, Optional[Set[str]]]] = deque(
-            [(tree, runtime)]
-        )
-        while todo:
-            node, bucket = todo.popleft()
-            if id(node) in guards:
-                body = {id(stmt) for stmt in node.body}  # type: ignore[attr-defined]
-                todo.extend(
-                    (child, guarded if id(child) in body else None)
-                    for child in ast.iter_child_nodes(node)
-                )
-            else:
-                todo.extend(
-                    (child, bucket) for child in ast.iter_child_nodes(node)
-                )
+        bucket_of: Dict[int, Optional[Set[str]]] = {}
+        for guard in filter(_is_type_checking_guard, tree.body):
+            for part in (guard.test, *guard.body, *guard.orelse):
+                bucket = guarded if part in guard.body else None
+                bucket_of.update((id(node), bucket) for node in ast.walk(part))
+        nodes = self.nodes
+        for node in nodes:
+            nodes.extend(ast.iter_child_nodes(node))
             if isinstance(node, ast.Import):
-                self._note_import(node, bucket)
+                self._note_import(node, bucket_of.get(id(node), runtime))
             elif isinstance(node, ast.ImportFrom):
-                self._note_import_from(node, bucket)
+                self._note_import_from(node, bucket_of.get(id(node), runtime))
             elif isinstance(node, ast.ClassDef):
                 self.class_names.add(node.name)
         self.type_only = guarded - runtime
@@ -702,8 +695,20 @@ def _root_name(node: ast.expr) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-class _Summarizer(ast.NodeVisitor):
-    """One pass over a module AST producing its :class:`ModuleSummary`."""
+def node_hooks(cls: type) -> List[Tuple[type, str]]:
+    """``(ast class, method name)`` for each ``visit_<Class>`` of ``cls``;
+    a ``<Class>`` that is no ast node class raises :class:`ValueError`."""
+    hooks = [(getattr(ast, attr[len("visit_"):], None), attr)
+             for attr in dir(cls) if attr.startswith("visit_")]
+    for node_cls, attr in hooks:
+        if not (isinstance(node_cls, type) and issubclass(node_cls, ast.AST)):
+            raise ValueError(f"{cls.__name__}.{attr} names no ast node class")
+    return hooks
+
+
+class _Summarizer:
+    """One depth-first pass over a module AST, in ``ast.NodeVisitor``
+    order, producing its :class:`ModuleSummary`."""
 
     def __init__(self, summary: ModuleSummary, imports: ImportTable,
                  tree: ast.Module):
@@ -723,6 +728,9 @@ class _Summarizer(ast.NodeVisitor):
         #: names bound at module level — a store through one of these
         #: from inside a function is shared-state mutation.
         self._module_names: Set[str] = _module_level_names(tree)
+        #: node class -> handler; every other node class only recurses.
+        self._dispatch = {node_cls: getattr(self, attr)
+                          for node_cls, attr in node_hooks(type(self))}
 
     # -- scope bookkeeping ---------------------------------------------
     @property
@@ -740,11 +748,15 @@ class _Summarizer(ast.NodeVisitor):
         self._fn_stack.pop()
         self._local_kinds.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._handle_function(node)
+    def visit(self, node: ast.AST) -> None:
+        self._dispatch.get(type(node), self.generic_visit)(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._handle_function(node)
+    def generic_visit(self, node: ast.AST) -> None:
+        for field_name in node._fields:
+            value = getattr(node, field_name, None)
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, ast.AST):
+                    self.visit(child)
 
     @staticmethod
     def _effects_decoration(
@@ -805,15 +817,17 @@ class _Summarizer(ast.NodeVisitor):
             return None, True
         return None, False
 
-    def _handle_function(self, node: ast.AST) -> None:
-        name = node.name  # type: ignore[attr-defined]
+    def visit_FunctionDef(
+        self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+    ) -> None:
+        name = node.name
         if name == "digest":
             self.summary.defines_digest = True
         declared: Optional[List[str]] = None
         hot = False
         shard_group: Optional[str] = None
         shard_merge = False
-        for dec in node.decorator_list:  # type: ignore[attr-defined]
+        for dec in node.decorator_list:
             is_effects, names, dec_hot = self._effects_decoration(dec)
             if is_effects:
                 declared, hot = names, hot or dec_hot
@@ -832,10 +846,12 @@ class _Summarizer(ast.NodeVisitor):
         self._fn.hot_path = hot
         self._fn.shard_entry = shard_group
         self._fn.shard_merge = shard_merge
-        self.visit(node.args)  # type: ignore[attr-defined]
-        for stmt in node.body:  # type: ignore[attr-defined]
+        self.visit(node.args)
+        for stmt in node.body:
             self.visit(stmt)
         self._leave_function()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if node.name.endswith("Event") and any(
@@ -896,13 +912,11 @@ class _Summarizer(ast.NodeVisitor):
                 kind=kind, desc=desc,
             ))
 
-    def visit_For(self, node: ast.For) -> None:
+    def visit_For(self, node: Union[ast.For, ast.AsyncFor]) -> None:
         self._check_iter(node.iter)
         self.generic_visit(node)
 
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_iter(node.iter)
-        self.generic_visit(node)
+    visit_AsyncFor = visit_For
 
     def _visit_comprehension(self, node: ast.AST) -> None:
         for gen in node.generators:  # type: ignore[attr-defined]

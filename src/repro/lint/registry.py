@@ -1,13 +1,13 @@
 """Rule base class, per-file context, and the rule registry.
 
-A rule is an :class:`ast.NodeVisitor` subclass decorated with
-:func:`register`.  The engine instantiates each enabled rule once per
-file with a :class:`FileContext` and calls :meth:`Rule.check`; the rule
-walks the tree and calls :meth:`Rule.report` on violations.  Pragma
-suppression, finding collection and the file's import aliases
-(:attr:`FileContext.imports`) live in the context, so a new rule is
-typically ~30 lines: a class-level id/description, an optional
-:meth:`Rule.applies_to` scope, and one or two ``visit_*`` methods.
+A rule is a :class:`Rule` subclass decorated with :func:`register`.  Its
+``visit_<NodeClass>`` hooks each check one node and never recurse: the
+engine walks each file once and calls every applicable rule's hooks on
+the nodes of their class.  Pragma suppression, finding collection and
+the file's import aliases (:attr:`FileContext.imports`) live in the
+context, so a new rule is typically ~30 lines: a class-level
+id/description, an optional :meth:`Rule.applies_to` scope, and one or
+two hooks (or a :meth:`Rule.check` over the module's statements).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import ClassVar, Iterable, Optional, Type
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
-from repro.lint.project import ImportTable
+from repro.lint.project import ImportTable, node_hooks
 
 __all__ = [
     "FileContext",
@@ -93,13 +93,13 @@ class FileContext:
         return self.rel_parts == parts
 
 
-class Rule(ast.NodeVisitor):
+class Rule:
     """Base class for all lint rules.
 
     Subclasses set :attr:`rule_id`, :attr:`name`, :attr:`description`
     (shown by ``--list-rules`` and in :doc:`docs/LINT.md`), optionally
-    narrow :meth:`applies_to`, and implement ``visit_*`` methods that
-    call :meth:`report`.
+    narrow :meth:`applies_to`, and implement ``visit_<NodeClass>`` hooks
+    or :meth:`check`, which call :meth:`report`.
     """
 
     rule_id: ClassVar[str] = ""
@@ -115,8 +115,7 @@ class Rule(ast.NodeVisitor):
         return True
 
     def check(self) -> None:
-        """Walk the file's AST once, reporting violations."""
-        self.visit(self.ctx.tree)
+        """Whole-file checks beyond the node hooks (default: none)."""
 
     def report(self, node: ast.AST, message: str) -> None:
         """Record one violation at ``node``'s location."""
@@ -137,9 +136,11 @@ class UnknownRuleError(ValueError):
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+    """Class decorator adding a rule to the global registry; a missing
+    or duplicate id or a hook naming no ast class raises ValueError."""
     if not cls.rule_id:
         raise ValueError(f"{cls.__name__} must set a rule_id")
+    node_hooks(cls)
     if cls.rule_id in _REGISTRY or cls.rule_id in _PROJECT_REGISTRY:
         raise ValueError(f"duplicate rule id {cls.rule_id}")
     _REGISTRY[cls.rule_id] = cls

@@ -95,7 +95,6 @@ class NoGlobalRandomness(Rule):
             if bad:
                 self.report(node, f"import of global-state numpy.random "
                                   f"function(s) {', '.join(sorted(bad))}")
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
@@ -108,7 +107,6 @@ class NoGlobalRandomness(Rule):
             if namespace is not None and fn not in allowed:
                 self.report(node, f"call to global-state {namespace}.{fn}; "
                                   f"use util.rng.as_rng and Generator methods")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -155,15 +153,12 @@ class NoMutableDefaults(Rule):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node, f"function {node.name!r}")
-        self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node, f"function {node.name!r}")
-        self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node, "lambda")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -383,13 +378,11 @@ class NoWallClockInSim(Rule):
             if bad:
                 self.report(node, f"import of wall-clock function(s) "
                                   f"{', '.join(sorted(bad))} from the time module")
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
         if dotted is not None and self.ctx.imports.reads_clock(dotted.split(".")):
             self.report(node, f"wall-clock call {dotted}() in sim/")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +448,6 @@ class ExceptionHygiene(Rule):
               and self._swallows(node.body)):
             self.report(node, "swallowed exception on a scheduler/distributor "
                               "path; handle, log, or re-raise")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +498,6 @@ class CanonicalDimensions(Rule):
         if dim is not None:
             self.report(node.slice, f"subscript by dimension literal {dim!r}; "
                                     f"use the CPU/GPU/GPU_MEM/RAM constants")
-        self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
         for operand in [node.left, *node.comparators]:
@@ -514,7 +505,6 @@ class CanonicalDimensions(Rule):
             if dim is not None:
                 self.report(operand, f"comparison against dimension literal "
                                      f"{dim!r}; use the canonical constants")
-        self.generic_visit(node)
 
     def _check_sequence(self, node: Union[ast.List, ast.Tuple, ast.Set]) -> None:
         dims = [d for d in (_dim_constant(e) for e in node.elts) if d is not None]
@@ -524,15 +514,12 @@ class CanonicalDimensions(Rule):
 
     def visit_List(self, node: ast.List) -> None:
         self._check_sequence(node)
-        self.generic_visit(node)
 
     def visit_Tuple(self, node: ast.Tuple) -> None:
         self._check_sequence(node)
-        self.generic_visit(node)
 
     def visit_Set(self, node: ast.Set) -> None:
         self._check_sequence(node)
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
@@ -542,7 +529,6 @@ class CanonicalDimensions(Rule):
             if dim is not None:
                 self.report(node.args[0], f".index({dim!r}) on a dimension "
                                           f"literal; use the index constants")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +604,6 @@ class FaultPathAccountability(Rule):
         if broad and not self._accounts(node.body):
             self.report(node, "broad handler on a fault path must re-raise, "
                               "log to telemetry, or transition a health state")
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +662,6 @@ class BoundedQueues(Rule):
             if not any(kw.arg == "maxlen" for kw in node.keywords):
                 self.report(node, "deque without maxlen= on the serving path; "
                                   "declare the bound (or pragma the external one)")
-        self.generic_visit(node)
 
     @staticmethod
     def _target_name(target: ast.expr) -> Optional[str]:
@@ -708,11 +692,9 @@ class BoundedQueues(Rule):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_assign_target(target, node.value)
-        self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._check_assign_target(node.target, node.value)
-        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------

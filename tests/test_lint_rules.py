@@ -825,3 +825,49 @@ class TestShippedTree:
                  "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+class TestRegistration:
+    def test_typoed_hook_fails_at_registration(self):
+        from repro.lint.registry import Rule, register
+
+        class Typo(Rule):
+            rule_id = "CG999"
+
+            def visit_Fucntiondef(self, node):
+                self.report(node, "never called")
+
+        with pytest.raises(ValueError, match="visit_Fucntiondef"):
+            register(Typo)
+        assert "CG999" not in all_rules()
+
+    def test_hooks_name_node_classes(self):
+        import ast
+
+        from repro.lint.project import node_hooks
+
+        for rule_cls in all_rules().values():
+            for node_cls, attr in node_hooks(rule_cls):
+                assert issubclass(node_cls, ast.AST)
+                assert attr == f"visit_{node_cls.__name__}"
+
+
+class TestPragmaScan:
+    def test_pragma_free_source_skips_tokenize(self, monkeypatch):
+        import tokenize
+
+        from repro.lint.pragmas import parse_suppressions
+
+        def boom(readline):
+            raise AssertionError("tokenize ran on a pragma-free source")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", boom)
+        table = parse_suppressions("x = 1  # an ordinary comment\n")
+        assert not table.file_level and not table.by_line
+        assert not table.declared
+
+    def test_pragma_text_in_a_string_is_not_a_pragma(self):
+        from repro.lint.pragmas import parse_suppressions
+
+        table = parse_suppressions('s = "# lint: disable=CG001"\n')
+        assert not table.file_level and not table.by_line
