@@ -11,6 +11,7 @@
 
 from repro.sim.engine import (
     Event,
+    ShardError,
     ShardPlanError,
     SimulationEngine,
     run_partitioned,
@@ -18,6 +19,6 @@ from repro.sim.engine import (
 )
 from repro.sim.telemetry import TelemetryRecorder
 
-__all__ = ["SimulationEngine", "Event", "ShardPlanError",
+__all__ = ["SimulationEngine", "Event", "ShardError", "ShardPlanError",
            "validate_shard_plan", "run_partitioned",
            "TelemetryRecorder"]

@@ -11,19 +11,28 @@ certification story: given the ``shardplan.json`` certificate the
 analyzer exported (``cocg lint --shard-plan-out``) and the entry-point
 callables a deployment actually registers, it proves the two agree
 before any partitioned run starts.
+
+:func:`run_partitioned` is the execution seam for independent
+partitions: it runs the streams of one call concurrently in forked
+workers, one per usable CPU, and returns their results keyed by sorted
+name.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import BinaryIO, Callable, Iterable, Mapping, Optional
 
 from repro.util.effects import shard_entry_group
 
-__all__ = ["Event", "SimulationEngine", "ShardPlanError",
-           "SHARD_PLAN_SCHEMA", "validate_shard_plan"]
+__all__ = ["Event", "SimulationEngine", "ShardPlanError", "ShardError",
+           "SHARD_PLAN_SCHEMA", "validate_shard_plan", "run_partitioned"]
 
 
 @dataclass
@@ -192,6 +201,20 @@ class ShardPlanError(ValueError):
     """The shard certificate and the registered entry points disagree."""
 
 
+class ShardError(RuntimeError):
+    """A partition of :func:`run_partitioned` failed.
+
+    ``shard`` names the first failing partition in sorted order.  The
+    message carries the failure: the worker's traceback text, or the
+    exit status of a worker that died without reporting.  A failure
+    raised in the calling process is chained as ``__cause__``.
+    """
+
+    def __init__(self, shard: str, detail: str):
+        super().__init__(f"shard {shard!r} failed: {detail}")
+        self.shard = shard
+
+
 #: Schema id the analyzer stamps into ``shardplan.json``.
 SHARD_PLAN_SCHEMA = "cocg-shardplan/1"
 
@@ -265,16 +288,30 @@ def run_partitioned(
 
     ``streams`` maps a partition name (a regional shard) to a thunk that
     runs that partition's entire simulation and returns its result.
-    Partitions are executed in sorted-name order — today sequentially,
-    but nothing a thunk does may depend on that: each partition owns its
-    own :class:`SimulationEngine`, RNG namespace, and telemetry, so the
-    result of the whole call is a pure function of the set of thunks,
-    not of execution order.  The merged-digest tests in
-    ``tests/test_fleet.py`` hold this seam to that contract.
+    Each partition owns its own :class:`SimulationEngine`, RNG
+    namespace, and telemetry, so the result of the whole call is a pure
+    function of the set of thunks, not of execution order or place.
 
-    Returns the results keyed by partition name.  Raises ``ValueError``
-    on an empty mapping or a non-identifier-unfriendly name containing
-    ``:`` (reserved for shard-group family spelling).
+    With two or more streams and more than one usable CPU, the streams
+    run concurrently: ``W = min(streams, CPUs)``, the caller runs
+    ``names[0::W]`` and each of ``W - 1`` forked workers runs
+    ``names[k::W]``, each share in sorted order.  A worker inherits the
+    already-built thunks, so nothing is pickled on the way in; its
+    results come back pickled over a pipe, so they must be picklable.
+    With one stream, one CPU, or no ``os.fork``, every thunk runs in
+    the calling process.
+
+    Contract: results are keyed by partition name in sorted order and
+    equal what calling each thunk returns; a thunk's side effects on
+    the caller's objects need not be visible afterwards.  The
+    merged-digest tests in ``tests/test_fleet.py`` and
+    ``tests/test_shard_parallel_guard.py`` hold this seam to it.
+
+    Raises ``ValueError`` on an empty mapping or a name that is empty
+    or contains ``:`` (reserved for shard-group family spelling), and
+    :class:`ShardError` naming the first failing partition in sorted
+    order if any thunk raises or a worker dies.  Every worker has been
+    reaped by the time the call returns or raises.
     """
     names = sorted(streams)
     if not names:
@@ -285,7 +322,120 @@ def run_partitioned(
                 f"partition name must be non-empty and ':'-free, "
                 f"got {name!r}"
             )
-    return {name: streams[name]() for name in names}
+    width = min(len(names), _usable_cpus()) if hasattr(os, "fork") else 1
+    if width < 2:
+        return _run_share(streams, names)
+    workers: "list[tuple[list[str], int, BinaryIO]]" = []
+    try:
+        for k in range(1, width):
+            workers.append(_fork_worker(streams, names[k::width]))
+        failures: "list[ShardError]" = []
+        try:
+            results = _run_share(streams, names[0::width])
+        except ShardError as exc:
+            results = {}
+            failures.append(exc)
+        while workers:
+            share, pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()  # to EOF before waitpid: no pipe deadlock
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with status {code}")
+                failures.append(ShardError(
+                    share[0],
+                    f"the worker running {', '.join(share)} {how} "
+                    f"without a result",
+                ))
+                continue
+            payload = pickle.loads(data)
+            if isinstance(payload, dict):
+                results.update(payload)
+            else:
+                failures.append(ShardError(
+                    payload[0], f"worker traceback:\n{payload[1]}"
+                ))
+    except BaseException:
+        for _, pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    if failures:
+        raise min(failures, key=lambda exc: exc.shard)
+    return {name: results[name] for name in names}
 
 
-__all__.append("run_partitioned")
+def _usable_cpus() -> int:
+    """CPUs this process may run on (affinity-aware where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_share(
+    streams: Mapping[str, Callable[[], object]], share: "list[str]",
+) -> "dict[str, object]":
+    """Run ``share``'s thunks in order; the first failure raises
+    :class:`ShardError` chained from it."""
+    results: "dict[str, object]" = {}
+    for name in share:
+        try:
+            results[name] = streams[name]()
+        except Exception as exc:
+            raise ShardError(name, f"{type(exc).__name__}: {exc}") from exc
+    return results
+
+
+def _fork_worker(
+    streams: Mapping[str, Callable[[], object]], share: "list[str]",
+) -> "tuple[list[str], int, BinaryIO]":
+    """Fork a worker for ``share``; returns ``(share, pid, read pipe)``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _serve_share(streams, share, write_fd)
+    os.close(write_fd)
+    return share, pid, open(read_fd, "rb")
+
+
+def _serve_share(
+    streams: Mapping[str, Callable[[], object]],
+    share: "list[str]",
+    write_fd: int,
+) -> None:
+    """The forked worker's whole life; never returns.
+
+    Writes one pickled payload -- ``{name: result}`` or a
+    ``(failing name, traceback text)`` record -- then leaves through
+    ``os._exit``, so no caller frame, ``atexit`` hook or stdio flush
+    runs twice.
+    """
+    status = 1
+    try:
+        try:
+            payload: object = _run_share(streams, share)
+        except ShardError as exc:
+            payload = (exc.shard, "".join(
+                traceback.format_exception(exc.__cause__)
+            ))
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # a result that cannot cross the pipe
+            data = pickle.dumps((share[0], traceback.format_exc()),
+                                pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

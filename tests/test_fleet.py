@@ -15,6 +15,9 @@ The load-bearing properties:
 from __future__ import annotations
 
 import json
+import os
+import signal
+import warnings
 
 import pytest
 
@@ -33,7 +36,7 @@ from repro.fleet import (
 )
 from repro.fleet.controller import ID_STRIDE
 from repro.serve.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen
-from repro.sim import ShardPlanError, run_partitioned
+from repro.sim import ShardError, ShardPlanError, run_partitioned
 from repro.trace.harness import (
     RunConfig,
     build_cluster,
@@ -227,16 +230,106 @@ class TestIdBase:
 # run_partitioned: the partitioned-stream seam
 # ---------------------------------------------------------------------------
 
+def _boom():
+    raise ZeroDivisionError("boom")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Run the seam's forked path on any host, and never hang on it.
+
+    The seam sizes its worker pool from the CPU affinity mask, so two
+    usable CPUs are faked; an alarm turns a hung drain into a failure.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_partitioned hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunPartitioned:
     def test_sorted_execution_order(self):
-        order = []
+        """Results come back keyed in sorted order and equal direct
+        calls; a lone stream still runs in the caller, side effects
+        visible (the N=1 reduction path)."""
+        thunks = {"b": lambda: "B", "c": lambda: [3], "a": lambda: "A"}
+        out = run_partitioned(thunks)
+        assert list(out) == ["a", "b", "c"]
+        assert out == {name: thunks[name]() for name in sorted(thunks)}
 
-        def thunk(name):
-            return lambda: order.append(name) or name.upper()
+        seen = []
+        out = run_partitioned(
+            {"only": lambda: seen.append(os.getpid()) or "done"}
+        )
+        assert out == {"only": "done"}
+        assert seen == [os.getpid()]
 
-        out = run_partitioned({"b": thunk("b"), "a": thunk("a")})
-        assert order == ["a", "b"]
-        assert out == {"a": "A", "b": "B"}
+    def test_large_worker_payload(self, two_cpus):
+        # More than the 64 KiB pipe buffer: drained before waitpid.
+        blob = bytes(range(256)) * 1024
+        out = run_partitioned({"a": lambda: 1, "b": lambda: blob})
+        assert out == {"a": 1, "b": blob}
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_failure_names_first_failing_shard(self, two_cpus, monkeypatch,
+                                               cpus):
+        # The error type is the same whether the seam forks or not.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        with pytest.raises(ShardError) as info:
+            run_partitioned({"a": lambda: "A", "b": _boom, "c": _boom})
+        assert info.value.shard == "b"
+        assert "ZeroDivisionError: boom" in str(info.value)
+        _assert_no_children()
+
+    def test_worker_exception_carries_traceback(self, two_cpus):
+        # Two CPUs: the caller runs "a", the worker runs "b".
+        with pytest.raises(ShardError) as info:
+            run_partitioned({"a": lambda: "A", "b": _boom})
+        assert info.value.shard == "b"
+        assert "Traceback (most recent call last)" in str(info.value)
+        assert "in _boom" in str(info.value)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"killed by signal {int(signal.SIGKILL)}"),
+    ])
+    def test_dead_worker_reports_exit_status(self, two_cpus, die, how):
+        with pytest.raises(ShardError) as info:
+            run_partitioned({"a": lambda: "A", "b": die})
+        assert info.value.shard == "b"
+        assert how in str(info.value)
+        _assert_no_children()
+
+    def test_caller_share_failure_is_chained(self, two_cpus):
+        with pytest.raises(ShardError) as info:
+            run_partitioned({"a": _boom, "b": lambda: "B"})
+        assert info.value.shard == "a"
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        _assert_no_children()
+
+    def test_fork_is_warning_free(self, two_cpus):
+        # Python 3.12 warns when forking a multi-threaded process.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = FleetOfFleets(BASE, _regions(2)).run()
+        assert len(result.region_digests) == 2
+        _assert_no_children()
 
     def test_rejects_empty_and_colon_names(self):
         with pytest.raises(ValueError, match="at least one"):
