@@ -53,8 +53,8 @@ CONFIG = RunConfig(
 def _fastest(thunk):
     """``(fastest wall seconds of REPEATS calls, the last result)``.
 
-    The host's second CPU is shared, so one slow repeat says more about
-    the neighbours than about the seam.
+    On a shared host one slow repeat says more about the neighbours
+    than about the seam.
     """
     best = float("inf")
     for _ in range(REPEATS):

@@ -14,9 +14,11 @@ cluster (nodes prefixed ``<region>/``), its own provisioner and
 gateway-free admission path, and RNG namespaced through
 :func:`~repro.util.rng.region_seed` — nothing is shared but the trained
 profiles (a pure function of the base config).  Shards therefore
-execute in any order with identical results;
-:func:`~repro.sim.engine.run_partitioned` runs them sequentially in
-sorted-name order today and holds that seam.
+execute in any order, in any process, with identical results;
+:func:`~repro.sim.engine.run_partitioned` runs them concurrently in
+forked workers and returns their outcomes keyed by sorted name.
+:meth:`FleetOfFleets.run` reads only those outcomes: the routed counts
+are set in :meth:`~FleetOfFleets.build_shards` and the merge is pure.
 
 Reduction guarantee: with a single region the controller builds the
 *classic* fleet — unprefixed node ids, un-namespaced seed, the router's
@@ -128,7 +130,7 @@ class RegionShard:
     config (region-stamped), arrival slice, fault plan, shared
     profiles — is bound at construction, so :meth:`run` is a
     zero-argument thunk :func:`~repro.sim.engine.run_partitioned` can
-    execute in any order.
+    execute in any order and in a forked worker; its outcome pickles.
     """
 
     def __init__(
