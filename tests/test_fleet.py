@@ -324,10 +324,16 @@ class TestRunPartitioned:
         _assert_no_children()
 
     def test_fork_is_warning_free(self, two_cpus):
-        # Python 3.12 warns when forking a multi-threaded process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+        # Python 3.12+ warns when forking a multi-threaded process, then
+        # clears the warning, so an "error" filter could never see it:
+        # record every DeprecationWarning instead.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DeprecationWarning)
             result = FleetOfFleets(BASE, _regions(2)).run()
+        assert [
+            str(w.message) for w in caught
+            if issubclass(w.category, DeprecationWarning)
+        ] == []
         assert len(result.region_digests) == 2
         _assert_no_children()
 
