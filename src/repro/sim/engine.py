@@ -27,7 +27,7 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Mapping, Optional
+from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Optional
 
 from repro.util.effects import shard_entry_group
 
@@ -413,7 +413,7 @@ def _serve_share(
     streams: Mapping[str, Callable[[], object]],
     share: "list[str]",
     write_fd: int,
-) -> None:
+) -> NoReturn:
     """The forked worker's whole life; never returns.
 
     Writes one pickled payload -- ``{name: result}`` or a
