@@ -20,7 +20,7 @@ from repro.core.frames import frame_matrix, frames_of_series
 from repro.core.health import BreakerState, PredictorHealth
 from repro.core.stages import StageLibrary, StageStats, StageTypeId, Segment
 from repro.core.profiler import FrameGrainedProfiler, ProfilerConfig
-from repro.core.dataset import StageDatasetBuilder, StageSample
+from repro.core.dataset import StageDatasetBuilder
 from repro.core.predictor import (
     Judgment,
     JudgmentKind,
@@ -44,7 +44,6 @@ __all__ = [
     "FrameGrainedProfiler",
     "ProfilerConfig",
     "StageDatasetBuilder",
-    "StageSample",
     "StagePredictor",
     "PredictionCostModel",
     "Judgment",

@@ -31,18 +31,7 @@ import numpy as np
 from repro.core.stages import Segment, StageLibrary, StageTypeId
 from repro.games.category import GameCategory
 
-__all__ = ["StageSample", "StageDataset", "StageDatasetBuilder"]
-
-
-@dataclass(frozen=True)
-class StageSample:
-    """One (history → next stage) training sample."""
-
-    features: np.ndarray
-    label: int
-    player_id: str
-    session_index: int
-    position: int
+__all__ = ["StageDataset", "StageDatasetBuilder"]
 
 
 @dataclass

@@ -218,9 +218,9 @@ def run_from_args(args: argparse.Namespace) -> int:
             RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.effects_out is not None and result.effects is not None:
+    if args.effects_out is not None:
         args.effects_out.write_text(result.effects, encoding="utf-8")
-    if args.shard_plan_out is not None and result.shard_plan is not None:
+    if args.shard_plan_out is not None:
         args.shard_plan_out.write_text(result.shard_plan, encoding="utf-8")
     if args.sarif is not None:
         args.sarif.write_text(render_sarif(result) + "\n", encoding="utf-8")

@@ -321,7 +321,7 @@ def lint_paths(
             digests[summary.module] = digest
         result.findings.extend(findings)
 
-    if (project_rules or effects or shard_plan) and summaries:
+    if project_rules or effects or shard_plan:
         project = ProjectContext(summaries)
         for rule_cls in project_rules:
             rule = rule_cls(project)

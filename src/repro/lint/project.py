@@ -918,22 +918,15 @@ class _Summarizer:
 
     visit_AsyncFor = visit_For
 
-    def _visit_comprehension(self, node: ast.AST) -> None:
-        for gen in node.generators:  # type: ignore[attr-defined]
+    def visit_ListComp(
+        self,
+        node: Union[ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp],
+    ) -> None:
+        for gen in node.generators:
             self._check_iter(gen.iter)
         self.generic_visit(node)
 
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._visit_comprehension(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self._visit_comprehension(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self._visit_comprehension(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self._visit_comprehension(node)
+    visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
@@ -1220,30 +1213,6 @@ class ProjectContext:
             if mod.package in packages:
                 out.extend(f"{name}::{q}" for q in sorted(mod.functions))
         return out
-
-    def reverse_dependencies(self, module: str) -> Set[str]:
-        """Modules that (transitively) import ``module``."""
-        # Direct importers first, then close transitively.
-        importers: Dict[str, Set[str]] = {name: set() for name in self.modules}
-        for name, mod in self.modules.items():
-            for imported in mod.imported_modules:
-                # Import targets may be absolute (repro.serve.slo) or
-                # project-relative (serve.slo); normalise both.
-                target = imported
-                if target.startswith("repro."):
-                    target = target[len("repro."):]
-                if target in self.modules:
-                    importers[target].add(name)
-        seen: Set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for dep in importers.get(current, ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    frontier.append(dep)
-        seen.discard(module)
-        return seen
 
 
 class ProjectRule:

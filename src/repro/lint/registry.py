@@ -45,7 +45,8 @@ __all__ = [
 #: v5: shard-certification facts (emit priorities, derive_seed
 #: namespaces, raw-seed sites, @shard_entry/@shard_merge_point
 #: decorations, module int constants).
-ANALYZER_VERSION = 5
+#: v6: ``shardplan.json`` drops its per-function ``functions`` table.
+ANALYZER_VERSION = 6
 
 
 class FileContext:

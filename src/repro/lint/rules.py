@@ -151,11 +151,10 @@ class NoMutableDefaults(Rule):
                     self.report(default,
                                 f"mutable default {callee}(...) in {label}")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node: _FunctionNode) -> None:
         self._check_defaults(node, f"function {node.name!r}")
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node, f"function {node.name!r}")
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node, "lambda")
@@ -506,20 +505,13 @@ class CanonicalDimensions(Rule):
                 self.report(operand, f"comparison against dimension literal "
                                      f"{dim!r}; use the canonical constants")
 
-    def _check_sequence(self, node: Union[ast.List, ast.Tuple, ast.Set]) -> None:
+    def visit_List(self, node: Union[ast.List, ast.Tuple, ast.Set]) -> None:
         dims = [d for d in (_dim_constant(e) for e in node.elts) if d is not None]
         if len(dims) >= 2:
             self.report(node, "ad-hoc dimension sequence literal; use "
                               "platform_.resources.DIMENSIONS")
 
-    def visit_List(self, node: ast.List) -> None:
-        self._check_sequence(node)
-
-    def visit_Tuple(self, node: ast.Tuple) -> None:
-        self._check_sequence(node)
-
-    def visit_Set(self, node: ast.Set) -> None:
-        self._check_sequence(node)
+    visit_Tuple = visit_Set = visit_List
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)

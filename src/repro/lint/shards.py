@@ -20,11 +20,12 @@ function decorated ``@shard_entry("<group>")``, plus the conventional
     can reach a module-/class-level state write — the static analogue
     of a data race; blocks partitioning until fixed or justified.
 
-:func:`render_shard_plan` exports the classification as a sorted,
-byte-stable ``shardplan.json`` certificate (schema ``cocg-shardplan/1``,
-``cocg lint --shard-plan-out``) naming the partition-safe module set
-and every blocking witness chain.  The runtime counterpart —
-:func:`repro.util.effects.shard_entry` and
+:func:`render_shard_plan` exports the verdict as a sorted, byte-stable
+``shardplan.json`` certificate (schema ``cocg-shardplan/1``,
+``cocg lint --shard-plan-out``): the entry points, each module's worst
+class, the partition-safe module set and every blocking witness chain.
+Per-function classes stay in :class:`ShardAnalysis`.  The runtime
+counterpart — :func:`repro.util.effects.shard_entry` and
 :func:`repro.sim.engine.validate_shard_plan` — cross-checks the shipped
 certificate against the entry points actually registered at run time.
 
@@ -265,24 +266,20 @@ def render_shard_plan(project: ProjectContext) -> str:
     Keys are ``module::qualname`` / dotted module names only — no
     absolute paths — so a double run, a cold-vs-warm cache pair, and
     two machines all produce identical bytes.  The certificate names
-    every entry point with its group, classifies each reachable
-    function, derives the worst class per module, lists the
-    partition-safe module set, and records every blocking write with
-    its witness chains.
+    every entry point with its group, derives the worst class and the
+    reachable-function count per module, counts reachable functions per
+    class, lists the partition-safe module set, and records every
+    blocking write with its witness chains.  A single function's class
+    is :meth:`ShardAnalysis.classification`; it is not written out,
+    so the certificate changes only when a module's verdict does.
     """
     analysis = shard_analysis(project)
-    functions: Dict[str, dict] = {}
+    counts = {cls: 0 for cls in SHARD_CLASSES}
     module_class: Dict[str, str] = {}
     module_counts: Dict[str, int] = {}
-    for node in sorted(analysis.reached_by):
+    for node in analysis.reached_by:
         cls = analysis.classification(node)
-        if cls is None:
-            continue
-        functions[node] = {
-            "class": cls,
-            "groups": list(analysis.groups_of(node)),
-            "entries": list(analysis.reached_by[node]),
-        }
+        counts[cls] += 1
         module = node.split("::", 1)[0]
         module_counts[module] = module_counts.get(module, 0) + 1
         worst = module_class.get(module)
@@ -308,9 +305,6 @@ def render_shard_plan(project: ProjectContext) -> str:
                 ],
             })
 
-    counts = {cls: 0 for cls in SHARD_CLASSES}
-    for spec in functions.values():
-        counts[spec["class"]] += 1
     payload = {
         "schema": "cocg-shardplan/1",
         "analyzer_version": ANALYZER_VERSION,
@@ -322,7 +316,6 @@ def render_shard_plan(project: ProjectContext) -> str:
             }
             for node, group in sorted(analysis.entries.items())
         },
-        "functions": functions,
         "modules": {
             module: {
                 "class": module_class[module],
@@ -341,7 +334,7 @@ def render_shard_plan(project: ProjectContext) -> str:
             "families": len({
                 shard_family(g) for g in analysis.entries.values()
             }),
-            "reachable_functions": len(functions),
+            "reachable_functions": len(analysis.reached_by),
             "modules": len(module_class),
             "partition_safe_modules": sum(
                 1 for cls in module_class.values()

@@ -13,8 +13,8 @@ paper names is implemented here from scratch, vectorized with NumPy:
 * :class:`~repro.mlkit.gbdt.GradientBoostedClassifier` — multiclass
   softmax gradient boosting over regression trees (the paper's GBDT).
 
-Plus the supporting kit: metrics, train/test splitting and categorical
-preprocessing.
+Plus what the paper's protocol needs around them: the 75/25
+train/test split, accuracy and the K-means SSE.
 """
 
 from repro.mlkit.base import ClassifierMixin, Estimator
@@ -23,15 +23,8 @@ from repro.mlkit.tree import DecisionTreeClassifier
 from repro.mlkit.regression_tree import DecisionTreeRegressor
 from repro.mlkit.forest import RandomForestClassifier
 from repro.mlkit.gbdt import GradientBoostedClassifier
-from repro.mlkit.metrics import (
-    accuracy_score,
-    confusion_matrix,
-    macro_f1_score,
-    silhouette_score,
-    sse,
-)
-from repro.mlkit.model_selection import KFold, train_test_split
-from repro.mlkit.preprocessing import LabelEncoder, OneHotEncoder, StandardScaler
+from repro.mlkit.metrics import accuracy_score, sse
+from repro.mlkit.model_selection import train_test_split
 
 __all__ = [
     "Estimator",
@@ -44,13 +37,6 @@ __all__ = [
     "RandomForestClassifier",
     "GradientBoostedClassifier",
     "accuracy_score",
-    "confusion_matrix",
-    "macro_f1_score",
-    "silhouette_score",
     "sse",
     "train_test_split",
-    "KFold",
-    "LabelEncoder",
-    "OneHotEncoder",
-    "StandardScaler",
 ]

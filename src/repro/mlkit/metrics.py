@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from repro.util.validation import check_array_1d, check_array_2d
 
-__all__ = ["accuracy_score", "confusion_matrix", "macro_f1_score", "sse", "silhouette_score"]
+__all__ = ["accuracy_score", "sse"]
 
 
 def _align(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -29,49 +27,6 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, labels: Optional[Sequence] = None
-) -> np.ndarray:
-    """Confusion matrix ``C[i, j]`` = #samples with true label ``labels[i]``
-    predicted as ``labels[j]``.
-
-    Parameters
-    ----------
-    labels:
-        Label ordering; defaults to the sorted union of both arrays.
-    """
-    y_true, y_pred = _align(y_true, y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    else:
-        labels = np.asarray(labels)
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    n = len(labels)
-    out = np.zeros((n, n), dtype=np.int64)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        if t in index and p in index:
-            out[index[t], index[p]] += 1
-    return out
-
-
-def macro_f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean of per-class F1 scores.
-
-    Classes absent from both prediction and truth contribute F1 = 0 only
-    if they appear in the union of labels (they cannot, by construction),
-    so the score is averaged over observed classes.
-    """
-    y_true, y_pred = _align(y_true, y_pred)
-    cm = confusion_matrix(y_true, y_pred)
-    tp = np.diag(cm).astype(float)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = np.where(denom > 0, 2 * tp / denom, 0.0)
-    return float(f1.mean())
-
-
 def sse(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     """Sum of squared distances from each row of ``X`` to its assigned
     cluster center (K-means inertia; the y-axis of the paper's Fig 14)."""
@@ -84,46 +39,3 @@ def sse(X: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("labels reference nonexistent centers")
     diff = X - centers[labels]
     return float(np.einsum("ij,ij->", diff, diff))
-
-
-def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient over all samples.
-
-    For each sample, ``a`` is its mean distance to its own cluster's
-    other members and ``b`` the smallest mean distance to another
-    cluster; the coefficient is ``(b − a) / max(a, b)``.  A principled
-    (if quadratic-cost) alternative to the SSE elbow for choosing K —
-    the Fig-14 analysis notes where each criterion succeeds.
-
-    Samples in singleton clusters contribute 0, per convention.
-    """
-    X = check_array_2d("X", X, dtype=float)
-    labels = check_array_1d("labels", labels).astype(int)
-    if labels.shape[0] != X.shape[0]:
-        raise ValueError("labels must have one entry per row of X")
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    unique = np.unique(labels)
-    if len(unique) < 2:
-        raise ValueError("need at least 2 clusters")
-    # Pairwise distances (n is small in profiling use; O(n²) is fine).
-    sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] - 2.0 * (X @ X.T) + sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
-
-    n = X.shape[0]
-    scores = np.zeros(n)
-    masks = {c: labels == c for c in unique}
-    sizes = {c: int(masks[c].sum()) for c in unique}
-    for i in range(n):
-        own = labels[i]
-        if sizes[own] <= 1:
-            continue  # singleton: silhouette 0
-        a = dist[i, masks[own]].sum() / (sizes[own] - 1)
-        b = min(
-            dist[i, masks[c]].mean() for c in unique if c != own
-        )
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
-    return float(scores.mean())

@@ -1,4 +1,4 @@
-"""Dataset splitting utilities (train/test split, k-fold).
+"""Dataset splitting: the paper's random train/test split.
 
 The paper trains on a random 75 % of the generated samples and tests on
 the remaining 25 % (§V-D2); :func:`train_test_split` with
@@ -7,14 +7,14 @@ the remaining 25 % (§V-D2); :func:`train_test_split` with
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.util.rng import Seed, as_rng
 from repro.util.validation import check_fraction
 
-__all__ = ["train_test_split", "KFold"]
+__all__ = ["train_test_split"]
 
 
 def train_test_split(
@@ -73,39 +73,3 @@ def train_test_split(
         mask[perm[:n_test]] = True
 
     return X[~mask], X[mask], y[~mask], y[mask]
-
-
-class KFold:
-    """Deterministic k-fold cross-validation index generator.
-
-    Parameters
-    ----------
-    n_splits:
-        Number of folds, ``>= 2``.
-    shuffle:
-        Shuffle indices before folding.
-    seed:
-        Seed for the shuffle.
-    """
-
-    def __init__(self, n_splits: int = 5, *, shuffle: bool = True, seed: Seed = None):
-        if n_splits < 2:
-            raise ValueError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = int(n_splits)
-        self.shuffle = bool(shuffle)
-        self.seed = seed
-
-    def split(self, n_samples: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_idx, test_idx)`` pairs over ``range(n_samples)``."""
-        if n_samples < self.n_splits:
-            raise ValueError(
-                f"cannot split {n_samples} samples into {self.n_splits} folds"
-            )
-        idx = np.arange(n_samples)
-        if self.shuffle:
-            as_rng(self.seed).shuffle(idx)
-        folds = np.array_split(idx, self.n_splits)
-        for i in range(self.n_splits):
-            test = folds[i]
-            train = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield train, test

@@ -13,7 +13,6 @@ from repro.util.validation import (
     check_in,
     check_nonnegative,
     check_positive,
-    check_shape,
 )
 from repro.util.timeseries import ResourceSeries
 
@@ -27,6 +26,5 @@ __all__ = [
     "check_in",
     "check_nonnegative",
     "check_positive",
-    "check_shape",
     "ResourceSeries",
 ]

@@ -7,7 +7,7 @@ argument, which keeps the individual modules terse.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "check_nonnegative",
     "check_fraction",
     "check_in",
-    "check_shape",
     "check_array_1d",
     "check_array_2d",
 ]
@@ -55,20 +54,6 @@ def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value
-
-
-def check_shape(name: str, array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Require an exact array shape; ``-1`` entries are wildcards."""
-    if array.ndim != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got shape {array.shape}"
-        )
-    for axis, (have, want) in enumerate(zip(array.shape, shape)):
-        if want != -1 and have != want:
-            raise ValueError(
-                f"{name} axis {axis} must have length {want}, got shape {array.shape}"
-            )
-    return array
 
 
 def check_array_1d(name: str, array: Any, dtype=None) -> np.ndarray:

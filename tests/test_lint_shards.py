@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fleet.certify import load_certificate
 from repro.lint import (
     SHARD_CLASSES,
     ProjectContext,
@@ -574,17 +575,26 @@ def _render_fixture(monkeypatch) -> str:
     return result.shard_plan
 
 
+def _fixture_project():
+    return build_project({
+        rel: (FIXTURE / rel).read_text(encoding="utf-8")
+        for rel in ("cluster/driver.py", "serve/frontdoor.py")
+    })
+
+
 class TestShardPlan:
     def test_schema_and_counts(self, monkeypatch):
         plan = json.loads(_render_fixture(monkeypatch))
         assert plan["schema"] == "cocg-shardplan/1"
         assert plan["classes"] == list(SHARD_CLASSES)
         counts = plan["counts"]
+        reachable = sum(spec["reachable_functions"]
+                        for spec in plan["modules"].values())
         assert counts["entry_points"] == len(plan["entry_points"])
-        assert counts["reachable_functions"] == len(plan["functions"])
+        assert counts["reachable_functions"] == reachable
         assert counts["modules"] == len(plan["modules"])
         assert (counts["shard_local"] + counts["shard_shared_read"]
-                + counts["shard_interfering"]) == len(plan["functions"])
+                + counts["shard_interfering"]) == reachable
         # All three classes are exercised by the fixture.
         assert counts["shard_local"] > 0
         assert counts["shard_shared_read"] > 0
@@ -598,7 +608,8 @@ class TestShardPlan:
         assert plan["entry_points"]["serve.frontdoor::pump"] == {
             "group": "fleet", "declared": False,
         }
-        assert plan["functions"]["cluster.driver::plan_step"]["class"] == \
+        analysis = shard_analysis(_fixture_project())
+        assert analysis.classification("cluster.driver::plan_step") == \
             "shard_shared_read"
         assert plan["modules"]["serve.frontdoor"]["class"] == \
             "shard_interfering"
@@ -629,9 +640,20 @@ class TestShardPlan:
 
     def test_plan_keys_have_no_paths(self, monkeypatch):
         plan = json.loads(_render_fixture(monkeypatch))
-        for table in ("entry_points", "functions", "modules"):
-            for key in plan[table]:
-                assert "/" not in key and "\\" not in key
+        names = [*plan["entry_points"], *plan["modules"],
+                 *plan["partition_safe_modules"]]
+        for blocker in plan["interfering"]:
+            names += [blocker["function"], *blocker["entries"],
+                      *blocker["chains"]]
+        assert names
+        for name in names:
+            assert "/" not in name and "\\" not in name
+
+    def test_packaged_certificate_has_the_rendered_keys(self, monkeypatch):
+        packaged = load_certificate()
+        rendered = json.loads(_render_fixture(monkeypatch))
+        assert set(packaged) == set(rendered)
+        assert "functions" not in packaged
 
     def test_render_direct_from_project(self):
         project = build_project(CROSS_WRITE)
@@ -782,6 +804,24 @@ class TestCLI:
         plan = json.loads(out.read_text(encoding="utf-8"))
         assert plan["schema"] == "cocg-shardplan/1"
         assert "cluster.a::run" in plan["entry_points"]
+
+    def test_empty_tree_still_writes_requested_artifacts(self, tmp_path,
+                                                         capsys):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        plan_out = tmp_path / "shardplan.json"
+        effects_out = tmp_path / "effects.json"
+        code = lint_main([str(tree), "--no-cache",
+                          "--shard-plan-out", str(plan_out),
+                          "--effects-out", str(effects_out)])
+        capsys.readouterr()
+        assert code == 0
+        plan = json.loads(plan_out.read_text(encoding="utf-8"))
+        assert plan["schema"] == "cocg-shardplan/1"
+        assert plan["entry_points"] == {} and plan["modules"] == {}
+        effects = json.loads(effects_out.read_text(encoding="utf-8"))
+        assert effects["schema"] == "cocg-effects/1"
+        assert effects["counts"]["functions_total"] == 0
 
     @pytest.mark.parametrize("rule", ["CG019", "CG020", "CG021", "CG022"])
     def test_explain_has_fix_recipe(self, rule):

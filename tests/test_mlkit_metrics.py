@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mlkit.metrics import accuracy_score, confusion_matrix, macro_f1_score, sse
+from repro.mlkit.metrics import accuracy_score, sse
 
 
 class TestAccuracy:
@@ -25,35 +25,6 @@ class TestAccuracy:
         assert accuracy_score(["a", "b"], ["a", "c"]) == 0.5
 
 
-class TestConfusionMatrix:
-    def test_basic(self):
-        cm = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        np.testing.assert_array_equal(cm, [[1, 1], [0, 2]])
-
-    def test_explicit_labels_order(self):
-        cm = confusion_matrix([1, 0], [1, 0], labels=[1, 0])
-        np.testing.assert_array_equal(cm, [[1, 0], [0, 1]])
-
-    def test_row_sums_are_class_counts(self):
-        y = np.array([0, 1, 1, 2, 2, 2])
-        p = np.array([0, 1, 2, 2, 0, 2])
-        cm = confusion_matrix(y, p)
-        np.testing.assert_array_equal(cm.sum(axis=1), [1, 2, 3])
-
-
-class TestMacroF1:
-    def test_perfect(self):
-        assert macro_f1_score([0, 1, 2], [0, 1, 2]) == 1.0
-
-    def test_all_wrong(self):
-        assert macro_f1_score([0, 1], [1, 0]) == 0.0
-
-    def test_imbalanced_penalises_missing_class(self):
-        # Predicting the majority class everywhere: minority F1 = 0.
-        score = macro_f1_score([0, 0, 0, 1], [0, 0, 0, 0])
-        assert 0 < score < 0.6
-
-
 class TestSse:
     def test_zero_when_points_equal_centers(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -71,53 +42,3 @@ class TestSse:
     def test_label_length(self):
         with pytest.raises(ValueError):
             sse(np.zeros((2, 1)), np.zeros((1, 1)), [0])
-
-
-class TestSilhouette:
-    def test_well_separated_clusters_near_one(self, rng):
-        from repro.mlkit.metrics import silhouette_score
-
-        X = np.concatenate([
-            rng.normal(0, 0.1, size=(30, 2)),
-            rng.normal(10, 0.1, size=(30, 2)),
-        ])
-        labels = np.repeat([0, 1], 30)
-        assert silhouette_score(X, labels) > 0.95
-
-    def test_random_labels_near_zero(self, rng):
-        from repro.mlkit.metrics import silhouette_score
-
-        X = rng.normal(size=(60, 2))
-        labels = rng.integers(0, 2, size=60)
-        assert abs(silhouette_score(X, labels)) < 0.2
-
-    def test_wrong_labels_negative(self, rng):
-        from repro.mlkit.metrics import silhouette_score
-
-        X = np.concatenate([
-            rng.normal(0, 0.1, size=(20, 2)),
-            rng.normal(5, 0.1, size=(20, 2)),
-        ])
-        # Deliberately split each true blob across both labels.
-        labels = np.tile([0, 1], 20)
-        assert silhouette_score(X, labels) < 0.1
-
-    def test_singleton_cluster_contributes_zero(self):
-        from repro.mlkit.metrics import silhouette_score
-
-        X = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 9.0]])
-        labels = np.array([0, 0, 1])
-        score = silhouette_score(X, labels)
-        assert 0 < score <= 1
-
-    def test_requires_two_clusters(self):
-        from repro.mlkit.metrics import silhouette_score
-
-        with pytest.raises(ValueError):
-            silhouette_score(np.zeros((4, 2)), [0, 0, 0, 0])
-
-    def test_label_length_checked(self):
-        from repro.mlkit.metrics import silhouette_score
-
-        with pytest.raises(ValueError):
-            silhouette_score(np.zeros((4, 2)), [0, 1])

@@ -1,12 +1,11 @@
-"""Tests for model_selection and preprocessing."""
+"""Tests for model_selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mlkit.model_selection import KFold, train_test_split
-from repro.mlkit.preprocessing import LabelEncoder, OneHotEncoder, StandardScaler
+from repro.mlkit.model_selection import train_test_split
 
 
 class TestTrainTestSplit:
@@ -48,103 +47,6 @@ class TestTrainTestSplit:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             train_test_split(np.zeros((10, 1)), np.zeros(9))
-
-
-class TestKFold:
-    def test_folds_partition(self):
-        kf = KFold(4, seed=0)
-        seen = []
-        for train, test in kf.split(22):
-            assert set(train) & set(test) == set()
-            seen.extend(test.tolist())
-        assert sorted(seen) == list(range(22))
-
-    def test_fold_count(self):
-        assert len(list(KFold(5, seed=0).split(50))) == 5
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            list(KFold(5).split(3))
-
-    def test_invalid_splits(self):
-        with pytest.raises(ValueError):
-            KFold(1)
-
-    def test_no_shuffle_is_contiguous(self):
-        folds = list(KFold(2, shuffle=False).split(4))
-        np.testing.assert_array_equal(folds[0][1], [0, 1])
-
-
-class TestLabelEncoder:
-    def test_roundtrip(self):
-        enc = LabelEncoder().fit(["b", "a", "c", "a"])
-        codes = enc.transform(["a", "b", "c"])
-        np.testing.assert_array_equal(codes, [0, 1, 2])
-        np.testing.assert_array_equal(enc.inverse_transform(codes), ["a", "b", "c"])
-
-    def test_unseen_label(self):
-        enc = LabelEncoder().fit(["a"])
-        with pytest.raises(ValueError):
-            enc.transform(["z"])
-
-    def test_out_of_range_codes(self):
-        enc = LabelEncoder().fit(["a", "b"])
-        with pytest.raises(ValueError):
-            enc.inverse_transform([5])
-
-    def test_empty_fit(self):
-        with pytest.raises(ValueError):
-            LabelEncoder().fit([])
-
-    def test_n_classes(self):
-        assert LabelEncoder().fit([3, 1, 3]).n_classes == 2
-
-
-class TestOneHotEncoder:
-    def test_shape_and_content(self):
-        X = np.array([[0, "x"], [1, "y"], [0, "y"]], dtype=object)
-        enc = OneHotEncoder().fit(X)
-        out = enc.transform(X)
-        assert out.shape == (3, 4)
-        np.testing.assert_array_equal(out.sum(axis=1), [2, 2, 2])
-
-    def test_unseen_value_encodes_to_zeros(self):
-        enc = OneHotEncoder().fit(np.array([[0], [1]]))
-        out = enc.transform(np.array([[9]]))
-        np.testing.assert_array_equal(out, [[0.0, 0.0]])
-
-    def test_n_features_out(self):
-        enc = OneHotEncoder().fit(np.array([[0, 5], [1, 5]]))
-        assert enc.n_features_out == 3
-
-    def test_column_mismatch(self):
-        enc = OneHotEncoder().fit(np.array([[0, 1]]))
-        with pytest.raises(ValueError):
-            enc.transform(np.array([[0]]))
-
-
-class TestStandardScaler:
-    def test_zero_mean_unit_var(self, rng):
-        X = rng.normal(5, 3, size=(200, 4))
-        Z = StandardScaler().fit_transform(X)
-        np.testing.assert_allclose(Z.mean(axis=0), 0, atol=1e-9)
-        np.testing.assert_allclose(Z.std(axis=0), 1, atol=1e-9)
-
-    def test_constant_column_safe(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = StandardScaler().fit_transform(X)
-        assert np.all(np.isfinite(Z))
-        np.testing.assert_allclose(Z[:, 0], 0)
-
-    def test_inverse_transform_roundtrip(self, rng):
-        X = rng.normal(size=(50, 3))
-        sc = StandardScaler().fit(X)
-        np.testing.assert_allclose(sc.inverse_transform(sc.transform(X)), X, atol=1e-9)
-
-    def test_feature_mismatch(self, rng):
-        sc = StandardScaler().fit(rng.normal(size=(10, 3)))
-        with pytest.raises(ValueError):
-            sc.transform(rng.normal(size=(5, 2)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,5 @@
 """Tests for repro.util.validation."""
 
-import numpy as np
 import pytest
 
 from repro.util.validation import (
@@ -10,7 +9,6 @@ from repro.util.validation import (
     check_in,
     check_nonnegative,
     check_positive,
-    check_shape,
 )
 
 
@@ -51,21 +49,6 @@ class TestScalarChecks:
 
 
 class TestArrayChecks:
-    def test_shape_exact(self):
-        a = np.zeros((3, 4))
-        assert check_shape("a", a, (3, 4)) is a
-
-    def test_shape_wildcard(self):
-        check_shape("a", np.zeros((7, 4)), (-1, 4))
-
-    def test_shape_wrong_rank(self):
-        with pytest.raises(ValueError):
-            check_shape("a", np.zeros(3), (3, 1))
-
-    def test_shape_wrong_axis(self):
-        with pytest.raises(ValueError, match="axis 1"):
-            check_shape("a", np.zeros((3, 5)), (3, 4))
-
     def test_1d_coerces_list(self):
         out = check_array_1d("v", [1, 2, 3])
         assert out.shape == (3,)
