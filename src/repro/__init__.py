@@ -20,27 +20,17 @@ Quickstart::
                                   horizon=3600, seed=0).run()
     print(result.throughput, result.completed_runs)
 
+Every package resolves its public names lazily (PEP 562): importing
+:mod:`repro` or a subpackage imports none of its modules until one of
+its names is first used, so ``python -m repro.lint`` never imports the
+simulator or numpy.
+
 See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.core.pipeline import GameProfile
-from repro.core.profiler import FrameGrainedProfiler, ProfilerConfig
-from repro.core.predictor import StagePredictor
-from repro.core.scheduler import CoCGConfig, CoCGScheduler
-from repro.games.catalog import build_catalog
-from repro.games.session import GameSession
-from repro.games.tracegen import generate_corpus, generate_trace
-from repro.baselines import (
-    CoCGStrategy,
-    GAugurStrategy,
-    MaxStaticStrategy,
-    ReactiveStrategy,
-    VBPStrategy,
-)
-from repro.platform_.allocator import Allocator
-from repro.platform_.server import GPUDevice, Server
-from repro.workloads.experiment import ColocationExperiment, ExperimentResult
+import importlib
+from typing import Any, Callable, Dict, List, MutableMapping, Tuple
 
 __version__ = "1.0.0"
 
@@ -67,3 +57,54 @@ __all__ = [
     "ExperimentResult",
     "__version__",
 ]
+
+
+def _lazy_exports(
+    namespace: MutableMapping[str, Any], table: Dict[str, str],
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's ``globals()``.
+
+    ``table`` maps each public name to the module defining it, relative
+    to the package (``".pipeline"``) or absolute.  The first access
+    imports that module and caches the object in ``namespace``, so later
+    lookups never reach ``__getattr__`` and the package attribute is the
+    defining module's object.  Lint rule CG004 reads ``table`` as the
+    package's module-level names.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(table[name], package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "GameProfile": ".core.pipeline",
+    "FrameGrainedProfiler": ".core.profiler",
+    "ProfilerConfig": ".core.profiler",
+    "StagePredictor": ".core.predictor",
+    "CoCGConfig": ".core.scheduler",
+    "CoCGScheduler": ".core.scheduler",
+    "build_catalog": ".games.catalog",
+    "GameSession": ".games.session",
+    "generate_corpus": ".games.tracegen",
+    "generate_trace": ".games.tracegen",
+    "CoCGStrategy": ".baselines.cocg",
+    "GAugurStrategy": ".baselines.gaugur",
+    "MaxStaticStrategy": ".baselines.maxstatic",
+    "ReactiveStrategy": ".baselines.reactive",
+    "VBPStrategy": ".baselines.vbp",
+    "Allocator": ".platform_.allocator",
+    "GPUDevice": ".platform_.server",
+    "Server": ".platform_.server",
+    "ColocationExperiment": ".workloads.experiment",
+    "ExperimentResult": ".workloads.experiment",
+})

@@ -6,9 +6,7 @@
   accounting.
 """
 
-from repro.analysis.elbow import ElbowAnalysis, elbow_analysis
-from repro.analysis.report import format_series, format_table
-from repro.analysis.savings import allocation_savings
+from repro import _lazy_exports
 
 __all__ = [
     "ElbowAnalysis",
@@ -17,3 +15,11 @@ __all__ = [
     "format_series",
     "allocation_savings",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ElbowAnalysis": ".elbow",
+    "elbow_analysis": ".elbow",
+    "format_series": ".report",
+    "format_table": ".report",
+    "allocation_savings": ".savings",
+})

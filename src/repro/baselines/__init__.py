@@ -18,12 +18,7 @@ so the experiment driver can swap them:
   baseline: every game reserved at its whole-run maximum.
 """
 
-from repro.baselines.base import SchedulingStrategy
-from repro.baselines.cocg import CoCGStrategy
-from repro.baselines.gaugur import GAugurStrategy
-from repro.baselines.maxstatic import MaxStaticStrategy
-from repro.baselines.reactive import ReactiveStrategy
-from repro.baselines.vbp import VBPStrategy
+from repro import _lazy_exports
 
 __all__ = [
     "SchedulingStrategy",
@@ -33,3 +28,12 @@ __all__ = [
     "VBPStrategy",
     "MaxStaticStrategy",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "SchedulingStrategy": ".base",
+    "CoCGStrategy": ".cocg",
+    "GAugurStrategy": ".gaugur",
+    "MaxStaticStrategy": ".maxstatic",
+    "ReactiveStrategy": ".reactive",
+    "VBPStrategy": ".vbp",
+})

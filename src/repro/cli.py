@@ -57,9 +57,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.pipeline import GameProfile
@@ -206,6 +204,8 @@ def cmd_profile(args) -> int:
 
 def cmd_colocate(args) -> int:
     """``cocg colocate``: run one co-location experiment and report."""
+    import numpy as np
+
     from repro.core.predictor import BACKENDS
     from repro.trace.harness import make_strategy
     from repro.workloads.experiment import ColocationExperiment
@@ -616,12 +616,42 @@ def cmd_lint(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (exposed for testing)."""
-    from repro.cluster import ClusterScheduler
+class _LazyChoices:
+    """argparse ``choices`` that load their names on first use.
+
+    Assigned to an action after ``add_argument`` (which would iterate
+    them to check the metavar), they load only when that argument is
+    checked or its help is printed.  Building the parser then imports
+    neither numpy nor the simulator, so ``cocg lint`` and ``cocg --help``
+    start fast.
+    """
+
+    def __init__(self, load: Callable[[], Tuple[str, ...]]) -> None:
+        self._load = load
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._load())
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._load()
+
+
+def _strategy_names() -> Tuple[str, ...]:
     from repro.trace.harness import STRATEGIES
 
-    strategies = tuple(STRATEGIES)
+    return tuple(STRATEGIES)
+
+
+def _policy_names() -> Tuple[str, ...]:
+    from repro.cluster.fleet import ClusterScheduler
+
+    return ClusterScheduler.POLICIES
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (exposed for testing)."""
+    strategies = _LazyChoices(_strategy_names)
+    policies = _LazyChoices(_policy_names)
     parser = argparse.ArgumentParser(
         prog="cocg",
         description="CoCG: fine-grained cloud game co-location (IPDPS'24 reproduction)",
@@ -642,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("colocate", help="co-locate games on one server")
     c.add_argument("games", nargs="+")
-    c.add_argument("--strategy", choices=strategies, default="cocg")
+    c.add_argument("--strategy", default="cocg").choices = strategies
     c.add_argument("--horizon", type=int, default=3600)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--players", type=int, default=5)
@@ -653,9 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fleet", help="Poisson arrivals over a fleet")
     f.add_argument("games", nargs="+")
     f.add_argument("--nodes", type=int, default=3)
-    f.add_argument("--policy", choices=ClusterScheduler.POLICIES,
-                   default="first-fit")
-    f.add_argument("--strategy", choices=strategies, default="cocg")
+    f.add_argument("--policy", default="first-fit").choices = policies
+    f.add_argument("--strategy", default="cocg").choices = strategies
     f.add_argument("--heterogeneous", action="store_true",
                    help="mix reference/weak-GPU/big-server platforms")
     f.add_argument("--rate", type=float, default=1.0, help="arrivals per minute")
@@ -678,8 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("games", nargs="+")
     s.add_argument("--nodes", type=int, default=3)
-    s.add_argument("--policy", choices=ClusterScheduler.POLICIES,
-                   default="round-robin")
+    s.add_argument("--policy", default="round-robin").choices = policies
     s.add_argument("--rate", type=float, default=4.0, help="arrivals per minute")
     s.add_argument("--horizon", type=int, default=1800)
     s.add_argument("--seed", type=int, default=0)
@@ -710,9 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("games", nargs="*",
                     help="game mix (required unless --validate)")
     ch.add_argument("--nodes", type=int, default=2)
-    ch.add_argument("--policy", choices=ClusterScheduler.POLICIES,
-                    default="round-robin")
-    ch.add_argument("--strategy", choices=strategies, default="cocg")
+    ch.add_argument("--policy", default="round-robin").choices = policies
+    ch.add_argument("--strategy", default="cocg").choices = strategies
     ch.add_argument("--plan", help="fault-plan JSON file (default: demo plan)")
     ch.add_argument("--validate", action="store_true",
                     help="parse and check --plan without running; "
@@ -742,8 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     o.add_argument("games", nargs="+")
     o.add_argument("--nodes", type=int, default=2)
-    o.add_argument("--policy", choices=ClusterScheduler.POLICIES,
-                   default="round-robin")
+    o.add_argument("--policy", default="round-robin").choices = policies
     o.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
     o.add_argument("--horizon", type=int, default=600)
     o.add_argument("--seed", type=int, default=0)
@@ -767,9 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output", default="run.cgtrace",
                    help="trace file to write (default: run.cgtrace)")
     r.add_argument("--nodes", type=int, default=2)
-    r.add_argument("--policy", choices=ClusterScheduler.POLICIES,
-                   default="round-robin")
-    r.add_argument("--strategy", choices=strategies, default="cocg")
+    r.add_argument("--policy", default="round-robin").choices = policies
+    r.add_argument("--strategy", default="cocg").choices = strategies
     r.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
     r.add_argument("--horizon", type=int, default=600)
     r.add_argument("--seed", type=int, default=0)

@@ -31,19 +31,7 @@ session-accountability ledger
 balances to zero under any fault plan.
 """
 
-from repro.cluster.fleet import (
-    ClusterScheduler,
-    DeadLetter,
-    FleetNode,
-    NodeHealth,
-    PendingRequest,
-)
-from repro.cluster.provisioner import (
-    LifecycleEvent,
-    Provisioner,
-    ProvisionerConfig,
-)
-from repro.cluster.experiment import FleetExperiment, FleetResult
+from repro import _lazy_exports
 
 __all__ = [
     "FleetNode",
@@ -57,3 +45,16 @@ __all__ = [
     "FleetExperiment",
     "FleetResult",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ClusterScheduler": ".fleet",
+    "DeadLetter": ".fleet",
+    "FleetNode": ".fleet",
+    "NodeHealth": ".fleet",
+    "PendingRequest": ".fleet",
+    "LifecycleEvent": ".provisioner",
+    "Provisioner": ".provisioner",
+    "ProvisionerConfig": ".provisioner",
+    "FleetExperiment": ".experiment",
+    "FleetResult": ".experiment",
+})

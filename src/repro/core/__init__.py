@@ -16,23 +16,7 @@ Three cooperating components (paper Fig 3):
   Algorithm-1 distributor and the time-stealing regulator.
 """
 
-from repro.core.frames import frame_matrix, frames_of_series
-from repro.core.health import BreakerState, PredictorHealth
-from repro.core.stages import StageLibrary, StageStats, StageTypeId, Segment
-from repro.core.profiler import FrameGrainedProfiler, ProfilerConfig
-from repro.core.dataset import StageDatasetBuilder
-from repro.core.predictor import (
-    Judgment,
-    JudgmentKind,
-    PredictionCostModel,
-    StagePredictor,
-)
-from repro.core.adjustment import DynamicAdjuster, redundancy_allocation
-from repro.core.allocation import AllocationPlanner
-from repro.core.distributor import Distributor, AdmissionDecision
-from repro.core.regulator import Regulator, RegulatorConfig
-from repro.core.pipeline import GameProfile
-from repro.core.scheduler import CoCGConfig, CoCGScheduler, SessionControl
+from repro import _lazy_exports
 
 __all__ = [
     "frame_matrix",
@@ -62,3 +46,32 @@ __all__ = [
     "BreakerState",
     "PredictorHealth",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "frame_matrix": ".frames",
+    "frames_of_series": ".frames",
+    "BreakerState": ".health",
+    "PredictorHealth": ".health",
+    "StageLibrary": ".stages",
+    "StageStats": ".stages",
+    "StageTypeId": ".stages",
+    "Segment": ".stages",
+    "FrameGrainedProfiler": ".profiler",
+    "ProfilerConfig": ".profiler",
+    "StageDatasetBuilder": ".dataset",
+    "Judgment": ".predictor",
+    "JudgmentKind": ".predictor",
+    "PredictionCostModel": ".predictor",
+    "StagePredictor": ".predictor",
+    "DynamicAdjuster": ".adjustment",
+    "redundancy_allocation": ".adjustment",
+    "AllocationPlanner": ".allocation",
+    "Distributor": ".distributor",
+    "AdmissionDecision": ".distributor",
+    "Regulator": ".regulator",
+    "RegulatorConfig": ".regulator",
+    "GameProfile": ".pipeline",
+    "CoCGConfig": ".scheduler",
+    "CoCGScheduler": ".scheduler",
+    "SessionControl": ".scheduler",
+})

@@ -1,21 +1,17 @@
 """Fault injection and graceful degradation (see ``docs/FAULTS.md``).
 
-The package splits into leaves and heavy modules:
-
-* :mod:`repro.faults.plan` is a leaf, and ``BreakerState`` /
-  ``PredictorHealth`` are re-exported from :mod:`repro.core.health`
-  (the scheduler owns the breaker; CG017 keeps the layering acyclic);
-* :mod:`repro.faults.injector` / :mod:`repro.faults.chaos` import the
-  cluster layer, which imports the scheduler — so they are exposed
-  lazily here to keep the import graph acyclic.
+:mod:`repro.faults.plan` is a leaf, and ``BreakerState`` /
+``PredictorHealth`` are re-exported from :mod:`repro.core.health` (the
+scheduler owns the breaker; CG017 keeps the layering acyclic).
+:mod:`repro.faults.injector` / :mod:`repro.faults.chaos` import the
+cluster layer, which imports the scheduler; like every public name here
+they load only on first access, so reading a fault plan never imports
+the cluster layer.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.core.health import BreakerState, PredictorHealth
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, validate_plan_payload
-
-__all__ = [  # lint: disable=CG004
+__all__ = [
     "BreakerState",
     "PredictorHealth",
     "FaultKind",
@@ -30,24 +26,17 @@ __all__ = [  # lint: disable=CG004
     "run_chaos",
 ]
 
-_LAZY = {
-    "FAULT_PRIORITY": "repro.faults.injector",
-    "FaultInjector": "repro.faults.injector",
-    "ChaosReport": "repro.faults.chaos",
-    "default_plan": "repro.faults.chaos",
-    "reclaim_storm_plan": "repro.faults.chaos",
-    "run_chaos": "repro.faults.chaos",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(__all__)
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "BreakerState": "repro.core.health",
+    "PredictorHealth": "repro.core.health",
+    "FaultKind": ".plan",
+    "FaultPlan": ".plan",
+    "FaultSpec": ".plan",
+    "validate_plan_payload": ".plan",
+    "FAULT_PRIORITY": ".injector",
+    "FaultInjector": ".injector",
+    "ChaosReport": ".chaos",
+    "default_plan": ".chaos",
+    "reclaim_storm_plan": ".chaos",
+    "run_chaos": ".chaos",
+})

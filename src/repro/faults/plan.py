@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.rng import derive_seed
@@ -118,16 +119,37 @@ class FaultSpec:
     )
 
     def __post_init__(self) -> None:
+        # Types first, so a malformed plan fails naming its field rather
+        # than with a comparison's TypeError or a silent no-match.
+        for name in ("node", "session", "game", "backend"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.requeue, bool):
+            raise ValueError(f"requeue must be a bool, got {self.requeue!r}")
+        numbers: Tuple[str, ...] = (
+            "time", "duration", "rate", "std", "spike_prob", "spike_scale",
+            "notice", "stall",
+        )
+        if self.recover_after is not None:
+            numbers += ("recover_after",)
+        for name in numbers:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         check_nonnegative("time", self.time)
-        if self.duration <= 0:
+        if not self.duration > 0:  # also rejects NaN; inf is open-ended
             raise ValueError(f"duration must be > 0, got {self.duration}")
         check_fraction("rate", self.rate)
         check_nonnegative("std", self.std)
         check_fraction("spike_prob", self.spike_prob)
         check_nonnegative("spike_scale", self.spike_scale)
-        if self.recover_after is not None and self.recover_after <= 0:
+        if self.recover_after is not None and not (
+            0 < self.recover_after < math.inf
+        ):
             raise ValueError(
-                f"recover_after must be > 0, got {self.recover_after}"
+                f"recover_after must be a finite number > 0, got "
+                f"{self.recover_after}"
             )
         check_nonnegative("notice", self.notice)
         check_nonnegative("stall", self.stall)
@@ -184,7 +206,11 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {raw_kind!r}; known kinds: {known}"
             ) from None
-        time = float(payload.pop("time"))
+        raw_time = payload.pop("time")
+        try:
+            time = float(raw_time)
+        except (TypeError, ValueError):
+            raise ValueError(f"time must be a number, got {raw_time!r}") from None
         unknown = sorted(set(payload) - set(FaultSpec.OPTIONAL_FIELDS))
         if unknown:
             raise ValueError(

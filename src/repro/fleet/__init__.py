@@ -14,21 +14,7 @@ certification (:func:`certify_runtime`) refuses to run a fleet whose
 points.  See ``docs/FLEET.md``.
 """
 
-from repro.fleet.certify import (
-    certify_runtime,
-    load_certificate,
-    runtime_entry_points,
-)
-from repro.fleet.controller import (
-    FleetOfFleets,
-    FleetOfFleetsResult,
-    RegionOutcome,
-    RegionShard,
-    RegionSpec,
-)
-from repro.fleet.plans import region_node_id, region_outage_plan
-from repro.fleet.ring import HashRing, ring_point
-from repro.fleet.router import RoutedArrivals, SessionRouter
+from repro import _lazy_exports
 
 __all__ = [
     "HashRing",
@@ -46,3 +32,20 @@ __all__ = [
     "load_certificate",
     "runtime_entry_points",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "certify_runtime": ".certify",
+    "load_certificate": ".certify",
+    "runtime_entry_points": ".certify",
+    "FleetOfFleets": ".controller",
+    "FleetOfFleetsResult": ".controller",
+    "RegionOutcome": ".controller",
+    "RegionShard": ".controller",
+    "RegionSpec": ".controller",
+    "region_node_id": ".plans",
+    "region_outage_plan": ".plans",
+    "HashRing": ".ring",
+    "ring_point": ".ring",
+    "RoutedArrivals": ".router",
+    "SessionRouter": ".router",
+})

@@ -19,25 +19,7 @@ generative model with the same statistical structure:
   profiling and predictor training.
 """
 
-from repro.games.spec import (
-    ClusterSpec,
-    GameSpec,
-    ScriptSpec,
-    StageKind,
-    StageSpec,
-)
-from repro.games.category import GameCategory
-from repro.games.player import PlayerModel
-from repro.games.session import GameSession, SessionTick
-from repro.games.catalog import (
-    build_catalog,
-    contra,
-    csgo,
-    devil_may_cry,
-    dota2,
-    genshin_impact,
-)
-from repro.games.tracegen import GroundTruth, TraceBundle, generate_trace, generate_corpus
+from repro import _lazy_exports
 
 __all__ = [
     "ClusterSpec",
@@ -60,3 +42,25 @@ __all__ = [
     "TraceBundle",
     "GroundTruth",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ClusterSpec": ".spec",
+    "GameSpec": ".spec",
+    "ScriptSpec": ".spec",
+    "StageKind": ".spec",
+    "StageSpec": ".spec",
+    "GameCategory": ".category",
+    "PlayerModel": ".player",
+    "GameSession": ".session",
+    "SessionTick": ".session",
+    "build_catalog": ".catalog",
+    "contra": ".catalog",
+    "csgo": ".catalog",
+    "devil_may_cry": ".catalog",
+    "dota2": ".catalog",
+    "genshin_impact": ".catalog",
+    "GroundTruth": ".tracegen",
+    "TraceBundle": ".tracegen",
+    "generate_trace": ".tracegen",
+    "generate_corpus": ".tracegen",
+})

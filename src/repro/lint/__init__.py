@@ -50,57 +50,7 @@ Adding a rule (a :class:`Rule` with :func:`register`, or a
 ``docs/LINT.md``, "Adding a rule".
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import LintCache, cache_signature, content_digest
-from repro.lint.dataflow import (
-    CallGraph,
-    Witness,
-    build_call_graph,
-    reach_sinks,
-    reach_taints,
-)
-from repro.lint.effects import (
-    EFFECT_NAMES,
-    EffectInference,
-    infer_effects,
-    render_effects,
-)
-from repro.lint.engine import LintResult, iter_python_files, lint_paths
-from repro.lint.findings import Finding
-from repro.lint.pragmas import Suppressions, parse_suppressions
-from repro.lint.project import (
-    ModuleSummary,
-    ProjectContext,
-    ProjectRule,
-    summarize_module,
-)
-from repro.lint.registry import (
-    ANALYZER_VERSION,
-    FileContext,
-    Rule,
-    UnknownRuleError,
-    explain_rule,
-    rule_class,
-    all_project_rules,
-    all_rules,
-    register,
-    register_project,
-    resolve_project_rules,
-    resolve_rules,
-)
-from repro.lint.reporters import render_json, render_sarif, render_text
-from repro.lint.shards import (
-    SHARD_CLASSES,
-    ShardAnalysis,
-    render_shard_plan,
-    shard_analysis,
-    shard_entry_points,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "Finding",
@@ -150,3 +100,52 @@ __all__ = [
     "render_json",
     "render_sarif",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "apply_baseline": ".baseline",
+    "fingerprint": ".baseline",
+    "load_baseline": ".baseline",
+    "write_baseline": ".baseline",
+    "LintCache": ".cache",
+    "cache_signature": ".cache",
+    "content_digest": ".cache",
+    "CallGraph": ".dataflow",
+    "Witness": ".dataflow",
+    "build_call_graph": ".dataflow",
+    "reach_sinks": ".dataflow",
+    "reach_taints": ".dataflow",
+    "EFFECT_NAMES": ".effects",
+    "EffectInference": ".effects",
+    "infer_effects": ".effects",
+    "render_effects": ".effects",
+    "LintResult": ".engine",
+    "iter_python_files": ".engine",
+    "lint_paths": ".engine",
+    "Finding": ".findings",
+    "Suppressions": ".pragmas",
+    "parse_suppressions": ".pragmas",
+    "ModuleSummary": ".project",
+    "ProjectContext": ".project",
+    "ProjectRule": ".project",
+    "summarize_module": ".project",
+    "ANALYZER_VERSION": ".registry",
+    "FileContext": ".registry",
+    "Rule": ".registry",
+    "UnknownRuleError": ".registry",
+    "explain_rule": ".registry",
+    "rule_class": ".registry",
+    "all_project_rules": ".registry",
+    "all_rules": ".registry",
+    "register": ".registry",
+    "register_project": ".registry",
+    "resolve_project_rules": ".registry",
+    "resolve_rules": ".registry",
+    "render_json": ".reporters",
+    "render_sarif": ".reporters",
+    "render_text": ".reporters",
+    "SHARD_CLASSES": ".shards",
+    "ShardAnalysis": ".shards",
+    "render_shard_plan": ".shards",
+    "shard_analysis": ".shards",
+    "shard_entry_points": ".shards",
+})

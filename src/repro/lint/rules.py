@@ -244,6 +244,10 @@ class DunderAllConsistency(Rule):
         star_import = False
         bound: set[str] = set()
         public_defs: list[Union[_FunctionNode, ast.ClassDef]] = []
+        # A lazy package binds ``__getattr__`` from a call given a
+        # ``{name: defining module}`` dict literal (PEP 562): its keys
+        # are module-level names, and each must be exported.
+        lazy: list[tuple[str, ast.stmt]] = []  # (name, its table)
 
         def literal_names(node: ast.AST) -> Optional[list[str]]:
             if isinstance(node, (ast.List, ast.Tuple)) and all(
@@ -252,6 +256,21 @@ class DunderAllConsistency(Rule):
             ):
                 return [e.value for e in node.elts]  # type: ignore[union-attr]
             return None
+
+        def lazy_names(stmt: ast.Assign) -> list[str]:
+            binds_getattr = any(
+                isinstance(name_node, ast.Name) and name_node.id == "__getattr__"
+                for target in stmt.targets for name_node in ast.walk(target)
+            )
+            if not binds_getattr or not isinstance(stmt.value, ast.Call):
+                return []
+            for arg in stmt.value.args:
+                if isinstance(arg, ast.Dict) and all(
+                    isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    for k in arg.keys
+                ):
+                    return [k.value for k in arg.keys]  # type: ignore[union-attr]
+            return []
 
         def scan(statements: list[ast.stmt]) -> None:
             nonlocal declaration, opaque, star_import
@@ -266,6 +285,9 @@ class DunderAllConsistency(Rule):
                         for name_node in ast.walk(target):
                             if isinstance(name_node, ast.Name):
                                 bound.add(name_node.id)
+                    for name in lazy_names(stmt):
+                        lazy.append((name, stmt))
+                        bound.add(name)
                     if any(isinstance(t, ast.Name) and t.id == "__all__"
                            for t in stmt.targets):
                         declaration = declaration or stmt
@@ -343,6 +365,9 @@ class DunderAllConsistency(Rule):
             if definition.name not in export_set:
                 self.report(definition, f"public definition "
                                         f"{definition.name!r} missing from __all__")
+        for name, table in lazy:
+            if name not in export_set:
+                self.report(table, f"lazy export {name!r} missing from __all__")
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,7 @@ Plus what the paper's protocol needs around them: the 75/25
 train/test split, accuracy and the K-means SSE.
 """
 
-from repro.mlkit.base import ClassifierMixin, Estimator
-from repro.mlkit.kmeans import KMeans, elbow_k, sse_curve
-from repro.mlkit.tree import DecisionTreeClassifier
-from repro.mlkit.regression_tree import DecisionTreeRegressor
-from repro.mlkit.forest import RandomForestClassifier
-from repro.mlkit.gbdt import GradientBoostedClassifier
-from repro.mlkit.metrics import accuracy_score, sse
-from repro.mlkit.model_selection import train_test_split
+from repro import _lazy_exports
 
 __all__ = [
     "Estimator",
@@ -40,3 +33,18 @@ __all__ = [
     "sse",
     "train_test_split",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ClassifierMixin": ".base",
+    "Estimator": ".base",
+    "KMeans": ".kmeans",
+    "elbow_k": ".kmeans",
+    "sse_curve": ".kmeans",
+    "DecisionTreeClassifier": ".tree",
+    "DecisionTreeRegressor": ".regression_tree",
+    "RandomForestClassifier": ".forest",
+    "GradientBoostedClassifier": ".gbdt",
+    "accuracy_score": ".metrics",
+    "sse": ".metrics",
+    "train_test_split": ".model_selection",
+})

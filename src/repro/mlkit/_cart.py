@@ -1,9 +1,14 @@
 """Shared CART machinery for the classification and regression trees.
 
-A tree is grown depth-first.  The split search is fully vectorized: for a
-node with ``n`` samples and ``d`` candidate features it costs
-``O(d · n log n)`` (one argsort per feature) with no Python loop over
-samples, per the HPC guide.  The per-task parts — how impurity is scored
+A tree is grown depth-first.  The split search is fully vectorized: a
+node with ``n`` samples and ``d`` candidate features sorts its ``(n, d)``
+block in one column-wise argsort and scores every candidate split of
+every feature with column-wise cumulative sums, ``O(d · n log n)`` work
+in a fixed number of array operations — no Python loop over samples or
+features, per the HPC guide.  Each column's running sums add in that
+column's sorted order, so every feature scores exactly as it would
+searched alone, and the first feature in candidate order with the
+greatest gain wins.  The per-task parts — how impurity is scored
 and what a leaf stores — are supplied by the caller as callbacks.
 """
 
@@ -254,29 +259,33 @@ def best_split_classification(
     total_counts = onehot.sum(axis=0)
     parent_imp = float(node_impurity(total_counts[None, :], np.array([float(n)]))[0])
 
-    best: Optional[Tuple[int, float, float]] = None
-    for f in feats:
-        xf = Xn[:, f]
-        order = np.argsort(xf, kind="stable")
-        xs = xf[order]
-        left = np.cumsum(onehot[order], axis=0)[:-1]  # counts left of split i (size i+1)
-        nl = np.arange(1, n, dtype=float)
-        nr = n - nl
-        right = total_counts[None, :] - left
-        valid = (xs[1:] != xs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-        if not valid.any():
-            continue
-        child = (nl * node_impurity(left, nl) + nr * node_impurity(right, nr)) / n
-        gain = parent_imp - child
-        gain[~valid] = -np.inf
-        i = int(np.argmax(gain))
-        g = float(gain[i])
-        if g <= 1e-12:
-            continue
-        threshold = 0.5 * (xs[i] + xs[i + 1])
-        if best is None or g > best[2]:
-            best = (int(f), float(threshold), g)
-    return best
+    # Sort all k candidate columns at once: row i of column j is the
+    # split after the i-th smallest value of feature feats[j].
+    block = Xn[:, feats]
+    cols = np.arange(feats.size)
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = block[order, cols]
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    valid = (xs[1:] != xs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    if not valid.any():
+        return None
+    # Class counts left of each split, shape (n-1, k, classes): the
+    # cumulative sum runs down each column alone, in its own order.
+    left = np.cumsum(onehot[order], axis=0)[:-1]
+    right = total_counts - left
+    child = (nl * node_impurity(left, nl) + nr * node_impurity(right, nr)) / n
+    gain = parent_imp - child
+    # Each column's best row, then the first column with the largest gain.
+    gain[~valid] = -np.inf
+    rows = np.argmax(gain, axis=0)
+    best = gain[rows, cols]
+    eligible = valid.any(axis=0) & (best > 1e-12)
+    if not eligible.any():
+        return None
+    j = int(np.argmax(np.where(eligible, best, -np.inf)))
+    i = rows[j]
+    return int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])), float(best[j])
 
 
 def best_split_regression(
@@ -288,30 +297,31 @@ def best_split_regression(
     total_sq = float(np.dot(yn, yn))
     parent_sse = total_sq - total_sum**2 / n
 
-    best: Optional[Tuple[int, float, float]] = None
-    for f in feats:
-        xf = Xn[:, f]
-        order = np.argsort(xf, kind="stable")
-        xs = xf[order]
-        ys = yn[order]
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        nl = np.arange(1, n, dtype=float)
-        nr = n - nl
-        sse_left = csq - csum**2 / nl
-        rs = total_sum - csum
-        rq = total_sq - csq
-        sse_right = rq - rs**2 / nr
-        valid = (xs[1:] != xs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-        if not valid.any():
-            continue
-        gain = parent_sse - (sse_left + sse_right)
-        gain[~valid] = -np.inf
-        i = int(np.argmax(gain))
-        g = float(gain[i])
-        if g <= 1e-12:
-            continue
-        threshold = 0.5 * (xs[i] + xs[i + 1])
-        if best is None or g > best[2]:
-            best = (int(f), float(threshold), g)
-    return best
+    # The same block search as best_split_classification, scored by
+    # running sums of y and y² down each sorted column.
+    block = Xn[:, feats]
+    cols = np.arange(feats.size)
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = block[order, cols]
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    valid = (xs[1:] != xs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    if not valid.any():
+        return None
+    ys = yn[order]
+    csum = np.cumsum(ys, axis=0)[:-1]
+    csq = np.cumsum(ys * ys, axis=0)[:-1]
+    sse_left = csq - csum**2 / nl
+    rs = total_sum - csum
+    rq = total_sq - csq
+    sse_right = rq - rs**2 / nr
+    gain = parent_sse - (sse_left + sse_right)
+    gain[~valid] = -np.inf
+    rows = np.argmax(gain, axis=0)
+    best = gain[rows, cols]
+    eligible = valid.any(axis=0) & (best > 1e-12)
+    if not eligible.any():
+        return None
+    j = int(np.argmax(np.where(eligible, best, -np.inf)))
+    i = rows[j]
+    return int(feats[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])), float(best[j])

@@ -21,22 +21,7 @@ package, so ``core``, ``serve``, ``cluster`` and ``faults`` can all
 instrument themselves without a cycle.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    chrome_trace_json,
-    format_value,
-    prometheus_text,
-    trace_digest,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.obs.observer import Observer
-from repro.obs.trace import Span, SpanNestingError, Tracer, UnclosedSpanError
+from repro import _lazy_exports
 
 __all__ = [
     "Observer",
@@ -55,3 +40,21 @@ __all__ = [
     "trace_digest",
     "format_value",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "chrome_trace": ".export",
+    "chrome_trace_json": ".export",
+    "format_value": ".export",
+    "prometheus_text": ".export",
+    "trace_digest": ".export",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricError": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "Observer": ".observer",
+    "Span": ".trace",
+    "SpanNestingError": ".trace",
+    "Tracer": ".trace",
+    "UnclosedSpanError": ".trace",
+})

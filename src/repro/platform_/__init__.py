@@ -16,24 +16,7 @@ deterministic simulation substrate:
   heterogeneity/migration experiments (§IV-D).
 """
 
-from repro.platform_.resources import (
-    CPU,
-    DIMENSIONS,
-    GPU,
-    GPU_MEM,
-    N_DIMS,
-    RAM,
-    ResourceVector,
-)
-from repro.platform_.server import GPUDevice, Placement, Server
-from repro.platform_.allocator import Allocator, AllocationError
-from repro.platform_.qos import FpsModel, QoSTracker, QoSReport
-from repro.platform_.profile import (
-    BIG_SERVER_PLATFORM,
-    PlatformProfile,
-    REFERENCE_PLATFORM,
-    WEAK_GPU_PLATFORM,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "DIMENSIONS",
@@ -56,3 +39,25 @@ __all__ = [
     "WEAK_GPU_PLATFORM",
     "BIG_SERVER_PLATFORM",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "CPU": ".resources",
+    "DIMENSIONS": ".resources",
+    "GPU": ".resources",
+    "GPU_MEM": ".resources",
+    "N_DIMS": ".resources",
+    "RAM": ".resources",
+    "ResourceVector": ".resources",
+    "GPUDevice": ".server",
+    "Placement": ".server",
+    "Server": ".server",
+    "Allocator": ".allocator",
+    "AllocationError": ".allocator",
+    "FpsModel": ".qos",
+    "QoSTracker": ".qos",
+    "QoSReport": ".qos",
+    "BIG_SERVER_PLATFORM": ".profile",
+    "PlatformProfile": ".profile",
+    "REFERENCE_PLATFORM": ".profile",
+    "WEAK_GPU_PLATFORM": ".profile",
+})

@@ -18,17 +18,7 @@ Everything runs on simulation time and seeded randomness: same seed ⇒
 same queue contents, same shed set, same digest.  See ``docs/SERVE.md``.
 """
 
-from repro.serve.batching import MicroBatcher
-from repro.serve.gateway import (
-    AdmissionGateway,
-    AdmissionOutcome,
-    GatewayConfig,
-    QueuedRequest,
-    TokenBucket,
-)
-from repro.serve.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen
-from repro.serve.rollout_cache import RolloutCache
-from repro.serve.slo import CategorySlo, SloTracker, percentile_nearest_rank
+from repro import _lazy_exports
 
 __all__ = [
     "AdmissionGateway",
@@ -44,3 +34,18 @@ __all__ = [
     "OpenLoopLoadGen",
     "ClosedLoopLoadGen",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "MicroBatcher": ".batching",
+    "AdmissionGateway": ".gateway",
+    "AdmissionOutcome": ".gateway",
+    "GatewayConfig": ".gateway",
+    "QueuedRequest": ".gateway",
+    "TokenBucket": ".gateway",
+    "ClosedLoopLoadGen": ".loadgen",
+    "OpenLoopLoadGen": ".loadgen",
+    "RolloutCache": ".rollout_cache",
+    "CategorySlo": ".slo",
+    "SloTracker": ".slo",
+    "percentile_nearest_rank": ".slo",
+})

@@ -9,16 +9,18 @@
   paper's authors).
 """
 
-from repro.sim.engine import (
-    Event,
-    ShardError,
-    ShardPlanError,
-    SimulationEngine,
-    run_partitioned,
-    validate_shard_plan,
-)
-from repro.sim.telemetry import TelemetryRecorder
+from repro import _lazy_exports
 
 __all__ = ["SimulationEngine", "Event", "ShardError", "ShardPlanError",
            "validate_shard_plan", "run_partitioned",
            "TelemetryRecorder"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "Event": ".engine",
+    "ShardError": ".engine",
+    "ShardPlanError": ".engine",
+    "SimulationEngine": ".engine",
+    "run_partitioned": ".engine",
+    "validate_shard_plan": ".engine",
+    "TelemetryRecorder": ".telemetry",
+})

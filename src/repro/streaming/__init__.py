@@ -12,10 +12,7 @@ two ways, and this package models both:
   interaction-grade play.
 """
 
-from repro.streaming.encoder import EncoderModel, EncodeResult
-from repro.streaming.network import NetworkModel, NetworkSample
-from repro.streaming.client import ClientModel
-from repro.streaming.pipeline import StreamingPipeline, LatencyBreakdown
+from repro import _lazy_exports
 
 __all__ = [
     "EncoderModel",
@@ -26,3 +23,13 @@ __all__ = [
     "StreamingPipeline",
     "LatencyBreakdown",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "EncoderModel": ".encoder",
+    "EncodeResult": ".encoder",
+    "NetworkModel": ".network",
+    "NetworkSample": ".network",
+    "ClientModel": ".client",
+    "StreamingPipeline": ".pipeline",
+    "LatencyBreakdown": ".pipeline",
+})

@@ -6,15 +6,12 @@ normalises the two.  All experiments in the benchmark suite are therefore
 reproducible bit-for-bit.
 """
 
-from repro.util.effects import declared_effects, effects, is_hot_path
-from repro.util.rng import as_rng, spawn_rngs
-from repro.util.validation import (
-    check_fraction,
-    check_in,
-    check_nonnegative,
-    check_positive,
-)
-from repro.util.timeseries import ResourceSeries
+from repro import _lazy_exports
+# ``effects`` names both a submodule and the decorator it defines.  The
+# first import of the submodule binds the module over the package
+# attribute, which a lazy name would never override, so the decorator is
+# bound eagerly (the module imports only ``typing``).
+from repro.util.effects import effects
 
 __all__ = [
     "as_rng",
@@ -28,3 +25,15 @@ __all__ = [
     "check_positive",
     "ResourceSeries",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "declared_effects": ".effects",
+    "is_hot_path": ".effects",
+    "as_rng": ".rng",
+    "spawn_rngs": ".rng",
+    "check_fraction": ".validation",
+    "check_in": ".validation",
+    "check_nonnegative": ".validation",
+    "check_positive": ".validation",
+    "ResourceSeries": ".timeseries",
+})

@@ -9,9 +9,7 @@
 * :mod:`~repro.workloads.metrics` — Eq-2 throughput and summary tables.
 """
 
-from repro.workloads.requests import ContinuousBacklog, GameRequest, PoissonArrivals
-from repro.workloads.experiment import ColocationExperiment, ExperimentResult
-from repro.workloads.metrics import throughput_eq2
+from repro import _lazy_exports
 
 __all__ = [
     "GameRequest",
@@ -21,3 +19,12 @@ __all__ = [
     "ExperimentResult",
     "throughput_eq2",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "ContinuousBacklog": ".requests",
+    "GameRequest": ".requests",
+    "PoissonArrivals": ".requests",
+    "ColocationExperiment": ".experiment",
+    "ExperimentResult": ".experiment",
+    "throughput_eq2": ".metrics",
+})

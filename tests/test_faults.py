@@ -253,6 +253,36 @@ class TestProvisioningFaultSerialization:
         assert validate_plan_payload([1, 2]) != []
         assert validate_plan_payload({"seed": 1, "faults": "nope"}) != []
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", float("nan")),
+        ("duration", "z"),
+        ("recover_after", float("nan")),
+        ("recover_after", float("inf")),
+        ("recover_after", "5"),
+        ("std", [1]),
+        ("rate", True),
+        ("time", "z"),
+        ("node", 3),
+        ("node", None),
+        ("session", 7),
+        ("game", None),
+        ("backend", ["dtc"]),
+        ("requeue", 1),
+        ("requeue", "yes"),
+    ])
+    def test_malformed_value_is_rejected_by_field_name(self, field, value):
+        entry = {"kind": "node-crash", "time": 1.0, field: value}
+        problems = validate_plan_payload({"faults": [entry]})
+        assert len(problems) == 1
+        assert problems[0].startswith(f"faults[0]: {field} must be"), problems
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FaultPlan.from_dict({"faults": [entry]})
+
+    def test_open_ended_and_integer_values_stay_valid(self):
+        spec = FaultSpec(FaultKind.NODE_CRASH, 120, recover_after=180)
+        assert spec.duration == float("inf")
+        assert validate_plan_payload({"faults": [spec.to_dict()]}) == []
+
 
 # ----------------------------------------------------------------------
 # Telemetry perturbations

@@ -207,6 +207,35 @@ class TestCG004:
             """, select=["CG004"])
         assert result.ok
 
+    def test_lazy_table_names_count_as_defined(self, tmp_path):
+        result = lint_source(tmp_path, "pkg/__init__.py", """\
+            from repro import _lazy_exports
+
+            __all__ = ["Engine", "run"]
+
+            __getattr__, __dir__ = _lazy_exports(globals(), {
+                "Engine": ".engine",
+                "run": ".engine",
+            })
+            """, select=["CG004"])
+        assert result.ok
+
+    def test_lazy_table_is_checked_both_ways(self, tmp_path):
+        result = lint_source(tmp_path, "pkg/__init__.py", """\
+            from repro import _lazy_exports
+
+            __all__ = ["Engine", "ghost"]
+
+            __getattr__, __dir__ = _lazy_exports(globals(), {
+                "Engine": ".engine",
+                "unexported": ".engine",
+            })
+            """, select=["CG004"])
+        messages = sorted(f.message for f in result.findings)
+        assert len(messages) == 2
+        assert "'ghost' which is not defined" in messages[0]
+        assert "lazy export 'unexported' missing from __all__" in messages[1]
+
     def test_dynamic_dunder_all_is_skipped(self, tmp_path):
         result = lint_source(tmp_path, "mod.py", """\
             _names = ["a", "b"]
