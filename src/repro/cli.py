@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lint.__main__ import configure_parser as _configure_lint_parser
 
     lint = sub.add_parser(
-        "lint", help="check CoCG invariants (rules CG001-CG018)"
+        "lint", help="check CoCG invariants (rules CG001-CG022)"
     )
     _configure_lint_parser(lint)
     lint.set_defaults(func=cmd_lint)

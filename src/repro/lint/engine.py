@@ -12,7 +12,10 @@
    :class:`~repro.lint.project.ModuleSummary` for phase two.  With a
    :class:`~repro.lint.cache.LintCache`, files whose content hash is
    unchanged skip this phase: findings and summary come from the cache
-   (:attr:`LintResult.files_reparsed` counts the rest).
+   (:attr:`LintResult.files_reparsed` counts the rest).  The files left
+   to analyse run on every usable CPU through
+   :func:`repro.util.partition.run_partitioned`, and their results are
+   consumed in file order, so the output never depends on CPU count.
 
 2. **Whole-program** — the summaries form a
    :class:`~repro.lint.project.ProjectContext` over which the
@@ -33,9 +36,11 @@ exercise path-scoped rules without a full package checkout.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Type
+from typing import (Callable, Dict, Iterable, Optional, Sequence, Set, Tuple,
+                    Type, cast)
 
 from repro.lint.cache import CacheEntry, LintCache, content_digest, project_key
 from repro.lint.findings import Finding
@@ -226,6 +231,67 @@ def _analyze_file(
     return sorted(ctx.findings), summary
 
 
+def _lint_file(
+    file: Path,
+    root: Path,
+    *,
+    rules: Sequence[Tuple[Type[Rule], list]],
+    known: Set[str],
+    valid: str,
+) -> CacheEntry:
+    """Read, hash, decode and analyse one file with :func:`_analyze_file`.
+
+    The entry carries the digest of the bytes actually analysed.  Any
+    failure is re-raised naming the file, so an error from a forked
+    worker still says which file broke.
+    """
+    try:
+        data = file.read_bytes()
+        try:
+            source: Optional[str] = data.decode("utf-8")
+        except UnicodeDecodeError:
+            source = None  # _analyze_file re-reads and reports CG000
+        findings, summary = _analyze_file(
+            file, root=root, rules=rules, known=known, valid=valid,
+            source=source,
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"linting {file} failed: {type(exc).__name__}: {exc}"
+        ) from exc
+    return CacheEntry(digest=content_digest(data), findings=findings,
+                      summary=summary)
+
+
+def _lint_misses(
+    misses: Sequence[Tuple[Path, Path, int]],
+    lint_file: Callable[[Path, Path], CacheEntry],
+) -> list[CacheEntry]:
+    """``lint_file`` over ``(file, root, size)`` misses, in their order.
+
+    Two or more misses run on every usable CPU through
+    :func:`repro.util.partition.run_partitioned` (imported here, so
+    importing the engine stays cheap).  Each miss is one stream, named
+    by its rank in size order, largest first: the seam deals sorted
+    names round-robin, so the shares come out balanced, and a path
+    (which may contain ``:``) is never a stream name.
+    """
+    if len(misses) < 2:
+        return [lint_file(file, root) for file, root, _ in misses]
+    from repro.util.partition import run_partitioned
+
+    by_size = sorted(range(len(misses)), key=lambda i: -misses[i][2])
+    digits = len(str(len(misses) - 1))
+    names = [""] * len(misses)
+    for rank, i in enumerate(by_size):
+        names[i] = f"{rank:0{digits}d}"
+    results = run_partitioned({
+        name: functools.partial(lint_file, file, root)
+        for name, (file, root, _) in zip(names, misses)
+    })
+    return [cast(CacheEntry, results[name]) for name in names]
+
+
 def lint_paths(
     paths: Sequence[object],
     *,
@@ -291,35 +357,35 @@ def lint_paths(
         keep = {str(Path(p).resolve()) for p in only_paths}
     resolved_of: dict[str, str] = {}
 
-    for file, root in iter_python_files([Path(p) for p in paths]):
-        result.files_checked += 1
+    files = iter_python_files([Path(p) for p in paths])
+    entries: list[Optional[CacheEntry]] = []
+    misses: list[Tuple[Path, Path, int]] = []
+    for file, root in files:
         key = str(file.resolve())
         live_keys.append(key)
-        data = file.read_bytes()
-        digest = content_digest(data)
-        entry = cache.get(key, digest) if cache is not None else None
+        entry = None
+        if cache is not None:
+            entry = cache.get(key, content_digest(file.read_bytes()))
+        entries.append(entry)
         if entry is None:
-            try:
-                source: Optional[str] = data.decode("utf-8")
-            except UnicodeDecodeError:
-                source = None  # _analyze_file re-reads and reports CG000
-            findings, summary = _analyze_file(
-                file, root=root, rules=rules, known=known, valid=valid,
-                source=source,
-            )
+            misses.append((file, root, file.stat().st_size))
+    fresh = iter(_lint_misses(misses, functools.partial(
+        _lint_file, rules=rules, known=known, valid=valid,
+    )))
+    result.files_checked = len(files)
+    for (file, _), key, entry in zip(files, live_keys, entries):
+        if entry is None:
+            entry = next(fresh)
             result.files_reparsed += 1
             if cache is not None:
-                cache.put(key, CacheEntry(
-                    digest=digest, findings=findings, summary=summary,
-                ))
-        else:
-            findings, summary = entry.findings, entry.summary
+                cache.put(key, entry)
+        summary = entry.summary
         resolved_of[str(file)] = key
         if summary is not None:
             resolved_of[summary.path] = key
             summaries[summary.module] = summary
-            digests[summary.module] = digest
-        result.findings.extend(findings)
+            digests[summary.module] = entry.digest
+        result.findings.extend(entry.findings)
 
     if project_rules or effects or shard_plan:
         project = ProjectContext(summaries)

@@ -10,6 +10,10 @@
 """
 
 from repro import _lazy_exports
+# The fork seam is bound eagerly from its stdlib-only module, so
+# ``vars(repro.sim)`` holds it from the first import (a lookup of the
+# module's namespace never reaches the lazy table) without loading numpy.
+from repro.util.partition import ShardError, run_partitioned
 
 __all__ = ["SimulationEngine", "Event", "ShardError", "ShardPlanError",
            "validate_shard_plan", "run_partitioned",
@@ -17,10 +21,8 @@ __all__ = ["SimulationEngine", "Event", "ShardError", "ShardPlanError",
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "Event": ".engine",
-    "ShardError": ".engine",
     "ShardPlanError": ".engine",
     "SimulationEngine": ".engine",
-    "run_partitioned": ".engine",
     "validate_shard_plan": ".engine",
     "TelemetryRecorder": ".telemetry",
 })

@@ -73,6 +73,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "contra", "--scenario", "bad"])
 
+    def test_lint_help_names_the_highest_rule_id(self):
+        import repro.lint.engine  # noqa: F401  (registers every rule)
+        from repro.lint.registry import all_project_rules, all_rules
+
+        highest = max(set(all_rules()) | set(all_project_rules()))
+        assert f"(rules CG001-{highest})" in build_parser().format_help()
+
 
 class TestCommands:
     def test_catalog_lists_games(self, capsys):

@@ -26,13 +26,15 @@ PACKAGES = ["repro"] + sorted(
     if info.ispkg
 )
 HEAVY = ("numpy", "repro.core")
+#: The fork seam and the stdlib modules only it needs.
+SEAM = ("repro.util.partition", "pickle", "signal", "traceback")
 
 
-def loaded_after(code: str) -> list:
-    """Which of :data:`HEAVY` a fresh interpreter has loaded after ``code``."""
+def loaded_after(code: str, modules: tuple = HEAVY) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     probe = code + (
         "\nimport json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -52,6 +54,29 @@ def test_every_subpackage_is_covered():
     "import repro.faults, repro.fleet, repro.serve, repro.trace",
 ])
 def test_import_loads_neither_numpy_nor_core(code):
+    assert loaded_after(code) == []
+
+
+def test_lint_engine_import_leaves_the_fork_seam_unloaded():
+    # lint_paths imports the seam only when two or more files need
+    # analysing, so importing the engine pays nothing for it.
+    assert loaded_after("import repro.lint.engine", SEAM) == []
+
+
+def test_lint_of_one_file_leaves_the_fork_seam_unloaded():
+    code = (
+        "from repro.lint.engine import lint_paths\n"
+        f"lint_paths([{str(SRC / 'repro' / 'util' / 'rng.py')!r}])\n"
+    )
+    assert loaded_after(code, SEAM) == []
+
+
+def test_sim_binds_the_fork_seam_eagerly_without_numpy():
+    code = (
+        "import repro.sim\n"
+        "assert 'run_partitioned' in vars(repro.sim)\n"
+        "assert 'ShardError' in vars(repro.sim)\n"
+    )
     assert loaded_after(code) == []
 
 
