@@ -3,7 +3,7 @@
 Drives one gateway-fronted fleet experiment three ways —
 
 * plain (no recorder attached),
-* recorded (``trace=TraceRecorder``, same seeds),
+* recorded (same seeds, then ``TraceRecorder.finalize`` reads the run),
 * replayed (the recorded trace driven back through a fresh fleet) —
 
 and checks the ISSUE's acceptance bars:
@@ -70,15 +70,17 @@ def timed_run(profiles, *, recorded):
         else None
     )
     t0 = time.perf_counter()
-    result = FleetExperiment(
+    experiment = FleetExperiment(
         cluster,
         [catalog[g] for g in CONFIG.games],
         horizon=CONFIG.horizon,
         rate_per_minute=CONFIG.rate_per_minute,
         seed=CONFIG.seed,
         detect_interval=CONFIG.detect_interval,
-        trace=recorder,
-    ).run()
+    )
+    result = experiment.run()
+    if recorder is not None:
+        recorder.finalize(experiment, result)
     return time.perf_counter() - t0, result, recorder
 
 

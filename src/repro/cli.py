@@ -23,7 +23,7 @@ Four subcommands cover the operator workflow the paper describes:
   ``--check-determinism`` runs twice and verifies the artifacts are
   byte-identical;
 * ``cocg record GAME [GAME …] -o FILE`` — run a gateway-fronted fleet
-  experiment with a trace recorder attached and persist the run as a
+  experiment, read the finished run into a trace and persist it as a
   versioned ``.cgtrace`` file (``docs/TRACE.md``);
 * ``cocg replay TRACE`` — rebuild the fleet from a trace's header and
   replay its recorded workload; non-zero exit unless the replayed fleet

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from repro.util.effects import shard_entry, shard_merge_point
 from repro.util.rng import Seed, derive_seed
 from repro.workloads.metrics import throughput_eq2
 from repro.workloads.requests import GameRequest, PoissonArrivals
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.trace.recorder import TraceRecorder
 
 __all__ = ["FleetResult", "FleetExperiment", "default_arrivals"]
 
@@ -177,12 +174,9 @@ class FleetExperiment:
         Default: open-loop :class:`PoissonArrivals` from the seed — a
         :class:`~repro.trace.replayer.ReplayedArrivals` or a corpus
         scenario's load generator drops in here.
-    trace:
-        Optional :class:`~repro.trace.TraceRecorder` (the nullable
-        ``trace=`` handle, same pattern as ``obs=``).  The arrival
-        stream and fault schedule are recorded up front, the gateway
-        and nodes record the timeline as it happens, and the recorder
-        is finalized with the run's fleet digest after aggregation.
+
+    To record the run as a ``.cgtrace``, hand the finished experiment
+    and its result to :meth:`repro.trace.TraceRecorder.finalize`.
     """
 
     def __init__(
@@ -198,7 +192,6 @@ class FleetExperiment:
         provisioner: Optional["Provisioner"] = None,
         obs: Optional[Observer] = None,
         arrivals: Optional[object] = None,
-        trace: Optional["TraceRecorder"] = None,
     ):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -211,11 +204,8 @@ class FleetExperiment:
         self.fault_plan = fault_plan
         self.provisioner = provisioner
         self.obs = obs
-        self.trace = trace
         if obs is not None:
             cluster.attach_observer(obs)
-        if trace is not None:
-            cluster.attach_trace(trace)
         self._base_seed = seed if isinstance(seed, int) or seed is None else 0
         if arrivals is not None:
             if not hasattr(arrivals, "requests"):
@@ -243,13 +233,6 @@ class FleetExperiment:
         """Execute the run and aggregate fleet-wide results."""
         engine = SimulationEngine()
         started_waits: List[float] = []
-        if self.trace is not None:
-            # The inputs are recorded up front (arrivals + fault
-            # schedule); the timeline accumulates as the run proceeds.
-            for request in self.arrivals.requests:
-                self.trace.record_arrival(request)
-            if self.fault_plan is not None and len(self.fault_plan):
-                self.trace.record_plan(self.fault_plan)
         if self.provisioner is not None:
             # Before faults arm: the injector resolves provisioner
             # fault kinds through cluster.provisioner.
@@ -329,9 +312,6 @@ class FleetExperiment:
                 f"provisioner:{self.provisioner.digest()}\n".encode()
             )
         fault_log = list(injector.applied) if injector is not None else []
-        if self.trace is not None:
-            # Seal the trace with the digest a replay must reproduce.
-            self.trace.finalize(digest.hexdigest())
         return FleetResult(
             completed_runs=completed,
             throughput=throughput_eq2(

@@ -47,7 +47,6 @@ from repro.workloads.requests import GameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports cluster)
     from repro.serve.gateway import AdmissionGateway, AdmissionOutcome
-    from repro.trace.recorder import TraceRecorder
 
 __all__ = [
     "NodeHealth",
@@ -170,8 +169,11 @@ class FleetNode:
         self.requests: Dict[str, GameRequest] = {}
         self.completed: Dict[str, int] = {}
         self.health = NodeHealth.UP
+        #: ``(t, session, stage, start, end)`` per completed stage, in
+        #: completion order: ``start``/``end`` are session-elapsed
+        #: seconds, ``t`` the simulation second it was observed at.
+        self.stage_log: List[Tuple[int, str, str, int, int]] = []
         self.obs: Optional[Observer] = None
-        self.trace: Optional["TraceRecorder"] = None
         self._c_lifecycle = None
 
     # ------------------------------------------------------------------
@@ -199,10 +201,6 @@ class FleetNode:
                 distributor, "attach_observer"
             ):
                 distributor.attach_observer(obs)
-
-    def attach_trace(self, trace: "TraceRecorder") -> None:
-        """Record this node's session stage timeline into a trace."""
-        self.trace = trace
 
     # ------------------------------------------------------------------
     def try_admit(
@@ -253,14 +251,10 @@ class FleetNode:
             )
             if degraded and sid in degraded:
                 self.qos.note_degraded(sid)
-            if tick.stage_completed and self.trace is not None:
-                # The session just appended (stage, start, end) — in
-                # session-elapsed seconds — to its history.
-                stage_name, start, end = session.history[-1]
-                self.trace.record_stage(
-                    t, sid, stage_name, start=float(start), end=float(end),
-                    node=self.node_id,
-                )
+            if tick.stage_completed:
+                # The session just appended (stage, start, end) to its
+                # history.
+                self.stage_log.append((t, sid, *session.history[-1]))
             if tick.finished:
                 self.strategy.release(sid, time=t)
                 self.completed[session.spec.name] = (
@@ -479,7 +473,6 @@ class ClusterScheduler:
         #: ``target_up``.
         self.capacity_target = len(self.nodes)
         self.obs: Optional[Observer] = None
-        self.trace: Optional["TraceRecorder"] = None
         self._c_dispatched = None
         self._c_deferred = None
         self._c_pump_rounds = None
@@ -512,20 +505,6 @@ class ClusterScheduler:
         if self.gateway is not None and self.gateway.obs is None:
             self.gateway.attach_observer(obs)
 
-    def attach_trace(self, trace: "TraceRecorder") -> None:
-        """Wire the fleet into a trace recorder (the ``trace=`` handle).
-
-        Forwards to every node (session stage timelines) and, when a
-        gateway is already attached without its own recorder, to the
-        gateway (admission verdicts).  Nodes added later inherit the
-        recorder through :meth:`add_node`.
-        """
-        self.trace = trace
-        for node in self.nodes:
-            node.attach_trace(trace)
-        if self.gateway is not None and self.gateway.trace is None:
-            self.gateway.trace = trace
-
     def note_dispatch(self, outcome: str, *, time: float) -> None:
         """Count one dispatch attempt (``dispatched`` or ``deferred``).
 
@@ -550,14 +529,12 @@ class ClusterScheduler:
         token-bucket rate limiting, and overload is *shed* (an explicit
         outcome in gateway telemetry) instead of silently dead-lettered
         by the retry queue.  Detach by setting :attr:`gateway` to None.
-        The cluster's observer and trace recorder, when attached, are
-        forwarded to a gateway that has none of its own.
+        The cluster's observer, when attached, is forwarded to a gateway
+        that has none of its own.
         """
         self.gateway = gateway
         if self.obs is not None and gateway.obs is None:
             gateway.attach_observer(self.obs)
-        if self.trace is not None and gateway.trace is None:
-            gateway.trace = self.trace
 
     def add_node(self, node: FleetNode) -> None:
         """Grow the fleet by one node (a provisioned/warm standby).
@@ -572,8 +549,6 @@ class ClusterScheduler:
         self.nodes.append(node)
         if self.obs is not None:
             node.attach_observer(self.obs)
-        if self.trace is not None:
-            node.attach_trace(self.trace)
 
     def node(self, node_id: str) -> FleetNode:
         """Look a node up by id.

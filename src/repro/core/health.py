@@ -63,11 +63,6 @@ class PredictorHealth:
         """Current breaker state."""
         return self._state
 
-    @property
-    def is_open(self) -> bool:
-        """True while the model chain is distrusted (open or probing)."""
-        return self._state is not BreakerState.CLOSED
-
     def allow(self, now: float) -> bool:
         """Whether a model call may be attempted at sim-time ``now``.
 

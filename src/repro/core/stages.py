@@ -89,10 +89,6 @@ class Segment:
         """Segment length in frames."""
         return self.end_frame - self.start_frame
 
-    def duration_seconds(self, frame_seconds: int = 5) -> float:
-        """Segment length in seconds."""
-        return float(self.n_frames * frame_seconds)
-
 
 @dataclass
 class StageStats:
@@ -167,11 +163,6 @@ class StageStats:
         """Planning peak as a :class:`ResourceVector`."""
         return ResourceVector.from_array(self.peak)
 
-    @property
-    def mean_vector(self) -> ResourceVector:
-        """Mean demand as a :class:`ResourceVector`."""
-        return ResourceVector.from_array(self.mean)
-
 
 class StageLibrary:
     """The profiled model of one game.
@@ -243,10 +234,6 @@ class StageLibrary:
                 f"stage type {type_id!r} was never observed for {self.game!r}"
             ) from None
 
-    def has_type(self, type_id: StageTypeId) -> bool:
-        """Whether the type was observed during profiling."""
-        return type_id in self._stats
-
     def type_is_loading(self, type_id: StageTypeId) -> bool:
         """A type is loading when all its clusters are loading clusters."""
         return all(c in self.loading_clusters for c in type_id)
@@ -293,10 +280,6 @@ class StageLibrary:
     def is_loading_frame(self, frame: np.ndarray) -> bool:
         """Whether a frame falls in a loading cluster."""
         return self.classify_frame(frame) in self.loading_clusters
-
-    def frame_matches_type(self, frame: np.ndarray, type_id: StageTypeId) -> bool:
-        """Whether a frame's nearest cluster belongs to a stage type."""
-        return self.classify_frame(frame) in type_id
 
     # ------------------------------------------------------------------
     def peak_of(self, type_id: StageTypeId) -> ResourceVector:

@@ -11,7 +11,7 @@ predictor-backend outage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.experiment import FleetExperiment, FleetResult
 from repro.cluster.fleet import ClusterScheduler
@@ -20,9 +20,6 @@ from repro.faults.plan import FaultPlan
 from repro.games.spec import GameSpec
 from repro.obs.observer import Observer
 from repro.util.rng import Seed
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.trace.recorder import TraceRecorder
 
 __all__ = ["ChaosReport", "default_plan", "reclaim_storm_plan", "run_chaos"]
 
@@ -177,7 +174,6 @@ def run_chaos(
         Callable[[ClusterScheduler], Provisioner]
     ] = None,
     obs: Optional[Observer] = None,
-    trace: Optional["TraceRecorder"] = None,
 ) -> ChaosReport:
     """Run fault-free and faulted experiments from identical seeds.
 
@@ -185,13 +181,14 @@ def run_chaos(
     strategies are stateful, so the two runs cannot share one.
     ``make_provisioner``, when given, builds a fresh capacity plane over
     each run's cluster (both runs get one, so the provisioning faults
-    are the only difference between them).  An ``obs`` observer or a
-    ``trace`` recorder, when given, is wired into the *faulted* run only
-    (the baseline stays unobserved so the pair shares nothing) —
-    replaying the trace reproduces the faulted run's digest.
+    are the only difference between them).  An ``obs`` observer, when
+    given, is wired into the *faulted* run only (the baseline stays
+    unobserved so the pair shares nothing).  To record a faulted run as
+    a replayable trace, use :func:`repro.trace.record_run` with
+    ``plan=``.
     """
 
-    def run(fault_plan, run_obs=None, run_trace=None):
+    def run(fault_plan, run_obs=None):
         cluster = make_cluster()
         provisioner = (
             make_provisioner(cluster) if make_provisioner is not None else None
@@ -206,9 +203,8 @@ def run_chaos(
             fault_plan=fault_plan,
             provisioner=provisioner,
             obs=run_obs,
-            trace=run_trace,
         ).run()
 
     baseline = run(None)
-    faulted = run(plan, obs, trace)
+    faulted = run(plan, obs)
     return ChaosReport(baseline=baseline, faulted=faulted, plan=plan)

@@ -266,14 +266,6 @@ class FaultPlan:
             recover_after=recover_after, requeue=requeue,
         ))
 
-    def node_recover(self, time: float, node: str) -> "FaultPlan":
-        """Bring a crashed/draining node back to ``up``."""
-        return self.add(FaultSpec(FaultKind.NODE_RECOVER, time, node=node))
-
-    def node_drain(self, time: float, node: str) -> "FaultPlan":
-        """Set a node ``draining``: keeps its sessions, admits nothing."""
-        return self.add(FaultSpec(FaultKind.NODE_DRAIN, time, node=node))
-
     def session_kill(
         self,
         time: float,
@@ -338,20 +330,6 @@ class FaultPlan:
         return self.add(FaultSpec(
             FaultKind.PREDICTOR_FAIL, time, node=node, game=game,
             backend=backend, recover_after=recover_after,
-        ))
-
-    def predictor_recover(
-        self,
-        time: float,
-        *,
-        node: str = "*",
-        game: str = "*",
-        backend: str = "*",
-    ) -> "FaultPlan":
-        """Heal matching predictor backends."""
-        return self.add(FaultSpec(
-            FaultKind.PREDICTOR_RECOVER, time, node=node, game=game,
-            backend=backend,
         ))
 
     def provision_fail(

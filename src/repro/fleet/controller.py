@@ -15,7 +15,7 @@ gateway-free admission path, and RNG namespaced through
 :func:`~repro.util.rng.region_seed` — nothing is shared but the trained
 profiles (a pure function of the base config).  Shards therefore
 execute in any order, in any process, with identical results;
-:func:`~repro.sim.engine.run_partitioned` runs them concurrently in
+:func:`~repro.util.partition.run_partitioned` runs them concurrently in
 forked workers and returns their outcomes keyed by sorted name.
 :meth:`FleetOfFleets.run` reads only those outcomes: the routed counts
 are set in :meth:`~FleetOfFleets.build_shards` and the merge is pure.
@@ -42,7 +42,6 @@ from repro.fleet.router import RoutedArrivals, SessionRouter
 from repro.games.catalog import build_catalog
 from repro.obs.naming import FLEET_COMPLETED, FLEET_ROUTED
 from repro.obs.observer import Observer
-from repro.sim.engine import run_partitioned
 from repro.trace.harness import (
     RunConfig,
     build_experiment,
@@ -52,6 +51,7 @@ from repro.trace.harness import (
 )
 from repro.trace.recorder import TraceRecorder
 from repro.util.effects import shard_entry, shard_merge_point
+from repro.util.partition import run_partitioned
 from repro.util.rng import region_seed
 from repro.workloads.metrics import throughput_eq2
 
@@ -129,7 +129,7 @@ class RegionShard:
     Built by :class:`FleetOfFleets`; everything the shard needs —
     config (region-stamped), arrival slice, fault plan, shared
     profiles — is bound at construction, so :meth:`run` is a
-    zero-argument thunk :func:`~repro.sim.engine.run_partitioned` can
+    zero-argument thunk :func:`~repro.util.partition.run_partitioned` can
     execute in any order and in a forked worker; its outcome pickles.
     """
 

@@ -32,16 +32,6 @@ class GameCategory(Enum):
     MMO = "mmo"
 
     @property
-    def user_influence(self) -> str:
-        """``"low"`` or ``"high"`` — the vertical Fig-7 axis."""
-        return "high" if self in (GameCategory.MOBILE, GameCategory.MMO) else "low"
-
-    @property
-    def stage_complexity(self) -> str:
-        """``"low"`` or ``"high"`` — the horizontal Fig-7 axis."""
-        return "high" if self in (GameCategory.CONSOLE, GameCategory.MMO) else "low"
-
-    @property
     def dataset_policy(self) -> str:
         """Name of the §IV-B1 training-set construction policy."""
         return {

@@ -259,14 +259,6 @@ class GameSpec:
                 return script
         raise KeyError(f"game {self.name!r} has no script {name!r}")
 
-    def loading_stage_names(self) -> Tuple[str, ...]:
-        """Names of the loading stages."""
-        return tuple(
-            name
-            for name, stage in self.stages.items()
-            if stage.kind is StageKind.LOADING
-        )
-
     def loading_cluster_names(self) -> FrozenSet[str]:
         """Clusters referenced by any loading stage."""
         out: set[str] = set()
@@ -278,12 +270,6 @@ class GameSpec:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def cluster_mean_matrix(self) -> Tuple[Tuple[str, ...], np.ndarray]:
-        """Cluster names plus their mean-demand matrix ``(K, 4)``."""
-        names = tuple(sorted(self.clusters))
-        means = np.stack([self.clusters[n].mean.array for n in names])
-        return names, means
-
     def stage_peak_demand(self, stage_name: str, *, sigmas: float = 2.0) -> ResourceVector:
         """Conservative per-stage peak: max over clusters of mean + kσ."""
         stage = self.stages[stage_name]

@@ -168,10 +168,6 @@ class KMeans(Estimator):
             )
         return _pairwise_sq_dists(X, self.cluster_centers_).argmin(axis=1)
 
-    def fit_predict(self, X: np.ndarray) -> np.ndarray:
-        """Fit and return the training labels."""
-        return self.fit(X).labels_
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Euclidean distances to every center, shape ``(n, K)``."""
         self._check_fitted()

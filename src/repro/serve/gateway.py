@@ -55,7 +55,6 @@ from repro.workloads.requests import GameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.fleet import ClusterScheduler, FleetNode
-    from repro.trace.recorder import TraceRecorder
 
 __all__ = [
     "TokenBucket",
@@ -209,13 +208,11 @@ class AdmissionGateway:
         Recorder for :class:`~repro.sim.telemetry.GatewayEvent` entries;
         a noise-free private recorder by default.  Its digest is folded
         into the fleet digest by
-        :class:`~repro.cluster.experiment.FleetExperiment`.
-    trace:
-        Optional :class:`~repro.trace.TraceRecorder` (the nullable
-        ``trace=`` handle).  Every admission verdict — ``queued``,
-        ``shed``, ``admitted``, ``dead-lettered`` — is recorded as an
-        instant stage record in the request's timeline, alongside the
-        telemetry event that already feeds the fleet digest.
+        :class:`~repro.cluster.experiment.FleetExperiment`.  Every
+        verdict — ``queued``, ``shed``, ``admitted``, ``dead-lettered``
+        — lands there once, with its request id and (when admitted)
+        node; a :class:`~repro.trace.TraceRecorder` reads the verdicts
+        back from it after the run.
 
     The outcome counters live only in a metrics registry — a private
     one until :meth:`attach_observer` moves them into an observer's —
@@ -228,7 +225,6 @@ class AdmissionGateway:
         *,
         config: Optional[GatewayConfig] = None,
         telemetry: Optional[TelemetryRecorder] = None,
-        trace: Optional["TraceRecorder"] = None,
     ):
         self.scheduler = scheduler
         self.config = config if config is not None else GatewayConfig()
@@ -236,7 +232,6 @@ class AdmissionGateway:
             telemetry if telemetry is not None else TelemetryRecorder(noise_std=0.0)
         )
         self.obs: Optional[Observer] = None
-        self.trace = trace
         self._bind_metrics(MetricsRegistry())
         self.bucket = TokenBucket(
             self.config.rate_per_second, float(self.config.burst)
@@ -363,10 +358,9 @@ class AdmissionGateway:
             self.slo.record(category, "shed", 0.0, time=time)
             detail = "capacity floor" if backpressure else "queue full"
             self.telemetry.record_gateway_event(
-                time, "shed", category, f"r{request.request_id}: {detail}"
+                time, "shed", category, f"r{request.request_id}: {detail}",
+                request_id=request.request_id,
             )
-            if self.trace is not None:
-                self.trace.record_verdict(time, request.request_id, "shed")
             return AdmissionOutcome("shed", category, detail)
         q.append(
             QueuedRequest(
@@ -379,10 +373,9 @@ class AdmissionGateway:
         )
         self._c_queued.inc(time=time)
         self.telemetry.record_gateway_event(
-            time, "queued", category, f"r{request.request_id}"
+            time, "queued", category, f"r{request.request_id}",
+            request_id=request.request_id,
         )
-        if self.trace is not None:
-            self.trace.record_verdict(time, request.request_id, "queued")
         return AdmissionOutcome("queued", category)
 
     # ------------------------------------------------------------------
@@ -402,11 +395,8 @@ class AdmissionGateway:
         self.telemetry.record_gateway_event(
             time, "dead-lettered", entry.category,
             f"r{entry.request.request_id}: {reason}",
+            request_id=entry.request.request_id,
         )
-        if self.trace is not None:
-            self.trace.record_verdict(
-                time, entry.request.request_id, "dead-lettered"
-            )
 
     def _expire(self, time: float) -> None:
         """Dead-letter requests whose patience ran out."""
@@ -475,12 +465,9 @@ class AdmissionGateway:
                 self.telemetry.record_gateway_event(
                     time, "admitted", entry.category,
                     f"r{entry.request.request_id}@{node.node_id}",
+                    request_id=entry.request.request_id,
+                    node=node.node_id,
                 )
-                if self.trace is not None:
-                    self.trace.record_verdict(
-                        time, entry.request.request_id, "admitted",
-                        node=node.node_id,
-                    )
                 continue
             self._c_deferrals.inc(time=time)
             entry.attempts += 1

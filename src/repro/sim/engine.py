@@ -10,11 +10,9 @@ the schedulers rely on.
 certification story: given the ``shardplan.json`` certificate the
 analyzer exported (``cocg lint --shard-plan-out``) and the entry-point
 callables a deployment actually registers, it proves the two agree
-before any partitioned run starts.
-
-:func:`run_partitioned` and :class:`ShardError`, the execution seam for
-independent partitions, live in the stdlib-only
-:mod:`repro.util.partition` and are re-exported here.
+before any partitioned run starts; the execution seam itself,
+:func:`~repro.util.partition.run_partitioned`, lives in the stdlib-only
+:mod:`repro.util.partition`.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.util.effects import shard_entry_group
-from repro.util.partition import ShardError, run_partitioned
 
-__all__ = ["Event", "SimulationEngine", "ShardPlanError", "ShardError",
-           "SHARD_PLAN_SCHEMA", "validate_shard_plan", "run_partitioned"]
+__all__ = ["Event", "SimulationEngine", "ShardPlanError",
+           "SHARD_PLAN_SCHEMA", "validate_shard_plan"]
 
 
 @dataclass

@@ -54,15 +54,21 @@ class GatewayEvent:
     """One admission-gateway outcome (see :mod:`repro.serve.gateway`).
 
     ``outcome`` is the gateway's verdict (``admitted`` / ``queued`` /
-    ``shed`` / ``dead-lettered`` / …); ``category`` the request's game
-    category.  Gateway events are part of :meth:`TelemetryRecorder.digest`
-    so shed/queue decisions are replay-checked exactly like usage.
+    ``shed`` / ``dead-lettered``); ``category`` the request's game
+    category; ``node`` the node an admitted request landed on (empty
+    otherwise).  Gateway events are part of
+    :meth:`TelemetryRecorder.digest` so shed/queue decisions are
+    replay-checked exactly like usage; the digest hashes ``time``,
+    ``outcome``, ``category`` and ``detail``, which already names the
+    request and node.
     """
 
     time: float
     outcome: str
     category: str
+    request_id: int
     detail: str = ""
+    node: str = ""
 
 
 class TelemetryPerturbation:
@@ -209,12 +215,19 @@ class TelemetryRecorder:
         self.fault_events.append(FaultEvent(float(time), kind, detail))
 
     def record_gateway_event(
-        self, time: float, outcome: str, category: str, detail: str = ""
+        self,
+        time: float,
+        outcome: str,
+        category: str,
+        detail: str = "",
+        *,
+        request_id: int,
+        node: str = "",
     ) -> None:
         """Append one admission-gateway outcome to the run's log."""
-        self.gateway_events.append(
-            GatewayEvent(float(time), outcome, category, detail)
-        )
+        self.gateway_events.append(GatewayEvent(
+            float(time), outcome, category, int(request_id), detail, node
+        ))
 
     # ------------------------------------------------------------------
     def record(

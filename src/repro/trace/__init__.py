@@ -1,8 +1,10 @@
 """Workload record/replay: ``.cgtrace`` traces and the scenario corpus.
 
-Record any gateway-fronted fleet run into a versioned, digest-sealed
-``.cgtrace`` file (:class:`TraceRecorder` via the ``trace=`` handle),
-then replay it bit-for-bit later (:class:`TraceReplayer`) — the replay
+Record any finished fleet run into a versioned, digest-sealed
+``.cgtrace`` file (:func:`record_run`, or :meth:`TraceRecorder.finalize`
+over a run you drove yourself: it reads the arrivals, fault schedule,
+gateway verdicts and node stage logs the run already keeps), then
+replay it bit-for-bit later (:class:`TraceReplayer`) — the replay
 must reproduce the recorded fleet telemetry digest or it raises
 :class:`ReplayDivergence` naming the first divergent record.  The
 shipped corpus (:data:`SCENARIOS`) packages four canonical cloud-gaming

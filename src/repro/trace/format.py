@@ -15,7 +15,8 @@ any corruption fails by name:
 
 * :class:`TraceSchemaError` — unknown ``schema`` (lists the known ones);
 * :class:`TraceFormatError` — malformed/unknown record kind or field,
-  out-of-order body, trailing garbage — always naming the offender;
+  a field of the wrong JSON type, out-of-order body, trailing garbage —
+  always naming the line, the record kind and the offender;
 * :class:`TraceTruncatedError` — missing trailer or a record-count
   mismatch (the file was cut short);
 * :class:`TraceDigestError` — the body does not hash to the trailer's
@@ -119,6 +120,23 @@ _RECORD_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "trailer": (("record", "records", "payload_digest", "fleet_digest"), ()),
 }
 
+# The JSON type of every field but the ``record`` discriminator.  A name
+# means the same thing in every record kind; a bool is never a number.
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+_STRING = ((str,), "a string")
+_OBJECT = ((dict,), "an object")
+_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "schema": _STRING, "scenario": _STRING, "seed": _INTEGER,
+    "config": _OBJECT, "fingerprint": _STRING, "meta": _OBJECT,
+    "t": _NUMBER, "id": _INTEGER, "game": _STRING, "script": _STRING,
+    "player": _STRING, "behaviour": _STRING, "category": _STRING,
+    "session": _STRING, "stage": _STRING, "start": _NUMBER,
+    "end": _NUMBER, "node": _STRING, "index": _INTEGER, "spec": _OBJECT,
+    "records": _INTEGER, "payload_digest": _STRING,
+    "fleet_digest": _STRING,
+}
+
 # Same-time body ordering: arrivals, then the fault schedule, then the
 # observed stage timeline.
 _KIND_RANK = {"arrival": 0, "fault": 1, "stage": 2}
@@ -151,6 +169,16 @@ def _check_fields(kind: str, payload: Dict, lineno: int) -> None:
             f"line {lineno}: {kind} record has unknown field(s) "
             f"{unknown}; known fields: {known}"
         )
+    for name in required + optional:
+        if name not in payload or name not in _FIELD_TYPES:
+            continue
+        types, noun = _FIELD_TYPES[name]
+        value = payload[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TraceFormatError(
+                f"line {lineno}: {kind} field {name!r} must be {noun}, "
+                f"got {canonical(value)}"
+            )
 
 
 @dataclass
@@ -230,9 +258,9 @@ class TraceDocument:
             if kind == "trailer":
                 _check_fields("trailer", payload, lineno)
                 trailer = TraceTrailer(
-                    records=int(payload["records"]),
-                    payload_digest=str(payload["payload_digest"]),
-                    fleet_digest=str(payload["fleet_digest"]),
+                    records=payload["records"],
+                    payload_digest=payload["payload_digest"],
+                    fleet_digest=payload["fleet_digest"],
                 )
                 if lineno != len(raw_lines):
                     raise TraceFormatError(
@@ -313,38 +341,28 @@ def _parse_header(line: str) -> TraceHeader:
             f"{payload.get('record')!r}"
         )
     _check_fields("header", payload, 1)
-    schema = str(payload["schema"])
+    schema = payload["schema"]
     if schema not in KNOWN_SCHEMAS:
         raise TraceSchemaError(
             f"unknown trace schema {schema!r}; this reader understands: "
             f"{', '.join(KNOWN_SCHEMAS)}"
         )
     config = payload["config"]
-    if not isinstance(config, dict):
-        raise TraceFormatError(
-            f"line 1: header 'config' must be an object, got "
-            f"{type(config).__name__}"
-        )
-    meta = payload["meta"]
-    if not isinstance(meta, dict):
-        raise TraceFormatError(
-            f"line 1: header 'meta' must be an object, got "
-            f"{type(meta).__name__}"
-        )
+    fingerprint = payload["fingerprint"]
     expected = config_fingerprint(config)
-    if str(payload["fingerprint"]) != expected:
+    if fingerprint != expected:
         raise TraceDigestError(
-            f"header fingerprint {str(payload['fingerprint'])[:16]}… does "
-            f"not match the config (expected {expected[:16]}…) — the "
-            f"configuration was edited after recording"
+            f"header fingerprint {fingerprint[:16]}… does not match the "
+            f"config (expected {expected[:16]}…) — the configuration was "
+            f"edited after recording"
         )
     return TraceHeader(
         schema=schema,
-        scenario=str(payload["scenario"]),
-        seed=int(payload["seed"]),
+        scenario=payload["scenario"],
+        seed=payload["seed"],
         config=config,
-        fingerprint=str(payload["fingerprint"]),
-        meta={str(k): str(v) for k, v in sorted(meta.items())},
+        fingerprint=fingerprint,
+        meta={str(k): str(v) for k, v in sorted(payload["meta"].items())},
     )
 
 
@@ -359,32 +377,26 @@ def _parse_body(kind: object, payload: Dict, lineno: int) -> BodyEvent:
     if kind == "arrival":
         return ArrivalEvent(
             time=float(payload["t"]),
-            request_id=int(payload["id"]),
-            game=str(payload["game"]),
-            script=str(payload["script"]),
-            player=str(payload["player"]),
-            behaviour=str(payload["behaviour"]),
-            category=str(payload["category"]),
+            request_id=payload["id"],
+            game=payload["game"],
+            script=payload["script"],
+            player=payload["player"],
+            behaviour=payload["behaviour"],
+            category=payload["category"],
         )
     if kind == "stage":
         return StageEvent(
             time=float(payload["t"]),
-            session=str(payload["session"]),
-            stage=str(payload["stage"]),
+            session=payload["session"],
+            stage=payload["stage"],
             start=float(payload["start"]),
             end=float(payload["end"]),
-            node=str(payload.get("node", "")),
-        )
-    spec = payload["spec"]
-    if not isinstance(spec, dict):
-        raise TraceFormatError(
-            f"line {lineno}: fault 'spec' must be an object, got "
-            f"{type(spec).__name__}"
+            node=payload.get("node", ""),
         )
     return FaultScheduleEvent(
         time=float(payload["t"]),
-        index=int(payload["index"]),
-        spec=spec,
+        index=payload["index"],
+        spec=payload["spec"],
     )
 
 

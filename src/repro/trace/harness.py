@@ -316,7 +316,6 @@ def build_experiment(
     plan: Optional[FaultPlan] = None,
     arrivals: Optional[object] = None,
     obs: Optional[Observer] = None,
-    trace: Optional[TraceRecorder] = None,
     seed: Optional[int] = None,
 ) -> FleetExperiment:
     """The composition root: one config's fleet run, built but not run.
@@ -324,10 +323,10 @@ def build_experiment(
     Builds a fresh cluster (gateway included when configured) and the
     capacity plane the config implies, and wraps them in a
     :class:`FleetExperiment` over the config's games, horizon, arrival
-    rate and detect interval.  ``plan``, ``arrivals``, ``obs`` and
-    ``trace`` pass through to the experiment; ``seed`` overrides the
-    experiment seed (default :func:`experiment_seed`), which replay
-    uses to run from the seed its trace header recorded.
+    rate and detect interval.  ``plan``, ``arrivals`` and ``obs`` pass
+    through to the experiment; ``seed`` overrides the experiment seed
+    (default :func:`experiment_seed`), which replay uses to run from the
+    seed its trace header recorded.
     """
     cluster = build_cluster(config, profiles)
     factory = make_provisioner_factory(config, profiles)
@@ -342,7 +341,6 @@ def build_experiment(
         provisioner=factory(cluster) if factory is not None else None,
         obs=obs,
         arrivals=arrivals,
-        trace=trace,
     )
 
 
@@ -354,13 +352,14 @@ def record_run(
     arrivals: Optional[object] = None,
     profiles: Optional[Dict[str, GameProfile]] = None,
 ) -> Tuple[FleetResult, TraceRecorder]:
-    """Run one configured experiment with a recorder attached.
+    """Run one configured experiment and record it.
 
-    Returns the run's result and the *finalized* recorder — call
-    ``recorder.save(path)`` to persist the ``.cgtrace``.  ``arrivals``
-    overrides the config's Poisson stream (corpus scenarios pass their
-    shaped load generator); ``plan`` is recorded into the trace and its
-    seed pinned into the config's ``fault_seed``.
+    Returns the run's result and the recorder, finalized over the
+    finished experiment — call ``recorder.save(path)`` to persist the
+    ``.cgtrace``.  ``arrivals`` overrides the config's Poisson stream
+    (corpus scenarios pass their shaped load generator); ``plan`` is
+    recorded into the trace and its seed pinned into the config's
+    ``fault_seed``.
     """
     if plan is not None and config.fault_seed != plan.seed:
         config = replace(config, fault_seed=plan.seed)
@@ -370,7 +369,9 @@ def record_run(
         seed=experiment_seed(config), config=config.to_dict(),
         scenario=scenario,
     )
-    result = build_experiment(
-        config, profiles, plan=plan, arrivals=arrivals, trace=recorder
-    ).run()
+    experiment = build_experiment(
+        config, profiles, plan=plan, arrivals=arrivals
+    )
+    result = experiment.run()
+    recorder.finalize(experiment, result)
     return result, recorder

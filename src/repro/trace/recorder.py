@@ -1,15 +1,13 @@
 """The recording half of record/replay.
 
-A :class:`TraceRecorder` rides along a live run behind the nullable
-``trace=`` handle (the same pattern as ``obs=``): the experiment feeds
-it the arrival stream and the fault schedule up front, the gateway and
-the fleet nodes feed it stage records as verdicts land and stages
-complete, and :meth:`finalize` seals the document with the run's fleet
-telemetry digest — the value every replay must reproduce.
-
-Recording is append-only and allocation-light (one frozen dataclass per
-record); the body is sorted once at write time, so the hot path stays
-O(1) per event.
+A :class:`TraceRecorder` reads a finished run; nothing below the
+composition root knows it exists.  Run the
+:class:`~repro.cluster.experiment.FleetExperiment` as usual, then
+:meth:`~TraceRecorder.finalize` builds the body from the logs the run
+already keeps — the experiment's arrival stream and fault schedule,
+the gateway telemetry's verdicts and each node's ``stage_log`` — and
+seals it with the run's fleet telemetry digest, the value every replay
+must reproduce.  :func:`repro.trace.harness.record_run` does both.
 """
 
 from __future__ import annotations
@@ -31,14 +29,13 @@ from repro.trace.players import behaviour_of
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from pathlib import Path
 
-    from repro.faults.plan import FaultPlan
-    from repro.workloads.requests import GameRequest
+    from repro.cluster.experiment import FleetExperiment, FleetResult
 
 __all__ = ["TraceRecorder"]
 
 
 class TraceRecorder:
-    """Collects one run's records and seals them into a trace.
+    """Reads one finished run into a sealed trace.
 
     Parameters
     ----------
@@ -72,64 +69,65 @@ class TraceRecorder:
         self._sealed: Optional[TraceDocument] = None
 
     # ------------------------------------------------------------------
-    # Recording hooks (called by the experiment / gateway / nodes)
-    # ------------------------------------------------------------------
-    def record_arrival(self, request: "GameRequest") -> None:
-        """One gateway arrival (the experiment records all up front)."""
-        self._doc.arrivals.append(ArrivalEvent(
-            time=float(request.arrival),
-            request_id=int(request.request_id),
-            game=request.spec.name,
-            script=request.script or "",
-            player=request.player.player_id,
-            behaviour=behaviour_of(request.player),
-            category=request.spec.category.value,
-        ))
+    def finalize(
+        self, experiment: "FleetExperiment", result: "FleetResult"
+    ) -> TraceDocument:
+        """Read a finished run into the trace and seal it.
 
-    def record_stage(
-        self,
-        time: float,
-        session: str,
-        stage: str,
-        *,
-        start: float,
-        end: float,
-        node: str = "",
-    ) -> None:
-        """One timeline step: a gateway verdict or a stage completion."""
-        self._doc.stages.append(StageEvent(
-            time=float(time),
-            session=str(session),
-            stage=str(stage),
-            start=float(start),
-            end=float(end),
-            node=str(node),
-        ))
-
-    def record_verdict(
-        self, time: float, request_id: int, verdict: str, node: str = ""
-    ) -> None:
-        """Convenience: a gateway verdict as an instant stage record."""
-        self.record_stage(
-            time, f"r{request_id}", verdict, start=float(time),
-            end=float(time), node=node,
+        The body comes from what the run already logged: the arrival
+        stream, the fault schedule, the gateway's verdicts (its
+        telemetry) and every node's ``stage_log`` — standbys added
+        mid-run included, since nodes are never removed.  The trailer
+        carries ``result.telemetry_digest``, the value every replay
+        must reproduce.  The writer sorts the body, so the order these
+        are read in does not matter.  A second call raises
+        ``RuntimeError``: it would seal the body twice over.
+        """
+        if self._sealed is not None:
+            raise RuntimeError(
+                "trace is already finalized — a second finalize would "
+                "double its body"
+            )
+        doc = self._doc
+        doc.arrivals.extend(
+            ArrivalEvent(
+                time=float(request.arrival),
+                request_id=int(request.request_id),
+                game=request.spec.name,
+                script=request.script or "",
+                player=request.player.player_id,
+                behaviour=behaviour_of(request.player),
+                category=request.spec.category.value,
+            )
+            for request in experiment.arrivals.requests
         )
-
-    def record_plan(self, plan: "FaultPlan") -> None:
-        """The fault schedule, one record per fault in replay order."""
-        for index, spec in enumerate(plan.scheduled()):
-            self._doc.faults.append(FaultScheduleEvent(
-                time=float(spec.time),
-                index=index,
-                spec=spec.to_dict(),
-            ))
-
-    # ------------------------------------------------------------------
-    # Sealing
-    # ------------------------------------------------------------------
-    def finalize(self, fleet_digest: str) -> TraceDocument:
-        """Seal the trace with the run's fleet telemetry digest."""
-        self._sealed = self._doc.sealed(str(fleet_digest))
+        if experiment.fault_plan is not None:
+            doc.faults.extend(
+                FaultScheduleEvent(
+                    time=float(spec.time), index=index, spec=spec.to_dict()
+                )
+                for index, spec in enumerate(experiment.fault_plan.scheduled())
+            )
+        cluster = experiment.cluster
+        if cluster.gateway is not None:
+            # Verdicts are instants in the request's timeline.
+            doc.stages.extend(
+                StageEvent(
+                    time=ev.time, session=f"r{ev.request_id}",
+                    stage=ev.outcome, start=ev.time, end=ev.time,
+                    node=ev.node,
+                )
+                for ev in cluster.gateway.telemetry.gateway_events
+            )
+        for node in cluster.nodes:
+            doc.stages.extend(
+                StageEvent(
+                    time=float(t), session=session, stage=stage,
+                    start=float(start), end=float(end), node=node.node_id,
+                )
+                for t, session, stage, start, end in node.stage_log
+            )
+        self._sealed = doc.sealed(result.telemetry_digest)
         return self._sealed
 
     @property

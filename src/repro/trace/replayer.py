@@ -179,14 +179,15 @@ class TraceReplayer:
         echo = TraceRecorder(
             seed=header.seed, config=header.config, scenario=header.scenario
         )
-        result = build_experiment(
+        experiment = build_experiment(
             self.config,
             self.profiles,
             plan=self.fault_plan(),
             arrivals=ReplayedArrivals(self.document, self.specs),
-            trace=echo,
             seed=header.seed,
-        ).run()
+        )
+        result = experiment.run()
+        echo.finalize(experiment, result)
         expected = self.document.trailer.fleet_digest
         replayed = result.telemetry_digest
         matched = expected == replayed

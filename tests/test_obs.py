@@ -345,7 +345,7 @@ class TestGatewayViews:
 
 class TestObserverReachesGateway:
     """An observer wired into the cluster reaches its gateway, whichever
-    of the two is attached first (the same forwarding trace= gets)."""
+    of the two is attached first."""
 
     def test_experiment_observer_reaches_harness_gateway(self):
         from repro.trace.harness import (

@@ -7,13 +7,16 @@ fleet telemetry digest exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cluster.fleet import ClusterScheduler, FleetNode
+from repro.cli import main
 from repro.cluster.provisioner import Provisioner
+from repro.faults.chaos import reclaim_storm_plan
 from repro.faults.plan import FaultPlan
 from repro.games.category import GameCategory
 from repro.games.player import PlayerModel
@@ -33,6 +36,7 @@ from repro.trace import (
     behaviour_of,
     build_profiles,
     config_fingerprint,
+    generate_scenario,
     get_behaviour,
     get_scenario,
     make_player,
@@ -43,6 +47,8 @@ from repro.trace import (
     scenario_names,
 )
 from repro.trace.corpus import RateEnvelope
+from repro.trace.events import FaultScheduleEvent
+from repro.trace.harness import build_experiment
 from repro.trace.players import BEHAVIOURS, PlayerBehaviour, ScriptedPlayer
 
 
@@ -144,6 +150,90 @@ class TestFormatRejection:
     def test_garbage_after_trailer_rejected(self, document):
         with pytest.raises(TraceFormatError, match="not the last"):
             TraceDocument.loads(document.dumps() + '{"record":"header"}\n')
+
+
+@pytest.fixture(scope="module")
+def every_kind(document):
+    """The recorded trace plus one fault record: every record kind."""
+    spec = FaultPlan(seed=1).session_kill(60.0).scheduled()[0]
+    return TraceDocument(
+        header=document.header,
+        arrivals=list(document.arrivals),
+        stages=list(document.stages),
+        faults=[FaultScheduleEvent(60.0, 0, spec.to_dict())],
+    ).sealed(document.trailer.fleet_digest).dumps()
+
+
+def _retyped(text, kind, name, value):
+    """``text`` with ``name`` of the first ``kind`` record carrying it
+    set to ``value``; returns the new text and that record's line."""
+    lines = text.rstrip("\n").split("\n")
+    for index, line in enumerate(lines):
+        payload = json.loads(line)
+        if payload["record"] == kind and name in payload:
+            payload[name] = value
+            lines[index] = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+            return "\n".join(lines) + "\n", index + 1
+    raise AssertionError(f"no {kind} record carries {name!r}")
+
+
+#: One wrongly typed value per field of every record kind.
+WRONG_TYPES = [
+    ("header", "schema", 1), ("header", "scenario", None),
+    ("header", "seed", "z"), ("header", "seed", True),
+    ("header", "seed", 1.5), ("header", "config", []),
+    ("header", "fingerprint", 0), ("header", "meta", "m"),
+    ("arrival", "t", "x"), ("arrival", "t", False), ("arrival", "id", "a"),
+    ("arrival", "game", 3), ("arrival", "script", None),
+    ("arrival", "player", []), ("arrival", "behaviour", 1),
+    ("arrival", "category", {}),
+    ("stage", "t", None), ("stage", "session", 1), ("stage", "stage", 2),
+    ("stage", "start", None), ("stage", "end", "9"), ("stage", "node", 7),
+    ("fault", "t", "x"), ("fault", "index", "0"), ("fault", "spec", []),
+    ("trailer", "records", "many"), ("trailer", "payload_digest", 0),
+    ("trailer", "fleet_digest", None),
+]
+
+
+class TestFieldTypes:
+    """A field of the wrong JSON type fails by name, never as a raw
+    ``ValueError``/``TypeError`` from a conversion."""
+
+    @pytest.mark.parametrize(
+        "kind,name,value", WRONG_TYPES,
+        ids=[f"{k}.{n}={v!r}" for k, n, v in WRONG_TYPES],
+    )
+    def test_wrong_type_names_line_kind_and_field(
+        self, every_kind, kind, name, value
+    ):
+        text, lineno = _retyped(every_kind, kind, name, value)
+        with pytest.raises(
+            TraceFormatError, match=f"line {lineno}: {kind} field '{name}'"
+        ):
+            TraceDocument.loads(text)
+
+    def test_number_fields_accept_ints(self, every_kind):
+        # ``t``/``start``/``end`` are numbers: ``5`` reads as ``5.0``,
+        # so the re-serialized body still hashes to the trailer.
+        first = TraceDocument.loads(every_kind).stages[0]
+        text, _ = _retyped(every_kind, "stage", "end", int(first.end))
+        assert text != every_kind
+        assert TraceDocument.loads(text).stages[0] == first
+
+    def test_cli_replay_exits_2_naming_the_field(self, every_kind, tmp_path,
+                                                 capsys):
+        text, lineno = _retyped(every_kind, "stage", "start", None)
+        path = tmp_path / "bad.cgtrace"
+        path.write_text(text, encoding="utf-8")
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"line {lineno}: stage field 'start' must be a number, got null"
+            in captured.err
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +370,16 @@ class TestRecordReplay:
         with pytest.raises(RuntimeError, match="finalize"):
             recorder.document
 
+    def test_second_finalize_raises(self):
+        config = RunConfig(games=("contra",), nodes=2, horizon=150, seed=3)
+        experiment = build_experiment(config, build_profiles(config))
+        result = experiment.run()
+        recorder = TraceRecorder(seed=3, config=config.to_dict())
+        text = recorder.finalize(experiment, result).dumps()
+        with pytest.raises(RuntimeError, match="already finalized"):
+            recorder.finalize(experiment, result)
+        assert recorder.document.dumps() == text
+
     def test_faulted_run_replays(self):
         plan = FaultPlan(seed=9).session_kill(60.0, requeue=False)
         config = RunConfig(games=("contra",), nodes=2, horizon=150, seed=3)
@@ -288,6 +388,42 @@ class TestRecordReplay:
         assert len(doc.faults) == 1
         assert doc.header.config["fault_seed"] == 9
         assert replay_document(doc).matched
+
+
+# ---------------------------------------------------------------------------
+# Recording reads the finished run: byte pins
+# ---------------------------------------------------------------------------
+
+#: sha256 of the trace text of an elastic, faulted run (two standbys
+#: promoted mid-run, so stage records land on nodes added during it).
+ELASTIC_PINS = {
+    True: "64e0ef6de13e01ed8f794d6c5d32d6730a9d519fd653b699acb0d0b5e9c62519",
+    False: "d28179906b61622137cac7fcd4ac8eeac30ca77ea76da255f313c3394cf40edd",
+}
+
+
+class TestRecordingPins:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_regenerates_byte_identical(self, name):
+        path = Path(__file__).resolve().parents[1] / "corpus" / f"{name}.cgtrace"
+        _, recorder = generate_scenario(name)
+        assert recorder.document.dumps() == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("gateway", [True, False])
+    def test_elastic_run_pins(self, gateway):
+        config = RunConfig(
+            games=("contra", "dota2"), nodes=3, horizon=600, seed=11,
+            warm_pool=2, gateway=gateway,
+        )
+        plan = reclaim_storm_plan(600, seed=5, nodes=("node-1", "node-2"))
+        _, recorder = record_run(config, plan=plan)
+        text = recorder.document.dumps()
+        assert {"spot-2", "spot-4"} <= {
+            s.node for s in recorder.document.stages
+        }
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            ELASTIC_PINS[gateway]
+        )
 
 
 # ---------------------------------------------------------------------------
