@@ -57,7 +57,7 @@ def timed_drive(loadgen, *, observed):
     """One run; returns (elapsed seconds, gateway, observer-or-None)."""
     obs = Observer() if observed else None
     t0 = time.perf_counter()
-    gateway, _, _ = drive(loadgen, batched=True, obs=obs, horizon=HORIZON)
+    gateway, _ = drive(loadgen, batched=True, obs=obs, horizon=HORIZON)
     return time.perf_counter() - t0, gateway, obs
 
 

@@ -1,9 +1,8 @@
-"""Serving-scale benchmark: micro-batched + cached vs naive admission.
+"""Serving-scale benchmark: micro-batched + memoized vs naive admission.
 
 Drives ≥100k open-loop requests through the *real* serve stack —
 :class:`~repro.serve.gateway.AdmissionGateway`,
 :class:`~repro.serve.batching.MicroBatcher`,
-:class:`~repro.serve.rollout_cache.RolloutCache`,
 :class:`~repro.core.distributor.Distributor` — over synthetic nodes
 whose running tasks count every predictor rollout they are asked for.
 Real game sessions would spend the benchmark's budget simulating frames;
@@ -12,14 +11,16 @@ structure) while making the rollout count the only moving part.
 
 Claims checked (the ISSUE's acceptance bar):
 
-* the batched + cached gateway performs **≥ 5× fewer** predictor
-  rollout evaluations than naive per-request admission;
+* the batched gateway, whose tasks memoize one rollout per epoch like
+  ``SessionControl``, performs **≥ 5× fewer** predictor rollout
+  evaluations than naive per-request ``ClusterScheduler.dispatch``
+  over memo-less tasks;
 * admission outcomes are **identical** — the gateway telemetry digests
   of both modes match event for event;
 * replays are digest-stable — the batched run repeated from the same
   seed reproduces its digest byte for byte.
 
-The decision-count/caching stats land in ``BENCH_serve.json`` (the CI
+The decision-count stats land in ``BENCH_serve.json`` (the CI
 ``serve-smoke`` artifact).
 """
 
@@ -34,7 +35,7 @@ import pytest
 from repro.cluster.fleet import ClusterScheduler, NodeHealth
 from repro.core.distributor import Distributor
 from repro.platform_.resources import N_DIMS, ResourceVector
-from repro.serve import AdmissionGateway, GatewayConfig, RolloutCache
+from repro.serve import AdmissionGateway, GatewayConfig
 from repro.serve.loadgen import OpenLoopLoadGen
 
 
@@ -56,42 +57,44 @@ MIN_RATIO = 5.0
 class SyntheticTask:
     """A running task whose rollout cost is observable.
 
-    Implements the distributor's ``RunningTaskView`` and the epoch-keyed
-    cache discipline of ``SessionControl``: every uncached
-    ``predicted_peaks`` call counts one rollout evaluation.
+    Implements the distributor's ``RunningTaskView``.  With ``memo`` it
+    keeps ``SessionControl``'s discipline — one memoized rollout per
+    horizon, dropped by :meth:`invalidate_rollouts` at every epoch
+    change; every unmemoized ``predicted_peaks`` call counts one rollout
+    evaluation.
     """
 
-    def __init__(self, session_id, alloc, peak, end_time, counter, cache):
-        self.session_id = session_id
-        self.epoch = 0
+    def __init__(self, alloc, peak, end_time, counter, memo):
         self.end_time = end_time
         self._alloc = alloc
         self._peak = peak
         self._counter = counter
-        self._cache = cache
+        self._peaks_cache = {} if memo else None
 
     @property
     def current_allocation(self):
         return self._alloc
 
+    def invalidate_rollouts(self):
+        if self._peaks_cache is not None:
+            self._peaks_cache.clear()
+
     def predicted_peaks(self, horizon):
-        if self._cache is not None:
-            cached = self._cache.get(self.session_id, self.epoch, horizon)
-            if cached is not None:
-                return cached
+        if self._peaks_cache is not None and horizon in self._peaks_cache:
+            return self._peaks_cache[horizon]
         self._counter.rollouts += 1
         peaks = [self._peak] * horizon
-        if self._cache is not None:
-            self._cache.put(self.session_id, self.epoch, horizon, peaks)
+        if self._peaks_cache is not None:
+            self._peaks_cache[horizon] = peaks
         return peaks
 
 
 class SyntheticScheduler:
     """The duck-typed CoCG surface the micro-batcher probes for."""
 
-    def __init__(self, capacity, cache):
+    def __init__(self, capacity, memo):
         self.distributor = Distributor(capacity, horizon=DIST_HORIZON)
-        self.rollout_cache = cache
+        self.memo = memo
         self.tasks = []  # lint: disable=CG009 - bounded by admission capacity
 
     def task_views(self):
@@ -104,13 +107,13 @@ class SyntheticScheduler:
 class SyntheticNode:
     """Duck-types the ``FleetNode`` surface cluster dispatch uses."""
 
-    def __init__(self, node_id, profiles, counter, cache):
+    def __init__(self, node_id, profiles, counter, memo):
         self.node_id = node_id
         self.health = NodeHealth.UP
         self.profiles = profiles
         self._counter = counter
         self.strategy = SimpleNamespace(
-            scheduler=SyntheticScheduler(uniform(95.0), cache)
+            scheduler=SyntheticScheduler(uniform(95.0), memo)
         )
 
     def try_admit(self, request, *, time, seed, incarnation=0):
@@ -124,11 +127,10 @@ class SyntheticNode:
         if not decision.admitted:
             return False
         duration = 45.0 + (request.request_id % 60)
-        sid = f"{request.spec.name}-r{request.request_id}.{incarnation}@{self.node_id}"
         sched.tasks.append(
             SyntheticTask(
-                sid, profile.steady, profile.steady, time + duration,
-                self._counter, sched.rollout_cache,
+                profile.steady, profile.steady, time + duration,
+                self._counter, sched.memo,
             )
         )
         return True
@@ -137,20 +139,14 @@ class SyntheticNode:
         return 1.0 - min(1.0, len(self.strategy.scheduler.tasks) / 4.0)
 
     def advance(self, time):
-        """Expire finished tasks and bump survivors' epochs (the
+        """Expire finished tasks and start a new epoch for survivors (the
         stand-in for a control tick's stage transitions)."""
         sched = self.strategy.scheduler
-        cache = sched.rollout_cache
         keep = []
         for task in sched.tasks:
-            if task.end_time <= time:
-                if cache is not None:
-                    cache.invalidate(task.session_id)
-                continue
-            task.epoch += 1
-            if cache is not None:
-                cache.invalidate(task.session_id)
-            keep.append(task)
+            if task.end_time > time:
+                task.invalidate_rollouts()
+                keep.append(task)
         sched.tasks = keep
 
 
@@ -183,11 +179,24 @@ def loadgen():
     return gen
 
 
-def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
-    """One full gateway run; returns (gateway, counter, cache).
+def naive_dispatch(cluster, entry, *, time, seed_for):
+    """The reference: per-request ``ClusterScheduler.dispatch``, with the
+    batcher's ``dispatch_one`` signature."""
+    return cluster.dispatch(
+        entry.request,
+        time=time,
+        seed=seed_for(entry.request, entry.incarnation),
+        incarnation=entry.incarnation,
+    )
 
-    ``obs`` threads an :class:`repro.obs.Observer` through the gateway
-    (the overhead benchmark drives the same run observed and
+
+def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
+    """One full gateway run; returns (gateway, counter).
+
+    ``batched=False`` is the naive reference: the gateway dispatches each
+    request through ``ClusterScheduler.dispatch`` and tasks memoize
+    nothing.  ``obs`` threads an :class:`repro.obs.Observer` through the
+    gateway (the overhead benchmark drives the same run observed and
     unobserved); ``horizon`` lets callers shorten the run.
     """
     from repro.games.catalog import build_catalog
@@ -196,9 +205,8 @@ def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
     specs = [catalog[name] for name in GAMES]
     profiles = synthetic_profiles(specs)
     counter = SimpleNamespace(rollouts=0)
-    cache = RolloutCache(max_entries=4096) if batched else None
     nodes = [
-        SyntheticNode(f"node-{i}", profiles, counter, cache)
+        SyntheticNode(f"node-{i}", profiles, counter, memo=batched)
         for i in range(N_NODES)
     ]
     cluster = ClusterScheduler(nodes, policy="round-robin")
@@ -209,9 +217,10 @@ def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
             rate_per_second=4.0,
             burst=24,
             max_queue_seconds=120.0,
-            micro_batching=batched,
         ),
     )
+    if not batched:
+        gateway.batcher.dispatch_one = naive_dispatch
     if obs is not None:
         gateway.attach_observer(obs)
     cluster.attach_gateway(gateway)
@@ -228,13 +237,13 @@ def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
             cluster.submit(request, time=now)
         prev = now + 1e-9
         gateway.pump(now, seed_for)
-    return gateway, counter, cache
+    return gateway, counter
 
 
 def test_serve_throughput(loadgen):
-    naive_gw, naive_counter, _ = drive(loadgen, batched=False)
-    batched_gw, batched_counter, cache = drive(loadgen, batched=True)
-    replay_gw, replay_counter, _ = drive(loadgen, batched=True)
+    naive_gw, naive_counter = drive(loadgen, batched=False)
+    batched_gw, batched_counter = drive(loadgen, batched=True)
+    replay_gw, replay_counter = drive(loadgen, batched=True)
 
     # Identical admission outcomes: the gateway event streams (queued /
     # shed / admitted@node / dead-lettered, in order) must match.
@@ -255,7 +264,6 @@ def test_serve_throughput(loadgen):
         "rollout_ratio": round(ratio, 2),
         "gateway": batched_gw.stats(),
         "batching": batched_gw.batcher.stats(),
-        "rollout_cache": cache.stats(),
         "digest": batched_gw.telemetry.digest(),
         "slo": {
             s.category: {
@@ -276,7 +284,6 @@ def test_serve_throughput(loadgen):
     print(f"rollouts (naive):    {naive_counter.rollouts:,}")
     print(f"rollouts (batched):  {batched_counter.rollouts:,}")
     print(f"ratio:               {ratio:.1f}x")
-    print(f"cache hit rate:      {cache.hit_rate:.0%}")
 
     assert stats["requests"] >= MIN_REQUESTS
     assert ratio >= MIN_RATIO, (

@@ -108,8 +108,8 @@ def _certify_or_fail(args) -> int:
 
 def _run_config(args, **overrides) -> RunConfig:
     """The :class:`~repro.trace.harness.RunConfig` a command's flags
-    describe: every flag named like a config field, ``--rate`` and
-    ``--no-batching``; ``overrides`` win."""
+    describe: every flag named like a config field and ``--rate``;
+    ``overrides`` win."""
     from dataclasses import fields
 
     from repro.trace.harness import RunConfig
@@ -118,8 +118,6 @@ def _run_config(args, **overrides) -> RunConfig:
     values = {f.name: flags[f.name] for f in fields(RunConfig) if f.name in flags}
     if "rate" in flags:
         values["rate_per_minute"] = flags["rate"]
-    if "no_batching" in flags:
-        values["micro_batching"] = not flags["no_batching"]
     values.update(overrides)
     return RunConfig(**values)
 
@@ -289,7 +287,6 @@ def cmd_serve(args) -> int:
     """``cocg serve``: the fleet behind the admission gateway."""
     from repro.core.predictor import BACKENDS
     from repro.obs import Observer
-    from repro.serve import RolloutCache
     from repro.trace.harness import build_experiment
 
     rc = _certify_or_fail(args)
@@ -299,15 +296,11 @@ def cmd_serve(args) -> int:
     profiles = _load_or_build_profiles(config, args.profiles_dir)
     obs = Observer() if args.obs_out else None
     experiment = build_experiment(config, profiles, obs=obs)
-    cache = RolloutCache()
-    for node in experiment.cluster.nodes:
-        node.strategy.scheduler.attach_rollout_cache(cache)
     result = experiment.run()
     gateway = experiment.cluster.gateway
     stats = gateway.stats()
     print(f"\nfleet of {args.nodes} nodes behind the gateway "
-          f"(policy={args.policy}, "
-          f"batching={'off' if args.no_batching else 'on'})")
+          f"(policy={args.policy})")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
     print(f"completed runs:     {result.completed_runs}")
     print(f"gateway outcomes:   queued={stats['queued']} "
@@ -315,12 +308,9 @@ def cmd_serve(args) -> int:
           f"dead-lettered={stats['dead_lettered']}")
     print(f"still queued:       {stats['depth']} "
           f"({stats['throttled_rounds']} throttled rounds)")
-    if not args.no_batching:
-        b = gateway.batcher.stats()
-        print(f"micro-batching:     {b['evaluations']} shared evaluations, "
-              f"{b['prescreen_rejects']} pre-screen rejects")
-    print(f"rollout cache:      {cache.hits} hits / {cache.misses} misses "
-          f"({cache.hit_rate:.0%})")
+    b = gateway.batcher.stats()
+    print(f"micro-batching:     {b['evaluations']} shared evaluations, "
+          f"{b['prescreen_rejects']} pre-screen rejects")
     print("per-category SLO (time in queue):")
     for line in gateway.slo.summary_lines():
         print(f"  {line}")
@@ -718,9 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--burst", type=int, default=8, help="token-bucket depth")
     s.add_argument("--max-queue-seconds", type=float, default=300.0,
                    help="queue patience before dead-lettering")
-    s.add_argument("--no-batching", action="store_true",
-                   help="naive per-request dispatch (same outcomes, "
-                        "more predictor rollouts)")
     s.add_argument("--players", type=int, default=4)
     s.add_argument("--sessions", type=int, default=3)
     s.add_argument("--profiles-dir", help="cache profiles here")

@@ -19,7 +19,7 @@ admission so much more permissive than whole-game peak reservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence
 
 
 from repro.obs.metrics import CounterChild
@@ -94,8 +94,6 @@ class BatchEvaluation:
         self._running: List[RunningTaskView] = list(running)
         self._current: Optional[ResourceVector] = None
         self._worst: Optional[ResourceVector] = None
-        #: Candidates evaluated through this batch (diagnostics).
-        self.evaluations = 0
 
     # ------------------------------------------------------------------
     @effects(hot_path=True)
@@ -147,7 +145,6 @@ class BatchEvaluation:
         steady_peak: ResourceVector,
     ) -> AdmissionDecision:
         """Algorithm 1 for one candidate against the shared snapshot."""
-        self.evaluations += 1
         decision = self._decide(entry_consumption, steady_peak)
         self._distributor.count_evaluation(decision.admitted)
         return decision
@@ -289,18 +286,3 @@ class Distributor:
         if self._c_batches is not None:
             self._c_batches.inc()
         return BatchEvaluation(self, running)
-
-    @effects(hot_path=True)
-    def can_admit_batch(
-        self,
-        candidates: Sequence[Tuple[ResourceVector, ResourceVector]],
-        running: Sequence[RunningTaskView],
-    ) -> List[AdmissionDecision]:
-        """Evaluate many ``(entry_consumption, steady_peak)`` candidates.
-
-        Convenience wrapper over :meth:`begin_batch`; all candidates see
-        the same running-set snapshot, so this is only valid when no
-        candidate is actually admitted between evaluations.
-        """
-        batch = self.begin_batch(running)
-        return [batch.evaluate(entry, steady) for entry, steady in candidates]

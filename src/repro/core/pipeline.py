@@ -139,10 +139,6 @@ class GameProfile:
         acc = self.predictor(backend).accuracy_
         return float(acc) if acc is not None else 0.0
 
-    def best_backend(self) -> str:
-        """Backend with the highest held-out accuracy."""
-        return max(self.predictors, key=self.accuracy)
-
     # ------------------------------------------------------------------
     # Persistence: "profiling and model training only need to be
     # performed once" — so the artifact must survive the process.

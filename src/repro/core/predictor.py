@@ -143,9 +143,6 @@ class StagePredictor:
         #: Fault-injection switch: while True, :meth:`predict_next`
         #: raises :class:`PredictorBackendError` (see repro.faults).
         self.failure_injected: bool = False
-        #: Completed :meth:`rollout` calls — the unit the serve-layer
-        #: rollout cache saves; benchmarks compare it across paths.
-        self.rollout_count: int = 0
         #: :meth:`predict_next` answers keyed by everything its features
         #: read (see :meth:`_feature_key`); :meth:`train` starts a new table.
         self._memo: Dict[Hashable, Tuple[StageTypeId, float]] = {}
@@ -329,12 +326,10 @@ class StagePredictor:
         queued request per round and must not flap session health.
 
         Returns an empty chain when ``start`` is ``None`` (no stage
-        belief yet); otherwise exactly ``steps`` types.  Each completed
-        call increments :attr:`rollout_count`.
+        belief yet); otherwise exactly ``steps`` types.
         """
         if start is None:
             return []
-        self.rollout_count += 1
         chain: List[StageTypeId] = []
         hist = list(exec_history)
         current = start

@@ -21,7 +21,7 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "CoCGScheduler",
     "SessionControl",
     "Decision",
-    "RolloutMemo",
 ]
 
 
@@ -73,37 +72,6 @@ def _total(rows: Iterable[Floats4]) -> List[float]:
     for row in it:
         total = [t + x for t, x in zip(total, row)]
     return total
-
-
-class RolloutMemo(Protocol):
-    """A shared predictor-rollout memo (``repro.serve.rollout_cache``).
-
-    Keyed by ``(session id, epoch, horizon)``: the epoch is the
-    session's stage-transition counter, so entries from before a
-    transition can never answer for the state after it.  Defined here as
-    a Protocol so :mod:`repro.core` stays import-free of the serve
-    layer.
-    """
-
-    def get(
-        self, session_id: str, epoch: int, horizon: int
-    ) -> Optional[List[ResourceVector]]:
-        """Return the memoized peaks, or ``None`` on a miss."""
-        ...
-
-    def put(
-        self,
-        session_id: str,
-        epoch: int,
-        horizon: int,
-        peaks: List[ResourceVector],
-    ) -> None:
-        """Memoize one rollout's peaks."""
-        ...
-
-    def invalidate(self, session_id: str) -> None:
-        """Drop every entry of one session (stage transition/release)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -218,11 +186,6 @@ class SessionControl:
         self.degraded_logged: bool = False
         self.prior_served: int = 0
         self._peaks_cache: Dict[int, List[ResourceVector]] = {}
-        #: Bumped on every control-visible state change; rollout-cache
-        #: entries are keyed by it so stale epochs can never answer.
-        self.rollout_epoch: int = 0
-        #: Optional shared memo (attached by the serve layer).
-        self.rollout_cache: Optional[RolloutMemo] = None
         self.desired: ResourceVector = planner.for_loading()
         # Prime the first prediction from the empty history.
         self._predict_next(now)
@@ -322,14 +285,10 @@ class SessionControl:
         """Drop every memoized rollout of this session.
 
         Called whenever control-visible state may change (each control
-        visit, release): the local per-tick cache is cleared and the
-        session's epoch is bumped, which orphans any entries a shared
-        :class:`RolloutMemo` still holds.
+        visit, release), so a rollout from before a stage transition can
+        never answer for the state after it.
         """
         self._peaks_cache.clear()
-        self.rollout_epoch += 1
-        if self.rollout_cache is not None:
-            self.rollout_cache.invalidate(self.session.session_id)
 
     @effects(hot_path=True)
     def predicted_peaks(self, horizon: int) -> List[ResourceVector]:
@@ -338,18 +297,9 @@ class SessionControl:
         Memoized between control ticks: the rollout only depends on
         state the 5-second control loop mutates, while the distributor
         may ask for it once per queued request per admission round.
-        When a shared :class:`RolloutMemo` is attached it answers first
-        (so the serve layer's hit/miss counters see every lookup);
-        otherwise a session-local cache serves repeats.
+        This is the only rollout memo; :meth:`invalidate_rollouts`
+        clears it.
         """
-        cache = self.rollout_cache
-        if cache is not None:
-            sid = self.session.session_id
-            cached = cache.get(sid, self.rollout_epoch, horizon)
-            if cached is None:
-                cached = self._compute_peaks(horizon)
-                cache.put(sid, self.rollout_epoch, horizon, cached)
-            return cached
         local = self._peaks_cache.get(horizon)
         if local is None:
             local = self._compute_peaks(horizon)
@@ -403,8 +353,6 @@ class CoCGScheduler:
         self.decision_log: List[Decision] = []
         self.rejections = 0
         self.admissions = 0
-        #: Shared rollout memo (attached by the serve layer, if any).
-        self.rollout_cache: Optional[RolloutMemo] = None
         self._admission_cache: Dict[str, _AdmissionPlans] = {}
         #: Shared observer (attached by the fleet, if any).
         self.obs: Optional[Observer] = None
@@ -490,12 +438,6 @@ class CoCGScheduler:
         """The running set as Algorithm-1 task views (batcher input)."""
         return list(self._sessions.values())
 
-    def attach_rollout_cache(self, cache: RolloutMemo) -> None:
-        """Share a rollout memo across this scheduler's sessions."""
-        self.rollout_cache = cache
-        for ctl in self._sessions.values():
-            ctl.rollout_cache = cache
-
     def attach_observer(self, obs: Observer, *, node: str = "") -> None:
         """Report decisions and control cycles through a shared observer.
 
@@ -569,7 +511,6 @@ class CoCGScheduler:
         )
         if not self.config.use_redundancy:
             ctl.planner.set_accuracy(1.0)  # zero Eq-1 margin
-        ctl.rollout_cache = self.rollout_cache
         ctl.desired = entry
         self._sessions[session.session_id] = ctl
         self.admissions += 1

@@ -234,10 +234,6 @@ class StageLibrary:
                 f"stage type {type_id!r} was never observed for {self.game!r}"
             ) from None
 
-    def type_is_loading(self, type_id: StageTypeId) -> bool:
-        """A type is loading when all its clusters are loading clusters."""
-        return all(c in self.loading_clusters for c in type_id)
-
     # ------------------------------------------------------------------
     def observe_segments(self, segments: Sequence[Segment]) -> None:
         """Fold one trace's segment sequence into stats and transitions."""
@@ -259,13 +255,6 @@ class StageLibrary:
         """Observed successors of an execution type."""
         return Counter(self._transitions.get(type_id, Counter()))
 
-    def most_common_successor(self, type_id: StageTypeId) -> Optional[StageTypeId]:
-        """Majority-vote next type, or ``None`` if never followed."""
-        counts = self._transitions.get(type_id)
-        if not counts:
-            return None
-        return counts.most_common(1)[0][0]
-
     # ------------------------------------------------------------------
     # Frame classification (used online every 5 s)
     # ------------------------------------------------------------------
@@ -276,10 +265,6 @@ class StageLibrary:
             raise ValueError(f"frame must have {N_DIMS} dims, got {frame.shape}")
         diff = self.centers - frame
         return int(np.einsum("kd,kd->k", diff, diff).argmin())
-
-    def is_loading_frame(self, frame: np.ndarray) -> bool:
-        """Whether a frame falls in a loading cluster."""
-        return self.classify_frame(frame) in self.loading_clusters
 
     # ------------------------------------------------------------------
     def peak_of(self, type_id: StageTypeId) -> ResourceVector:

@@ -214,10 +214,6 @@ class GameSession:
         """The stage order actually played this session (ground truth)."""
         return tuple(inst.spec.name for inst in self._stages)
 
-    def nominal_duration(self) -> float:
-        """Sum of realized durations at full supply (Eq-2's ``S_i``)."""
-        return float(sum(inst.duration for inst in self._stages))
-
     # ------------------------------------------------------------------
     # The tick
     # ------------------------------------------------------------------

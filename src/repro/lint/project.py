@@ -1131,6 +1131,16 @@ class _Summarizer:
             self._check_rng(node, dotted)
             self._check_clock(node, dotted)
             self._check_effect_seeds(node, dotted, terminal)
+        elif (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr not in _CALL_STOPLIST
+        ):
+            # A method on a call result or subscript
+            # (``build(...).run()``, ``nodes[0].advance()``) has no
+            # dotted name, but its attribute still names the callee.
+            self._fn.calls.append(CallSite(
+                name=node.func.attr, line=node.lineno, on_self=False,
+            ))
         self.generic_visit(node)
 
 

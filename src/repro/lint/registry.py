@@ -46,7 +46,9 @@ __all__ = [
 #: namespaces, raw-seed sites, @shard_entry/@shard_merge_point
 #: decorations, module int constants).
 #: v6: ``shardplan.json`` drops its per-function ``functions`` table.
-ANALYZER_VERSION = 6
+#: v7: call sites on a call result or subscript (``f(...).run()``) are
+#: recorded by attribute name.
+ANALYZER_VERSION = 7
 
 
 class FileContext:

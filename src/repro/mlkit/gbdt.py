@@ -151,17 +151,3 @@ class GradientBoostedClassifier(Estimator, ClassifierMixin):
         self._check_fitted()
         trees = [t for round_trees in self.estimators_ for t in round_trees]
         return np.mean([t.feature_importances_ for t in trees], axis=0)
-
-    def staged_accuracy(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Accuracy after each boosting round (for learning curves)."""
-        self._check_fitted()
-        X = self._coerce_X(X)
-        y = np.asarray(y)
-        logits = np.tile(self.init_score_, (X.shape[0], 1))
-        out = np.empty(len(self.estimators_))
-        for i, round_trees in enumerate(self.estimators_):
-            for c, tree in enumerate(round_trees):
-                logits[:, c] += self.learning_rate * tree.predict(X)
-            pred = self.classes_[logits.argmax(axis=1)]
-            out[i] = float(np.mean(pred == y))
-        return out

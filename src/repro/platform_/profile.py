@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from repro.platform_.resources import ResourceVector
-
-if TYPE_CHECKING:
-    import numpy as np
 from repro.util.validation import check_positive
 
 __all__ = ["PlatformProfile", "REFERENCE_PLATFORM", "WEAK_GPU_PLATFORM", "BIG_SERVER_PLATFORM"]
@@ -66,13 +62,6 @@ class PlatformProfile:
     def scale_demand(self, demand: ResourceVector) -> ResourceVector:
         """Demand of a game on this platform, clipped at 100 %."""
         return demand.scale(self.factors).clip(0.0, 100.0)
-
-    def scale_array(self, demands: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`scale_demand` over an ``(n, 4)`` array."""
-        import numpy as np
-
-        out = np.asarray(demands, dtype=float) * self.factors.array[None, :]
-        return np.clip(out, 0.0, 100.0)
 
 
 #: The paper's testbed: 4-core i7-7700, 8 GB RAM, 2× GTX 2080.

@@ -247,12 +247,6 @@ class Server:
         except KeyError:
             raise KeyError(f"session {session_id!r} is not placed on {self.server_id}") from None
 
-    def least_loaded_gpu(self) -> int:
-        """GPU index with the most remaining core capacity."""
-        devices = self._totals()[2]
-        slack = [g.gpu_capacity - d[0] for g, d in zip(self.gpus, devices)]
-        return int(np.argmax(slack))
-
     def __repr__(self) -> str:
         return (
             f"Server({self.server_id!r}, sessions={len(self._placements)}, "

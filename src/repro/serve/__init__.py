@@ -8,8 +8,6 @@ traffic from millions of users" reaches the distributor at all:
   digest;
 * :mod:`~repro.serve.batching` — one shared Algorithm-1 pass per node
   per scheduling tick instead of per request×node;
-* :mod:`~repro.serve.rollout_cache` — keyed predictor-rollout memo with
-  explicit epoch invalidation;
 * :mod:`~repro.serve.slo` — per-category time-in-queue percentiles;
 * :mod:`~repro.serve.loadgen` — deterministic open/closed-loop request
   generation at ≥100k-request scale.
@@ -27,7 +25,6 @@ __all__ = [
     "QueuedRequest",
     "TokenBucket",
     "MicroBatcher",
-    "RolloutCache",
     "SloTracker",
     "CategorySlo",
     "percentile_nearest_rank",
@@ -44,7 +41,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "TokenBucket": ".gateway",
     "ClosedLoopLoadGen": ".loadgen",
     "OpenLoopLoadGen": ".loadgen",
-    "RolloutCache": ".rollout_cache",
     "CategorySlo": ".slo",
     "SloTracker": ".slo",
     "percentile_nearest_rank": ".slo",

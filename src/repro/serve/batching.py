@@ -51,13 +51,11 @@ class MicroBatcher:
     :class:`~repro.serve.gateway.AdmissionGateway`; the gateway calls
     :meth:`begin_round` once per pump and :meth:`dispatch_one` per due
     request.  Counters expose how much work batching saved; they live in
-    ``registry`` (the gateway's shared one, or a private registry when
-    ``None``) as ``serve_batcher_events_total{event=...}`` and are read
-    through :meth:`stats`.
+    the gateway's ``registry`` as ``serve_batcher_events_total{event=...}``
+    and are read through :meth:`stats`.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry) -> None:
         events = registry.counter(
             BATCHER_EVENTS,
             "Micro-batcher activity by event kind.",

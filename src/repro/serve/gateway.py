@@ -23,9 +23,7 @@ deterministically, on simulation time:
 
 Dispatch itself is micro-batched through
 :class:`~repro.serve.batching.MicroBatcher` (one shared Algorithm-1 pass
-per node per round) unless ``micro_batching=False``, which degrades to
-the cluster's naive per-request dispatch — same outcomes, more predictor
-rollouts (the benchmark quantifies the gap).
+per node per round).
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from repro.util.effects import shard_entry
 from repro.workloads.requests import GameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.fleet import ClusterScheduler, FleetNode
+    from repro.cluster.fleet import ClusterScheduler
 
 __all__ = [
     "TokenBucket",
@@ -100,11 +98,6 @@ class TokenBucket:
             return True
         return False
 
-    def peek(self, now: float) -> float:
-        """Tokens available at ``now`` (diagnostics)."""
-        self._refill(now)
-        return self._tokens
-
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -122,9 +115,6 @@ class GatewayConfig:
         Patience: a request queued longer dead-letters at the next pump.
     max_retries:
         Dispatch rounds a request survives before dead-lettering.
-    micro_batching:
-        Share Algorithm-1 passes per node per round (default).  Off =
-        naive per-request dispatch; identical outcomes, more rollouts.
     capacity_floor:
         Capacity-coupled backpressure (0 = off, the default).  When the
         cluster's usable capacity — UP nodes over its capacity target —
@@ -139,7 +129,6 @@ class GatewayConfig:
     burst: int = 16
     max_queue_seconds: float = 300.0
     max_retries: int = 25
-    micro_batching: bool = True
     capacity_floor: float = 0.0
 
     def __post_init__(self) -> None:
@@ -293,10 +282,6 @@ class AdmissionGateway:
         """Requests currently queued across every category."""
         return sum(len(q) for q in self._queues.values())
 
-    def depth_of(self, category: str) -> int:
-        """Queued requests of one category."""
-        return len(self._queues.get(category, ()))
-
     def has_pending(self, request_id: int) -> bool:
         """Whether a request with this id is queued in any category.
 
@@ -445,15 +430,16 @@ class AdmissionGateway:
             (e for q in self._queues.values() for e in q),
             key=lambda e: e.seq,
         )
-        if self.config.micro_batching:
-            self.batcher.begin_round()
+        self.batcher.begin_round()
         started: List[GameRequest] = []
         resolved: List[QueuedRequest] = []
         for entry in entries:
             if not self.bucket.try_take(time):
                 self._c_throttled.inc(time=time)
                 break
-            node = self._dispatch(entry, time, seed_for)
+            node = self.batcher.dispatch_one(
+                self.scheduler, entry, time=time, seed_for=seed_for
+            )
             if node is not None:
                 started.append(entry.request)
                 resolved.append(entry)
@@ -484,20 +470,6 @@ class AdmissionGateway:
                     q.clear()
                     q.extend(survivors)
         return started
-
-    def _dispatch(
-        self, entry: QueuedRequest, time: float, seed_for
-    ) -> Optional["FleetNode"]:
-        if self.config.micro_batching:
-            return self.batcher.dispatch_one(
-                self.scheduler, entry, time=time, seed_for=seed_for
-            )
-        return self.scheduler.dispatch(
-            entry.request,
-            time=time,
-            seed=seed_for(entry.request, entry.incarnation),
-            incarnation=entry.incarnation,
-        )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -7,8 +7,8 @@ request spent queued before it, and summarizes per game category with
 deterministic nearest-rank percentiles — no interpolation, so two
 identical runs print identical summaries to full precision.
 
-When built with a :class:`~repro.obs.metrics.MetricsRegistry`, every
-recorded outcome is mirrored into the canonical registry metrics —
+Every recorded outcome is also mirrored into the canonical registry
+metrics of the gateway's :class:`~repro.obs.metrics.MetricsRegistry` —
 ``serve_queue_wait_seconds`` (a fixed-bucket histogram per category)
 and ``serve_slo_outcomes_total`` — so the Prometheus export tells the
 same story as :meth:`SloTracker.summaries`.  The exact-percentile lists
@@ -67,29 +67,26 @@ class SloTracker:
     Parameters
     ----------
     registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        given, every :meth:`record` also lands in the registry's
+        The :class:`~repro.obs.metrics.MetricsRegistry` whose
         ``serve_queue_wait_seconds`` histogram and
-        ``serve_slo_outcomes_total`` counter.
+        ``serve_slo_outcomes_total`` counter every :meth:`record` also
+        lands in.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._waits: Dict[str, List[float]] = {}
         self._outcomes: Dict[str, Dict[str, int]] = {}
-        self._wait_hist = None
-        self._outcome_counter = None
-        if registry is not None:
-            self._wait_hist = registry.histogram(
-                QUEUE_WAIT_SECONDS,
-                "Time-in-queue before each gateway verdict.",
-                ("category",),
-                buckets=WAIT_BUCKETS,
-            )
-            self._outcome_counter = registry.counter(
-                SLO_OUTCOMES,
-                "Gateway verdicts by category and outcome.",
-                ("category", "outcome"),
-            )
+        self._wait_hist = registry.histogram(
+            QUEUE_WAIT_SECONDS,
+            "Time-in-queue before each gateway verdict.",
+            ("category",),
+            buckets=WAIT_BUCKETS,
+        )
+        self._outcome_counter = registry.counter(
+            SLO_OUTCOMES,
+            "Gateway verdicts by category and outcome.",
+            ("category", "outcome"),
+        )
 
     # ------------------------------------------------------------------
     def record(
@@ -106,28 +103,19 @@ class SloTracker:
         self._waits.setdefault(category, []).append(float(wait_seconds))
         per_cat = self._outcomes.setdefault(category, {})
         per_cat[outcome] = per_cat.get(outcome, 0) + 1
-        if self._wait_hist is not None:
-            self._wait_hist.labels(category=category).observe(
-                wait_seconds, time=time
-            )
-            # Prometheus label values: dead-lettered -> dead_lettered.
-            self._outcome_counter.labels(
-                category=category, outcome=outcome.replace("-", "_")
-            ).inc(time=time)
+        self._wait_hist.labels(category=category).observe(
+            wait_seconds, time=time
+        )
+        # Prometheus label values: dead-lettered -> dead_lettered.
+        self._outcome_counter.labels(
+            category=category, outcome=outcome.replace("-", "_")
+        ).inc(time=time)
 
     # ------------------------------------------------------------------
     @property
     def categories(self) -> List[str]:
         """Recorded categories, sorted for stable iteration."""
         return sorted(self._waits)
-
-    def outcome_totals(self) -> Dict[str, int]:
-        """Fleet-wide outcome counts across every category."""
-        totals: Dict[str, int] = {}
-        for category in sorted(self._outcomes):
-            for outcome, n in sorted(self._outcomes[category].items()):
-                totals[outcome] = totals.get(outcome, 0) + n
-        return totals
 
     def summary(self, category: str) -> CategorySlo:
         """Percentile summary of one category."""

@@ -51,7 +51,3 @@ class ClientModel:
         """Per-frame decode latency for a codec on this device."""
         check_in("codec", codec, _DECODE_BASE_MS)
         return _DECODE_BASE_MS[codec] * _DEVICE_FACTORS[self.device]
-
-    def total_client_latency_ms(self, codec: str) -> float:
-        """Decode plus display latency."""
-        return self.decode_latency_ms(codec) + self.display_latency_ms

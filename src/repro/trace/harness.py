@@ -94,9 +94,8 @@ class RunConfig:
     pre-booted standbys (``None`` = no capacity plane).
 
     ``heterogeneous`` cycles node platforms through reference, weak-GPU
-    and big-server; ``micro_batching`` switches the gateway's shared
-    Algorithm-1 pass (off = naive per-request dispatch).  Both are
-    elided at their defaults, like every other optional field.
+    and big-server; it is elided at its default, like every other
+    optional field.
 
     ``region`` names the regional shard this run belongs to (empty =
     the classic unsharded fleet).  A region prefixes every node id
@@ -127,7 +126,6 @@ class RunConfig:
     warm_pool: Optional[int] = None
     region: str = ""
     heterogeneous: bool = False
-    micro_batching: bool = True
 
     #: Keys that may be elided from the payload (everything but games),
     #: in declaration order — one tuple serves serialization and strict
@@ -137,7 +135,7 @@ class RunConfig:
         "seed", "detect_interval", "players", "sessions", "backends",
         "gateway", "queue_capacity", "rate_limit", "burst",
         "max_queue_seconds", "fault_seed", "warm_pool", "region",
-        "heterogeneous", "micro_batching",
+        "heterogeneous",
     )
 
     def __post_init__(self) -> None:
@@ -277,7 +275,6 @@ def build_cluster(
                 rate_per_second=config.rate_limit,
                 burst=config.burst,
                 max_queue_seconds=config.max_queue_seconds,
-                micro_batching=config.micro_batching,
             ),
         )
         cluster.attach_gateway(gateway)

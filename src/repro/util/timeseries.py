@@ -152,19 +152,6 @@ class ResourceSeries:
             self.values[:, idx], tuple(names), period=self.period, start=self.start
         )
 
-    def concat(self, other: "ResourceSeries") -> "ResourceSeries":
-        """Append ``other`` (same columns and period) after this series."""
-        if other.columns != self.columns:
-            raise ValueError(f"column mismatch: {self.columns} vs {other.columns}")
-        if abs(other.period - self.period) > 1e-12:
-            raise ValueError(f"period mismatch: {self.period} vs {other.period}")
-        return ResourceSeries(
-            np.concatenate([self.values, other.values], axis=0),
-            self.columns,
-            period=self.period,
-            start=self.start,
-        )
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -322,8 +322,6 @@ _PINNED_CASES = {
         []),
     "fleet-regions": ([["fleet", "contra", "--regions", "2", *_SMALL]], []),
     "serve": ([["serve", "contra", *_SMALL]], []),
-    "serve-no-batching": (
-        [["serve", "contra", "--no-batching", *_SMALL]], []),
     "serve-obs": (
         [["serve", "contra", "--obs-out", "{tmp}/serve-obs", *_SMALL]],
         ["serve-obs/metrics.prom", "serve-obs/trace.json"]),
@@ -349,14 +347,11 @@ _PINNED_SHA256 = {
         "f28939cf189afc4b84565e17effcbb19"
         "76e0523db7e4bcf47214586c48e8acf6"),
     "serve": (
-        "6ff8da5bfb0aa921a42634a444cd4a95"
-        "55bc63c84b6cf10ed554b101c9f1669b"),
-    "serve-no-batching": (
-        "a52f0ed4880329d584efa800eeb4c7ee"
-        "d7e78b51d60c5aedd8415945d2698c55"),
+        "eec2b31f0a97a9553895f17d0ebc8dbb"
+        "07bd703a6a9dc32b6b6fa1c136b25d4b"),
     "serve-obs": (
-        "e7ced2eaf166807439fe0ef0fb3362fc"
-        "1d1bc57bdc1e258881cea04730e191e7"),
+        "8bd9500f115ceab637a327e200f9d9b9"
+        "177532df094ae885f39fcd968c03ff08"),
     "chaos": (
         "e327b47114ee8ec541bd08c90fdf09c6"
         "f8505d7e276a95b96475951f344fa37f"),

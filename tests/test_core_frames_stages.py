@@ -113,11 +113,6 @@ class TestStageLibrary:
         assert lib.classify_frame([49, 6, 10, 10]) == 0
         assert lib.classify_frame([21, 19, 14, 12]) == 1
 
-    def test_is_loading_frame(self):
-        lib = self.make_library()
-        assert lib.is_loading_frame([50, 5, 10, 10])
-        assert not lib.is_loading_frame([40, 55, 25, 15])
-
     def test_observe_and_stats(self):
         lib = self.make_library()
         lib.observe_segments([
@@ -138,8 +133,9 @@ class TestStageLibrary:
             seg([2], 3, 5, [1, 0, 0, 0]),
         ]
         lib.observe_segments(segs)
-        assert lib.most_common_successor(StageTypeId([1])) == StageTypeId([2])
-        assert lib.most_common_successor(StageTypeId([2])) is None
+        # Loading separates execution stages: [1] -> [2] is one transition.
+        assert lib.transition_counts(StageTypeId([1])) == {StageTypeId([2]): 1}
+        assert not lib.transition_counts(StageTypeId([2]))
 
     def test_peak_of_unobserved_type_falls_back_to_centroids(self):
         lib = self.make_library()
@@ -150,11 +146,6 @@ class TestStageLibrary:
         lib = self.make_library()
         with pytest.raises(RuntimeError):
             lib.max_peak()
-
-    def test_type_is_loading(self):
-        lib = self.make_library()
-        assert lib.type_is_loading(StageTypeId([0]))
-        assert not lib.type_is_loading(StageTypeId([0, 1]))
 
     def test_loading_type(self):
         assert self.make_library().loading_type == StageTypeId([0])

@@ -166,11 +166,6 @@ class TestGameSession:
         # Mostly the player's preferred order → few distinct realizations.
         assert len(orders) <= 3
 
-    def test_nominal_duration_close_to_spec(self, toy_spec):
-        s = GameSession(toy_spec, "full", seed=12)
-        expected = toy_spec.expected_script_duration("full")
-        assert s.nominal_duration() == pytest.approx(expected, rel=0.35)
-
     def test_frame_lock_propagates(self, catalog):
         s = GameSession(catalog["genshin"], "run-battle-fly", seed=0)
         tick = s.advance(FULL)

@@ -287,6 +287,40 @@ class TestSelfCallResolution:
         graph = build_call_graph(project)
         assert graph.callees("core.a::Walker.entry") == {"util.b::inherited"}
 
+    def test_call_on_a_call_result_or_subscript_is_an_edge(self):
+        project = build_project({
+            "trace/a.py": """\
+                from cluster.b import build
+
+                def record():
+                    return build().run()
+
+                def first(nodes):
+                    return nodes[0].advance()
+                """,
+            "cluster/b.py": """\
+                import random
+
+                class Fleet:
+                    def run(self):
+                        return random.random()
+
+                    def advance(self):
+                        return open("x")
+
+                def build():
+                    return Fleet()
+                """,
+        })
+        graph = project.graph
+        assert graph.callees("trace.a::record") == {
+            "cluster.b::build", "cluster.b::Fleet.run",
+        }
+        assert graph.callees("trace.a::first") == {"cluster.b::Fleet.advance"}
+        inf = project.effects
+        assert "rng" in inf.effects_of("trace.a::record")
+        assert "io" in inf.effects_of("trace.a::first")
+
 
 # ----------------------------------------------------------------------
 # CG015 — shard safety

@@ -77,13 +77,6 @@ class TestGBDT:
         # Mostly monotone: allow tiny numerical wiggles.
         assert np.sum(np.diff(losses) > 1e-6) <= 2
 
-    def test_staged_accuracy_improves(self, rng):
-        X, y = spiral_data(rng, n=200)
-        gb = GradientBoostedClassifier(40, seed=0).fit(X, y)
-        staged = gb.staged_accuracy(X, y)
-        assert staged[-1] >= staged[0]
-        assert staged[-1] > 0.9
-
     def test_multiclass_probabilities(self, rng):
         X = np.concatenate([rng.normal(c, 0.6, size=(40, 2)) for c in ([0, 0], [4, 0], [0, 4])])
         y = np.repeat(["a", "b", "c"], 40)

@@ -24,9 +24,6 @@ class TestGameProfile:
         with pytest.raises(KeyError):
             toy_profile.predictor("gbdt")
 
-    def test_best_backend(self, genshin_profile):
-        assert genshin_profile.best_backend() in genshin_profile.predictors
-
     def test_corpus_segments_retained(self, toy_profile):
         assert len(toy_profile.corpus_segments) == 9  # 3 players × 3 sessions
 

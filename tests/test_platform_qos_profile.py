@@ -1,6 +1,5 @@
 """Tests for the FPS/QoS model and platform profiles."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,12 +115,6 @@ class TestPlatformProfile:
     def test_big_server_deflates(self):
         out = BIG_SERVER_PLATFORM.scale_demand(rv(cpu=80))
         assert out.cpu == 40
-
-    def test_scale_array_matches_scalar_path(self):
-        demands = np.array([[40, 60, 30, 20], [80, 90, 10, 5]], float)
-        batch = WEAK_GPU_PLATFORM.scale_array(demands)
-        one = WEAK_GPU_PLATFORM.scale_demand(ResourceVector.from_array(demands[1]))
-        np.testing.assert_allclose(batch[1], one.array)
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):

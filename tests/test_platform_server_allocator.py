@@ -79,11 +79,6 @@ class TestServer:
         s.place("a", 0, rv(cpu=50))
         assert s.headroom_fraction() == pytest.approx(0.5)
 
-    def test_least_loaded_gpu(self):
-        s = Server("s")
-        s.place("a", 0, rv(gpu=60))
-        assert s.least_loaded_gpu() == 1
-
     def test_needs_a_gpu(self):
         with pytest.raises(ValueError):
             Server("s", gpus=[])

@@ -10,8 +10,8 @@ and no memo.
 
 Production answers the same question through
 :meth:`Distributor.begin_batch` / :class:`BatchEvaluation` (one shared
-snapshot per running set, ``M`` computed lazily) and, under the serve
-layer, a :class:`RolloutCache` of predictor rollouts.  Any optimisation
+snapshot per running set, ``M`` computed lazily), with each session's
+rollout memoized by :meth:`SessionControl.predicted_peaks`.  Any optimisation
 of that path (vectorising it, changing the vector representation) must
 keep every decision and every ``predicted_peak`` bit-identical to the
 reference.
@@ -22,13 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributor import Distributor
-from repro.core.scheduler import CoCGScheduler
+from repro.core.scheduler import CoCGScheduler, SessionControl
 from repro.games.player import PlayerModel
 from repro.games.session import GameSession
 from repro.platform_.allocator import Allocator
 from repro.platform_.resources import ResourceVector
 from repro.platform_.server import GPUDevice, Server
-from repro.serve.rollout_cache import RolloutCache
 from repro.sim.telemetry import TelemetryRecorder
 
 
@@ -75,7 +74,7 @@ def assert_same_decision(decision, expected):
 
 
 # ----------------------------------------------------------------------
-# Synthetic running sets, rollouts served through a RolloutCache
+# Synthetic running sets, rollouts served through the session memo
 # ----------------------------------------------------------------------
 components = st.floats(0, 60, allow_nan=False, allow_infinity=False)
 vectors = st.builds(
@@ -85,23 +84,20 @@ vectors = st.builds(
 
 
 class CachedTask:
-    """A task view whose rollout goes through a shared RolloutCache,
-    keyed like :meth:`SessionControl.predicted_peaks`."""
+    """A task view whose rollout goes through
+    :meth:`SessionControl.predicted_peaks` and its per-session memo."""
 
-    def __init__(self, sid, current, peaks, minimum, cache):
-        self.sid = sid
+    predicted_peaks = SessionControl.predicted_peaks
+
+    def __init__(self, current, peaks, minimum):
         self.current_allocation = current
         # Only loading tasks expose a compressible footprint.
         self.min_allocation = None if minimum is None else (lambda: minimum)
         self._peaks = peaks
-        self._cache = cache
+        self._peaks_cache = {}
 
-    def predicted_peaks(self, horizon):
-        cached = self._cache.get(self.sid, 0, horizon)
-        if cached is None:
-            cached = list(self._peaks)
-            self._cache.put(self.sid, 0, horizon, cached)
-        return cached
+    def _compute_peaks(self, horizon):
+        return list(self._peaks)
 
     def reference_peaks(self):
         return list(self._peaks)
@@ -125,10 +121,9 @@ tasks = st.tuples(
 def test_batch_path_matches_reference_on_synthetic_sets(
     running, candidates, capacity, horizon, tolerance
 ):
-    cache = RolloutCache()
     views = [
-        CachedTask(f"s{i}", current, peaks, minimum, cache)
-        for i, (current, peaks, minimum) in enumerate(running)
+        CachedTask(current, peaks, minimum)
+        for current, peaks, minimum in running
     ]
     distributor = Distributor(
         capacity, horizon=horizon, overshoot_tolerance=tolerance
@@ -136,7 +131,7 @@ def test_batch_path_matches_reference_on_synthetic_sets(
     reference_running = [
         (reference_consumption(v), v.reference_peaks()) for v in views
     ]
-    # Two batches over the same set: the second is served from the cache.
+    # Two batches over the same set: the second is served from the memo.
     for _ in range(2):
         batch = distributor.begin_batch(views)
         for entry, steady in candidates:
@@ -174,7 +169,6 @@ def test_scheduler_admission_matches_reference(
 ):
     server = Server("s", gpus=[GPUDevice()])
     scheduler = CoCGScheduler(Allocator(server, utilization_cap=0.95))
-    scheduler.attach_rollout_cache(RolloutCache())
     telemetry = TelemetryRecorder(seed=0)
     sessions = []
     for i, seed in enumerate(seeds):

@@ -1,10 +1,10 @@
 """Tests for the ``repro.serve`` subsystem and its batching contracts.
 
-Covers the gateway (queues, shedding, patience, rate limiting), the
-rollout cache, the SLO tracker, load generation determinism, the single
-candidate-order/tie-break policy, and the load-bearing equivalence
-property: batched Algorithm-1 evaluation returns decisions identical to
-the sequential path.
+Covers the gateway (queues, shedding, patience, rate limiting), the SLO
+tracker, load generation determinism, the single candidate-order/
+tie-break policy, and the load-bearing equivalence property: batched
+Algorithm-1 evaluation returns decisions identical to the sequential
+path.
 """
 
 import numpy as np
@@ -15,12 +15,12 @@ from repro.cluster import ClusterScheduler, FleetNode
 from repro.cluster.fleet import NodeHealth, dispatch_order
 from repro.core.distributor import AdmissionDecision, Distributor
 from repro.games.player import PlayerModel
+from repro.obs.metrics import MetricsRegistry
 from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.serve import (
     AdmissionGateway,
     GatewayConfig,
     OpenLoopLoadGen,
-    RolloutCache,
     SloTracker,
     TokenBucket,
     percentile_nearest_rank,
@@ -62,7 +62,9 @@ class TestTokenBucket:
 
     def test_refill_caps_at_burst(self):
         bucket = TokenBucket(100.0, 5)
-        assert bucket.peek(1000.0) == 5.0
+        assert bucket.try_take(0.0)
+        # A long idle stretch refills to the burst depth, not beyond.
+        assert sum(bucket.try_take(1000.0) for _ in range(10)) == 5
 
     def test_replay_determinism(self):
         def drain(times):
@@ -77,53 +79,6 @@ class TestTokenBucket:
             TokenBucket(0.0, 1)
         with pytest.raises(ValueError):
             TokenBucket(1.0, 0)
-
-
-# ----------------------------------------------------------------------
-# RolloutCache
-# ----------------------------------------------------------------------
-
-class TestRolloutCache:
-    def test_miss_then_hit(self):
-        cache = RolloutCache()
-        assert cache.get("s0", 0, 3) is None
-        peaks = [uniform(1.0)] * 3
-        cache.put("s0", 0, 3, peaks)
-        assert cache.get("s0", 0, 3) is peaks
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
-    def test_epoch_and_horizon_key_separately(self):
-        cache = RolloutCache()
-        cache.put("s0", 0, 3, [uniform(1.0)])
-        assert cache.get("s0", 1, 3) is None
-        assert cache.get("s0", 0, 5) is None
-
-    def test_invalidate_drops_every_epoch_of_a_session(self):
-        cache = RolloutCache()
-        cache.put("s0", 0, 3, [uniform(1.0)])
-        cache.put("s0", 1, 3, [uniform(1.0)])
-        cache.put("s1", 0, 3, [uniform(2.0)])
-        cache.invalidate("s0")
-        assert cache.invalidations == 2
-        assert cache.get("s0", 1, 3) is None
-        assert cache.get("s1", 0, 3) is not None
-
-    def test_fifo_eviction_at_capacity(self):
-        cache = RolloutCache(max_entries=2)
-        cache.put("a", 0, 3, [uniform(1.0)])
-        cache.put("b", 0, 3, [uniform(1.0)])
-        cache.put("c", 0, 3, [uniform(1.0)])
-        assert cache.evictions == 1
-        assert len(cache) == 2
-        assert cache.get("a", 0, 3) is None  # oldest gone
-        assert cache.get("b", 0, 3) is not None
-
-    def test_validation_and_stats(self):
-        with pytest.raises(ValueError):
-            RolloutCache(max_entries=0)
-        stats = RolloutCache().stats()
-        assert stats["entries"] == 0 and stats["hit_rate"] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +100,7 @@ class TestSlo:
             percentile_nearest_rank([1.0], 101.0)
 
     def test_summary_counts_every_outcome(self):
-        slo = SloTracker()
+        slo = SloTracker(MetricsRegistry())
         slo.record("FPS", "admitted", 2.0)
         slo.record("FPS", "admitted", 4.0)
         slo.record("FPS", "shed", 0.0)
@@ -154,14 +109,12 @@ class TestSlo:
         assert s.count == 3
         assert s.outcomes == {"admitted": 2, "shed": 1}
         assert s.wait_max == 4.0
-        assert slo.outcome_totals() == {
-            "admitted": 2, "shed": 1, "dead-lettered": 1
-        }
+        assert slo.summary("MOBA").outcomes == {"dead-lettered": 1}
         assert slo.categories == ["FPS", "MOBA"]
         assert len(slo.summary_lines()) == 2
 
     def test_missing_category_and_negative_wait(self):
-        slo = SloTracker()
+        slo = SloTracker(MetricsRegistry())
         with pytest.raises(KeyError):
             slo.summary("nope")
         with pytest.raises(ValueError):
@@ -189,7 +142,6 @@ class TestAdmissionGateway:
         outcome = gateway.offer(make_request(toy_spec, rid=0), time=0.0)
         assert outcome.accepted and outcome.kind == "queued"
         assert gateway.depth == 1
-        assert gateway.depth_of(toy_spec.category.value) == 1
         assert gateway.telemetry.gateway_events[0].outcome == "queued"
 
     def test_full_queue_sheds(self, toy_spec, toy_profile):
@@ -273,15 +225,28 @@ class TestAdmissionGateway:
 # Batched dispatch == naive dispatch (satellite: equivalence on a fleet)
 # ----------------------------------------------------------------------
 
+def naive_dispatch(cluster, entry, *, time, seed_for):
+    """The reference: per-request ``ClusterScheduler.dispatch``, with the
+    batcher's ``dispatch_one`` signature."""
+    return cluster.dispatch(
+        entry.request,
+        time=time,
+        seed=seed_for(entry.request, entry.incarnation),
+        incarnation=entry.incarnation,
+    )
+
+
 class TestBatchedDispatchEquivalence:
     def drive(self, toy_spec, toy_profile, *, batched):
         config = GatewayConfig(
             queue_capacity=16, rate_per_second=2.0, burst=8,
-            max_queue_seconds=120.0, micro_batching=batched,
+            max_queue_seconds=120.0,
         )
         cluster, gateway = make_gateway(
             toy_profile, n_nodes=2, policy="round-robin", config=config
         )
+        if not batched:
+            gateway.batcher.dispatch_one = naive_dispatch
         arrivals = PoissonArrivals(
             [toy_spec], rate_per_minute=20.0, seed=42, horizon=120.0
         )
@@ -480,7 +445,9 @@ class TestBatchedEvaluationProperty:
                 distributor.can_admit(entry, steady, running)
                 for entry, steady in candidates
             ]
-            batched = distributor.can_admit_batch(candidates, running)
+            batch = distributor.begin_batch(running)
+            batched = [batch.evaluate(entry, steady)
+                       for entry, steady in candidates]
             assert batched == sequential
 
     def test_batch_shares_one_rollout_per_task(self):
@@ -495,8 +462,9 @@ class TestBatchedEvaluationProperty:
         running = [
             CountingTask(uniform(5.0), [uniform(10.0)]) for _ in range(3)
         ]
-        candidates = [(uniform(5.0), uniform(10.0))] * 10
-        distributor.can_admit_batch(candidates, running)
+        batch = distributor.begin_batch(running)
+        for _ in range(10):
+            batch.evaluate(uniform(5.0), uniform(10.0))
         assert calls["n"] == 3  # one rollout per task, shared by all 10
 
     def test_decision_reasons_are_the_algorithm_1_strings(self):

@@ -82,12 +82,6 @@ class TestClient:
         phone = ClientModel(device="phone").decode_latency_ms("h264")
         assert phone > desktop
 
-    def test_total_includes_display(self):
-        c = ClientModel(display_latency_ms=2.0)
-        assert c.total_client_latency_ms("h264") == pytest.approx(
-            c.decode_latency_ms("h264") + 2.0
-        )
-
     def test_invalid_device(self):
         with pytest.raises(ValueError):
             ClientModel(device="toaster")

@@ -256,19 +256,41 @@ class TestRunConfig:
         assert RunConfig.from_dict(payload) == config
 
     def test_fleet_flags_elided_at_defaults(self):
-        # --heterogeneous and --no-batching ride in the config without
-        # changing any shipped header or fingerprint.
+        # --heterogeneous rides in the config without changing any
+        # shipped header or fingerprint.
         payload = RunConfig(games=("contra",)).to_dict()
         assert "heterogeneous" not in payload
-        assert "micro_batching" not in payload
-        config = RunConfig(
-            games=("contra",), heterogeneous=True, micro_batching=False
-        )
+        config = RunConfig(games=("contra",), heterogeneous=True)
         assert config.to_dict() == {
             "games": ["contra"], "heterogeneous": True,
-            "micro_batching": False,
         }
         assert RunConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_micro_batching_key_rejected_by_name(self):
+        # The gateway has one dispatch path; a config still selecting
+        # between two is refused, not silently read as the default.
+        for value in (True, False):
+            with pytest.raises(ValueError, match="micro_batching"):
+                RunConfig.from_dict(
+                    {"games": ["contra"], "micro_batching": value}
+                )
+
+    def test_cli_replay_exits_2_naming_a_retired_key(
+        self, document, tmp_path, capsys
+    ):
+        # A trace recorded when the header config could carry the
+        # retired key: fingerprint re-sealed, so only the key is wrong.
+        lines = document.dumps().split("\n")
+        header = json.loads(lines[0])
+        header["config"]["micro_batching"] = False
+        header["fingerprint"] = config_fingerprint(header["config"])
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "retired.cgtrace"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "micro_batching" in captured.err
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="zzz"):

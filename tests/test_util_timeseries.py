@@ -87,16 +87,6 @@ class TestSliceAndResample:
         assert g.columns == ("gpu",)
         np.testing.assert_array_equal(g.values.ravel(), [2, 4])
 
-    def test_concat(self):
-        a = make([[1, 1]])
-        b = make([[2, 2]])
-        c = a.concat(b)
-        assert c.n_samples == 2
-
-    def test_concat_mismatched_columns(self):
-        with pytest.raises(ValueError):
-            make([[1, 1]]).concat(make([[1, 1]], cols=("x", "y")))
-
 
 class TestStats:
     def test_peak_and_mean(self):
