@@ -20,7 +20,7 @@ from repro.analysis.report import format_table
 from repro.baselines import CoCGStrategy, ReactiveStrategy
 from repro.core.regulator import RegulatorConfig
 from repro.core.scheduler import CoCGConfig
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 HORIZON = 5400
 PAIR = ("genshin", "dota2")  # the Fig-9 pair, where time stealing is active

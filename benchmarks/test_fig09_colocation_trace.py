@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks.conftest import print_block
 from repro.analysis.report import format_series, format_table
 from repro.baselines import CoCGStrategy
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 HORIZON = 2400
 

@@ -14,7 +14,7 @@ from benchmarks.conftest import print_block
 from repro.analysis.report import format_table
 from repro.analysis.savings import allocation_savings
 from repro.baselines import CoCGStrategy
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 HORIZON = 2400
 

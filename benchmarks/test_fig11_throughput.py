@@ -20,7 +20,7 @@ import pytest
 from benchmarks.conftest import print_block
 from repro.analysis.report import format_table
 from repro.baselines import CoCGStrategy, GAugurStrategy, ReactiveStrategy, VBPStrategy
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 HORIZON = 7200  # the paper's two hours
 PAIRS = [

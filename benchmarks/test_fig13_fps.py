@@ -21,7 +21,7 @@ from repro.baselines import CoCGStrategy, GAugurStrategy
 from repro.core.scheduler import CoCGConfig
 from repro.platform_.qos import FpsModel
 from repro.platform_.resources import ResourceVector
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 GAMES = ("csgo", "genshin", "dota2", "devil_may_cry")
 HORIZON = 7200

@@ -105,6 +105,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "Allocator": ".platform_.allocator",
     "GPUDevice": ".platform_.server",
     "Server": ".platform_.server",
-    "ColocationExperiment": ".workloads.experiment",
-    "ExperimentResult": ".workloads.experiment",
+    "ColocationExperiment": ".cluster.experiment",
+    "ExperimentResult": ".cluster.experiment",
 })

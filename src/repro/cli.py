@@ -206,7 +206,7 @@ def cmd_colocate(args) -> int:
 
     from repro.core.predictor import BACKENDS
     from repro.trace.harness import make_strategy
-    from repro.workloads.experiment import ColocationExperiment
+    from repro.cluster.experiment import ColocationExperiment
 
     profiles = _load_or_build_profiles(
         _run_config(args, backends=BACKENDS), args.profiles_dir

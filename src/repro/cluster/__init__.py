@@ -18,9 +18,12 @@ rescale.
   DRAINING/RECLAIM_NOTICE → DOWN``) as deterministic engine events —
   seeded provision latency, warm pools, retry/timeout on failures, and
   spot reclamation with graceful session drain.
+* :class:`~repro.cluster.experiment.ColocationExperiment` — the paper's
+  §V-B driver (Figs 9–13): one strategy on one node, continuous backlog.
 * :class:`~repro.cluster.experiment.FleetExperiment` — the fleet-scale
   driver over Poisson arrivals, optionally replaying a
   :class:`~repro.faults.plan.FaultPlan` and running a provisioner.
+  Both drivers advance sessions only through ``FleetNode.tick``.
 
 Resilience surface: nodes carry a :class:`~repro.cluster.fleet.NodeHealth`
 state consulted by every dispatch policy, rejected requests retry with
@@ -42,6 +45,8 @@ __all__ = [
     "Provisioner",
     "ProvisionerConfig",
     "LifecycleEvent",
+    "ColocationExperiment",
+    "ExperimentResult",
     "FleetExperiment",
     "FleetResult",
 ]
@@ -55,6 +60,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "LifecycleEvent": ".provisioner",
     "Provisioner": ".provisioner",
     "ProvisionerConfig": ".provisioner",
+    "ColocationExperiment": ".experiment",
+    "ExperimentResult": ".experiment",
     "FleetExperiment": ".experiment",
     "FleetResult": ".experiment",
 })

@@ -1,11 +1,18 @@
-"""Fleet-scale experiment driver: Poisson arrivals over a cluster.
+"""Experiment drivers: the §V-B co-location run and Poisson arrivals
+over a cluster.  Both advance sessions only through
+:meth:`~repro.cluster.fleet.FleetNode.tick`.
 
-Open-loop requests arrive at the cluster scheduler; rejected requests
-wait in its bounded retry queue with exponential backoff ("the selected
-game will continuously run requests until the distributor passes") until
-they start or dead-letter.
+:class:`ColocationExperiment` runs one strategy on one node fed by a
+continuous backlog (Figs 9–13).  CoCG and every baseline run under
+identical conditions (same request stream seed, same player randomness,
+same telemetry noise).
 
-The run is driven by a :class:`~repro.sim.engine.SimulationEngine`, so a
+:class:`FleetExperiment`: open-loop requests arrive at the cluster
+scheduler; rejected requests wait in its bounded retry queue with
+exponential backoff ("the selected game will continuously run requests
+until the distributor passes") until they start or dead-letter.
+
+A fleet run is driven by a :class:`~repro.sim.engine.SimulationEngine`, so a
 :class:`~repro.faults.plan.FaultPlan` can be replayed into it: fault
 events fire first at their scheduled second, then control, then
 dispatch, then the per-second tick — the same observable ordering as the
@@ -20,19 +27,31 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.fleet import ClusterScheduler, DeadLetter
+from repro.baselines.base import SchedulingStrategy
+from repro.cluster.fleet import ClusterScheduler, DeadLetter, FleetNode
 from repro.cluster.provisioner import Provisioner
+from repro.core.pipeline import GameProfile
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.games.spec import GameSpec
 from repro.obs.observer import Observer
+from repro.platform_.interference import InterferenceModel
+from repro.platform_.qos import QoSTracker
+from repro.platform_.server import GPUDevice, Server
 from repro.sim.engine import SimulationEngine
+from repro.sim.telemetry import TelemetryRecorder
 from repro.util.effects import shard_entry, shard_merge_point
 from repro.util.rng import Seed, derive_seed
 from repro.workloads.metrics import throughput_eq2
-from repro.workloads.requests import GameRequest, PoissonArrivals
+from repro.workloads.requests import ContinuousBacklog, GameRequest, PoissonArrivals
 
-__all__ = ["FleetResult", "FleetExperiment", "default_arrivals"]
+__all__ = [
+    "ExperimentResult",
+    "ColocationExperiment",
+    "FleetResult",
+    "FleetExperiment",
+    "default_arrivals",
+]
 
 # Same-second event ordering (lower = earlier): faults are visible to
 # everything else at that second; control precedes dispatch precedes the
@@ -341,4 +360,192 @@ class FleetExperiment:
                 if self.provisioner is not None
                 else {}
             ),
+        )
+
+
+@dataclass
+class ExperimentResult:
+    """Everything a bench needs from one co-location run.
+
+    Attributes
+    ----------
+    strategy:
+        Strategy name.
+    horizon:
+        Simulated seconds.
+    completed_runs:
+        ``N_i`` per game.
+    throughput:
+        Eq-2 value.
+    fraction_of_best:
+        Time-weighted mean FPS / best-possible FPS per game (Fig 13).
+    violation_fraction:
+        Fraction of played seconds below the QoS floor, per game.
+    total_usage:
+        ``(horizon, 4)`` summed true usage (Fig 9 trace).
+    peak_total_usage:
+        Per-dimension peak of the summed usage.
+    admissions, rejections:
+        Admission statistics.
+    colocated_seconds:
+        Seconds with ≥ 2 sessions hosted simultaneously.
+    over_cap_seconds:
+        Seconds where summed usage exceeded the cap on any dimension.
+    """
+
+    strategy: str
+    horizon: int
+    completed_runs: Dict[str, int]
+    throughput: float
+    fraction_of_best: Dict[str, float]
+    violation_fraction: Dict[str, float]
+    total_usage: np.ndarray
+    peak_total_usage: np.ndarray
+    admissions: int
+    rejections: int
+    colocated_seconds: int
+    over_cap_seconds: int
+    telemetry: TelemetryRecorder = field(repr=False, default=None)
+    qos: QoSTracker = field(repr=False, default=None)
+
+
+class ColocationExperiment:
+    """One strategy × one server × one request stream.
+
+    Parameters
+    ----------
+    profiles:
+        Offline game profiles (shared across strategies for fairness).
+    strategy:
+        The scheduling strategy under test.
+    horizon:
+        Simulated seconds (paper: 2 hours = 7200).
+    seed:
+        Master seed: session randomness and telemetry noise derive from
+        it, so two strategies at the same seed face identical workloads.
+    server:
+        Server model; default one GPU (the paper pins co-located pairs
+        to a device) at 100 % capacity per dimension.
+    utilization_cap:
+        The allocator budget (paper: 95 %).
+    max_concurrent:
+        Concurrent runs allowed per game.
+    interference:
+        Optional shared-resource contention model, handed to the node.
+    """
+
+    def __init__(
+        self,
+        profiles: Dict[str, GameProfile],
+        strategy: SchedulingStrategy,
+        *,
+        horizon: int = 7200,
+        seed: Seed = 0,
+        server: Optional[Server] = None,
+        utilization_cap: float = 0.95,
+        max_concurrent: int = 1,
+        interference: Optional[InterferenceModel] = None,
+    ):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.profiles = dict(profiles)
+        self.strategy = strategy
+        self.horizon = int(horizon)
+        self._base_seed = seed if isinstance(seed, int) or seed is None else 0
+        if server is None:
+            server = Server("server-0", gpus=[GPUDevice(name="gpu0")])
+        self.node = FleetNode(
+            "server-0", strategy, self.profiles, server=server,
+            utilization_cap=utilization_cap, interference=interference,
+        )
+        # The experiment's own noise stream, not the node's "tel" one.
+        self.node.telemetry = TelemetryRecorder(
+            seed=derive_seed(self._base_seed, "telemetry")
+        )
+        self.backlog = ContinuousBacklog(
+            [p.spec for p in self.profiles.values()],
+            seed=derive_seed(self._base_seed, "requests"),
+            max_concurrent=max_concurrent,
+        )
+        self._finished: Dict[str, int] = {}
+        self._offer_rotation = 0
+        self._session_seeds = 0
+
+    # ------------------------------------------------------------------
+    @shard_entry("region:fleet")
+    def run(self) -> ExperimentResult:
+        """Execute the experiment and aggregate the results."""
+        node = self.node
+        interval = self.strategy.detect_interval
+        colocated_seconds = 0
+        self._offer_requests(0.0)
+        for t in range(self.horizon):
+            node.tick(t)
+            if len(node.sessions) >= 2:
+                colocated_seconds += 1
+            if (t + 1) % interval == 0:
+                node.control(t + 1)
+                self._offer_requests(float(t + 1))
+        return self._aggregate(colocated_seconds)
+
+    # ------------------------------------------------------------------
+    def _offer_requests(self, time: float) -> None:
+        # Runs the node finished since the last offer free their slots.
+        for name, count in sorted(self.node.completed.items()):
+            for _ in range(count - self._finished.get(name, 0)):
+                self.backlog.finished(name)
+            self._finished[name] = count
+        pending = self.backlog.pending(time)
+        # Rotate the offer order so no game is systematically starved of
+        # admission attempts when several compete for the same slot; the
+        # strategy may then reorder (CoCG's length-aware §IV-C2 policy).
+        self._offer_rotation += 1
+        k = self._offer_rotation % max(len(pending), 1)
+        for request in self.strategy.order_requests(pending[k:] + pending[:k]):
+            self._session_seeds += 1
+            session = request.make_session(
+                derive_seed(self._base_seed, "session", str(self._session_seeds))
+            )
+            if self.node.host(session, request, time=time):
+                self.backlog.started(request)
+
+    def _aggregate(self, colocated_seconds: int) -> ExperimentResult:
+        node, qos = self.node, self.node.qos
+        total_usage = node.telemetry.total_usage_matrix(self.horizon)
+        cap = node.allocator.capped_capacity(0).array
+        completed = {name: node.completed.get(name, 0) for name in self.profiles}
+        durations = {
+            name: profile.spec.expected_duration()
+            for name, profile in self.profiles.items()
+        }
+        fraction_of_best: Dict[str, float] = {}
+        violation: Dict[str, float] = {}
+        for name in self.profiles:
+            fob_num = seconds = 0.0
+            vio_num = 0
+            for sid in qos.session_ids:
+                if not sid.startswith(f"{name}-r"):
+                    continue
+                report = qos.report(sid)
+                fob_num += report.fraction_of_best * report.seconds
+                seconds += report.seconds
+                vio_num += report.violation_seconds
+            fraction_of_best[name] = fob_num / seconds if seconds else float("nan")
+            violation[name] = vio_num / seconds if seconds else float("nan")
+
+        return ExperimentResult(
+            strategy=self.strategy.name,
+            horizon=self.horizon,
+            completed_runs=completed,
+            throughput=throughput_eq2(completed, durations),
+            fraction_of_best=fraction_of_best,
+            violation_fraction=violation,
+            total_usage=total_usage,
+            peak_total_usage=total_usage.max(axis=0),
+            admissions=self.strategy.admissions,
+            rejections=self.strategy.rejections,
+            colocated_seconds=colocated_seconds,
+            over_cap_seconds=int(np.any(total_usage > cap + 1e-6, axis=1).sum()),
+            telemetry=node.telemetry,
+            qos=qos,
         )

@@ -36,6 +36,7 @@ from repro.obs.naming import (
 )
 from repro.obs.observer import Observer
 from repro.platform_.allocator import Allocator
+from repro.platform_.interference import InterferenceModel
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
 from repro.platform_.qos import QoSTracker
 from repro.platform_.server import GPUDevice, Server
@@ -133,6 +134,9 @@ class FleetNode:
         Allocator budget fraction.
     seed:
         Telemetry-noise seed.
+    interference:
+        Optional shared-resource contention model (GAugur-style): with
+        two or more sessions running, co-runners inflate each demand.
     """
 
     def __init__(
@@ -145,6 +149,7 @@ class FleetNode:
         server: Optional[Server] = None,
         utilization_cap: float = 0.95,
         seed: Seed = 0,
+        interference: Optional[InterferenceModel] = None,
     ):
         self.node_id = str(node_id)
         self.platform = platform
@@ -165,6 +170,7 @@ class FleetNode:
         self.strategy.attach(self.allocator, self.profiles)
         self.telemetry = TelemetryRecorder(seed=derive_seed(seed, "tel", node_id))
         self.qos = QoSTracker()
+        self.interference = interference
         self.sessions: Dict[str, GameSession] = {}
         self.requests: Dict[str, GameRequest] = {}
         self.completed: Dict[str, int] = {}
@@ -229,6 +235,13 @@ class FleetNode:
             platform=self.platform,
             session_id=f"{request.spec.name}-{run}@{self.node_id}",
         )
+        return self.host(session, request, time=time)
+
+    def host(
+        self, session: GameSession, request: GameRequest, *, time: float
+    ) -> bool:
+        """Offer a built ``session`` to the local strategy; on admission
+        the node runs it until it finishes or is killed."""
         if self.strategy.try_admit(session, time=time):
             self.sessions[session.session_id] = session
             self.requests[session.session_id] = request
@@ -236,17 +249,30 @@ class FleetNode:
         return False
 
     def tick(self, t: int) -> None:
-        """Advance every hosted session one second."""
+        """Advance every hosted session one second: all advance first,
+        so interference sees every co-runner; then each second is
+        recorded and finished runs are released."""
         degraded = set(self.strategy.degraded_sessions())
         allocation_of = self.strategy.allocation_of
-        record = self.telemetry.record
-        record_second = self.qos.record_second
+        advanced = []
         for sid, session in list(self.sessions.items()):
             allocation = allocation_of(sid)
-            tick = session.advance(allocation)
-            record(t, sid, tick.demand, allocation)
+            advanced.append((sid, session, allocation, session.advance(allocation)))
+        slowdowns = None
+        if self.interference is not None and len(advanced) > 1:
+            slowdowns = self.interference.slowdowns({
+                sid: tick.usage(allocation)
+                for sid, _session, allocation, tick in advanced
+            })
+        record = self.telemetry.record
+        record_second = self.qos.record_second
+        for sid, session, allocation, tick in advanced:
+            demand = tick.demand
+            if slowdowns is not None:
+                demand = self.interference.inflate(demand, slowdowns[sid])
+            record(t, sid, demand, allocation)
             record_second(
-                sid, tick.nominal_fps, tick.demand, allocation,
+                sid, tick.nominal_fps, demand, allocation,
                 frame_lock=tick.frame_lock,
             )
             if degraded and sid in degraded:

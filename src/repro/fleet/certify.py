@@ -30,12 +30,13 @@ def runtime_entry_points() -> Tuple[Callable, ...]:
     Imports are local so certification stays importable from the CLI
     without dragging the whole stack in at module-import time.
     """
-    from repro.cluster.experiment import FleetExperiment
+    from repro.cluster.experiment import ColocationExperiment, FleetExperiment
     from repro.cluster.fleet import ClusterScheduler
     from repro.fleet.controller import FleetOfFleets, RegionShard
     from repro.serve.gateway import AdmissionGateway
 
     return (
+        ColocationExperiment.run,
         FleetExperiment.run,
         ClusterScheduler.dispatch,
         ClusterScheduler.submit,

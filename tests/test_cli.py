@@ -317,6 +317,12 @@ _SMALL = ["--players", "2", "--sessions", "2", "--horizon", "240"]
 #: Case -> (commands run in order, artifact files hashed after them).
 #: ``{tmp}`` stands for the test's temporary directory.
 _PINNED_CASES = {
+    "colocate": (
+        [["colocate", "contra", "dota2", "--horizon", "900",
+          "--players", "2", "--sessions", "2", "--profiles-dir", "{tmp}",
+          "--strategy", strategy]
+         for strategy in ("cocg", "reactive")],
+        []),
     "fleet-heterogeneous": (
         [["fleet", "contra", "--nodes", "3", "--heterogeneous", *_SMALL]],
         []),
@@ -340,6 +346,9 @@ _PINNED_CASES = {
 #: sha256 over each case's stdout (temporary paths normalised) and
 #: artifact bytes.
 _PINNED_SHA256 = {
+    "colocate": (
+        "4a0a5307feef16e03bcb5136c4985300"
+        "2ef9f4ca43613eedf8d5e8c07341969a"),
     "fleet-heterogeneous": (
         "04ca24f3ed2e63cf52be8a2d44d4567e"
         "8c429a302ea33aeac20669fcf7d1e890"),
@@ -368,7 +377,7 @@ _PINNED_SHA256 = {
 
 
 class TestPinnedOutput:
-    """Fleet commands print exactly what they printed when pinned."""
+    """Simulator commands print exactly what they printed when pinned."""
 
     @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
     def test_output_is_pinned(self, case, capsys, tmp_path):

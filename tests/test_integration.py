@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import CoCGStrategy, GAugurStrategy, VBPStrategy
 from repro.core.pipeline import GameProfile
 from repro.core.scheduler import CoCGConfig
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 
 @pytest.fixture(scope="module")
@@ -107,4 +107,4 @@ class TestAllocatorInvariantUnderAllStrategies:
         exp.run()
         # Replay the audit trail: at no point may the recorded ceilings
         # of concurrently-placed sessions exceed the cap.
-        assert exp.allocator.server.headroom_fraction() >= 0.05 - 1e-9
+        assert exp.node.allocator.server.headroom_fraction() >= 0.05 - 1e-9

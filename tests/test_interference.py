@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import CoCGStrategy
 from repro.platform_.interference import InterferenceModel
 from repro.platform_.resources import ResourceVector
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 
 def rv(cpu=0, gpu=0, gpu_mem=0, ram=0):

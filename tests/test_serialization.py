@@ -123,7 +123,7 @@ class TestProfileSaveLoad:
     def test_loaded_profile_drives_scheduler(self, toy_profile, toy_spec, tmp_path):
         """A reloaded profile must be usable end-to-end."""
         from repro.baselines import CoCGStrategy
-        from repro.workloads.experiment import ColocationExperiment
+        from repro.cluster.experiment import ColocationExperiment
 
         path = tmp_path / "toy.profile.json"
         toy_profile.save(path)

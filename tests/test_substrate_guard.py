@@ -10,7 +10,7 @@ at least one entry.
 
 A telemetry dropout and a noise window are part of the plan so NaN rows
 and the perturbation path are covered, and a small co-location run with
-interference covers :class:`~repro.workloads.experiment.ColocationExperiment`.
+interference covers :class:`~repro.cluster.experiment.ColocationExperiment`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.baselines import CoCGStrategy
 from repro.faults.plan import FaultPlan
 from repro.platform_.interference import InterferenceModel
 from repro.trace.harness import RunConfig, build_experiment, build_profiles
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 
 HORIZON = 240
 
@@ -90,7 +90,7 @@ def colocation_table(profiles) -> Dict[str, str]:
         max_concurrent=2, interference=InterferenceModel(),
     )
     result = experiment.run()
-    return _table(result.telemetry, experiment.qos, HORIZON)
+    return _table(result.telemetry, result.qos, HORIZON)
 
 
 PINNED_FLEET: Dict[str, Dict[str, str]] = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import CoCGStrategy, MaxStaticStrategy
-from repro.workloads.experiment import ColocationExperiment
+from repro.cluster.experiment import ColocationExperiment
 from repro.workloads.metrics import throughput_eq2
 from repro.workloads.requests import ContinuousBacklog, PoissonArrivals
 
