@@ -22,18 +22,20 @@ configuration produced.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import (Any, Dict, Iterable, List, Optional, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleSummary
 from repro.lint.registry import ANALYZER_VERSION
 
 __all__ = ["CacheEntry", "LintCache", "cache_signature", "content_digest",
-           "project_key"]
+           "decode", "encode", "project_key"]
 
 _FORMAT = 1
 
@@ -92,27 +94,68 @@ class CacheEntry:
     findings: List[Finding]
     summary: Optional[ModuleSummary]  # None when the file did not parse
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {
-            "digest": self.digest,
-            "findings": [f.to_dict() for f in self.findings],
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CacheEntry":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            digest=d["digest"],
-            findings=[
-                Finding(path=f["path"], line=int(f["line"]), col=int(f["col"]),
-                        rule_id=f["rule_id"], message=f["message"])
-                for f in d["findings"]
-            ],
-            summary=(ModuleSummary.from_dict(d["summary"])
-                     if d.get("summary") else None),
-        )
+def encode(value: Any) -> Any:
+    """The JSON form of a cache entry or any value inside one.
+
+    A dataclass becomes an object keyed by its field names, a set a
+    sorted list, a tuple a list, and a dict key a string; :func:`decode`
+    reads each back by the type hint of the field that holds it.
+    """
+    if is_dataclass(value):
+        return {name: encode(getattr(value, name))
+                for name, _ in _fields(type(value))}
+    if isinstance(value, (set, frozenset)):
+        return sorted(encode(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): encode(item) for key, item in value.items()}
+    return value
+
+
+def decode(hint: Any, data: Any) -> Any:
+    """Rebuild a value of type ``hint`` from its :func:`encode` form.
+
+    Data that does not fit the hint raises :class:`KeyError`,
+    :class:`TypeError` or :class:`ValueError`, which
+    :meth:`LintCache.load` reads as a corrupt cache.
+    """
+    # Not isinstance(): on 3.10 a generic alias like set[str] passes it.
+    if type(hint) is type:
+        if hint in (int, str, bool):
+            return _expect(data, hint)
+        record = _expect(data, dict)
+        return hint(**{name: decode(field_hint, record[name])
+                       for name, field_hint in _fields(hint)})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # only Optional[X] occurs
+        return None if data is None else decode(args[0], data)
+    if origin in (list, set, tuple):
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(_expect(data, list)) != len(args):
+                raise ValueError(f"expected {len(args)} items, got {data!r}")
+            return tuple(map(decode, args, data))
+        return origin(decode(args[0], item) for item in _expect(data, list))
+    if origin is dict:
+        key_hint, value_hint = args
+        return {(int(key) if key_hint is int else key): decode(value_hint, item)
+                for key, item in _expect(data, dict).items()}
+    raise TypeError(f"no decoding for {hint!r}")
+
+
+def _expect(data: Any, kind: type) -> Any:
+    """``data``, when its type is exactly ``kind``."""
+    if type(data) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {data!r}")
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, resolved type hint)`` of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 class LintCache:
@@ -122,11 +165,10 @@ class LintCache:
         self.path = path
         self.signature = signature
         self.entries: Dict[str, CacheEntry] = {}
-        #: project-phase memo: :func:`project_key` -> rendered
-        #: ``shardplan.json`` text.  One slot — the latest tree state —
+        #: project-phase memo: (:func:`project_key`, rendered
+        #: ``shardplan.json`` text).  One slot — the latest tree state —
         #: because the memo only ever serves the warm-run fast path.
-        self._project_key: Optional[str] = None
-        self._project_plan: Optional[str] = None
+        self._project: Optional[Tuple[str, str]] = None
         self._dirty = False
 
     @classmethod
@@ -138,35 +180,24 @@ class LintCache:
             return cache
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return cache
-        if payload.get("signature") != signature:
-            return cache
-        try:
-            cache.entries = {
-                key: CacheEntry.from_dict(entry)
-                for key, entry in payload.get("entries", {}).items()
-            }
-        except (KeyError, TypeError, ValueError):
-            cache.entries = {}
-        project = payload.get("project")
-        if (isinstance(project, dict)
-                and isinstance(project.get("key"), str)
-                and isinstance(project.get("shard_plan"), str)):
-            cache._project_key = project["key"]
-            cache._project_plan = project["shard_plan"]
+            if payload["signature"] == signature:
+                cache.entries = decode(Dict[str, CacheEntry],
+                                       payload["entries"])
+                cache._project = decode(Optional[Tuple[str, str]],
+                                        payload["project"])
+        except (OSError, KeyError, TypeError, ValueError):
+            cache.entries, cache._project = {}, None
         return cache
 
     def get_project(self, key: str) -> Optional[str]:
         """The memoised shard-plan text for an identical summary set."""
-        if self._project_key == key:
-            return self._project_plan
+        if self._project is not None and self._project[0] == key:
+            return self._project[1]
         return None
 
     def put_project(self, key: str, shard_plan: str) -> None:
         """Record the freshly derived project-phase certificate."""
-        self._project_key = key
-        self._project_plan = shard_plan
+        self._project = (key, shard_plan)
         self._dirty = True
 
     def get(self, key: str, digest: str) -> Optional[CacheEntry]:
@@ -195,14 +226,9 @@ class LintCache:
             return
         payload = {
             "signature": self.signature,
-            "entries": {key: self.entries[key].to_dict()
-                        for key in sorted(self.entries)},
+            "entries": encode(self.entries),
+            "project": encode(self._project),
         }
-        if self._project_key is not None and self._project_plan is not None:
-            payload["project"] = {
-                "key": self._project_key,
-                "shard_plan": self._project_plan,
-            }
         self.path.write_text(
             json.dumps(payload, indent=1, sort_keys=True) + "\n",
             encoding="utf-8",

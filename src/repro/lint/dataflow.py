@@ -1,7 +1,9 @@
 """Taint/reachability over the conservative project call graph.
 
 The graph is name-resolved: a call site's terminal identifier links to
-*every* project function defining that name (methods included).  That
+*every* project function defining that name (methods included), except
+that ``self.m()`` and ``super().m()`` resolve through the enclosing
+class (:func:`build_call_graph`).  That
 over-approximates dynamic dispatch — exactly the right bias for a
 determinism linter, where a missed edge is a silently broken replay and
 a spurious edge is at worst a pragma.  Very generic names (``get``,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.project import ProjectContext
 
@@ -73,11 +75,37 @@ def build_call_graph(project: ProjectContext) -> CallGraph:
     ``self.method(...)`` calls resolve *precisely* when the enclosing
     class defines ``method`` in the same module: the edge goes to that
     one definition instead of to every project function sharing the
-    terminal name.  Calls to methods the class does not define locally
-    (inherited, protocol, or duck-typed) keep the conservative
+    terminal name.  ``super().method(...)`` calls resolve to ``method``
+    on each project class the enclosing class names as a base, walking
+    further up from a base that does not define it; a base that names
+    no project class (``Exception``, ``object``) adds no edge.  Other
+    calls, and ``self`` calls to methods the class does not define
+    locally (inherited, protocol, or duck-typed), keep the conservative
     every-definition fan-out — a missed edge is a silently broken
     replay; a spurious one is at worst a pragma.
     """
+    classes: Dict[str, List[Tuple[str, str]]] = {}
+    for name in sorted(project.modules):
+        for path in project.modules[name].class_bases:
+            classes.setdefault(path.split(".")[-1], []).append((name, path))
+
+    def inherited(module: str, path: str, method: str,
+                  seen: Set[Tuple[str, str]]) -> Set[str]:
+        """``method`` as each project base of class ``path`` has it."""
+        found: Set[str] = set()
+        for base in project.modules[module].class_bases[path]:
+            for owner in classes.get(base, ()):
+                if owner in seen:
+                    continue
+                seen.add(owner)
+                base_module, base_path = owner
+                qual = f"{base_path}.{method}"
+                if qual in project.modules[base_module].functions:
+                    found.add(f"{base_module}::{qual}")
+                else:
+                    found |= inherited(base_module, base_path, method, seen)
+        return found
+
     edges: Dict[str, Set[str]] = {}
     for name in sorted(project.modules):
         mod = project.modules[name]
@@ -92,6 +120,10 @@ def build_call_graph(project: ProjectContext) -> CallGraph:
                         if own_method != qual:
                             targets.add(f"{name}::{own_method}")
                         continue
+                if call.on_super and class_prefix in mod.class_bases:
+                    targets |= inherited(name, class_prefix, call.name,
+                                         {(name, class_prefix)})
+                    continue
                 for target in project.function_index.get(call.name, ()):
                     if target != node:
                         targets.add(target)

@@ -385,7 +385,7 @@ class LayeringRule(ProjectRule):
             src_layer = LAYERS.get(mod.package)
             if src_layer is None:
                 continue
-            for imported in sorted(mod.imported_modules):
+            for imported, line in sorted(mod.import_lines.items()):
                 pkg = _import_package(imported)
                 dst_layer = LAYERS.get(pkg) if pkg is not None else None
                 if dst_layer is None or dst_layer <= src_layer:
@@ -393,7 +393,7 @@ class LayeringRule(ProjectRule):
                 if imported in mod.type_only_imports:
                     continue
                 self.report(
-                    mod, mod.import_lines.get(imported, 1), 1,
+                    mod, line, 1,
                     f"'{mod.module}' (layer {src_layer}: {mod.package}) "
                     f"imports '{imported}' from higher layer {dst_layer} "
                     f"({pkg}); the architecture DAG is {_DAG_TEXT} -- "

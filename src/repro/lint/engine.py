@@ -7,8 +7,8 @@
    :class:`~repro.lint.registry.FileContext` (the pragma table and the
    file's one :class:`~repro.lint.project.ImportTable` pre-pass, which
    also lists the file's nodes), and run the hooks of every applicable
-   CG001–CG009/CG014 rule in one pass over those nodes.  The summariser
-   then distils the module into a
+   CG001–CG009/CG014 rule and the summariser's hooks in one pass over
+   those nodes, distilling the module into a
    :class:`~repro.lint.project.ModuleSummary` for phase two.  With a
    :class:`~repro.lint.cache.LintCache`, files whose content hash is
    unchanged skip this phase: findings and summary come from the cache
@@ -191,10 +191,11 @@ def _analyze_file(
 
     The hooks of every applicable rule (``rules`` pairs each class with
     its :func:`~repro.lint.project.node_hooks`) form one table keyed by
-    node class, run once over the nodes of the file's import pre-pass.
-    Returns the sorted findings plus the module's whole-program summary
-    (``None`` when the file does not parse — the CG000 finding stands
-    in for it).
+    node class, which :func:`~repro.lint.project.summarize_module` runs
+    in its one loop over the nodes of the file's import pre-pass, next
+    to the summary hooks.  Returns the sorted findings plus the
+    module's whole-program summary (``None`` when the file does not
+    parse — the CG000 finding stands in for it).
     """
     display = str(file)
     rel = _rel_parts(file, root)
@@ -220,14 +221,11 @@ def _analyze_file(
             rule.check()
             for node_cls, attr in hooks:
                 table.setdefault(node_cls, []).append(getattr(rule, attr))
-    for node in ctx.imports.nodes:
-        for hook in table.get(type(node), ()):
-            hook(node)
-    ctx.findings.extend(_pragma_hygiene(display, suppressions, known, valid))
     summary = summarize_module(
         tree, path=display, rel_parts=rel, suppressions=suppressions,
-        imports=ctx.imports,
+        imports=ctx.imports, rule_hooks=table,
     )
+    ctx.findings.extend(_pragma_hygiene(display, suppressions, known, valid))
     return sorted(ctx.findings), summary
 
 

@@ -46,8 +46,7 @@ class Suppressions:
     #: every explicitly named rule token with the line its pragma sits
     #: on, wildcards excluded — the engine's pragma-hygiene check flags
     #: tokens that name no registered rule (a typo'd pragma otherwise
-    #: silently suppresses nothing).  Transient: not serialised into
-    #: the incremental cache (the resulting CG000 findings are).
+    #: silently suppresses nothing).
     declared: list[tuple[int, str]] = field(default_factory=list)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:

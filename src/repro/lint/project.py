@@ -12,9 +12,9 @@ two steps:
    list, and the *determinism facts* the CG010–CG013 rules consume
    (global-RNG draws, wall-clock reads, unordered-collection
    iterations, event dataclasses, digest definitions).  Summaries are
-   plain data (:meth:`ModuleSummary.to_dict` round-trips through JSON)
-   so the incremental cache can persist them and warm runs skip
-   re-parsing unchanged files entirely.
+   plain dataclasses, which :func:`repro.lint.cache.encode` and
+   :func:`~repro.lint.cache.decode` store by their fields and type
+   hints, so warm runs skip re-parsing unchanged files entirely.
 
 2. A :class:`ProjectContext` aggregates every summary into the module
    graph and a project-wide function index.  It owns the one call
@@ -26,7 +26,9 @@ two steps:
 The per-file facts both phases need — import aliases, the
 ``TYPE_CHECKING`` split, class names — come from one
 :class:`ImportTable` per file, shared by the per-file rules and the
-summariser.
+summariser.  Its walk is the only walk of the file: it records every
+node with its :class:`Scope`, and :func:`summarize_module` runs the
+rule hooks and the summary hooks in one loop over that list.
 
 A :class:`ProjectRule` is the whole-program analogue of
 :class:`~repro.lint.registry.Rule`: it is constructed once per run with
@@ -39,7 +41,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Set, Tuple, TypeGuard, Union
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple, TypeGuard, Union)
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
@@ -59,6 +62,7 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "ImportTable",
+    "Scope",
     "ProjectContext",
     "ProjectRule",
     "dotted_name",
@@ -155,22 +159,15 @@ class CallSite:
 
     ``on_self`` marks ``self.name(...)`` calls — the call graph resolves
     those against the enclosing class first instead of every project
-    function sharing the terminal name.
+    function sharing the terminal name.  ``on_super`` marks
+    ``super().name(...)`` calls, which resolve against the enclosing
+    class's project bases.
     """
 
     name: str
     line: int
     on_self: bool = False
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"name": self.name, "line": self.line, "on_self": self.on_self}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=d["name"], line=int(d["line"]),
-                   on_self=bool(d.get("on_self", False)))
+    on_super: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,15 +177,6 @@ class TaintSite:
     line: int
     col: int
     desc: str
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col, "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaintSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]), desc=d["desc"])
 
 
 @dataclass(frozen=True)
@@ -215,20 +203,6 @@ class EmitSite:
     ref: Optional[str] = None
     explicit: bool = False
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col, "desc": self.desc,
-                "priority": self.priority, "ref": self.ref,
-                "explicit": self.explicit}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmitSite":
-        """Inverse of :meth:`to_dict`."""
-        priority = d.get("priority", 0)
-        return cls(line=int(d["line"]), col=int(d["col"]), desc=d["desc"],
-                   priority=int(priority) if priority is not None else None,
-                   ref=d.get("ref"), explicit=bool(d.get("explicit", False)))
-
 
 @dataclass(frozen=True)
 class SeedSite:
@@ -244,17 +218,6 @@ class SeedSite:
     col: int
     namespace: Optional[str]
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col,
-                "namespace": self.namespace}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeedSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]),
-                   namespace=d.get("namespace"))
-
 
 @dataclass(frozen=True)
 class UnorderedLoop:
@@ -265,17 +228,6 @@ class UnorderedLoop:
     kind: str  # "set" | "dict"
     desc: str
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col,
-                "kind": self.kind, "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnorderedLoop":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]),
-                   kind=d["kind"], desc=d["desc"])
-
 
 @dataclass(frozen=True)
 class EventClass:
@@ -283,15 +235,6 @@ class EventClass:
 
     name: str
     line: int
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"name": self.name, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EventClass":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=d["name"], line=int(d["line"]))
 
 
 @dataclass
@@ -333,60 +276,6 @@ class FunctionSummary:
     #: ``@shard_merge_point`` decoration, statically read.
     shard_merge: bool = False
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "calls": [c.to_dict() for c in self.calls],
-            "rng_draws": [t.to_dict() for t in self.rng_draws],
-            "stream_draws": [t.to_dict() for t in self.stream_draws],
-            "clock_reads": [t.to_dict() for t in self.clock_reads],
-            "unordered_loops": [u.to_dict() for u in self.unordered_loops],
-            "global_writes": [t.to_dict() for t in self.global_writes],
-            "engine_emits": [t.to_dict() for t in self.engine_emits],
-            "digest_writes": [t.to_dict() for t in self.digest_writes],
-            "io_sites": [t.to_dict() for t in self.io_sites],
-            "seed_derivations": [s.to_dict() for s in self.seed_derivations],
-            "raw_seed_sites": [t.to_dict() for t in self.raw_seed_sites],
-            "declared_effects": self.declared_effects,
-            "hot_path": self.hot_path,
-            "shard_entry": self.shard_entry,
-            "shard_merge": self.shard_merge,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            qualname=d["qualname"],
-            line=int(d["line"]),
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            rng_draws=[TaintSite.from_dict(t) for t in d["rng_draws"]],
-            stream_draws=[TaintSite.from_dict(t)
-                          for t in d.get("stream_draws", [])],
-            clock_reads=[TaintSite.from_dict(t) for t in d["clock_reads"]],
-            unordered_loops=[UnorderedLoop.from_dict(u)
-                             for u in d["unordered_loops"]],
-            global_writes=[TaintSite.from_dict(t)
-                           for t in d.get("global_writes", [])],
-            engine_emits=[EmitSite.from_dict(t)
-                          for t in d.get("engine_emits", [])],
-            digest_writes=[TaintSite.from_dict(t)
-                           for t in d.get("digest_writes", [])],
-            io_sites=[TaintSite.from_dict(t) for t in d.get("io_sites", [])],
-            seed_derivations=[SeedSite.from_dict(s)
-                              for s in d.get("seed_derivations", [])],
-            raw_seed_sites=[TaintSite.from_dict(t)
-                            for t in d.get("raw_seed_sites", [])],
-            declared_effects=(list(d["declared_effects"])
-                              if d.get("declared_effects") is not None
-                              else None),
-            hot_path=bool(d.get("hot_path", False)),
-            shard_entry=d.get("shard_entry"),
-            shard_merge=bool(d.get("shard_merge", False)),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -396,8 +285,7 @@ class ModuleSummary:
     path: str
     rel_parts: Tuple[str, ...]
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-    imported_modules: Set[str] = field(default_factory=set)
-    #: imported module -> first line it is imported on (for findings).
+    #: every imported module -> the first line it is imported on.
     import_lines: Dict[str, int] = field(default_factory=dict)
     #: imports that only exist under ``if TYPE_CHECKING:`` — erased at
     #: runtime, so exempt from the layering rule (CG017).
@@ -409,62 +297,15 @@ class ModuleSummary:
     #: resolves named emit priorities (``priority=LIFECYCLE_PRIORITY``)
     #: against these without importing the module.
     int_constants: Dict[str, int] = field(default_factory=dict)
+    #: class path (``"Outer.Inner"``) -> the terminal names of its
+    #: bases, import aliases undone (``super()`` call resolution).
+    class_bases: Dict[str, List[str]] = field(default_factory=dict)
     suppressions: Suppressions = field(default_factory=Suppressions)
 
     @property
     def package(self) -> str:
         """Top-level subpackage the module lives in (``""`` at root)."""
         return self.rel_parts[0] if len(self.rel_parts) > 1 else ""
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view (for the incremental cache)."""
-        return {
-            "module": self.module,
-            "path": self.path,
-            "rel_parts": list(self.rel_parts),
-            "functions": {q: f.to_dict() for q, f in self.functions.items()},
-            "imported_modules": sorted(self.imported_modules),
-            "import_lines": {m: self.import_lines[m]
-                             for m in sorted(self.import_lines)},
-            "type_only_imports": sorted(self.type_only_imports),
-            "event_classes": [e.to_dict() for e in self.event_classes],
-            "event_constructions": sorted(self.event_constructions),
-            "defines_digest": self.defines_digest,
-            "int_constants": {k: self.int_constants[k]
-                              for k in sorted(self.int_constants)},
-            "suppressions": {
-                "file_level": sorted(self.suppressions.file_level),
-                "by_line": {str(k): sorted(v)
-                            for k, v in self.suppressions.by_line.items()},
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleSummary":
-        """Inverse of :meth:`to_dict`."""
-        sup = Suppressions(
-            file_level=set(d["suppressions"]["file_level"]),
-            by_line={int(k): set(v)
-                     for k, v in d["suppressions"]["by_line"].items()},
-        )
-        return cls(
-            module=d["module"],
-            path=d["path"],
-            rel_parts=tuple(d["rel_parts"]),
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in d["functions"].items()},
-            imported_modules=set(d["imported_modules"]),
-            import_lines={m: int(line)
-                          for m, line in d.get("import_lines", {}).items()},
-            type_only_imports=set(d.get("type_only_imports", [])),
-            event_classes=[EventClass.from_dict(e)
-                           for e in d["event_classes"]],
-            event_constructions=set(d["event_constructions"]),
-            defines_digest=bool(d["defines_digest"]),
-            int_constants={k: int(v)
-                           for k, v in d.get("int_constants", {}).items()},
-            suppressions=sup,
-        )
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -488,6 +329,78 @@ def _is_type_checking_guard(stmt: ast.stmt) -> TypeGuard[ast.If]:
     )
 
 
+def _effects_decoration(
+    node: ast.AST,
+) -> Tuple[bool, Optional[List[str]], bool]:
+    """Parse a decorator: ``(is_effects, declared_names, hot_path)``.
+
+    Matches ``@effects(...)`` by terminal name — the decorator is
+    designed to be introspected statically, so the analyzer never
+    imports the decorated module.
+    """
+    if not (isinstance(node, ast.Call)
+            and (dotted_name(node.func) or "").split(".")[-1] == "effects"):
+        return False, None, False
+    declared = sorted({
+        arg.value for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    })
+    hot = any(
+        kw.arg == "hot_path"
+        and isinstance(kw.value, ast.Constant) and bool(kw.value.value)
+        for kw in node.keywords
+    )
+    return True, declared, hot
+
+
+def _shard_decoration(node: ast.AST) -> Tuple[Optional[str], bool]:
+    """Parse ``@shard_entry("g")`` / ``@shard_merge_point``.
+
+    Returns ``(group, is_merge)``; ``(None, False)`` when the
+    decorator is neither marker.  Matched by terminal name, like
+    ``@effects(...)`` — the analyzer never imports the module.
+    """
+    if isinstance(node, ast.Call):
+        terminal = (dotted_name(node.func) or "").split(".")[-1]
+        if terminal == "shard_entry":
+            group = next(
+                (arg.value for arg in node.args
+                 if isinstance(arg, ast.Constant)
+                 and isinstance(arg.value, str)),
+                None,
+            ) or next(
+                (kw.value.value for kw in node.keywords
+                 if kw.arg == "group"
+                 and isinstance(kw.value, ast.Constant)
+                 and isinstance(kw.value.value, str)),
+                None,
+            )
+            if group is not None:
+                return group, False
+        return None, terminal == "shard_merge_point"
+    return None, (dotted_name(node) or "").split(".")[-1] == "shard_merge_point"
+
+
+def _is_marker(decorator: ast.expr) -> bool:
+    """Whether a decorator is an ``@effects``/``@shard_entry``/
+    ``@shard_merge_point`` marker, which the summariser reads as a fact
+    about the function instead of as code."""
+    return (_effects_decoration(decorator)[0]
+            or _shard_decoration(decorator) != (None, False))
+
+
+class Scope(NamedTuple):
+    """Where a node sits, as :class:`ImportTable`'s walk records it."""
+
+    #: the innermost enclosing ``def`` (``None`` at module level).
+    fn: Optional[ast.AST]
+    #: the names of every enclosing class, outermost first.
+    classes: Tuple[str, ...]
+    #: the ``TYPE_CHECKING`` bucket an import here counts toward:
+    #: type-only, runtime, or neither (a guard's test and else branch).
+    bucket: Optional[Set[str]]
+
+
 class ImportTable:
     """The per-file facts every consumer shares, from one walk of the AST.
 
@@ -496,8 +409,9 @@ class ImportTable:
     (CG001 the random aliases, CG005 the clock aliases, CG009 the deque
     aliases) and :func:`summarize_module` reads the same instance for
     the RNG/clock seeds, the import graph, the ``TYPE_CHECKING`` split,
-    and the class names; the engine's one rule pass runs over its
-    :attr:`nodes`.
+    the class names and the import aliases of class bases.  The rule
+    and summary hooks of the file all run from one loop over
+    :attr:`nodes` and :attr:`scopes`.
     """
 
     def __init__(self, tree: ast.Module):
@@ -522,35 +436,70 @@ class ImportTable:
         self.clock_fns: Set[str] = set()
         #: bare names bound to numpy's default_rng / repro's as_rng.
         self.rng_ctors: Set[str] = set()
-        self.modules: Set[str] = set()
+        #: ``from m import a as b`` aliases: ``b`` -> ``a``.
+        self.renamed: Dict[str, str] = {}
         #: module -> first line it is imported on (in ``ast.walk`` order).
         self.module_lines: Dict[str, int] = {}
         #: modules imported *only* under a top-level ``if TYPE_CHECKING:``.
         self.type_only: Set[str] = set()
         #: classes defined anywhere in the module.
         self.class_names: Set[str] = set()
-        #: every node of the module, in ``ast.walk`` order.
-        self.nodes: List[ast.AST] = [tree]
+        #: every node of the module, depth-first in ``ast.NodeVisitor``
+        #: order.
+        self.nodes: List[ast.AST] = []
+        #: the :class:`Scope` of each node of :attr:`nodes`; ``None``
+        #: where the summariser skips the node: return annotations and
+        #: the subtrees of marker decorators (:func:`_is_marker`).
+        self.scopes: List[Optional[Scope]] = []
 
-        # Breadth-first, in ast.walk order.  For the TYPE_CHECKING split
-        # a top-level guard's body is type-only, its test and else branch
-        # count toward neither, and everything else is runtime.
+        # A top-level TYPE_CHECKING guard's body is type-only, its test
+        # and else branch count toward neither, everything else is
+        # runtime.  ``module_lines`` keeps each module's shallowest
+        # import, the first seen within that depth: breadth-first
+        # (ast.walk) and depth-first order agree within one depth.
         guarded: Set[str] = set()
         runtime: Set[str] = set()
-        bucket_of: Dict[int, Optional[Set[str]]] = {}
-        for guard in filter(_is_type_checking_guard, tree.body):
-            for part in (guard.test, *guard.body, *guard.orelse):
-                bucket = guarded if part in guard.body else None
-                bucket_of.update((id(node), bucket) for node in ast.walk(part))
-        nodes = self.nodes
-        for node in nodes:
-            nodes.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Import):
-                self._note_import(node, bucket_of.get(id(node), runtime))
-            elif isinstance(node, ast.ImportFrom):
-                self._note_import_from(node, bucket_of.get(id(node), runtime))
-            elif isinstance(node, ast.ClassDef):
-                self.class_names.add(node.name)
+        guards = set(filter(_is_type_checking_guard, tree.body))
+        self._depth_of: Dict[str, int] = {}
+        stack: List[Tuple[ast.AST, Optional[Scope], int]] = [
+            (tree, Scope(None, (), runtime), 0),
+        ]
+        nodes, scopes = self.nodes, self.scopes
+        while stack:
+            node, scope, depth = stack.pop()
+            nodes.append(node)
+            scopes.append(scope)
+            kind = type(node)
+            depth += 1
+            # Skipped subtrees (scope None) are expressions, so they
+            # hold none of the scope-changing statements below.
+            if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+                inner = scope._replace(fn=node)
+                kids = [(node.args, inner), *((s, inner) for s in node.body)]
+                kids.extend((dec, None if _is_marker(dec) else scope)
+                            for dec in node.decorator_list)
+                kids.extend((child, None) for child in (
+                    node.returns, *getattr(node, "type_params", ()))
+                    if child is not None)
+            elif kind is ast.If and node in guards:
+                neither = scope._replace(bucket=None)
+                typed = scope._replace(bucket=guarded)
+                kids = [(node.test, neither), *((s, typed) for s in node.body),
+                        *((s, neither) for s in node.orelse)]
+            else:
+                if kind is ast.Import:
+                    self._note_import(node, scope.bucket, depth)
+                elif kind is ast.ImportFrom:
+                    self._note_import_from(node, scope.bucket, depth)
+                elif kind is ast.ClassDef:
+                    self.class_names.add(node.name)
+                    scope = scope._replace(classes=(*scope.classes, node.name))
+                children = list(ast.iter_child_nodes(node))
+                children.reverse()
+                stack.extend([(child, scope, depth) for child in children])
+                continue
+            kids.reverse()
+            stack.extend([(child, where, depth) for child, where in kids])
         self.type_only = guarded - runtime
 
     def random_namespace(self, parts: List[str]) -> Optional[str]:
@@ -576,16 +525,17 @@ class ImportTable:
                     and fn in DATETIME_CLASS_FNS))
 
     def _note_module(self, target: str, line: int,
-                     bucket: Optional[Set[str]]) -> None:
-        self.modules.add(target)
-        self.module_lines.setdefault(target, line)
+                     bucket: Optional[Set[str]], depth: int) -> None:
+        if depth < self._depth_of.get(target, depth + 1):
+            self._depth_of[target] = depth
+            self.module_lines[target] = line
         if bucket is not None:
             bucket.add(target)
 
     def _note_import(self, node: ast.Import,
-                     bucket: Optional[Set[str]]) -> None:
+                     bucket: Optional[Set[str]], depth: int) -> None:
         for alias in node.names:
-            self._note_module(alias.name, node.lineno, bucket)
+            self._note_module(alias.name, node.lineno, bucket, depth)
             bound = alias.asname or alias.name.split(".")[0]
             if alias.name == "numpy" or alias.name.startswith("numpy."):
                 if alias.name == "numpy.random" and alias.asname:
@@ -602,11 +552,13 @@ class ImportTable:
                 self.collections.add(alias.asname or "collections")
 
     def _note_import_from(self, node: ast.ImportFrom,
-                          bucket: Optional[Set[str]]) -> None:
+                          bucket: Optional[Set[str]], depth: int) -> None:
         if node.module:
-            self._note_module(node.module, node.lineno, bucket)
+            self._note_module(node.module, node.lineno, bucket, depth)
         for alias in node.names:
             bound = alias.asname or alias.name
+            if alias.asname:
+                self.renamed[bound] = alias.name
             if node.module == "random":
                 if alias.name not in STDLIB_RANDOM_ALLOWED:
                     self.random_fns.add(bound)
@@ -707,153 +659,64 @@ def node_hooks(cls: type) -> List[Tuple[type, str]]:
 
 
 class _Summarizer:
-    """One depth-first pass over a module AST, in ``ast.NodeVisitor``
-    order, producing its :class:`ModuleSummary`."""
+    """The summary hooks: each ``visit_<Class>(node, scope)`` reads one
+    node, in the :class:`Scope` :class:`ImportTable` recorded for it,
+    into the module's :class:`ModuleSummary`.  No hook recurses;
+    :func:`summarize_module` runs them over the table's nodes in
+    ``ast.NodeVisitor`` order."""
 
     def __init__(self, summary: ModuleSummary, imports: ImportTable,
                  tree: ast.Module):
         self.summary = summary
         self.imports = imports
-        self._class_stack: List[str] = []
-        self._fn_stack: List[FunctionSummary] = []
         body = FunctionSummary(qualname=MODULE_BODY, line=1)
         summary.functions[MODULE_BODY] = body
-        self._module_body = body
+        #: ``def`` node (``None`` for the module body) -> its summary.
+        #: Keyed by node, not qualname: two same-named nested ``def``s
+        #: share a qualname, and each keeps its own facts.
+        self._functions: Dict[Optional[ast.AST], FunctionSummary] = {
+            None: body,
+        }
         #: AST node ids whose iteration order was sanitised by a wrapper
         #: (``sorted(x.items())``) — skipped by the unordered check.
         self._sanitized: Set[int] = set()
-        #: per-function map of local names to "set"/"dict" inferred from
+        #: per-``def`` map of local names to "set"/"dict" inferred from
         #: simple assignments.
-        self._local_kinds: List[Dict[str, str]] = [{}]
+        self._local_kinds: Dict[Optional[ast.AST], Dict[str, str]] = {
+            None: {},
+        }
         #: names bound at module level — a store through one of these
         #: from inside a function is shared-state mutation.
         self._module_names: Set[str] = _module_level_names(tree)
-        #: node class -> handler; every other node class only recurses.
-        self._dispatch = {node_cls: getattr(self, attr)
-                          for node_cls, attr in node_hooks(type(self))}
-
-    # -- scope bookkeeping ---------------------------------------------
-    @property
-    def _fn(self) -> FunctionSummary:
-        return self._fn_stack[-1] if self._fn_stack else self._module_body
-
-    def _enter_function(self, node: ast.AST, name: str) -> None:
-        qual = ".".join(self._class_stack + [name])
-        fn = FunctionSummary(qualname=qual, line=node.lineno)
-        self.summary.functions[qual] = fn
-        self._fn_stack.append(fn)
-        self._local_kinds.append({})
-
-    def _leave_function(self) -> None:
-        self._fn_stack.pop()
-        self._local_kinds.pop()
-
-    def visit(self, node: ast.AST) -> None:
-        self._dispatch.get(type(node), self.generic_visit)(node)
-
-    def generic_visit(self, node: ast.AST) -> None:
-        for field_name in node._fields:
-            value = getattr(node, field_name, None)
-            for child in value if isinstance(value, list) else (value,):
-                if isinstance(child, ast.AST):
-                    self.visit(child)
-
-    @staticmethod
-    def _effects_decoration(
-        node: ast.AST,
-    ) -> Tuple[bool, Optional[List[str]], bool]:
-        """Parse a decorator: ``(is_effects, declared_names, hot_path)``.
-
-        Matches ``@effects(...)`` by terminal name — the decorator is
-        designed to be introspected statically, so the analyzer never
-        imports the decorated module.
-        """
-        if not (isinstance(node, ast.Call)
-                and (dotted_name(node.func) or "").split(".")[-1] == "effects"):
-            return False, None, False
-        declared = sorted({
-            arg.value for arg in node.args
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-        })
-        hot = any(
-            kw.arg == "hot_path"
-            and isinstance(kw.value, ast.Constant) and bool(kw.value.value)
-            for kw in node.keywords
-        )
-        return True, declared, hot
-
-    @staticmethod
-    def _shard_decoration(
-        node: ast.AST,
-    ) -> Tuple[Optional[str], bool]:
-        """Parse ``@shard_entry("g")`` / ``@shard_merge_point``.
-
-        Returns ``(group, is_merge)``; ``(None, False)`` when the
-        decorator is neither marker.  Matched by terminal name, like
-        ``@effects(...)`` — the analyzer never imports the module.
-        """
-        if isinstance(node, ast.Call):
-            terminal = (dotted_name(node.func) or "").split(".")[-1]
-            if terminal == "shard_entry":
-                group = next(
-                    (arg.value for arg in node.args
-                     if isinstance(arg, ast.Constant)
-                     and isinstance(arg.value, str)),
-                    None,
-                ) or next(
-                    (kw.value.value for kw in node.keywords
-                     if kw.arg == "group"
-                     and isinstance(kw.value, ast.Constant)
-                     and isinstance(kw.value.value, str)),
-                    None,
-                )
-                if group is not None:
-                    return group, False
-            if terminal == "shard_merge_point":
-                return None, True
-            return None, False
-        terminal = (dotted_name(node) or "").split(".")[-1]
-        if terminal == "shard_merge_point":
-            return None, True
-        return None, False
 
     def visit_FunctionDef(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+        scope: Scope,
     ) -> None:
-        name = node.name
-        if name == "digest":
+        if node.name == "digest":
             self.summary.defines_digest = True
-        declared: Optional[List[str]] = None
-        hot = False
-        shard_group: Optional[str] = None
-        shard_merge = False
+        fn = FunctionSummary(qualname=".".join((*scope.classes, node.name)),
+                             line=node.lineno)
+        # The walk skips the marker decorators' subtrees; every other
+        # decorator runs at import time, so its calls (``@register``)
+        # count toward the enclosing scope.
         for dec in node.decorator_list:
-            is_effects, names, dec_hot = self._effects_decoration(dec)
+            is_effects, names, dec_hot = _effects_decoration(dec)
             if is_effects:
-                declared, hot = names, hot or dec_hot
+                fn.declared_effects = names
+                fn.hot_path = fn.hot_path or dec_hot
                 continue
-            group, is_merge = self._shard_decoration(dec)
-            if group is not None or is_merge:
-                shard_group = group if group is not None else shard_group
-                shard_merge = shard_merge or is_merge
-            else:
-                # Decorators execute at import time: attribute their
-                # calls (e.g. ``@register``) to the enclosing scope, not
-                # to the function they decorate.
-                self.visit(dec)
-        self._enter_function(node, name)
-        self._fn.declared_effects = declared
-        self._fn.hot_path = hot
-        self._fn.shard_entry = shard_group
-        self._fn.shard_merge = shard_merge
-        self.visit(node.args)
-        for stmt in node.body:
-            self.visit(stmt)
-        self._leave_function()
+            group, is_merge = _shard_decoration(dec)
+            if group is not None:
+                fn.shard_entry = group
+            fn.shard_merge = fn.shard_merge or is_merge
+        self.summary.functions[fn.qualname] = fn
+        self._functions[node] = fn
+        self._local_kinds[node] = {}
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+    def visit_ClassDef(self, node: ast.ClassDef, scope: Scope) -> None:
         if node.name.endswith("Event") and any(
             dotted_name(d.func if isinstance(d, ast.Call) else d) in
             ("dataclass", "dataclasses.dataclass")
@@ -862,9 +725,14 @@ class _Summarizer:
             self.summary.event_classes.append(
                 EventClass(name=node.name, line=node.lineno)
             )
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
+        bases: List[str] = []
+        for base in node.bases:
+            dotted = dotted_name(
+                base.value if isinstance(base, ast.Subscript) else base)
+            if dotted is not None:
+                bases.append(self.imports.renamed.get(
+                    dotted, dotted.split(".")[-1]))
+        self.summary.class_bases[".".join((*scope.classes, node.name))] = bases
 
     # -- unordered-collection iteration --------------------------------
     @staticmethod
@@ -884,7 +752,8 @@ class _Summarizer:
             return dotted_name(node.func) == "dict"
         return False
 
-    def _classify_iter(self, node: ast.expr) -> Optional[Tuple[str, str]]:
+    def _classify_iter(self, node: ast.expr,
+                       scope: Scope) -> Optional[Tuple[str, str]]:
         """``(kind, description)`` when ``node`` iterates unordered."""
         if id(node) in self._sanitized:
             return None
@@ -896,70 +765,68 @@ class _Summarizer:
             owner = dotted_name(node.func.value) or "<dict>"
             return "dict", f"un-sorted iteration over {owner}.{node.func.attr}()"
         if isinstance(node, ast.Name):
-            kind = self._local_kinds[-1].get(node.id)
+            kind = self._local_kinds[scope.fn].get(node.id)
             if kind == "set":
                 return "set", f"iteration over set {node.id!r}"
             if kind == "dict":
                 return "dict", f"un-sorted iteration over dict {node.id!r}"
         return None
 
-    def _check_iter(self, node: ast.expr) -> None:
-        classified = self._classify_iter(node)
+    def _check_iter(self, node: ast.expr, scope: Scope) -> None:
+        classified = self._classify_iter(node, scope)
         if classified is not None:
             kind, desc = classified
-            self._fn.unordered_loops.append(UnorderedLoop(
+            self._functions[scope.fn].unordered_loops.append(UnorderedLoop(
                 line=node.lineno, col=node.col_offset + 1,
                 kind=kind, desc=desc,
             ))
 
-    def visit_For(self, node: Union[ast.For, ast.AsyncFor]) -> None:
-        self._check_iter(node.iter)
-        self.generic_visit(node)
+    def visit_For(self, node: Union[ast.For, ast.AsyncFor],
+                  scope: Scope) -> None:
+        self._check_iter(node.iter, scope)
 
     visit_AsyncFor = visit_For
 
     def visit_ListComp(
         self,
         node: Union[ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp],
+        scope: Scope,
     ) -> None:
         for gen in node.generators:
-            self._check_iter(gen.iter)
-        self.generic_visit(node)
+            self._check_iter(gen.iter, scope)
 
     visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
 
-    def visit_Assign(self, node: ast.Assign) -> None:
+    def visit_Assign(self, node: ast.Assign, scope: Scope) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
+            kinds = self._local_kinds[scope.fn]
             if self._is_set_construct(node.value):
-                self._local_kinds[-1][name] = "set"
+                kinds[name] = "set"
             elif self._is_dict_construct(node.value):
-                self._local_kinds[-1][name] = "dict"
+                kinds[name] = "dict"
             else:
-                self._local_kinds[-1].pop(name, None)
+                kinds.pop(name, None)
         for target in node.targets:
-            self._check_shared_store(target)
-        self.generic_visit(node)
+            self._check_shared_store(target, scope)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_shared_store(node.target)
-        self.generic_visit(node)
+    def visit_AugAssign(self, node: Union[ast.AugAssign, ast.AnnAssign],
+                        scope: Scope) -> None:
+        self._check_shared_store(node.target, scope)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_shared_store(node.target)
-        self.generic_visit(node)
+    visit_AnnAssign = visit_AugAssign
 
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._fn_stack:
+    def visit_Global(self, node: ast.Global, scope: Scope) -> None:
+        if scope.fn is not None:
             for name in node.names:
-                self._fn.global_writes.append(TaintSite(
-                    line=node.lineno, col=node.col_offset + 1,
-                    desc=f"'global {name}' rebinding of module-level state",
-                ))
-        self.generic_visit(node)
+                self._record_global_write(
+                    node, scope,
+                    f"'global {name}' rebinding of module-level state",
+                )
 
-    def _record_global_write(self, node: ast.AST, desc: str) -> None:
-        self._fn.global_writes.append(TaintSite(
+    def _record_global_write(self, node: ast.AST, scope: Scope,
+                             desc: str) -> None:
+        self._functions[scope.fn].global_writes.append(TaintSite(
             line=node.lineno, col=node.col_offset + 1, desc=desc,
         ))
 
@@ -980,62 +847,65 @@ class _Summarizer:
             return f"module-level {root!r}"
         return None
 
-    def _check_shared_store(self, target: ast.expr) -> None:
+    def _check_shared_store(self, target: ast.expr, scope: Scope) -> None:
         # A bare-name target is local rebinding (``global`` covers the
         # shared case); only stores *through* a chain mutate shared
         # state.  Module-body initialisation is definition, not mutation.
-        if not self._fn_stack:
+        if scope.fn is None:
             return
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
         shared = self._shared_root(target)
         if shared is not None:
-            self._record_global_write(target, f"store into {shared}")
+            self._record_global_write(target, scope, f"store into {shared}")
 
     # -- calls, RNG draws, clock reads ---------------------------------
-    def _record_draw(self, node: ast.AST, desc: str) -> None:
-        self._fn.rng_draws.append(TaintSite(
-            line=node.lineno, col=node.col_offset + 1, desc=desc,
-        ))
-
-    def _record_clock(self, node: ast.AST, desc: str) -> None:
-        self._fn.clock_reads.append(TaintSite(
-            line=node.lineno, col=node.col_offset + 1, desc=desc,
-        ))
-
-    def _check_rng(self, node: ast.Call, dotted: str) -> None:
+    def _check_rng(self, fn: FunctionSummary, node: ast.Call,
+                   dotted: str) -> None:
         imp = self.imports
         parts = dotted.split(".")
-        fn = parts[-1]
+        name = parts[-1]
+        desc = None
         namespace = imp.random_namespace(parts)
         if namespace == "numpy.random":
-            if fn not in NP_RANDOM_ALLOWED:
-                self._record_draw(node, f"numpy.random.{fn}() (global state)")
-            elif fn == "default_rng" and not node.args:
-                self._record_draw(node, "default_rng() with no seed (OS entropy)")
+            if name not in NP_RANDOM_ALLOWED:
+                desc = f"numpy.random.{name}() (global state)"
+            elif name == "default_rng" and not node.args:
+                desc = "default_rng() with no seed (OS entropy)"
         elif namespace == "random":
-            if fn not in STDLIB_RANDOM_ALLOWED:
-                self._record_draw(node, f"random.{fn}() (global state)")
+            if name not in STDLIB_RANDOM_ALLOWED:
+                desc = f"random.{name}() (global state)"
         elif len(parts) == 1:
-            if fn in imp.random_fns:
-                self._record_draw(node, f"{fn}() (global random state)")
-            elif fn in imp.rng_ctors:
+            if name in imp.random_fns:
+                desc = f"{name}() (global random state)"
+            elif name in imp.rng_ctors:
                 unseeded = not node.args or (
                     isinstance(node.args[0], ast.Constant)
                     and node.args[0].value is None
                 )
                 if unseeded and not node.keywords:
-                    self._record_draw(node, f"{fn}(None) (OS entropy)")
+                    desc = f"{name}(None) (OS entropy)"
+        if desc is not None:
+            fn.rng_draws.append(TaintSite(
+                line=node.lineno, col=node.col_offset + 1, desc=desc,
+            ))
 
-    def _check_clock(self, node: ast.Call, dotted: str) -> None:
+    def _check_clock(self, fn: FunctionSummary, node: ast.Call,
+                     dotted: str) -> None:
         parts = dotted.split(".")
         if self.imports.reads_clock(parts):
-            self._record_clock(node, f"{dotted}() (wall clock)")
+            desc = f"{dotted}() (wall clock)"
         elif len(parts) == 1 and parts[0] in self.imports.clock_fns:
-            self._record_clock(node, f"{parts[0]}() (wall clock)")
+            desc = f"{parts[0]}() (wall clock)"
+        else:
+            return
+        fn.clock_reads.append(TaintSite(
+            line=node.lineno, col=node.col_offset + 1, desc=desc,
+        ))
 
+    @staticmethod
     def _emit_priority(
-        self, node: ast.Call,
+        node: ast.Call,
     ) -> Tuple[Optional[int], Optional[str], bool]:
         """``(priority, ref, explicit)`` of an engine-emit call."""
         for kw in node.keywords:
@@ -1051,15 +921,16 @@ class _Summarizer:
             return None, None, True
         return 0, None, False
 
-    def _check_effect_seeds(self, node: ast.Call, dotted: str,
+    def _check_effect_seeds(self, node: ast.Call, scope: Scope, dotted: str,
                             terminal: str) -> None:
         """Record the engine-emit / digest-write / io / mutation facts."""
+        fn = self._functions[scope.fn]
         site = TaintSite(line=node.lineno, col=node.col_offset + 1,
                          desc=f"{dotted}()")
         is_method = isinstance(node.func, ast.Attribute)
         if is_method and terminal in _ENGINE_EMIT_METHODS:
             priority, ref, explicit = self._emit_priority(node)
-            self._fn.engine_emits.append(EmitSite(
+            fn.engine_emits.append(EmitSite(
                 site.line, site.col, f"{dotted}() schedules an engine event",
                 priority=priority, ref=ref, explicit=explicit,
             ))
@@ -1068,43 +939,44 @@ class _Summarizer:
             if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
                     and isinstance(node.args[1].value, str):
                 namespace = node.args[1].value
-            self._fn.seed_derivations.append(SeedSite(
+            fn.seed_derivations.append(SeedSite(
                 line=site.line, col=site.col, namespace=namespace,
             ))
         if terminal in ("as_rng", "default_rng") and node.args:
             literal = _const_int(node.args[0])
             if literal is not None:
-                self._fn.raw_seed_sites.append(TaintSite(
+                fn.raw_seed_sites.append(TaintSite(
                     site.line, site.col,
                     f"{dotted}({literal}) builds an RNG from a fixed "
                     f"literal seed",
                 ))
         if is_method and terminal in _DIGEST_WRITE_METHODS:
-            self._fn.digest_writes.append(TaintSite(
+            fn.digest_writes.append(TaintSite(
                 site.line, site.col,
                 f"{dotted}() records into the telemetry/digest plane",
             ))
         if terminal in _IO_TERMINALS:
-            self._fn.io_sites.append(TaintSite(
+            fn.io_sites.append(TaintSite(
                 site.line, site.col, f"{dotted}() performs I/O",
             ))
         if (is_method and terminal in _MUTATOR_METHODS
-                and self._fn_stack):
+                and scope.fn is not None):
             shared = self._shared_root(node.func.value)
             if shared is not None:
                 self._record_global_write(
-                    node, f"{dotted}() mutates {shared}",
+                    node, scope, f"{dotted}() mutates {shared}",
                 )
         if is_method:
             receiver = dotted_name(node.func.value)
             last = receiver.split(".")[-1] if receiver else ""
             if last in ("rng", "_rng") or last.endswith("_rng"):
-                self._fn.stream_draws.append(TaintSite(
+                fn.stream_draws.append(TaintSite(
                     site.line, site.col,
                     f"{dotted}() draws from a seeded stream",
                 ))
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def visit_Call(self, node: ast.Call, scope: Scope) -> None:
+        fn = self._functions[scope.fn]
         dotted = dotted_name(node.func)
         if dotted is not None:
             terminal = dotted.split(".")[-1]
@@ -1123,14 +995,14 @@ class _Summarizer:
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "self"
                 )
-                self._fn.calls.append(CallSite(
+                fn.calls.append(CallSite(
                     name=terminal, line=node.lineno, on_self=on_self,
                 ))
             if terminal.endswith("Event"):
                 self.summary.event_constructions.add(terminal)
-            self._check_rng(node, dotted)
-            self._check_clock(node, dotted)
-            self._check_effect_seeds(node, dotted, terminal)
+            self._check_rng(fn, node, dotted)
+            self._check_clock(fn, node, dotted)
+            self._check_effect_seeds(node, scope, dotted, terminal)
         elif (
             isinstance(node.func, ast.Attribute)
             and node.func.attr not in _CALL_STOPLIST
@@ -1138,10 +1010,13 @@ class _Summarizer:
             # A method on a call result or subscript
             # (``build(...).run()``, ``nodes[0].advance()``) has no
             # dotted name, but its attribute still names the callee.
-            self._fn.calls.append(CallSite(
-                name=node.func.attr, line=node.lineno, on_self=False,
+            receiver = node.func.value
+            fn.calls.append(CallSite(
+                name=node.func.attr, line=node.lineno,
+                on_super=(isinstance(receiver, ast.Call)
+                          and isinstance(receiver.func, ast.Name)
+                          and receiver.func.id == "super"),
             ))
-        self.generic_visit(node)
 
 
 def summarize_module(
@@ -1151,11 +1026,15 @@ def summarize_module(
     rel_parts: Tuple[str, ...],
     suppressions: Suppressions,
     imports: ImportTable,
+    rule_hooks: Mapping[type, Sequence[Callable[[ast.AST], None]]],
 ) -> ModuleSummary:
     """Distill one parsed module into its :class:`ModuleSummary`.
 
     ``imports`` is the file's :class:`ImportTable` — the same instance
-    the per-file rules read as ``FileContext.imports``.
+    the per-file rules read as ``FileContext.imports``.  ``rule_hooks``
+    maps a node class to the per-file rule hooks for it; they run in
+    the same loop over :attr:`ImportTable.nodes` as the summary hooks,
+    so each file is walked once.
     """
     summary = ModuleSummary(
         module=module_name_from_parts(rel_parts),
@@ -1163,11 +1042,18 @@ def summarize_module(
         rel_parts=rel_parts,
         suppressions=suppressions,
     )
-    summary.imported_modules = set(imports.modules)
     summary.import_lines = dict(imports.module_lines)
     summary.type_only_imports = set(imports.type_only)
     summary.int_constants = _module_int_constants(tree)
-    _Summarizer(summary, imports, tree).visit(tree)
+    summarizer = _Summarizer(summary, imports, tree)
+    summary_hooks = {node_cls: getattr(summarizer, attr)
+                     for node_cls, attr in node_hooks(_Summarizer)}
+    for node, scope in zip(imports.nodes, imports.scopes):
+        kind = type(node)
+        for hook in rule_hooks.get(kind, ()):
+            hook(node)
+        if scope is not None and kind in summary_hooks:
+            summary_hooks[kind](node, scope)
     return summary
 
 

@@ -48,7 +48,9 @@ __all__ = [
 #: v6: ``shardplan.json`` drops its per-function ``functions`` table.
 #: v7: call sites on a call result or subscript (``f(...).run()``) are
 #: recorded by attribute name.
-ANALYZER_VERSION = 7
+#: v8: summaries record class bases and ``super()`` call sites, and
+#: ``super().m()`` resolves to the enclosing class's project bases.
+ANALYZER_VERSION = 8
 
 
 class FileContext:

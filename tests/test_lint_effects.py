@@ -1,6 +1,6 @@
 """Tests for the effect system: signature inference, the ``@effects``
 decorator, CG015–CG018, the ``effects.json`` artifact, precise
-``self.method`` call resolution, and the ``--explain``/``--effects-out``
+``self.method`` and ``super().method`` call resolution, and the ``--explain``/``--effects-out``
 CLI flags."""
 
 import ast
@@ -55,6 +55,7 @@ def build_project(files):
             rel_parts=tuple(rel.split("/")),
             suppressions=parse_suppressions(source),
             imports=ImportTable(tree),
+            rule_hooks={},
         )
         mods[summary.module] = summary
     return ProjectContext(mods)
@@ -320,6 +321,61 @@ class TestSelfCallResolution:
         inf = project.effects
         assert "rng" in inf.effects_of("trace.a::record")
         assert "io" in inf.effects_of("trace.a::first")
+
+
+# ----------------------------------------------------------------------
+# super() call resolution
+# ----------------------------------------------------------------------
+
+SUPER_BASES = {
+    "core/base.py": """\
+        import random
+
+        class Base:
+            def __init__(self):
+                self.x = random.random()
+
+        class Middle(Base):
+            pass
+        """,
+    "util/other.py": """\
+        import time
+
+        class Clock:
+            def __init__(self):
+                self.t = time.time()
+        """,
+}
+
+
+class TestSuperCallResolution:
+    def test_exception_subclass_does_not_inherit_unrelated_init(self):
+        project = build_project({**SUPER_BASES, "util/errors.py": """\
+            class ShardError(Exception):
+                def __init__(self, name):
+                    super().__init__(name)
+            """})
+        node = "util.errors::ShardError.__init__"
+        assert project.graph.callees(node) == set()
+        assert project.effects.effects_of(node) == set()
+
+    @pytest.mark.parametrize("import_line, base", [
+        ("from core.base import Base", "Base"),
+        ("from core.base import Base as Parent", "Parent"),
+        ("import core.base as cb", "cb.Base"),
+        ("from core.base import Middle", "Middle"),
+    ])
+    def test_project_base_init_effects_are_inherited(self, import_line, base):
+        project = build_project({**SUPER_BASES, "serve/child.py": f"""\
+            {import_line}
+
+            class Child({base}):
+                def __init__(self):
+                    super().__init__()
+            """})
+        node = "serve.child::Child.__init__"
+        assert project.graph.callees(node) == {"core.base::Base.__init__"}
+        assert project.effects.effects_of(node) == {"rng"}
 
 
 # ----------------------------------------------------------------------

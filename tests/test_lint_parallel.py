@@ -22,7 +22,7 @@ import pytest
 
 import repro.util.partition as partition
 from repro.lint import Rule, lint_paths, registry, render_sarif
-from repro.lint.cache import LintCache
+from repro.lint.cache import LintCache, encode
 from repro.util.partition import ShardError
 
 from tests.test_fleet import _assert_no_children
@@ -66,7 +66,7 @@ def lint_on(cpus: int, monkeypatch, paths, cache: LintCache) -> dict:
         "files_checked": result.files_checked,
         "files_reparsed": result.files_reparsed,
         "cache": json.dumps(
-            [(key, entry.to_dict()) for key, entry in cache.entries.items()]
+            [(key, encode(entry)) for key, entry in cache.entries.items()]
         ),
     }
 

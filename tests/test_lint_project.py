@@ -4,6 +4,7 @@ cache, the SARIF/baseline reporters, and the git-scoped CLI flags."""
 import json
 import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,11 @@ from repro.lint import (
     write_baseline,
 )
 from repro.lint import cache as cache_module
+from repro.lint.cache import CacheEntry, decode, encode
 from repro.lint.__main__ import main as lint_main
 from repro.lint.registry import UnknownRuleError
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_tree(tmp_path, files):
@@ -400,20 +404,32 @@ class TestIncrementalCache:
     def _lint(self, tree, cache):
         return lint_paths([tree], select=["CG011"], cache=cache)
 
-    def test_warm_run_reparses_nothing_and_agrees(self, tmp_path):
+    @pytest.mark.parametrize("select", [["CG011"], ["CG001", "CG011"]],
+                             ids="+".join)
+    def test_warm_run_reparses_nothing_and_agrees(self, tmp_path, select):
+        # CG001 adds a per-file finding, which the cache must store in a
+        # form it can read back.
         tree = write_tree(tmp_path / "t", FIXTURE)
         cache_file = tmp_path / "cache.json"
         cold_cache = LintCache.load(cache_file, self._signature())
-        cold = self._lint(tree, cold_cache)
+        cold = lint_paths([tree], select=select, cache=cold_cache)
         cold_cache.save()
         assert cold.files_reparsed == cold.files_checked == 3
-        assert rule_ids(cold) == ["CG011"]
+        assert sorted(rule_ids(cold)) == select
 
         warm_cache = LintCache.load(cache_file, self._signature())
-        warm = self._lint(tree, warm_cache)
+        warm = lint_paths([tree], select=select, cache=warm_cache)
         assert warm.files_reparsed == 0
-        assert rule_ids(warm) == rule_ids(cold)
-        assert [f.line for f in warm.findings] == [f.line for f in cold.findings]
+        assert warm.findings == cold.findings
+
+    def test_every_entry_round_trips(self):
+        cache = LintCache(None, "round-trip")
+        lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests",
+                    REPO_ROOT / "examples"], cache=cache)
+        assert len(cache.entries) > 150
+        for key, entry in cache.entries.items():
+            stored = json.loads(json.dumps(encode(entry), sort_keys=True))
+            assert decode(CacheEntry, stored) == entry, key
 
     def test_touched_file_alone_is_reanalyzed(self, tmp_path):
         tree = write_tree(tmp_path / "t", FIXTURE)
@@ -467,6 +483,29 @@ class TestIncrementalCache:
         cache = LintCache.load(cache_file, self._signature())
         result = self._lint(tree, cache)
         assert result.files_reparsed == 3
+
+    @pytest.mark.parametrize("mangle", [
+        lambda entry: entry.pop("digest"),
+        lambda entry: entry.update(findings={}),
+        lambda entry: entry["summary"].update(rel_parts="util"),
+        lambda entry: entry["summary"]["suppressions"]["by_line"].update(
+            x=["CG001"]),
+        lambda entry: entry["summary"]["functions"]["sample"].update(
+            line="4"),
+        lambda entry: entry["summary"]["suppressions"].update(
+            declared=[[1]]),
+    ])
+    def test_malformed_entry_empties_the_cache(self, tmp_path, mangle):
+        tree = write_tree(tmp_path / "t", FIXTURE)
+        cache_file = tmp_path / "cache.json"
+        cache = LintCache.load(cache_file, self._signature())
+        self._lint(tree, cache)
+        cache.save()
+        payload = json.loads(cache_file.read_text())
+        key = next(k for k in payload["entries"] if k.endswith("noise.py"))
+        mangle(payload["entries"][key])
+        cache_file.write_text(json.dumps(payload))
+        assert LintCache.load(cache_file, self._signature()).entries == {}
 
     def test_deleted_file_is_pruned(self, tmp_path):
         tree = write_tree(tmp_path / "t", FIXTURE)

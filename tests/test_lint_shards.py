@@ -71,6 +71,7 @@ def build_project(files):
             rel_parts=tuple(rel.split("/")),
             suppressions=parse_suppressions(source),
             imports=ImportTable(tree),
+            rule_hooks={},
         )
         mods[summary.module] = summary
     return ProjectContext(mods)

@@ -1,7 +1,7 @@
 """Guard rail for the linter's per-file walk.
 
-Every per-file rule reports through the same one-pass dispatch, and the
-summariser walks each file on its own.  This guard pins what a cold
+Every per-file rule and every summary hook runs from one loop over the
+nodes of the file's one depth-first walk.  This guard pins what a cold
 lint produces, so a change in how files are walked cannot move a single
 finding or artifact byte:
 
@@ -17,14 +17,22 @@ finding or artifact byte:
   comprehension's lambda in an ``except`` handler, inside an f-string,
   and through import aliases bound further down the file.  The
   summariser skips return annotations and ``@effects`` decorators; the
-  rule pass must still see them.
+  rule pass must still see them;
+* the summary of a module whose facts depend on scope: decorators,
+  nested and same-named ``def``s, classes inside methods, per-``def``
+  local kinds, and the first line of a repeated import.
 
-The pins are the output of the analyzer before the rule visitors were
-folded into one pass.
+The tree and planted-tree pins are the output of the analyzer before
+the rule visitors were folded into one pass, and they held when the
+summariser joined that pass.  The ``src`` pins also move with the tree:
+``effects.json`` lists every function in ``src``, and they were re-pinned
+when ``super().m()`` calls began resolving to the enclosing class's
+bases.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import textwrap
 from pathlib import Path
@@ -32,7 +40,9 @@ from typing import Dict, List
 
 import pytest
 
-from repro.lint import all_rules, lint_paths
+from repro.lint import all_rules, lint_paths, summarize_module
+from repro.lint.pragmas import Suppressions
+from repro.lint.project import ImportTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SELF = "tests/test_lint_walk_guard.py"
@@ -49,8 +59,8 @@ TREE_PINS: Dict[str, tuple] = {
 
 #: artifact -> 16-hex sha256 of its text for a cold lint of ``src``.
 SRC_PINS = {
-    "effects": "1b6982fa14152905",
-    "shard_plan": "30f3b331a3694dce",
+    "effects": "de3909038d082d9f",
+    "shard_plan": "9abb213a53e78a5d",
 }
 
 PLANTED = {
@@ -271,3 +281,86 @@ def test_planted_tree_fires_every_per_file_rule(tmp_path):
     fired = {line.split(": ", 1)[1].split(" ", 1)[0]
              for line in planted_lines(tmp_path)}
     assert set(all_rules()) <= fired
+
+
+SCOPED = """\
+    import random
+    from repro.util.effects import effects
+
+
+    def outer():
+        kinds = set()
+
+        def inner():
+            kinds = [1]
+            for k in kinds:
+                random.random()
+
+        for k in kinds:
+            pass
+        return inner
+
+
+    def other():
+        def inner():
+            return time_now()
+        return inner
+
+
+    class Pool:
+        @register(random.choice([1]))
+        @effects("rng", hot_path=bool(random.random()))
+        def submit(self) -> random.random():
+            class Job:
+                def run(self):
+                    return random.randint(0, 1)
+            return Job
+    """
+
+
+def _summary(source: str):
+    tree = ast.parse(textwrap.dedent(source))
+    return summarize_module(
+        tree, path="core/scoped.py", rel_parts=("core", "scoped.py"),
+        suppressions=Suppressions(), imports=ImportTable(tree),
+        rule_hooks={},
+    )
+
+
+def test_summary_hooks_read_each_node_in_its_scope():
+    functions = _summary(SCOPED).functions
+    assert list(functions) == [
+        "<module>", "outer", "inner", "other", "Pool.submit", "Pool.Job.run",
+    ]
+
+    def draws(qualname):
+        return [t.desc for t in functions[qualname].rng_draws]
+
+    # A decorator runs in the enclosing scope, except the @effects marker,
+    # which is read as a fact; the return annotation is skipped.
+    assert draws("<module>") == ["random.choice() (global state)"]
+    assert draws("Pool.submit") == []
+    assert functions["Pool.submit"].declared_effects == ["rng"]
+    assert draws("Pool.Job.run") == ["random.randint() (global state)"]
+    # Same-named nested defs share a qualname; the later one's facts win
+    # and the earlier one's never leak into it.
+    assert draws("inner") == []
+    assert [c.name for c in functions["inner"].calls] == ["time_now"]
+    # Each def infers its own local kinds: inner's list does not hide
+    # outer's set.
+    assert [u.desc for u in functions["outer"].unordered_loops] == [
+        "iteration over set 'kinds'",
+    ]
+
+
+def test_import_line_is_the_first_in_ast_walk_order():
+    tree = ast.parse(textwrap.dedent("""\
+        def f():
+            import a
+        import a
+        import b
+        if b:
+            import b
+        import b
+        """))
+    assert ImportTable(tree).module_lines == {"a": 3, "b": 4}
