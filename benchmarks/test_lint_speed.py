@@ -51,7 +51,9 @@ def test_lint_cold_vs_warm(tmp_path):
     assert cold.ok, [f.format() for f in cold.findings]
     assert cold.files_reparsed == cold.files_checked
 
+    t0 = time.perf_counter()
     warm_cache = LintCache.load(cache_file, signature)
+    load_s = time.perf_counter() - t0
     warm, warm_s = _timed_lint(tree, warm_cache)
     warm_cache.save()
     assert warm.ok
@@ -100,4 +102,6 @@ def test_lint_cold_vs_warm(tmp_path):
             title="repro.lint: cold vs warm full-tree analysis",
         )
         + f"\nwarm speedup on per-file phase: {cold_s / max(warm_s, 1e-9):.1f}x"
+        + f"\nwarm LintCache.load: {load_s * 1000:.1f} ms "
+          f"({len(warm_cache.entries)} entries)"
     )

@@ -27,8 +27,8 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Optional, Tuple, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleSummary
@@ -121,26 +121,44 @@ def decode(hint: Any, data: Any) -> Any:
     :class:`TypeError` or :class:`ValueError`, which
     :meth:`LintCache.load` reads as a corrupt cache.
     """
+    return _decoder(hint)(data)
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The :func:`decode` function of one hint, built once."""
     # Not isinstance(): on 3.10 a generic alias like set[str] passes it.
     if type(hint) is type:
         if hint in (int, str, bool):
-            return _expect(data, hint)
-        record = _expect(data, dict)
-        return hint(**{name: decode(field_hint, record[name])
-                       for name, field_hint in _fields(hint)})
+            return lambda data: _expect(data, hint)
+        fields = [(name, _decoder(field_hint))
+                  for name, field_hint in _fields(hint)]
+
+        def read_fields(data: Any) -> Any:
+            values = _expect(data, dict)
+            return hint(**{name: read(values[name]) for name, read in fields})
+        return read_fields
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:  # only Optional[X] occurs
-        return None if data is None else decode(args[0], data)
+        inner = _decoder(args[0])
+        return lambda data: None if data is None else inner(data)
+    if origin is tuple and args[-1] is not Ellipsis:
+        items = [_decoder(arg) for arg in args]
+
+        def read_items(data: Any) -> tuple:
+            if len(_expect(data, list)) != len(items):
+                raise ValueError(f"expected {len(items)} items, got {data!r}")
+            return tuple(read(item) for read, item in zip(items, data))
+        return read_items
     if origin in (list, set, tuple):
-        if origin is tuple and args[-1] is not Ellipsis:
-            if len(_expect(data, list)) != len(args):
-                raise ValueError(f"expected {len(args)} items, got {data!r}")
-            return tuple(map(decode, args, data))
-        return origin(decode(args[0], item) for item in _expect(data, list))
+        item = _decoder(args[0])
+        return lambda data: origin(map(item, _expect(data, list)))
     if origin is dict:
-        key_hint, value_hint = args
-        return {(int(key) if key_hint is int else key): decode(value_hint, item)
-                for key, item in _expect(data, dict).items()}
+        value = _decoder(args[1])
+        if args[0] is int:
+            return lambda data: {int(k): value(v)
+                                 for k, v in _expect(data, dict).items()}
+        return lambda data: {k: value(v) for k, v in _expect(data, dict).items()}
     raise TypeError(f"no decoding for {hint!r}")
 
 

@@ -39,13 +39,14 @@ import ast
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Optional, Sequence, Set, Tuple,
-                    Type, cast)
+from typing import (Callable, Dict, FrozenSet, Iterable, Optional, Sequence,
+                    Set, Tuple, Type, cast)
 
 from repro.lint.cache import CacheEntry, LintCache, content_digest, project_key
 from repro.lint.findings import Finding
-from repro.lint.pragmas import Suppressions, parse_suppressions
+from repro.lint.pragmas import Suppressions
 from repro.lint.project import (
+    SUMMARY_HOOKS,
     ModuleSummary,
     ProjectContext,
     node_hooks,
@@ -183,6 +184,7 @@ def _analyze_file(
     *,
     root: Path,
     rules: Sequence[Tuple[Type[Rule], list]],
+    hooked: FrozenSet[type],
     known: Set[str],
     valid: str,
     source: Optional[str] = None,
@@ -210,10 +212,8 @@ def _analyze_file(
         return [Finding(path=display, line=int(line), col=int(col),
                         rule_id=_SYNTAX_RULE_ID,
                         message=f"file does not parse: {reason}")], None
-    suppressions = parse_suppressions(source)
-    ctx = FileContext(
-        path=display, rel_parts=rel, tree=tree, suppressions=suppressions,
-    )
+    ctx = FileContext(path=display, rel_parts=rel, tree=tree, source=source,
+                      hooked=hooked)
     table: Dict[type, list] = {}
     for rule_cls, hooks in rules:
         if rule_cls.applies_to(ctx):
@@ -222,10 +222,11 @@ def _analyze_file(
             for node_cls, attr in hooks:
                 table.setdefault(node_cls, []).append(getattr(rule, attr))
     summary = summarize_module(
-        tree, path=display, rel_parts=rel, suppressions=suppressions,
+        tree, path=display, rel_parts=rel, suppressions=ctx.suppressions,
         imports=ctx.imports, rule_hooks=table,
     )
-    ctx.findings.extend(_pragma_hygiene(display, suppressions, known, valid))
+    ctx.findings.extend(
+        _pragma_hygiene(display, ctx.suppressions, known, valid))
     return sorted(ctx.findings), summary
 
 
@@ -234,6 +235,7 @@ def _lint_file(
     root: Path,
     *,
     rules: Sequence[Tuple[Type[Rule], list]],
+    hooked: FrozenSet[type],
     known: Set[str],
     valid: str,
 ) -> CacheEntry:
@@ -250,8 +252,8 @@ def _lint_file(
         except UnicodeDecodeError:
             source = None  # _analyze_file re-reads and reports CG000
         findings, summary = _analyze_file(
-            file, root=root, rules=rules, known=known, valid=valid,
-            source=source,
+            file, root=root, rules=rules, hooked=hooked, known=known,
+            valid=valid, source=source,
         )
     except Exception as exc:
         raise RuntimeError(
@@ -343,6 +345,9 @@ def lint_paths(
     ignore = list(ignore) if ignore is not None else None
     rules = [(rule_cls, node_hooks(rule_cls))
              for rule_cls in resolve_rules(select, ignore)]
+    # The walk records only the node classes some hook reads.
+    hooked = frozenset([node_cls for _, hooks in rules for node_cls, _ in hooks]
+                       + [node_cls for node_cls, _ in SUMMARY_HOOKS])
     known = set(all_rules()) | set(all_project_rules()) | {_SYNTAX_RULE_ID}
     valid = ", ".join(sorted(known))
     project_rules = resolve_project_rules(select, ignore) if whole_program else []
@@ -368,7 +373,7 @@ def lint_paths(
         if entry is None:
             misses.append((file, root, file.stat().st_size))
     fresh = iter(_lint_misses(misses, functools.partial(
-        _lint_file, rules=rules, known=known, valid=valid,
+        _lint_file, rules=rules, hooked=hooked, known=known, valid=valid,
     )))
     result.files_checked = len(files)
     for (file, _), key, entry in zip(files, live_keys, entries):

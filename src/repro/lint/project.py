@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple, TypeGuard, Union)
+from functools import cached_property, lru_cache
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, FrozenSet, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+                    TypeGuard, Union)
 
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions
@@ -69,6 +70,7 @@ __all__ = [
     "module_name_from_parts",
     "summarize_module",
     "node_hooks",
+    "SUMMARY_HOOKS",
 ]
 
 #: Pseudo-function holding a module's top-level statements.
@@ -401,6 +403,57 @@ class Scope(NamedTuple):
     bucket: Optional[Set[str]]
 
 
+def _ast_classes() -> FrozenSet[type]:
+    """Every node class the ``ast`` module defines."""
+    found: Set[type] = set()
+    pending = [ast.AST]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                pending.append(sub)
+    return frozenset(found)
+
+
+#: Node classes with no child node but, at most, their ``ctx``.  The
+#: walk skips one outright unless a hook reads its class
+#: (:func:`_walk_plan`).
+_LEAVES = frozenset({
+    ast.Name, ast.Constant, ast.alias, ast.Pass, ast.Break, ast.Continue,
+    *(cls for base in (ast.expr_context, ast.operator, ast.boolop,
+                       ast.unaryop, ast.cmpop)
+      for cls in base.__subclasses__()),
+})
+
+
+#: The statements :meth:`ImportTable._enter` handles: a ``def`` and a
+#: top-level ``TYPE_CHECKING`` guard give their children scopes of
+#: their own, a class changes the scope, and an import is noted.
+_SCOPING = frozenset({ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                      ast.Import, ast.ImportFrom, ast.If})
+
+
+@lru_cache(maxsize=None)
+def _walk_plan(
+    hooked: Optional[FrozenSet[type]], literals: bool,
+) -> Tuple[FrozenSet[type], Dict[type, Tuple[str, ...]]]:
+    """What :class:`ImportTable`'s walk pushes, and where it looks.
+
+    Returns the node classes the walk enters — all but the leaves no
+    hook reads (``hooked=None`` reads every class), and the string
+    leaves when it records ``literals`` — and each entered class's
+    fields, ``ctx`` dropped when no context class is entered.
+    """
+    skip = _LEAVES - (_LEAVES if hooked is None else hooked)
+    if literals:
+        skip -= {ast.Constant}
+    keep = _ast_classes() - skip
+    ctx = any(cls in keep for cls in ast.expr_context.__subclasses__())
+    fields = {cls: tuple(name for name in cls._fields if ctx or name != "ctx")
+              for cls in keep}
+    return keep, fields
+
+
 class ImportTable:
     """The per-file facts every consumer shares, from one walk of the AST.
 
@@ -412,9 +465,17 @@ class ImportTable:
     the class names and the import aliases of class bases.  The rule
     and summary hooks of the file all run from one loop over
     :attr:`nodes` and :attr:`scopes`.
+
+    ``hooked`` names the node classes some hook reads (``None``: every
+    class); the walk records only nodes of those classes, and never
+    enters a leaf (:data:`_LEAVES`) of any other class.  With
+    ``literals``, it also records the module's string literals for
+    :func:`~repro.lint.pragmas.parse_suppressions`.
     """
 
-    def __init__(self, tree: ast.Module):
+    def __init__(self, tree: ast.Module,
+                 hooked: Optional[FrozenSet[type]] = None, *,
+                 literals: bool = False):
         #: names bound to the numpy package (``np``).
         self.numpy: Set[str] = set()
         #: names bound to ``numpy.random``.
@@ -444,13 +505,16 @@ class ImportTable:
         self.type_only: Set[str] = set()
         #: classes defined anywhere in the module.
         self.class_names: Set[str] = set()
-        #: every node of the module, depth-first in ``ast.NodeVisitor``
-        #: order.
+        #: the nodes of the hooked classes, depth-first in
+        #: ``ast.NodeVisitor`` order.
         self.nodes: List[ast.AST] = []
         #: the :class:`Scope` of each node of :attr:`nodes`; ``None``
         #: where the summariser skips the node: return annotations and
         #: the subtrees of marker decorators (:func:`_is_marker`).
         self.scopes: List[Optional[Scope]] = []
+        #: with ``literals``: every str/bytes ``Constant`` and every
+        #: ``JoinedStr``, nested ones included.
+        self.literals: List[ast.expr] = []
 
         # A top-level TYPE_CHECKING guard's body is type-only, its test
         # and else branch count toward neither, everything else is
@@ -461,46 +525,74 @@ class ImportTable:
         runtime: Set[str] = set()
         guards = set(filter(_is_type_checking_guard, tree.body))
         self._depth_of: Dict[str, int] = {}
+        keep, fields = _walk_plan(hooked, literals)
+        record = keep if hooked is None else hooked
+        strings = (ast.Constant, ast.JoinedStr) if literals else ()
         stack: List[Tuple[ast.AST, Optional[Scope], int]] = [
             (tree, Scope(None, (), runtime), 0),
         ]
         nodes, scopes = self.nodes, self.scopes
         while stack:
             node, scope, depth = stack.pop()
-            nodes.append(node)
-            scopes.append(scope)
             kind = type(node)
+            if kind in record:
+                nodes.append(node)
+                scopes.append(scope)
+            if kind in strings and (kind is ast.JoinedStr or type(
+                    node.value) in (str, bytes)):  # type: ignore[attr-defined]
+                self.literals.append(node)  # type: ignore[arg-type]
             depth += 1
-            # Skipped subtrees (scope None) are expressions, so they
-            # hold none of the scope-changing statements below.
-            if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
-                inner = scope._replace(fn=node)
-                kids = [(node.args, inner), *((s, inner) for s in node.body)]
-                kids.extend((dec, None if _is_marker(dec) else scope)
-                            for dec in node.decorator_list)
-                kids.extend((child, None) for child in (
-                    node.returns, *getattr(node, "type_params", ()))
-                    if child is not None)
-            elif kind is ast.If and node in guards:
-                neither = scope._replace(bucket=None)
-                typed = scope._replace(bucket=guarded)
-                kids = [(node.test, neither), *((s, typed) for s in node.body),
-                        *((s, neither) for s in node.orelse)]
-            else:
-                if kind is ast.Import:
-                    self._note_import(node, scope.bucket, depth)
-                elif kind is ast.ImportFrom:
-                    self._note_import_from(node, scope.bucket, depth)
-                elif kind is ast.ClassDef:
-                    self.class_names.add(node.name)
-                    scope = scope._replace(classes=(*scope.classes, node.name))
-                children = list(ast.iter_child_nodes(node))
-                children.reverse()
-                stack.extend([(child, scope, depth) for child in children])
-                continue
-            kids.reverse()
-            stack.extend([(child, where, depth) for child, where in kids])
+            if kind in _SCOPING:
+                kids, scope = self._enter(node, scope, depth, guards, guarded)
+                if kids is not None:
+                    kids.reverse()
+                    stack.extend([(child, where, depth)
+                                  for child, where in kids
+                                  if type(child) in keep])
+                    continue
+            children: List[object] = []
+            for name in fields[kind]:
+                value = getattr(node, name)
+                if type(value) is list:
+                    children.extend(value)
+                else:
+                    children.append(value)
+            children.reverse()
+            stack.extend([(child, scope, depth) for child in children
+                          if type(child) in keep])
         self.type_only = guarded - runtime
+
+    def _enter(
+        self, node: ast.AST, scope: Scope, depth: int,
+        guards: Set[ast.AST], guarded: Set[str],
+    ) -> Tuple[Optional[List[Tuple[ast.AST, Optional[Scope]]]], Scope]:
+        """Note an import or a class, and return ``(children, scope)``:
+        a ``def``'s or a ``TYPE_CHECKING`` guard's children in order,
+        each with its own scope; otherwise ``None`` and the scope all
+        the node's children share."""
+        # Skipped subtrees (scope None) are expressions, so they hold
+        # none of the scope-changing statements below.
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope._replace(fn=node)
+            return [(node.args, inner), *((s, inner) for s in node.body),
+                    *((dec, None if _is_marker(dec) else scope)
+                      for dec in node.decorator_list),
+                    *((child, None) for child in (
+                        node.returns, *getattr(node, "type_params", ())))
+                    ], scope
+        if isinstance(node, ast.If) and node in guards:
+            neither = scope._replace(bucket=None)
+            typed = scope._replace(bucket=guarded)
+            return [(node.test, neither), *((s, typed) for s in node.body),
+                    *((s, neither) for s in node.orelse)], scope
+        if isinstance(node, ast.Import):
+            self._note_import(node, scope.bucket, depth)
+        elif isinstance(node, ast.ImportFrom):
+            self._note_import_from(node, scope.bucket, depth)
+        elif isinstance(node, ast.ClassDef):
+            self.class_names.add(node.name)
+            scope = scope._replace(classes=(*scope.classes, node.name))
+        return None, scope
 
     def random_namespace(self, parts: List[str]) -> Optional[str]:
         """``"numpy.random"``/``"random"`` when the dotted call ``parts``
@@ -1019,6 +1111,10 @@ class _Summarizer:
             ))
 
 
+#: ``(ast class, method name)`` of every summary hook.
+SUMMARY_HOOKS = node_hooks(_Summarizer)
+
+
 def summarize_module(
     tree: ast.Module,
     *,
@@ -1034,7 +1130,8 @@ def summarize_module(
     the per-file rules read as ``FileContext.imports``.  ``rule_hooks``
     maps a node class to the per-file rule hooks for it; they run in
     the same loop over :attr:`ImportTable.nodes` as the summary hooks,
-    so each file is walked once.
+    so each file is walked once.  The table must have recorded every
+    class of ``rule_hooks`` and :data:`SUMMARY_HOOKS`.
     """
     summary = ModuleSummary(
         module=module_name_from_parts(rel_parts),
@@ -1047,13 +1144,20 @@ def summarize_module(
     summary.int_constants = _module_int_constants(tree)
     summarizer = _Summarizer(summary, imports, tree)
     summary_hooks = {node_cls: getattr(summarizer, attr)
-                     for node_cls, attr in node_hooks(_Summarizer)}
+                     for node_cls, attr in SUMMARY_HOOKS}
+    # node class -> (its rule hooks, its summary hook or None)
+    dispatch = {
+        node_cls: (tuple(rule_hooks.get(node_cls, ())),
+                   summary_hooks.get(node_cls))
+        for node_cls in [*rule_hooks, *summary_hooks]
+    }
+    unhooked: Tuple[tuple, None] = ((), None)
     for node, scope in zip(imports.nodes, imports.scopes):
-        kind = type(node)
-        for hook in rule_hooks.get(kind, ()):
+        hooks, summary_hook = dispatch.get(type(node), unhooked)
+        for hook in hooks:
             hook(node)
-        if scope is not None and kind in summary_hooks:
-            summary_hooks[kind](node, scope)
+        if summary_hook is not None and scope is not None:
+            summary_hook(node, scope)
     return summary
 
 

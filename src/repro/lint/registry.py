@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import ast
 import inspect
-from typing import ClassVar, Iterable, Optional, Type
+from typing import ClassVar, FrozenSet, Iterable, Optional, Type
 
 from repro.lint.findings import Finding
-from repro.lint.pragmas import Suppressions
+from repro.lint.pragmas import (Suppressions, may_hold_pragma,
+                                 parse_suppressions)
 from repro.lint.project import ImportTable, node_hooks
 
 __all__ = [
@@ -62,7 +63,8 @@ class FileContext:
         path: str,
         rel_parts: tuple[str, ...],
         tree: ast.Module,
-        suppressions: Suppressions,
+        source: str,
+        hooked: Optional[FrozenSet[type]],
     ):
         self.path = path
         #: Path components relative to the ``repro`` package root, e.g.
@@ -71,10 +73,14 @@ class FileContext:
         #: way as the installed package.
         self.rel_parts = rel_parts
         self.tree = tree
-        self.suppressions = suppressions
+        pragmas = may_hold_pragma(source)
         #: The file's import aliases, ``TYPE_CHECKING`` split and class
-        #: names, from the one pre-pass the summariser shares.
-        self.imports = ImportTable(tree)
+        #: names, from the one walk the summariser shares; it records
+        #: the nodes of the ``hooked`` classes (``None``: all).
+        self.imports = ImportTable(tree, hooked, literals=pragmas)
+        #: The pragma table, read off the literals that walk recorded.
+        self.suppressions = (parse_suppressions(source, self.imports.literals)
+                             if pragmas else Suppressions())
         self.findings: list[Finding] = []
 
     def report(self, rule_id: str, node: ast.AST, message: str) -> None:

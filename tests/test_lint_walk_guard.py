@@ -20,7 +20,11 @@ finding or artifact byte:
   rule pass must still see them;
 * the summary of a module whose facts depend on scope: decorators,
   nested and same-named ``def``s, classes inside methods, per-``def``
-  local kinds, and the first line of a repeated import.
+  local kinds, and the first line of a repeated import;
+* that the walk skips only what no hook reads: a test-local rule that
+  hooks ``Name`` and ``Constant`` sees every one, and
+  ``ImportTable.nodes`` is the hooked-class subsequence of
+  ``ast.NodeVisitor`` order.
 
 The tree and planted-tree pins are the output of the analyzer before
 the rule visitors were folded into one pass, and they held when the
@@ -41,8 +45,9 @@ from typing import Dict, List
 import pytest
 
 from repro.lint import all_rules, lint_paths, summarize_module
+from repro.lint import registry
 from repro.lint.pragmas import Suppressions
-from repro.lint.project import ImportTable
+from repro.lint.project import SUMMARY_HOOKS, ImportTable, node_hooks
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SELF = "tests/test_lint_walk_guard.py"
@@ -59,7 +64,7 @@ TREE_PINS: Dict[str, tuple] = {
 
 #: artifact -> 16-hex sha256 of its text for a cold lint of ``src``.
 SRC_PINS = {
-    "effects": "de3909038d082d9f",
+    "effects": "7d922a8116556fde",
     "shard_plan": "9abb213a53e78a5d",
 }
 
@@ -364,3 +369,124 @@ def test_import_line_is_the_first_in_ast_walk_order():
         import b
         """))
     assert ImportTable(tree).module_lines == {"a": 3, "b": 4}
+
+
+#: Every node class in one module: decorators, annotations, defaults,
+#: comprehensions, f-strings, patterns, and a docstring holding pragma
+#: text (``NO_PRAGMA_TEXT`` drops it, so the walk records no literals).
+WALKED = """\
+    \"\"\"Module doc; # lint: disable=CG001 is text here.\"\"\"
+    import os as o
+    from x import (y as z)
+    G = -1
+
+
+    @deco(1, name="n")
+    @effects("rng")
+    def f(a: int = 2, *args, k=None, **kw) -> "Ret":
+        global G
+        if a > 1 and not k:
+            pass
+        for i in range(3):
+            break
+        while True:
+            continue
+        x = [i + 1 for i in (1, 2) if i]
+        y = {k: v for k, v in kw.items()}
+        del x, y
+        s = f"{a!r:>{w}} {b'#'} {'#'}" "tail"
+        lam = lambda q=3: -q
+        match a:
+            case [1, *rest]:
+                pass
+            case {"k": v, **others}:
+                pass
+            case Point(x=0) | None:
+                pass
+        return a is not None
+
+
+    class C(Base, metaclass=M):
+        attr: int = 5
+
+        async def run(self):
+            async for item in self.items:
+                await item
+    """
+NO_PRAGMA_TEXT = WALKED.replace("# lint: disable=CG001 is text", "text")
+
+#: The classes ``lint_paths`` records with every rule selected.
+ENGINE_HOOKED = frozenset(
+    [node_cls for rule in all_rules().values()
+     for node_cls, _ in node_hooks(rule)]
+    + [node_cls for node_cls, _ in SUMMARY_HOOKS])
+
+
+class _Preorder(ast.NodeVisitor):
+    """Every node, in the order ``ast.NodeVisitor`` visits them."""
+
+    def __init__(self) -> None:
+        self.nodes: List[ast.AST] = []
+
+    def generic_visit(self, node: ast.AST) -> None:
+        self.nodes.append(node)
+        super().generic_visit(node)
+
+
+class _CountLeaves(registry.Rule):
+    """Reports every ``Name`` and every ``Constant``."""
+
+    rule_id = "CG900"
+    name = "count-leaves"
+    description = "every Name and Constant"
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.report(node, f"Name {node.id}")
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        self.report(node, f"Constant {node.value!r}")
+
+
+@pytest.mark.parametrize("source", [WALKED, NO_PRAGMA_TEXT],
+                         ids=["pragma-text", "no-pragma-text"])
+def test_leaf_hooks_fire_once_per_node(source, tmp_path, monkeypatch):
+    # The walk skips leaf classes no hook reads; the skip set comes
+    # from the hook table, so a rule hooking a leaf sees every one.
+    monkeypatch.setitem(registry._REGISTRY, _CountLeaves.rule_id,
+                        _CountLeaves)
+    file = tmp_path / "walked.py"
+    file.write_text(textwrap.dedent(source))
+    result = lint_paths([file], select=[_CountLeaves.rule_id],
+                        whole_program=False)
+    expected = sorted(
+        (node.lineno, node.col_offset + 1,
+         f"Name {node.id}" if isinstance(node, ast.Name)
+         else f"Constant {node.value!r}")
+        for node in ast.walk(ast.parse(file.read_text()))
+        if isinstance(node, (ast.Name, ast.Constant)))
+    assert len(expected) > 40
+    assert sorted((f.line, f.col, f.message)
+                  for f in result.findings) == expected
+
+
+@pytest.mark.parametrize("hooked", [
+    ENGINE_HOOKED,
+    frozenset({ast.Name, ast.Load, ast.Constant, ast.Add, ast.Pass}),
+    frozenset(),
+    None,
+], ids=["engine", "leaves", "nothing", "everything"])
+@pytest.mark.parametrize("literals", [False, True])
+def test_walk_records_the_hooked_subsequence(hooked, literals):
+    tree = ast.parse(textwrap.dedent(WALKED))
+    order = _Preorder()
+    order.visit(tree)
+    table = ImportTable(tree, hooked, literals=literals)
+    assert table.nodes == [node for node in order.nodes
+                           if hooked is None or type(node) in hooked]
+    assert len(table.scopes) == len(table.nodes)
+    strings = [node for node in order.nodes
+               if isinstance(node, ast.JoinedStr)
+               or (isinstance(node, ast.Constant)
+                   and isinstance(node.value, (str, bytes)))]
+    assert sorted(map(id, table.literals)) == sorted(
+        map(id, strings if literals else []))
