@@ -23,19 +23,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.base import SchedulingStrategy
 from repro.cluster.fleet import ClusterScheduler, DeadLetter, FleetNode
-from repro.cluster.provisioner import Provisioner
 from repro.core.pipeline import GameProfile
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.games.spec import GameSpec
-from repro.obs.observer import Observer
-from repro.platform_.interference import InterferenceModel
 from repro.platform_.qos import QoSTracker
 from repro.platform_.server import GPUDevice, Server
 from repro.sim.engine import SimulationEngine
@@ -44,6 +39,13 @@ from repro.util.effects import shard_entry, shard_merge_point
 from repro.util.rng import Seed, derive_seed
 from repro.workloads.metrics import throughput_eq2
 from repro.workloads.requests import ContinuousBacklog, GameRequest, PoissonArrivals
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.cluster.provisioner import Provisioner
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.obs.observer import Observer
+    from repro.platform_.interference import InterferenceModel
 
 __all__ = [
     "ExperimentResult",
@@ -208,7 +210,7 @@ class FleetExperiment:
         seed: Seed = 0,
         detect_interval: int = 5,
         fault_plan: Optional[FaultPlan] = None,
-        provisioner: Optional["Provisioner"] = None,
+        provisioner: Optional[Provisioner] = None,
         obs: Optional[Observer] = None,
         arrivals: Optional[object] = None,
     ):
@@ -258,6 +260,8 @@ class FleetExperiment:
             self.provisioner.attach(engine)
         injector: Optional[FaultInjector] = None
         if self.fault_plan is not None and len(self.fault_plan):
+            from repro.faults.injector import FaultInjector
+
             injector = FaultInjector(
                 self.fault_plan, self.cluster, engine, obs=self.obs
             )

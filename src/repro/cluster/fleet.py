@@ -34,9 +34,7 @@ from repro.obs.naming import (
     STREAM_CLUSTER,
     lifecycle_span,
 )
-from repro.obs.observer import Observer
 from repro.platform_.allocator import Allocator
-from repro.platform_.interference import InterferenceModel
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
 from repro.platform_.qos import QoSTracker
 from repro.platform_.server import GPUDevice, Server
@@ -47,6 +45,8 @@ from repro.util.validation import check_in
 from repro.workloads.requests import GameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports cluster)
+    from repro.obs.observer import Observer
+    from repro.platform_.interference import InterferenceModel
     from repro.serve.gateway import AdmissionGateway, AdmissionOutcome
 
 __all__ = [

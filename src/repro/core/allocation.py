@@ -9,13 +9,15 @@ the regulator uses for time stealing.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 from repro.core.adjustment import redundancy_allocation
 from repro.core.stages import StageLibrary, StageTypeId
 from repro.platform_.resources import ResourceVector
-from repro.streaming.encoder import EncoderModel
 from repro.util.validation import check_fraction
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.streaming.encoder import EncoderModel
 
 __all__ = ["AllocationPlanner"]
 

@@ -19,14 +19,15 @@ admission so much more permissive than whole-game peak reservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
-
-from repro.obs.metrics import CounterChild
 from repro.obs.naming import ALGO1_BATCHES, ALGO1_EVALUATIONS
-from repro.obs.observer import Observer
 from repro.platform_.resources import ResourceVector, _wrap
 from repro.util.effects import effects
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.metrics import CounterChild
+    from repro.obs.observer import Observer
 
 __all__ = [
     "RunningTaskView",

@@ -20,19 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.dataset import StageDataset, StageDatasetBuilder
 from repro.core.stages import StageLibrary, StageTypeId
 from repro.games.category import GameCategory
-from repro.mlkit.forest import RandomForestClassifier
-from repro.mlkit.gbdt import GradientBoostedClassifier
-from repro.mlkit.model_selection import train_test_split
 from repro.mlkit.tree import DecisionTreeClassifier
 from repro.util.effects import effects
 from repro.util.rng import Seed, derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.mlkit.forest import RandomForestClassifier
+    from repro.mlkit.gbdt import GradientBoostedClassifier
 
 __all__ = [
     "BACKENDS",
@@ -58,7 +59,7 @@ class PredictorBackendError(RuntimeError):
 BACKENDS: Tuple[str, ...] = ("dtc", "rf", "gbdt")
 
 BackendModel = Union[
-    DecisionTreeClassifier, RandomForestClassifier, GradientBoostedClassifier
+    DecisionTreeClassifier, "RandomForestClassifier", "GradientBoostedClassifier"
 ]
 
 
@@ -67,10 +68,14 @@ def make_backend(name: str, seed: Seed = None) -> BackendModel:
     if name == "dtc":
         return DecisionTreeClassifier(max_depth=10, min_samples_leaf=2, seed=seed)
     if name == "rf":
+        from repro.mlkit.forest import RandomForestClassifier
+
         return RandomForestClassifier(
             40, max_depth=10, min_samples_leaf=2, seed=seed
         )
     if name == "gbdt":
+        from repro.mlkit.gbdt import GradientBoostedClassifier
+
         return GradientBoostedClassifier(
             80, learning_rate=0.12, max_depth=2, min_samples_leaf=2, seed=seed
         )
@@ -195,6 +200,8 @@ class StagePredictor:
         """
         classes = np.unique(ds.y)
         if ds.n_samples >= 8 and len(classes) >= 2:
+            from repro.mlkit.model_selection import train_test_split
+
             scores = []
             for r in range(repeats):
                 Xtr, Xte, ytr, yte = train_test_split(

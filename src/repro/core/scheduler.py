@@ -21,7 +21,7 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,19 +38,21 @@ from repro.core.predictor import (
 from repro.core.regulator import Regulator, RegulatorConfig
 from repro.core.stages import StageTypeId
 from repro.core.health import BreakerState, PredictorHealth
-from repro.obs.metrics import Counter, CounterChild
 from repro.obs.naming import (
     SCHED_DECISIONS,
     SCHED_DEGRADED_TRANSITIONS,
     node_stream,
 )
-from repro.obs.observer import Observer
 from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.resources import Floats4, ResourceVector, _wrap
 from repro.sim.telemetry import TelemetryRecorder
-from repro.streaming.encoder import EncoderModel
 from repro.util.effects import effects
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.metrics import Counter, CounterChild
+    from repro.obs.observer import Observer
+    from repro.streaming.encoder import EncoderModel
 
 __all__ = [
     "CoCGConfig",

@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.cluster.experiment import FleetResult, default_arrivals
-from repro.faults.plan import FaultPlan
 from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.fleet.router import RoutedArrivals, SessionRouter
 from repro.games.catalog import build_catalog
 from repro.obs.naming import FLEET_COMPLETED, FLEET_ROUTED
-from repro.obs.observer import Observer
 from repro.trace.harness import (
     RunConfig,
     build_experiment,
@@ -49,11 +47,15 @@ from repro.trace.harness import (
     game_specs,
     record_run,
 )
-from repro.trace.recorder import TraceRecorder
 from repro.util.effects import shard_entry, shard_merge_point
 from repro.util.partition import run_partitioned
 from repro.util.rng import region_seed
 from repro.workloads.metrics import throughput_eq2
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.faults.plan import FaultPlan
+    from repro.obs.observer import Observer
+    from repro.trace.recorder import TraceRecorder
 
 __all__ = [
     "RegionSpec",

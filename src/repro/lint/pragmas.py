@@ -194,16 +194,15 @@ def parse_suppressions(
     # Rows as tokenize numbers them: the table's line numbers.
     rows = _line_starts(source, _ROW_END_RE)
     comments = _comments(source, rows, hits, literals)
-    lines = source.splitlines()
     for at in sorted(comments):
         match = _PRAGMA_RE.search(comments[at])
         if match is None:
             continue
         rules = _parse_rule_list(match.group("rules"))
         row = bisect_right(rows, at) - 1
-        col = at - rows[row]
-        text_before = lines[row][:col] if row < len(lines) else ""
-        if text_before.strip():
+        # The row's own text: splitlines() would also split at form
+        # feeds and other line boundaries tokenize does not end a row at.
+        if source[rows[row]:at].strip():
             table.by_line.setdefault(row + 1, set()).update(rules)
         else:
             table.file_level.update(rules)

@@ -23,14 +23,16 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.naming import QOS_DEGRADED_SECONDS
-from repro.obs.observer import Observer
 from repro.platform_.resources import ResourceVector
 from repro.util.validation import check_nonnegative, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.observer import Observer
 
 __all__ = ["FpsModel", "QoSReport", "QoSTracker"]
 

@@ -19,32 +19,28 @@ CLI call it; :func:`build_profiles` trains the profiles it takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import (
-    CoCGStrategy,
-    GAugurStrategy,
-    MaxStaticStrategy,
-    ReactiveStrategy,
-    VBPStrategy,
-)
+import repro.baselines
 from repro.cluster.experiment import FleetExperiment, FleetResult
 from repro.cluster.fleet import ClusterScheduler, FleetNode
-from repro.cluster.provisioner import Provisioner, ProvisionerConfig
 from repro.core.pipeline import GameProfile
-from repro.faults.plan import FaultPlan
 from repro.games.catalog import build_catalog
 from repro.games.spec import GameSpec
-from repro.obs.observer import Observer
 from repro.platform_.profile import (
     BIG_SERVER_PLATFORM,
     REFERENCE_PLATFORM,
     WEAK_GPU_PLATFORM,
 )
-from repro.serve.gateway import AdmissionGateway, GatewayConfig
-from repro.trace.recorder import TraceRecorder
 from repro.util.rng import region_seed
 from repro.util.validation import check_in
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.baselines.base import SchedulingStrategy
+    from repro.cluster.provisioner import Provisioner
+    from repro.faults.plan import FaultPlan
+    from repro.obs.observer import Observer
+    from repro.trace.recorder import TraceRecorder
 
 __all__ = [
     "STRATEGIES",
@@ -59,13 +55,15 @@ __all__ = [
     "record_run",
 ]
 
-#: Scheduling strategies by CLI name, in the order the CLI lists them.
+#: Scheduling strategy class names in :mod:`repro.baselines` by CLI
+#: name, in the order the CLI lists them.  A class is imported when a
+#: strategy is made, so a CoCG run loads no other baseline.
 STRATEGIES = {
-    "cocg": CoCGStrategy,
-    "reactive": ReactiveStrategy,
-    "gaugur": GAugurStrategy,
-    "vbp": VBPStrategy,
-    "max-static": MaxStaticStrategy,
+    "cocg": "CoCGStrategy",
+    "reactive": "ReactiveStrategy",
+    "gaugur": "GAugurStrategy",
+    "vbp": "VBPStrategy",
+    "max-static": "MaxStaticStrategy",
 }
 
 #: Node platforms a heterogeneous fleet cycles through.
@@ -74,10 +72,10 @@ _HETEROGENEOUS_PLATFORMS = (
 )
 
 
-def make_strategy(name: str):
+def make_strategy(name: str) -> SchedulingStrategy:
     """One fresh scheduling strategy instance by CLI name."""
     check_in("strategy", name, tuple(sorted(STRATEGIES)))
-    return STRATEGIES[name]()
+    return getattr(repro.baselines, STRATEGIES[name])()
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,8 @@ def build_cluster(
     ]
     cluster = ClusterScheduler(nodes, policy=config.policy)
     if config.gateway:
+        from repro.serve.gateway import AdmissionGateway, GatewayConfig
+
         gateway = AdmissionGateway(
             cluster,
             config=GatewayConfig(
@@ -287,6 +287,7 @@ def make_provisioner_factory(
     """The capacity-plane factory a config implies (None without one)."""
     if config.warm_pool is None:
         return None
+    from repro.cluster.provisioner import Provisioner, ProvisionerConfig
 
     seed = experiment_seed(config)
 
@@ -362,6 +363,8 @@ def record_run(
         config = replace(config, fault_seed=plan.seed)
     if profiles is None:
         profiles = build_profiles(config)
+    from repro.trace.recorder import TraceRecorder
+
     recorder = TraceRecorder(
         seed=experiment_seed(config), config=config.to_dict(),
         scenario=scenario,

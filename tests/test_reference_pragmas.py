@@ -51,7 +51,9 @@ def reference_parse_suppressions(source: str) -> Suppressions:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
         return table
-    lines = source.splitlines()
+    # Rows as tokenize reads them: split at "\n" only.  splitlines() also
+    # splits at form feeds, so a row after one read the wrong text.
+    lines = source.split("\n")
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
@@ -60,7 +62,7 @@ def reference_parse_suppressions(source: str) -> Suppressions:
             continue
         rules = _parse_rule_list(match.group("rules"))
         row, col = tok.start
-        text_before = lines[row - 1][:col] if row - 1 < len(lines) else ""
+        text_before = lines[row - 1][:col]
         if text_before.strip():
             table.by_line.setdefault(row, set()).update(rules)
         else:
@@ -137,6 +139,8 @@ CASES = {
              'y = "# lint: disable=CG003"\r\n', {1: {"CG001"}}, {"CG002"}),
     "form_feed": ('\f# lint: disable=CG001\nx = 1  # lint: disable=CG002\n',
                   {2: {"CG002"}}, {"CG001"}),
+    "trailing_after_form_feed_row": ("x = 1\n\f\ny = 2  # lint: disable=CG001\n",
+                                     {3: {"CG001"}}, set()),
     "second_hash_in_comment": ("x = 1  # note # lint: disable=CG001\n",
                                {1: {"CG001"}}, set()),
     "trailing": ("x = 1  # lint: disable=CG001, CG002\n",
