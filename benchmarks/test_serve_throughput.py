@@ -190,14 +190,12 @@ def naive_dispatch(cluster, entry, *, time, seed_for):
     )
 
 
-def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
+def drive(loadgen, *, batched, horizon=HORIZON):
     """One full gateway run; returns (gateway, counter).
 
     ``batched=False`` is the naive reference: the gateway dispatches each
     request through ``ClusterScheduler.dispatch`` and tasks memoize
-    nothing.  ``obs`` threads an :class:`repro.obs.Observer` through the
-    gateway (the overhead benchmark drives the same run observed and
-    unobserved); ``horizon`` lets callers shorten the run.
+    nothing.  ``horizon`` lets callers shorten the run.
     """
     from repro.games.catalog import build_catalog
 
@@ -221,8 +219,6 @@ def drive(loadgen, *, batched, obs=None, horizon=HORIZON):
     )
     if not batched:
         gateway.batcher.dispatch_one = naive_dispatch
-    if obs is not None:
-        gateway.attach_observer(obs)
     cluster.attach_gateway(gateway)
 
     def seed_for(request, incarnation):

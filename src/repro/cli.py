@@ -17,9 +17,9 @@ Four subcommands cover the operator workflow the paper describes:
   Algorithm-1 dispatch, per-category SLO report (``docs/SERVE.md``);
 * ``cocg chaos GAME [GAME …]`` — the fleet experiment under an injected
   fault plan, reported against the fault-free run (``docs/FAULTS.md``);
-* ``cocg obs GAME [GAME …]`` — run a gateway-fronted experiment with the
-  deterministic observability pipeline attached and export
-  ``metrics.prom`` + ``trace.json`` (``docs/OBSERVABILITY.md``);
+* ``cocg obs GAME [GAME …]`` — run a gateway-fronted experiment, read
+  the finished run through the deterministic observability pipeline and
+  export ``metrics.prom`` + ``trace.json`` (``docs/OBSERVABILITY.md``);
   ``--check-determinism`` runs twice and verifies the artifacts are
   byte-identical;
 * ``cocg record GAME [GAME …] -o FILE`` — run a gateway-fronted fleet
@@ -286,7 +286,6 @@ def cmd_fleet(args) -> int:
 def cmd_serve(args) -> int:
     """``cocg serve``: the fleet behind the admission gateway."""
     from repro.core.predictor import BACKENDS
-    from repro.obs import Observer
     from repro.trace.harness import build_experiment
 
     rc = _certify_or_fail(args)
@@ -294,8 +293,7 @@ def cmd_serve(args) -> int:
         return rc
     config = _run_config(args, backends=BACKENDS)
     profiles = _load_or_build_profiles(config, args.profiles_dir)
-    obs = Observer() if args.obs_out else None
-    experiment = build_experiment(config, profiles, obs=obs)
+    experiment = build_experiment(config, profiles)
     result = experiment.run()
     gateway = experiment.cluster.gateway
     stats = gateway.stats()
@@ -315,7 +313,10 @@ def cmd_serve(args) -> int:
     for line in gateway.slo.summary_lines():
         print(f"  {line}")
     print(f"telemetry digest:   {result.telemetry_digest}")
-    if obs is not None:
+    if args.obs_out:
+        from repro.obs import Observer
+
+        obs = Observer().finalize(experiment)
         metrics_path, trace_path = obs.write(args.obs_out)
         print(f"observability:      {metrics_path} + {trace_path} "
               f"(trace digest {obs.trace_digest()[:16]}…)")
@@ -340,7 +341,6 @@ def cmd_chaos(args) -> int:
         run_chaos,
         validate_plan_payload,
     )
-    from repro.obs import Observer
     from repro.trace.harness import (
         build_cluster,
         game_specs,
@@ -398,7 +398,6 @@ def cmd_chaos(args) -> int:
             args.horizon, seed=args.seed, crash_node=f"node-{args.nodes - 1}"
         )
 
-    obs = Observer() if args.obs_out else None
     report = run_chaos(
         lambda: build_cluster(config, profiles),
         game_specs(config.games),
@@ -408,13 +407,15 @@ def cmd_chaos(args) -> int:
         seed=config.seed,
         detect_interval=config.detect_interval,
         make_provisioner=make_provisioner_factory(config, profiles),
-        obs=obs,
     )
     print()
     for line in report.summary_lines():
         print(line)
     print(f"\ntelemetry digest (faulted): {report.faulted.telemetry_digest}")
-    if obs is not None:
+    if args.obs_out:
+        from repro.obs import Observer
+
+        obs = Observer().finalize(report.experiment)
         metrics_path, trace_path = obs.write(args.obs_out)
         print(f"observability (faulted run): {metrics_path} + {trace_path} "
               f"(trace digest {obs.trace_digest()[:16]}…)")
@@ -430,8 +431,8 @@ def cmd_chaos(args) -> int:
 def cmd_obs(args) -> int:
     """``cocg obs``: run one observed experiment, export the artifacts.
 
-    Runs the gateway-fronted fleet with the observability pipeline
-    attached and writes ``metrics.prom`` (Prometheus text exposition)
+    Runs the gateway-fronted fleet, reads the finished run and writes
+    ``metrics.prom`` (Prometheus text exposition)
     and ``trace.json`` (Chrome trace events — load it in Perfetto) under
     ``--out``.  ``--check-determinism`` repeats the run from the same
     seeds and fails unless both artifacts come back byte-identical —
@@ -464,8 +465,8 @@ def cmd_obs(args) -> int:
     )
 
     def run():
-        obs = Observer()
-        return build_experiment(config, profiles, plan=plan, obs=obs).run(), obs
+        experiment = build_experiment(config, profiles, plan=plan)
+        return experiment.run(), Observer().finalize(experiment)
 
     result, obs = run()
     if args.check_determinism:
@@ -712,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sessions", type=int, default=3)
     s.add_argument("--profiles-dir", help="cache profiles here")
     s.add_argument("--obs-out", metavar="DIR",
-                   help="attach the observability pipeline and write "
-                        "metrics.prom + trace.json here")
+                   help="read the finished run into metrics.prom + "
+                        "trace.json here")
     s.add_argument("--shard-plan", metavar="PATH",
                    help="shard-plan certificate to certify against "
                         "(default: the packaged shardplan.json)")
@@ -745,9 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--sessions", type=int, default=3)
     ch.add_argument("--profiles-dir", help="cache profiles here")
     ch.add_argument("--obs-out", metavar="DIR",
-                    help="attach the observability pipeline to the "
-                         "faulted run and write metrics.prom + "
-                         "trace.json here")
+                    help="read the finished faulted run into "
+                         "metrics.prom + trace.json here")
     ch.set_defaults(func=cmd_chaos)
 
     o = sub.add_parser(

@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cluster.provisioner import Provisioner
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.obs.observer import Observer
     from repro.platform_.interference import InterferenceModel
 
 __all__ = [
@@ -183,12 +182,6 @@ class FleetExperiment:
         armed: the warm pool pre-boots at t=0, the maintenance loop
         promotes/refills on its own period, and its lifecycle digest is
         folded into :attr:`FleetResult.telemetry_digest`.
-    obs:
-        Optional :class:`~repro.obs.Observer` wired through the whole
-        stack before the run starts: the cluster (dispatch counters,
-        per-node scheduler spans, QoS, Algorithm-1 counters) and the
-        fault injector (fault counters + windows).  Two runs with the
-        same seed and plan produce byte-identical exports.
     arrivals:
         Optional pre-built arrival source (anything exposing a
         ``requests`` list of :class:`~repro.workloads.requests.GameRequest`).
@@ -197,7 +190,9 @@ class FleetExperiment:
         scenario's load generator drops in here.
 
     To record the run as a ``.cgtrace``, hand the finished experiment
-    and its result to :meth:`repro.trace.TraceRecorder.finalize`.
+    and its result to :meth:`repro.trace.TraceRecorder.finalize`; the
+    observability exports (:mod:`repro.obs`) read the finished
+    experiment the same way.
     """
 
     def __init__(
@@ -211,7 +206,6 @@ class FleetExperiment:
         detect_interval: int = 5,
         fault_plan: Optional[FaultPlan] = None,
         provisioner: Optional[Provisioner] = None,
-        obs: Optional[Observer] = None,
         arrivals: Optional[object] = None,
     ):
         if horizon < 1:
@@ -224,9 +218,9 @@ class FleetExperiment:
         self.detect_interval = int(detect_interval)
         self.fault_plan = fault_plan
         self.provisioner = provisioner
-        self.obs = obs
-        if obs is not None:
-            cluster.attach_observer(obs)
+        #: The run's fault injector (``None`` until a run with a
+        #: non-empty plan).
+        self.injector: Optional[FaultInjector] = None
         self._base_seed = seed if isinstance(seed, int) or seed is None else 0
         if arrivals is not None:
             if not hasattr(arrivals, "requests"):
@@ -262,10 +256,9 @@ class FleetExperiment:
         if self.fault_plan is not None and len(self.fault_plan):
             from repro.faults.injector import FaultInjector
 
-            injector = FaultInjector(
-                self.fault_plan, self.cluster, engine, obs=self.obs
-            )
+            injector = FaultInjector(self.fault_plan, self.cluster, engine)
             injector.arm()
+        self.injector = injector
 
         for request in self.arrivals.requests:
             t_sub = min(int(request.arrival), self.horizon - 1)

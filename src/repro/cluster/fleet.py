@@ -27,13 +27,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.baselines.base import SchedulingStrategy
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
-from repro.obs.naming import (
-    CLUSTER_DISPATCH,
-    CLUSTER_LIFECYCLE,
-    CLUSTER_PUMP_ROUNDS,
-    STREAM_CLUSTER,
-    lifecycle_span,
-)
 from repro.platform_.allocator import Allocator
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
 from repro.platform_.qos import QoSTracker
@@ -45,7 +38,6 @@ from repro.util.validation import check_in
 from repro.workloads.requests import GameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports cluster)
-    from repro.obs.observer import Observer
     from repro.platform_.interference import InterferenceModel
     from repro.serve.gateway import AdmissionGateway, AdmissionOutcome
 
@@ -179,34 +171,6 @@ class FleetNode:
         #: completion order: ``start``/``end`` are session-elapsed
         #: seconds, ``t`` the simulation second it was observed at.
         self.stage_log: List[Tuple[int, str, str, int, int]] = []
-        self.obs: Optional[Observer] = None
-        self._c_lifecycle = None
-
-    # ------------------------------------------------------------------
-    def attach_observer(self, obs: Observer) -> None:
-        """Wire this node's control plane into a shared observer.
-
-        Forwards to the QoS tracker (degraded-seconds counter) and, when
-        the strategy exposes a CoCG scheduler, to the scheduler
-        (decision counters, control spans) and its distributor
-        (Algorithm-1 counters).  Lifecycle transitions additionally land
-        in ``cluster_lifecycle_transitions_total{state}``.
-        """
-        self.obs = obs
-        self._c_lifecycle = obs.counter(
-            CLUSTER_LIFECYCLE,
-            "Node lifecycle transitions by resulting state.",
-            ("state",),
-        )
-        self.qos.attach_observer(obs, node=self.node_id)
-        sched = getattr(self.strategy, "scheduler", None)
-        if sched is not None and hasattr(sched, "attach_observer"):
-            sched.attach_observer(obs, node=self.node_id)
-            distributor = getattr(sched, "distributor", None)
-            if distributor is not None and hasattr(
-                distributor, "attach_observer"
-            ):
-                distributor.attach_observer(obs)
 
     # ------------------------------------------------------------------
     def try_admit(
@@ -276,7 +240,7 @@ class FleetNode:
                 frame_lock=tick.frame_lock,
             )
             if degraded and sid in degraded:
-                self.qos.note_degraded(sid)
+                self.qos.note_degraded(sid, time=t)
             if tick.stage_completed:
                 # The session just appended (stage, start, end) to its
                 # history.
@@ -326,15 +290,11 @@ class FleetNode:
     ) -> None:
         """The single lifecycle-transition point.
 
-        Records the transition as a telemetry fault event (so it enters
-        the fleet digest) and, when observed, counts it in
-        ``cluster_lifecycle_transitions_total{state}``.
+        Records the transition as a telemetry fault event of ``kind``,
+        so it enters the fleet digest.
         """
         self.health = health
         self.telemetry.record_fault_event(time, kind, detail or self.node_id)
-        if self._c_lifecycle is not None:
-            self.obs.tick(time)
-            self._c_lifecycle.labels(state=health.value).inc(time=time)
 
     def crash(self, time: float) -> List[Tuple[str, GameRequest]]:
         """Take the node ``down``; every hosted session dies."""
@@ -498,54 +458,27 @@ class ClusterScheduler:
         #: count against this; a provisioner overrides it with its
         #: ``target_up``.
         self.capacity_target = len(self.nodes)
-        self.obs: Optional[Observer] = None
-        self._c_dispatched = None
-        self._c_deferred = None
-        self._c_pump_rounds = None
+        #: Simulation time of the latest dispatch attempt, per outcome.
+        self.last_dispatch: Dict[str, float] = {}
+        #: ``(time, requests started)`` per retry-queue :meth:`pump`
+        #: round (a gateway keeps its own rounds).
+        self.pumps: List[Tuple[float, int]] = []
+        #: ``(time, node id, notice, fault index)`` per reclamation
+        #: notice served (:meth:`begin_reclaim`).
+        self.reclaims: List[Tuple[float, str, float, Optional[int]]] = []
 
     # ------------------------------------------------------------------
-    def attach_observer(self, obs: Observer) -> None:
-        """Wire the fleet into a shared observer.
-
-        Registers the cluster dispatch counters and forwards to every
-        node (QoS, CoCG scheduler, distributor) and, when a gateway is
-        already attached without its own observer, to the gateway.  The
-        plain-int ``dispatched``/``deferred`` attributes stay
-        authoritative; the registry mirrors them so ``metrics.prom``
-        tells the same story.
-        """
-        self.obs = obs
-        dispatch = obs.counter(
-            CLUSTER_DISPATCH,
-            "Fleet dispatch attempts by outcome.",
-            ("outcome",),
-        )
-        self._c_dispatched = dispatch.labels(outcome="dispatched")
-        self._c_deferred = dispatch.labels(outcome="deferred")
-        self._c_pump_rounds = obs.counter(
-            CLUSTER_PUMP_ROUNDS,
-            "Retry-queue pump rounds (the non-gateway path).",
-        )
-        for node in self.nodes:
-            node.attach_observer(obs)
-        if self.gateway is not None and self.gateway.obs is None:
-            self.gateway.attach_observer(obs)
-
     def note_dispatch(self, outcome: str, *, time: float) -> None:
         """Count one dispatch attempt (``dispatched`` or ``deferred``).
 
         The single accounting point for both dispatch paths — direct
-        :meth:`dispatch` and the serve-layer micro-batcher — so the ints
-        and the registry can never drift apart.
+        :meth:`dispatch` and the serve-layer micro-batcher.
         """
         if outcome == "dispatched":
             self.dispatched += 1
-            child = self._c_dispatched
         else:
             self.deferred += 1
-            child = self._c_deferred
-        if child is not None:
-            child.inc(time=time)
+        self.last_dispatch[outcome] = time
 
     def attach_gateway(self, gateway: "AdmissionGateway") -> None:
         """Front this cluster with a serve-layer admission gateway.
@@ -555,12 +488,8 @@ class ClusterScheduler:
         token-bucket rate limiting, and overload is *shed* (an explicit
         outcome in gateway telemetry) instead of silently dead-lettered
         by the retry queue.  Detach by setting :attr:`gateway` to None.
-        The cluster's observer, when attached, is forwarded to a gateway
-        that has none of its own.
         """
         self.gateway = gateway
-        if self.obs is not None and gateway.obs is None:
-            gateway.attach_observer(self.obs)
 
     def add_node(self, node: FleetNode) -> None:
         """Grow the fleet by one node (a provisioned/warm standby).
@@ -573,8 +502,6 @@ class ClusterScheduler:
         if any(n.node_id == node.node_id for n in self.nodes):
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes.append(node)
-        if self.obs is not None:
-            node.attach_observer(self.obs)
 
     def node(self, node_id: str) -> FleetNode:
         """Look a node up by id.
@@ -697,16 +624,6 @@ class ClusterScheduler:
         """
         if self.gateway is not None:
             return self.gateway.pump(time, seed_for)
-        if self.obs is not None:
-            self.obs.tick(time)
-            self._c_pump_rounds.inc(time=time)
-            with self.obs.span("cluster.pump", time, stream=STREAM_CLUSTER) as s:
-                started = self._pump_retry_queue(time, seed_for)
-                s.args["started"] = len(started)
-            return started
-        return self._pump_retry_queue(time, seed_for)
-
-    def _pump_retry_queue(self, time: float, seed_for) -> List[GameRequest]:
         started: List[GameRequest] = []
         remaining: List[PendingRequest] = []
         for entry in self._queue:
@@ -734,6 +651,7 @@ class ClusterScheduler:
                 entry.next_try = time + self.backoff(entry.attempts)
                 remaining.append(entry)
         self._queue = remaining
+        self.pumps.append((time, len(started)))
         return started
 
     @property
@@ -830,12 +748,7 @@ class ClusterScheduler:
         if node.health in (NodeHealth.DOWN, NodeHealth.WARMING):
             return False
         node.reclaim_notice(time, notice=notice)
-        if self.obs is not None:
-            self.obs.record_span(
-                lifecycle_span(node_id), time, time + notice,
-                stream=STREAM_CLUSTER, state="reclaim-notice",
-                fault_index=-1 if fault_index is None else fault_index,
-            )
+        self.reclaims.append((time, node_id, notice, fault_index))
         return True
 
     def finish_reclaim(
@@ -902,8 +815,6 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
     def tick(self, t: int) -> None:
         """Advance every live node one second."""
-        if self.obs is not None:
-            self.obs.tick(t)
         for node in self.nodes:
             if node.health is not NodeHealth.DOWN:
                 node.tick(t)

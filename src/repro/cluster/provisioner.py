@@ -40,14 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.fleet import ClusterScheduler, FleetNode, NodeHealth
-from repro.obs.naming import (
-    PROVISION_BUCKETS,
-    PROVISION_EVENTS,
-    PROVISION_LATENCY,
-    STREAM_CLUSTER,
-    lifecycle_span,
-)
-from repro.obs.observer import Observer
 from repro.sim.engine import SimulationEngine
 from repro.util.rng import Seed, as_rng, derive_seed
 from repro.util.validation import check_nonnegative
@@ -180,12 +172,22 @@ class Provisioner:
         Latency/pool/retry tuning (:class:`ProvisionerConfig`).
     seed:
         Root of every provision-latency stream.
-    obs:
-        Optional shared :class:`~repro.obs.Observer` — lifecycle
-        counters (``cluster_provision_events_total{event}``), the
-        ``cluster_provision_latency_seconds`` histogram and
-        ``node.<id>.lifecycle`` spans.
     """
+
+    #: Lifecycle event state -> the counter it counts toward
+    #: (``warming`` and ``reclaimed`` count toward none).
+    COUNTED = {
+        "requested": "requested",
+        "warm": "provisioned",
+        "retry": "retried",
+        "stalled": "stalled",
+        "failed": "failed",
+        "timed-out": "timed_out",
+        "rejected": "rejected",
+        "up": "warm_promoted",
+        "withdrawn": "withdrawn",
+        "reclaim-notice": "reclaimed",
+    }
 
     def __init__(
         self,
@@ -194,13 +196,11 @@ class Provisioner:
         *,
         config: Optional[ProvisionerConfig] = None,
         seed: Seed = 0,
-        obs: Optional[Observer] = None,
     ):
         self.cluster = cluster
         self.node_factory = node_factory
         self.config = config if config is not None else ProvisionerConfig()
         self._seed = seed if isinstance(seed, int) else 0
-        self.obs = obs
         self.engine: Optional[SimulationEngine] = None
         self.target_up = (
             self.config.target_up
@@ -216,31 +216,6 @@ class Provisioner:
         self._fail_windows: List[Tuple[float, float]] = []
         self._stall_windows: List[Tuple[float, float, float]] = []
         self._exhaust_until = -math.inf
-        self.counts: Dict[str, int] = {
-            "requested": 0,
-            "provisioned": 0,
-            "retried": 0,
-            "stalled": 0,
-            "failed": 0,
-            "timed_out": 0,
-            "rejected": 0,
-            "warm_promoted": 0,
-            "withdrawn": 0,
-            "reclaimed": 0,
-        }
-        self._c_events = None
-        self._h_latency = None
-        if obs is not None:
-            self._c_events = obs.counter(
-                PROVISION_EVENTS,
-                "Provisioner lifecycle events by kind.",
-                ("event",),
-            )
-            self._h_latency = obs.histogram(
-                PROVISION_LATENCY,
-                "Request-to-ready provisioning latency.",
-                buckets=PROVISION_BUCKETS,
-            )
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -248,18 +223,14 @@ class Provisioner:
     def _event(self, time: float, node: str, state: str, detail: str = "") -> None:
         self.events.append(LifecycleEvent(float(time), node, state, detail))
 
-    def _count(self, event: str, time: float) -> None:
-        self.counts[event] = self.counts.get(event, 0) + 1
-        if self._c_events is not None:
-            self.obs.tick(time)
-            self._c_events.labels(event=event).inc(time=time)
-
-    def _span(self, node_id: str, begin: float, end: float, state: str) -> None:
-        if self.obs is not None:
-            self.obs.record_span(
-                lifecycle_span(node_id), begin, end,
-                stream=STREAM_CLUSTER, state=state,
-            )
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Lifecycle counters, counted from :attr:`events`."""
+        out = dict.fromkeys(self.COUNTED.values(), 0)
+        for ev in self.events:
+            if ev.state in self.COUNTED:
+                out[self.COUNTED[ev.state]] += 1
+        return out
 
     # ------------------------------------------------------------------
     # Engine wiring
@@ -292,7 +263,6 @@ class Provisioner:
         self.cluster.add_node(node)
         self._ready.append(node_id)
         self._event(time, node_id, "warm", "pre-booted standby")
-        self._count("provisioned", time)
         return node_id
 
     def _new_node_id(self) -> str:
@@ -303,7 +273,9 @@ class Provisioner:
     # ------------------------------------------------------------------
     # Provisioning
     # ------------------------------------------------------------------
-    def _latency(self, node_id: str, attempt: int) -> float:
+    def latency(self, node_id: str, attempt: int) -> float:
+        """Boot time of one provision attempt: a pure function of the
+        seed, the node id and the attempt number."""
         rng = as_rng(derive_seed(self._seed, "prov", node_id, str(attempt)))
         jitter = (
             float(rng.exponential(self.config.latency_jitter))
@@ -323,7 +295,6 @@ class Provisioner:
             raise RuntimeError("provisioner is not attached to an engine")
         if len(self._pending) >= self.config.max_pending:
             self._event(time, "-", "rejected", "max_pending in flight")
-            self._count("rejected", time)
             return None
         node_id = self._new_node_id()
         req = _ProvisionRequest(
@@ -332,10 +303,8 @@ class Provisioner:
             deadline=float(time) + self.config.timeout,
         )
         self._pending.append(req)
-        latency = self._latency(node_id, 0)
+        latency = self.latency(node_id, 0)
         self._event(time, node_id, "requested", f"eta {latency:.1f}s")
-        self._count("requested", time)
-        self._span(node_id, time, time + latency, "provisioning")
         self.engine.at(
             time + latency,
             lambda e, r=req: self._complete(e, r),
@@ -343,10 +312,18 @@ class Provisioner:
         )
         return node_id
 
+    def retry_backoff(self, attempts: int) -> float:
+        """Delay before the next attempt after ``attempts`` failed ones."""
+        return min(
+            self.config.retry_cap,
+            self.config.retry_base * self.config.retry_factor ** (attempts - 1),
+        )
+
     def _in_fail_window(self, time: float) -> bool:
         return any(start <= time < end for start, end in self._fail_windows)
 
-    def _stall_at(self, time: float) -> float:
+    def stall_at(self, time: float) -> float:
+        """Stall an injected window imposes on a completion at ``time``."""
         for start, end, stall in self._stall_windows:
             if start <= time < end:
                 return stall
@@ -358,13 +335,10 @@ class Provisioner:
             self._finish_request(req)
             self._event(now, req.node_id, "timed-out",
                         f"after {now - req.requested_at:.0f}s")
-            self._count("timed_out", now)
             return
-        stall = self._stall_at(now)
+        stall = self.stall_at(now)
         if stall > 0:
             self._event(now, req.node_id, "stalled", f"+{stall:.0f}s")
-            self._count("stalled", now)
-            self._span(req.node_id, now, now + stall, "provisioning")
             engine.at(
                 now + stall,
                 lambda e, r=req: self._complete(e, r),
@@ -377,21 +351,11 @@ class Provisioner:
                 self._finish_request(req)
                 self._event(now, req.node_id, "failed",
                             f"{req.attempts} attempts")
-                self._count("failed", now)
                 return
-            backoff = min(
-                self.config.retry_cap,
-                self.config.retry_base
-                * self.config.retry_factor ** (req.attempts - 1),
-            )
-            latency = self._latency(req.node_id, req.attempts)
+            backoff = self.retry_backoff(req.attempts)
+            latency = self.latency(req.node_id, req.attempts)
             self._event(now, req.node_id, "retry",
                         f"attempt {req.attempts}, backoff {backoff:.0f}s")
-            self._count("retried", now)
-            self._span(
-                req.node_id, now + backoff, now + backoff + latency,
-                "provisioning",
-            )
             engine.at(
                 now + backoff + latency,
                 lambda e, r=req: self._complete(e, r),
@@ -404,9 +368,6 @@ class Provisioner:
         self.cluster.add_node(node)
         self._event(now, req.node_id, "warming",
                     f"ready in {self.config.warming_seconds:.0f}s")
-        self._span(
-            req.node_id, now, now + self.config.warming_seconds, "warming"
-        )
         engine.at(
             now + self.config.warming_seconds,
             lambda e, r=req: self._warmed(e, r),
@@ -419,10 +380,6 @@ class Provisioner:
         self._ready.append(req.node_id)
         self._event(now, req.node_id, "warm",
                     f"boot took {now - req.requested_at:.1f}s")
-        self._count("provisioned", now)
-        if self._h_latency is not None:
-            self.obs.tick(now)
-            self._h_latency.observe(now - req.requested_at, time=now)
 
     def _finish_request(self, req: _ProvisionRequest) -> None:
         self._pending = [r for r in self._pending if r is not req]
@@ -437,7 +394,6 @@ class Provisioner:
             node_id = self._ready.pop(0)
             self.cluster.node(node_id).promote(now)
             self._event(now, node_id, "up", "promoted from warm pool")
-            self._count("warm_promoted", now)
         # Refill: keep shortfall + warm-pool buffer covered by
         # ready-or-in-flight capacity (unless the pool is exhausted).
         if now < self._exhaust_until:
@@ -477,7 +433,6 @@ class Provisioner:
                 NodeHealth.DOWN, time, "warm-pool-exhaust", node_id
             )
             self._event(time, node_id, "withdrawn", "warm pool exhausted")
-            self._count("withdrawn", time)
         self._exhaust_until = max(self._exhaust_until, float(time) + duration)
         return len(withdrawn)
 
@@ -505,7 +460,6 @@ class Provisioner:
             return False
         self._ready = [n for n in self._ready if n != node_id]
         self._event(time, node_id, "reclaim-notice", f"notice {notice:.0f}s")
-        self._count("reclaimed", time)
 
         def finish(engine: SimulationEngine) -> None:
             killed = self.cluster.finish_reclaim(

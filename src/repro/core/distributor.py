@@ -19,15 +19,10 @@ admission so much more permissive than whole-game peak reservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence
 
-from repro.obs.naming import ALGO1_BATCHES, ALGO1_EVALUATIONS
 from repro.platform_.resources import ResourceVector, _wrap
 from repro.util.effects import effects
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.obs.metrics import CounterChild
-    from repro.obs.observer import Observer
 
 __all__ = [
     "RunningTaskView",
@@ -147,7 +142,7 @@ class BatchEvaluation:
     ) -> AdmissionDecision:
         """Algorithm 1 for one candidate against the shared snapshot."""
         decision = self._decide(entry_consumption, steady_peak)
-        self._distributor.count_evaluation(decision.admitted)
+        self._distributor.verdicts[decision.admitted] += 1
         return decision
 
     @effects(hot_path=True)
@@ -218,37 +213,10 @@ class Distributor:
         self.capacity = capacity
         self.horizon = int(horizon)
         self.overshoot_tolerance = float(overshoot_tolerance)
-        self._c_batches: Optional[CounterChild] = None
-        self._c_eval_true: Optional[CounterChild] = None
-        self._c_eval_false: Optional[CounterChild] = None
-
-    # ------------------------------------------------------------------
-    def attach_observer(self, obs: Observer) -> None:
-        """Count Algorithm-1 work in the shared registry.
-
-        Registers ``cocg_algo1_batches_total`` (shared snapshots opened)
-        and ``cocg_algo1_evaluations_total{admitted}`` (candidate
-        decisions).  Samples are stamped with the registry's clock —
-        whoever drives the run keeps it current via ``obs.tick``.
-        """
-        self._c_batches = obs.counter(
-            ALGO1_BATCHES,
-            "Shared Algorithm-1 snapshots opened (begin_batch).",
-        ).labels()
-        evaluations = obs.counter(
-            ALGO1_EVALUATIONS,
-            "Algorithm-1 candidate evaluations by verdict.",
-            ("admitted",),
-        )
-        self._c_eval_true = evaluations.labels(admitted="true")
-        self._c_eval_false = evaluations.labels(admitted="false")
-
-    @effects(hot_path=True)
-    def count_evaluation(self, admitted: bool) -> None:
-        """Count one candidate verdict (no-op when unobserved)."""
-        child = self._c_eval_true if admitted else self._c_eval_false
-        if child is not None:
-            child.inc()
+        #: Algorithm-1 verdicts so far, by outcome (``True`` = admit).
+        self.verdicts: Dict[bool, int] = {True: 0, False: 0}
+        #: Shared evaluation passes opened (:meth:`begin_batch`).
+        self.batches = 0
 
     # ------------------------------------------------------------------
     @effects(hot_path=True)
@@ -284,6 +252,5 @@ class Distributor:
         with at most one ``predicted_peaks`` rollout per running task.
         Discard it as soon as the running set changes.
         """
-        if self._c_batches is not None:
-            self._c_batches.inc()
+        self.batches += 1
         return BatchEvaluation(self, running)

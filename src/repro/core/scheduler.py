@@ -38,11 +38,6 @@ from repro.core.predictor import (
 from repro.core.regulator import Regulator, RegulatorConfig
 from repro.core.stages import StageTypeId
 from repro.core.health import BreakerState, PredictorHealth
-from repro.obs.naming import (
-    SCHED_DECISIONS,
-    SCHED_DEGRADED_TRANSITIONS,
-    node_stream,
-)
 from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.resources import Floats4, ResourceVector, _wrap
@@ -50,8 +45,6 @@ from repro.sim.telemetry import TelemetryRecorder
 from repro.util.effects import effects
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.obs.metrics import Counter, CounterChild
-    from repro.obs.observer import Observer
     from repro.streaming.encoder import EncoderModel
 
 __all__ = [
@@ -356,12 +349,12 @@ class CoCGScheduler:
         self.rejections = 0
         self.admissions = 0
         self._admission_cache: Dict[str, _AdmissionPlans] = {}
-        #: Shared observer (attached by the fleet, if any).
-        self.obs: Optional[Observer] = None
-        self._obs_stream: str = node_stream("server")
-        self._c_decisions: Optional[Counter] = None
-        self._c_deg_enter: Optional[CounterChild] = None
-        self._c_deg_exit: Optional[CounterChild] = None
+        #: ``(time, session_id)`` of each session Algorithm 1 admitted
+        #: but the allocator could not place under the cap (these leave
+        #: no decision-log entry).
+        self.refused_placements: List[Tuple[float, str]] = []
+        #: ``(time, sessions hosted after the cycle)`` per :meth:`control`.
+        self.cycles: List[Tuple[float, int]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -375,15 +368,6 @@ class CoCGScheduler:
 
     def _log(self, session_id: str, action: str, detail: str = "") -> None:
         self.decision_log.append(Decision(self._now, session_id, action, detail))
-        if self._c_decisions is not None:
-            self._c_decisions.labels(action=action).inc(time=self._now)
-            # Degraded-mode boundary crossings get their own metric:
-            # "degraded" is logged once per entry (degraded_logged
-            # guard), "breaker-close" once per exit.
-            if action == "degraded" and self._c_deg_enter is not None:
-                self._c_deg_enter.inc(time=self._now)
-            elif action == "breaker-close" and self._c_deg_exit is not None:
-                self._c_deg_exit.inc(time=self._now)
 
     def _make_planner(self, profile: GameProfile, backend: str) -> AllocationPlanner:
         return AllocationPlanner(
@@ -440,30 +424,6 @@ class CoCGScheduler:
         """The running set as Algorithm-1 task views (batcher input)."""
         return list(self._sessions.values())
 
-    def attach_observer(self, obs: Observer, *, node: str = "") -> None:
-        """Report decisions and control cycles through a shared observer.
-
-        Every decision-log entry is mirrored into
-        ``cocg_decisions_total{action}``, degraded-mode entries/exits
-        into ``cocg_degraded_transitions_total{direction}``, and each
-        :meth:`control` cycle becomes a ``cocg.control`` span on the
-        node's stream (``node:<id>``).
-        """
-        self.obs = obs
-        self._obs_stream = node_stream(node or "server")
-        self._c_decisions = obs.counter(
-            SCHED_DECISIONS,
-            "CoCG scheduler decision-log entries by action.",
-            ("action",),
-        )
-        transitions = obs.counter(
-            SCHED_DEGRADED_TRANSITIONS,
-            "Degraded-mode boundary crossings by direction.",
-            ("direction",),
-        )
-        self._c_deg_enter = transitions.labels(direction="enter")
-        self._c_deg_exit = transitions.labels(direction="exit")
-
     # ------------------------------------------------------------------
     # Admission (the distributor front end)
     # ------------------------------------------------------------------
@@ -497,6 +457,7 @@ class CoCGScheduler:
             self.allocator.place(session.session_id, grant, gpu_index=gi, time=time)
         except AllocationError:
             self.rejections += 1
+            self.refused_placements.append((time, session.session_id))
             return AdmissionDecision(False, "placement failed under the cap")
         ctl = SessionControl(
             session,
@@ -562,19 +523,6 @@ class CoCGScheduler:
         """
         interval = self.config.detect_interval
         self._now = time
-        if self.obs is not None:
-            self.obs.tick(time)
-            with self.obs.span(
-                "cocg.control", time, stream=self._obs_stream
-            ) as span:
-                self._control_cycle(time, telemetry, interval)
-                span.args["sessions"] = len(self._sessions)
-            return
-        self._control_cycle(time, telemetry, interval)
-
-    def _control_cycle(
-        self, time: float, telemetry: TelemetryRecorder, interval: int
-    ) -> None:
         for sid, ctl in self._sessions.items():
             window = telemetry.observed_window(sid, interval)
             if window is None:
@@ -589,6 +537,7 @@ class CoCGScheduler:
                 ctl.desired = ctl.planner.peak_plan()
                 self._log(sid, "control-error", repr(exc))
         self._grant_all(time)
+        self.cycles.append((time, len(self._sessions)))
 
     def degraded_sessions(self) -> List[str]:
         """Sessions currently running in degraded (open-breaker) mode."""

@@ -18,7 +18,6 @@ from repro.cluster.fleet import ClusterScheduler
 from repro.cluster.provisioner import Provisioner
 from repro.faults.plan import FaultPlan
 from repro.games.spec import GameSpec
-from repro.obs.observer import Observer
 from repro.util.rng import Seed
 
 __all__ = ["ChaosReport", "default_plan", "reclaim_storm_plan", "run_chaos"]
@@ -75,6 +74,9 @@ class ChaosReport:
     baseline: FleetResult
     faulted: FleetResult
     plan: FaultPlan
+    #: The finished faulted run, for post-run readers (the metrics and
+    #: span export, a trace recorder).
+    experiment: Optional[FleetExperiment] = None
 
     @property
     def violation_delta(self) -> float:
@@ -173,7 +175,6 @@ def run_chaos(
     make_provisioner: Optional[
         Callable[[ClusterScheduler], Provisioner]
     ] = None,
-    obs: Optional[Observer] = None,
 ) -> ChaosReport:
     """Run fault-free and faulted experiments from identical seeds.
 
@@ -181,14 +182,13 @@ def run_chaos(
     strategies are stateful, so the two runs cannot share one.
     ``make_provisioner``, when given, builds a fresh capacity plane over
     each run's cluster (both runs get one, so the provisioning faults
-    are the only difference between them).  An ``obs`` observer, when
-    given, is wired into the *faulted* run only (the baseline stays
-    unobserved so the pair shares nothing).  To record a faulted run as
-    a replayable trace, use :func:`repro.trace.record_run` with
-    ``plan=``.
+    are the only difference between them).  The report keeps the
+    finished faulted experiment, so its metrics and spans can be read
+    after the run.  To record a faulted run as a replayable trace, use
+    :func:`repro.trace.record_run` with ``plan=``.
     """
 
-    def run(fault_plan, run_obs=None):
+    def build(fault_plan) -> FleetExperiment:
         cluster = make_cluster()
         provisioner = (
             make_provisioner(cluster) if make_provisioner is not None else None
@@ -202,9 +202,11 @@ def run_chaos(
             detect_interval=detect_interval,
             fault_plan=fault_plan,
             provisioner=provisioner,
-            obs=run_obs,
-        ).run()
+        )
 
-    baseline = run(None)
-    faulted = run(plan, obs)
-    return ChaosReport(baseline=baseline, faulted=faulted, plan=plan)
+    baseline = build(None).run()
+    experiment = build(plan)
+    return ChaosReport(
+        baseline=baseline, faulted=experiment.run(), plan=plan,
+        experiment=experiment,
+    )

@@ -11,12 +11,9 @@ seed, so replaying the same plan perturbs byte-identical samples.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.obs.naming import FAULTS_INJECTED, STREAM_FAULTS
-from repro.obs.observer import Observer
 from repro.sim.engine import SimulationEngine
 from repro.sim.telemetry import TelemetryPerturbation
 from repro.util.rng import derive_seed
@@ -43,12 +40,6 @@ class FaultInjector:
         The fleet under attack.
     engine:
         The event loop driving the run.
-    obs:
-        Optional shared :class:`~repro.obs.Observer`.  Each fired fault
-        lands in ``faults_injected_total{kind}`` and becomes a span on
-        the ``faults`` stream — a ``[start, recover)`` window where the
-        spec declares one (node crash with ``recover_after``, telemetry
-        perturbations with a finite ``end``), a point span otherwise.
     """
 
     def __init__(
@@ -56,31 +47,17 @@ class FaultInjector:
         plan: FaultPlan,
         cluster: "ClusterScheduler",
         engine: SimulationEngine,
-        *,
-        obs: Optional[Observer] = None,
     ):
         self.plan = plan
         self.cluster = cluster
         self.engine = engine
-        self.obs = obs
         self.armed = False
         self.applied: List[str] = []
-
-    def _observe(
-        self, kind: str, time: float, end: Optional[float] = None
-    ) -> None:
-        """Count + trace one fired fault (no-op when unobserved)."""
-        if self.obs is None:
-            return
-        self.obs.tick(time)
-        self.obs.counter(
-            FAULTS_INJECTED, "Faults fired into the run by kind.", ("kind",)
-        ).labels(kind=kind).inc(time=time)
-        if end is not None and not math.isfinite(end):
-            end = None
-        self.obs.record_span(
-            f"fault.{kind}", time, end, stream=STREAM_FAULTS, kind=kind
-        )
+        #: ``(time, kind, end)`` per fired fault, in firing order:
+        #: ``end`` closes the window the spec declares (a crash with
+        #: ``recover_after``, a telemetry or provisioning window, a
+        #: reclamation notice) and is ``None`` for an instant.
+        self.fired: List[Tuple[float, str, Optional[float]]] = []
 
     # ------------------------------------------------------------------
     def _match_nodes(self, spec: FaultSpec) -> List["FleetNode"]:
@@ -144,12 +121,12 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _arm_node_crash(self, spec: FaultSpec) -> None:
         def fire(engine: SimulationEngine) -> None:
-            self._observe(
-                "node_crash",
+            self.fired.append((
                 engine.now,
+                "node_crash",
                 None if spec.recover_after is None
                 else engine.now + spec.recover_after,
-            )
+            ))
             for node in self._match_nodes(spec):
                 killed = self.cluster.crash_node(
                     node.node_id, engine.now, requeue=spec.requeue
@@ -171,7 +148,7 @@ class FaultInjector:
 
     def _arm_node_transition(self, spec: FaultSpec, action: str) -> None:
         def fire(engine: SimulationEngine) -> None:
-            self._observe(f"node_{action}", engine.now)
+            self.fired.append((engine.now, f"node_{action}", None))
             for node in self._match_nodes(spec):
                 if action == "recover":
                     self.cluster.recover_node(node.node_id, engine.now)
@@ -183,7 +160,7 @@ class FaultInjector:
 
     def _arm_session_kill(self, spec: FaultSpec) -> None:
         def fire(engine: SimulationEngine) -> None:
-            self._observe("session_kill", engine.now)
+            self.fired.append((engine.now, "session_kill", None))
             sid = self.cluster.kill_session(
                 engine.now,
                 node=spec.node,
@@ -217,7 +194,7 @@ class FaultInjector:
             ))
 
         def fire(engine: SimulationEngine) -> None:
-            self._observe(f"telemetry_{kind}", engine.now, spec.end)
+            self.fired.append((engine.now, f"telemetry_{kind}", spec.end))
             for node in targets:
                 node.telemetry.record_fault_event(
                     engine.now, f"telemetry-{kind}",
@@ -232,7 +209,7 @@ class FaultInjector:
         kind = "provision_stall" if stalling else "provision_fail"
 
         def fire(engine: SimulationEngine) -> None:
-            self._observe(kind, engine.now, spec.end)
+            self.fired.append((engine.now, kind, spec.end))
             provisioner = self.cluster.provisioner
             if provisioner is None:
                 self._note(
@@ -257,8 +234,8 @@ class FaultInjector:
 
     def _arm_spot_reclaim(self, index: int, spec: FaultSpec) -> None:
         def fire(engine: SimulationEngine) -> None:
-            self._observe(
-                "spot_reclaim", engine.now, engine.now + spec.notice
+            self.fired.append(
+                (engine.now, "spot_reclaim", engine.now + spec.notice)
             )
             for node in self._match_nodes(spec):
                 provisioner = self.cluster.provisioner
@@ -296,7 +273,7 @@ class FaultInjector:
 
     def _arm_warm_pool_exhaust(self, spec: FaultSpec) -> None:
         def fire(engine: SimulationEngine) -> None:
-            self._observe("warm_pool_exhaust", engine.now, spec.end)
+            self.fired.append((engine.now, "warm_pool_exhaust", spec.end))
             provisioner = self.cluster.provisioner
             if provisioner is None:
                 self._note(
@@ -322,7 +299,7 @@ class FaultInjector:
         action = "predictor-fail" if failing else "predictor-recover"
 
         def fire(engine: SimulationEngine) -> None:
-            self._observe(action.replace("-", "_"), engine.now)
+            self.fired.append((engine.now, action.replace("-", "_"), None))
             hit = self._match_predictors(spec)
             for predictor in hit:
                 predictor.inject_failure(failing)

@@ -39,7 +39,6 @@ from repro.cluster.experiment import FleetResult, default_arrivals
 from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.fleet.router import RoutedArrivals, SessionRouter
 from repro.games.catalog import build_catalog
-from repro.obs.naming import FLEET_COMPLETED, FLEET_ROUTED
 from repro.trace.harness import (
     RunConfig,
     build_experiment,
@@ -54,7 +53,6 @@ from repro.workloads.metrics import throughput_eq2
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.faults.plan import FaultPlan
-    from repro.obs.observer import Observer
     from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -228,10 +226,6 @@ class FleetOfFleets:
     record:
         Attach a :class:`~repro.trace.TraceRecorder` to every shard;
         the sealed per-region sub-traces come back on the outcomes.
-    obs:
-        Optional observer; the controller publishes region-labeled
-        routing/completion counters on it (shard-internal metrics stay
-        shard-internal by design).
     scenario:
         Scenario tag stamped into recorded sub-traces.
     """
@@ -244,7 +238,6 @@ class FleetOfFleets:
         arrival_mode: str = "routed",
         replicas: int = DEFAULT_REPLICAS,
         record: bool = False,
-        obs: Optional[Observer] = None,
         scenario: str = "",
     ):
         if not regions:
@@ -269,7 +262,6 @@ class FleetOfFleets:
         }
         self.arrival_mode = arrival_mode
         self.record = record
-        self.obs = obs
         self.scenario = scenario
         self.router = SessionRouter(
             {spec.name: spec.weight for spec in regions},
@@ -379,24 +371,6 @@ class FleetOfFleets:
             game: catalog[game].expected_duration()
             for game in sorted(completed)
         }
-        if self.obs is not None:
-            routed = self.obs.counter(
-                FLEET_ROUTED,
-                "Requests the session router assigned to each shard.",
-                ("region",),
-            )
-            done = self.obs.counter(
-                FLEET_COMPLETED,
-                "Sessions completed per regional shard.",
-                ("region",),
-            )
-            for name in names:
-                routed.labels(region=name).inc(
-                    self._routed_counts.get(name, 0)
-                )
-                done.labels(region=name).inc(
-                    sum(outcomes[name].result.completed_runs.values())
-                )
         return FleetOfFleetsResult(
             regions=dict(outcomes),
             merged_digest=merged,

@@ -30,6 +30,7 @@ import re
 import tokenize
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Suppressions", "may_hold_pragma", "parse_suppressions"]
@@ -80,15 +81,14 @@ def may_hold_pragma(source: str) -> bool:
     return _PRAGMA_RE.search(source) is not None
 
 
-#: A line end as the parser counts the lines of AST positions, and as
-#: :mod:`tokenize` counts the rows the table is keyed by.
+#: A line end as the parser counts the lines of AST positions and
+#: findings: the table is keyed by the same lines.
 _LINE_END_RE = re.compile(r"\r\n?|\n")
-_ROW_END_RE = re.compile(r"\n")
 
 
-def _line_starts(source: str, line_end: re.Pattern) -> List[int]:
+def _line_starts(source: str) -> List[int]:
     """The offset each line of ``source`` starts at."""
-    return [0, *(match.end() for match in line_end.finditer(source))]
+    return [0, *(match.end() for match in _LINE_END_RE.finditer(source))]
 
 
 def _offset(source: str, line_start: int, byte_col: int) -> int:
@@ -103,7 +103,7 @@ def _literal_spans(source: str,
                    literals: Sequence[ast.expr]) -> List[Tuple[int, int]]:
     """The ``[start, end)`` source offsets of the outermost literals,
     in order; a literal nested in an f-string falls inside its span."""
-    lines = _line_starts(source, _LINE_END_RE)
+    lines = _line_starts(source)
     spans = sorted(
         (_offset(source, lines[node.lineno - 1], node.col_offset),
          _offset(source, lines[node.end_lineno - 1],  # type: ignore[operator]
@@ -121,13 +121,15 @@ def _literal_comments(source: str, start: int, end: int) -> Dict[int, str]:
     """Source offset -> text of each comment inside the literal
     ``source[start:end]``, found by tokenizing it alone."""
     snippet = "(" + source[start:end] + ")"
-    rows = _line_starts(snippet, _ROW_END_RE)
+    # The rows tokenize reads, to turn its positions into offsets.
+    rows = io.StringIO(snippet).readlines()
+    row_starts = [0, *accumulate(len(row) for row in rows)]
     found: Dict[int, str] = {}
     try:
-        for tok in tokenize.generate_tokens(io.StringIO(snippet).readline):
+        for tok in tokenize.generate_tokens(iter(rows).__next__):
             if tok.type == tokenize.COMMENT:
                 row, col = tok.start
-                found[start - 1 + rows[row - 1] + col] = tok.string
+                found[start - 1 + row_starts[row - 1] + col] = tok.string
     except (tokenize.TokenError, SyntaxError):
         return {}
     return found
@@ -136,10 +138,10 @@ def _literal_comments(source: str, start: int, end: int) -> Dict[int, str]:
 def _comments(source: str, rows: List[int], hits: List[int],
               literals: Sequence[ast.expr]) -> Dict[int, str]:
     """Source offset -> text of each comment that may hold one of the
-    pragma regex's ``hits``; ``rows`` are the offsets rows start at.
+    pragma regex's ``hits``; ``rows`` are the offsets lines start at.
 
-    On a hit's row, the first ``#`` outside every literal starts the
-    row's comment.  A literal a ``#`` on that row falls inside is
+    On a hit's line, the first ``#`` outside every literal starts the
+    line's comment.  A literal a ``#`` on that line falls inside is
     tokenized alone, for the comments between its parts.
     """
     spans = _literal_spans(source, literals)
@@ -191,8 +193,7 @@ def parse_suppressions(
         except (SyntaxError, ValueError):
             return table
         literals = ImportTable(tree, frozenset(), literals=True).literals
-    # Rows as tokenize numbers them: the table's line numbers.
-    rows = _line_starts(source, _ROW_END_RE)
+    rows = _line_starts(source)
     comments = _comments(source, rows, hits, literals)
     for at in sorted(comments):
         match = _PRAGMA_RE.search(comments[at])
@@ -200,8 +201,8 @@ def parse_suppressions(
             continue
         rules = _parse_rule_list(match.group("rules"))
         row = bisect_right(rows, at) - 1
-        # The row's own text: splitlines() would also split at form
-        # feeds and other line boundaries tokenize does not end a row at.
+        # The line's own text: splitlines() would also split at form
+        # feeds and other characters the parser does not end a line at.
         if source[rows[row]:at].strip():
             table.by_line.setdefault(row + 1, set()).update(rules)
         else:

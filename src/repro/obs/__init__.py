@@ -1,7 +1,9 @@
 """Deterministic observability: metrics, traces, exporters.
 
 The fourth pillar of the reproduction (after correctness tooling,
-robustness and serving): every subsystem reports through one pipeline —
+robustness and serving).  No subsystem holds an observer: each keeps
+its own plain logs while it runs, and one pipeline reads the finished
+run —
 
 * :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges and fixed-bucket histograms, registered once by
@@ -12,13 +14,16 @@ robustness and serving): every subsystem reports through one pipeline —
   Perfetto-loadable Chrome trace JSON, both canonical: same seed + same
   fault plan ⇒ byte-identical ``metrics.prom`` and equal
   :func:`~repro.obs.export.trace_digest`;
-* :mod:`~repro.obs.observer` — the nullable :class:`Observer` hook hot
-  paths carry (``obs=None`` costs one attribute check);
+* :mod:`~repro.obs.reader` — turns a finished run's logs into those
+  metrics and spans; :meth:`Observer.finalize` is its front end;
+* :mod:`~repro.obs.observer` — the :class:`Observer`: registry + tracer
+  a run is read into, and its exports;
 * :mod:`~repro.obs.naming` — the canonical metric/stream taxonomy.
 
 ``repro.obs`` is a *leaf*: it imports nothing from the rest of the
-package, so ``core``, ``serve``, ``cluster`` and ``faults`` can all
-instrument themselves without a cycle.  See ``docs/OBSERVABILITY.md``.
+package (the reader reads the run it is handed), and only ``serve``
+(which counts in a registry of its own) and the CLI import it.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from repro import _lazy_exports

@@ -6,22 +6,22 @@ Design rules, all in service of *deterministic* observability (same seed
 * metrics are registered once by canonical name
   (:mod:`repro.obs.naming`); re-registering the same name with the same
   kind/labels returns the existing family, a conflicting signature
-  raises — so two subsystems can share one fleet-wide counter without
-  coordinating construction order;
-* samples are stamped with **simulation time** (passed explicitly, or
-  inherited from :meth:`MetricsRegistry.set_time`) — never wall clock;
+  raises — so two readers can share one fleet-wide counter without
+  coordinating order;
+* samples are stamped with the **simulation time** their update passes
+  (``time=``; a sample updated without one is unstamped) — never wall
+  clock;
 * histogram buckets are fixed at registration, never data-derived;
 * iteration everywhere is sorted (families by name, children by label
   values), so exports cannot inherit insertion order.
 
-The hot-path cost of an update is one dict lookup (memoised by callers
-holding the child) plus a float add — cheap enough that instrumented
-code stays within the benchmark's overhead budget even when every
-admission increments several counters.
+The serve layer counts in a registry on its hot path: an update is one
+dict lookup (memoised by holding the child) plus a float add.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,7 +30,6 @@ from repro.obs.naming import check_label_name, check_metric_name
 __all__ = [
     "MetricError",
     "Counter",
-    "CounterChild",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -48,39 +47,34 @@ LabelValues = Tuple[str, ...]
 class _Child:
     """One labeled sample of a counter or gauge."""
 
-    __slots__ = ("value", "time", "_registry")
+    __slots__ = ("value", "time")
 
-    def __init__(self, registry: "MetricsRegistry"):
+    def __init__(self) -> None:
         self.value = 0.0
         self.time: Optional[float] = None
-        self._registry = registry
-
-    def _stamp(self, time: Optional[float]) -> None:
-        self.time = time if time is not None else self._registry.now
 
     def inc(self, amount: float = 1.0, *, time: Optional[float] = None) -> None:
         """Add ``amount`` (must be ≥ 0 for counters; checked by caller)."""
         self.value += amount
-        self._stamp(time)
+        self.time = time
 
     def set(self, value: float, *, time: Optional[float] = None) -> None:
         """Overwrite the sample (gauges only; counters hide this)."""
         self.value = float(value)
-        self._stamp(time)
+        self.time = time
 
 
 class _HistogramChild:
     """One labeled histogram: fixed-bucket counts, sum and count."""
 
-    __slots__ = ("counts", "sum", "count", "time", "_bounds", "_registry")
+    __slots__ = ("counts", "sum", "count", "time", "_bounds")
 
-    def __init__(self, bounds: Tuple[float, ...], registry: "MetricsRegistry"):
+    def __init__(self, bounds: Tuple[float, ...]):
         self._bounds = bounds  # ascending, +inf last
         self.counts = [0] * len(bounds)
         self.sum = 0.0
         self.count = 0
         self.time: Optional[float] = None
-        self._registry = registry
 
     def observe(self, value: float, *, time: Optional[float] = None) -> None:
         """Record one observation into its (first fitting) bucket."""
@@ -90,7 +84,7 @@ class _HistogramChild:
                 break
         self.sum += value
         self.count += 1
-        self.time = time if time is not None else self._registry.now
+        self.time = time
 
     def cumulative(self) -> List[int]:
         """Prometheus-style cumulative bucket counts (``le`` semantics)."""
@@ -107,17 +101,10 @@ class _Family:
 
     kind = ""
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Tuple[str, ...],
-        registry: "MetricsRegistry",
-    ):
+    def __init__(self, name: str, help: str, labelnames: Tuple[str, ...]):
         self.name = check_metric_name(name)
         self.help = help
         self.labelnames = tuple(check_label_name(n) for n in labelnames)
-        self._registry = registry
         self._children: Dict[LabelValues, object] = {}
 
     def _make_child(self) -> object:
@@ -163,17 +150,13 @@ class Counter(_Family):
     kind = "counter"
 
     def _make_child(self) -> _Child:
-        return _Child(self._registry)
+        return _Child()
 
     def inc(self, amount: float = 1.0, *, time: Optional[float] = None) -> None:
         """Increment the (unlabeled) counter by ``amount`` ≥ 0."""
         if amount < 0:
             raise MetricError(f"{self.name}: counters only go up, got {amount}")
         self._default_child().inc(amount, time=time)
-
-    def labels(self, **labelvalues: str) -> "_CounterChild":
-        child = super().labels(**labelvalues)
-        return child  # type: ignore[return-value]
 
     @property
     def value(self) -> float:
@@ -184,20 +167,13 @@ class Counter(_Family):
         return child.value if child is not None else 0.0
 
 
-# A counter child is a plain _Child but callers should not .set() it;
-# the public alias exists for type readability at instrumented call
-# sites (which hold pre-resolved children on hot paths).
-CounterChild = _Child
-_CounterChild = _Child
-
-
 class Gauge(_Family):
     """A value that can go up and down (depths, sizes, temperatures)."""
 
     kind = "gauge"
 
     def _make_child(self) -> _Child:
-        return _Child(self._registry)
+        return _Child()
 
     def set(self, value: float, *, time: Optional[float] = None) -> None:
         """Set the (unlabeled) gauge."""
@@ -231,7 +207,6 @@ class Histogram(_Family):
         name: str,
         help: str,
         labelnames: Tuple[str, ...],
-        registry: "MetricsRegistry",
         buckets: Sequence[float],
     ):
         bounds = tuple(float(b) for b in buckets)
@@ -242,10 +217,10 @@ class Histogram(_Family):
         if math.isinf(bounds[-1]):
             bounds = bounds[:-1]
         self.buckets: Tuple[float, ...] = bounds + (math.inf,)
-        super().__init__(name, help, labelnames, registry)
+        super().__init__(name, help, labelnames)
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.buckets, self._registry)
+        return _HistogramChild(self.buckets)
 
     def observe(self, value: float, *, time: Optional[float] = None) -> None:
         """Record one observation on the unlabeled histogram."""
@@ -265,13 +240,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
-        #: Current simulation time; samples updated without an explicit
-        #: ``time=`` inherit it.  Never wall clock (lint rule CG005/12).
-        self.now: Optional[float] = None
-
-    def set_time(self, time: float) -> None:
-        """Advance the registry clock (monotone max of what it is told)."""
-        self.now = time if self.now is None else max(self.now, float(time))
 
     # ------------------------------------------------------------------
     def _get_or_create(self, name: str, factory, signature) -> _Family:
@@ -294,7 +262,7 @@ class MetricsRegistry:
         names = tuple(labelnames)
         return self._get_or_create(  # type: ignore[return-value]
             name,
-            lambda: Counter(name, help, names, self),
+            lambda: Counter(name, help, names),
             ("counter", names),
         )
 
@@ -305,7 +273,7 @@ class MetricsRegistry:
         names = tuple(labelnames)
         return self._get_or_create(  # type: ignore[return-value]
             name,
-            lambda: Gauge(name, help, names, self),
+            lambda: Gauge(name, help, names),
             ("gauge", names),
         )
 
@@ -320,10 +288,18 @@ class MetricsRegistry:
         """Register (or fetch) a fixed-bucket histogram family."""
         names = tuple(labelnames)
         bounds = tuple(float(b) for b in buckets)
-        probe = Histogram(name, help, names, self, bounds)
+        probe = Histogram(name, help, names, bounds)
         return self._get_or_create(  # type: ignore[return-value]
             name, lambda: probe, probe.signature()
         )
+
+    def include(self, other: "MetricsRegistry") -> None:
+        """Copy every family of ``other`` in, samples and stamps as they
+        stand; a name already registered here raises."""
+        for family in other.families():
+            if family.name in self._families:
+                raise MetricError(f"{family.name} is already registered")
+            self._families[family.name] = copy.deepcopy(family)
 
     # ------------------------------------------------------------------
     def families(self) -> List[_Family]:

@@ -1,6 +1,6 @@
 """Canonical metric names and span streams (the observability taxonomy).
 
-Every instrumented subsystem registers its metrics under the names
+The post-run reader and the serve layer's own registry use the names
 defined here instead of inventing strings inline, so the whole program
 shares one namespace and ``docs/OBSERVABILITY.md`` can document it in
 one table.  Conventions (enforced by :func:`check_metric_name`):

@@ -1,12 +1,10 @@
-"""The one handle instrumented code holds: registry + tracer together.
+"""The one handle a finished run is read into: registry + tracer.
 
-Subsystems accept ``obs: Optional[Observer] = None`` and guard every
-touch with ``if obs is not None`` (or hold pre-resolved metric children)
-— so an unobserved run pays one attribute check per hot-path event and
-nothing else.  One :class:`Observer` is typically shared fleet-wide:
-the registry's get-or-create semantics let the gateway, every node's
-scheduler, the cluster dispatcher and the fault injector all register
-into a single namespace without coordinating construction order.
+No subsystem holds an observer.  Each keeps its own plain logs and
+counters while it runs; :meth:`Observer.finalize` reads them once the
+run is over (:mod:`repro.obs.reader`), the way
+:meth:`repro.trace.TraceRecorder.finalize` reads a run into a trace.
+An observed and an unobserved run therefore execute the same code.
 """
 
 from __future__ import annotations
@@ -15,8 +13,9 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from repro.obs.export import chrome_trace_json, prometheus_text, trace_digest
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.reader import read_run
+from repro.obs.trace import Tracer
 
 __all__ = ["Observer"]
 
@@ -39,45 +38,11 @@ class Observer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
 
-    # ------------------------------------------------------------------
-    # Registry conveniences
-    # ------------------------------------------------------------------
-    def tick(self, time: float) -> None:
-        """Advance the sim clock metrics are stamped with."""
-        self.registry.set_time(time)
-
-    def counter(self, name: str, help: str = "", labelnames=()) -> Counter:
-        """Register (or fetch) a counter on the shared registry."""
-        return self.registry.counter(name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "", labelnames=()) -> Gauge:
-        """Register (or fetch) a gauge on the shared registry."""
-        return self.registry.gauge(name, help, labelnames)
-
-    def histogram(
-        self, name: str, help: str = "", labelnames=(), *, buckets
-    ) -> Histogram:
-        """Register (or fetch) a histogram on the shared registry."""
-        return self.registry.histogram(name, help, labelnames, buckets=buckets)
-
-    # ------------------------------------------------------------------
-    # Tracer conveniences
-    # ------------------------------------------------------------------
-    def span(self, name: str, time: float, *, stream: str = "main", **args):
-        """Context-managed span on the shared tracer."""
-        return self.tracer.span(name, time, stream=stream, **args)
-
-    def record_span(
-        self,
-        name: str,
-        begin: float,
-        end: Optional[float] = None,
-        *,
-        stream: str = "main",
-        **args,
-    ) -> Span:
-        """Complete span (window known up front) on the shared tracer."""
-        return self.tracer.record(name, begin, end, stream=stream, **args)
+    def finalize(self, run: object) -> "Observer":
+        """Read a finished run into the registry and tracer (what
+        :func:`~repro.obs.reader.read_run` accepts); returns ``self``."""
+        read_run(self, run)
+        return self
 
     # ------------------------------------------------------------------
     # Export

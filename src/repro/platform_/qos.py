@@ -23,16 +23,12 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.naming import QOS_DEGRADED_SECONDS
 from repro.platform_.resources import ResourceVector
 from repro.util.validation import check_nonnegative, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.obs.observer import Observer
 
 __all__ = ["FpsModel", "QoSReport", "QoSTracker"]
 
@@ -153,29 +149,20 @@ class QoSTracker:
         #: Per session: the (fps, best fps) columns, one entry per second.
         self._columns: Dict[str, Tuple[array, array]] = defaultdict(_fps_columns)
         self._degraded: Dict[str, int] = {}
-        self._c_degraded = None
+        #: Simulation time of the latest :meth:`note_degraded` (``None``
+        #: before any).
+        self.last_degraded: Optional[float] = None
 
-    def attach_observer(self, obs: Observer, *, node: str = "") -> None:
-        """Mirror degraded-seconds into ``qos_degraded_seconds_total``.
-
-        The per-session dict stays authoritative (it feeds
-        :meth:`report`); the registry child — one per fleet node — adds
-        the fleet-wide view the Prometheus export needs.
-        """
-        self._c_degraded = obs.counter(
-            QOS_DEGRADED_SECONDS,
-            "Session-seconds spent under degraded (reactive) control.",
-            ("node",),
-        ).labels(node=node)
-
-    def note_degraded(self, session_id: str, seconds: int = 1) -> None:
-        """Count ``seconds`` of degraded-mode operation for a session."""
+    def note_degraded(
+        self, session_id: str, *, time: float, seconds: int = 1
+    ) -> None:
+        """Count ``seconds`` of degraded-mode operation for a session,
+        ending at simulation ``time``."""
         check_nonnegative("seconds", seconds)
         self._degraded[session_id] = (
             self._degraded.get(session_id, 0) + int(seconds)
         )
-        if self._c_degraded is not None:
-            self._c_degraded.inc(float(seconds))
+        self.last_degraded = float(time)
 
     def degraded_seconds(self, session_id: str) -> int:
         """Seconds the session spent under degraded (reactive) control."""

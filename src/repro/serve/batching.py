@@ -74,9 +74,10 @@ class MicroBatcher:
         self._batches: Dict[str, BatchEvaluation] = {}
 
     # ------------------------------------------------------------------
-    def begin_round(self) -> None:
-        """Start a fresh batch round: all node snapshots are dropped."""
-        self._c_rounds.inc()
+    def begin_round(self, time: float) -> None:
+        """Start a fresh batch round at ``time``: all node snapshots are
+        dropped."""
+        self._c_rounds.inc(time=time)
         self._batches = {}
 
     @staticmethod

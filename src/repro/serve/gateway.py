@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.naming import (
@@ -42,9 +41,7 @@ from repro.obs.naming import (
     GATEWAY_QUEUE_DEPTH,
     GATEWAY_RETRIES,
     GATEWAY_THROTTLED_ROUNDS,
-    STREAM_SERVE,
 )
-from repro.obs.observer import Observer
 from repro.serve.batching import MicroBatcher
 from repro.serve.slo import SloTracker
 from repro.sim.telemetry import TelemetryRecorder
@@ -203,9 +200,10 @@ class AdmissionGateway:
         node; a :class:`~repro.trace.TraceRecorder` reads the verdicts
         back from it after the run.
 
-    The outcome counters live only in a metrics registry — a private
-    one until :meth:`attach_observer` moves them into an observer's —
-    and :meth:`stats` reads them as plain ints.
+    The outcome counters live only in the gateway's own metrics
+    :attr:`registry` (the SLO tracker and the micro-batcher count there
+    too); :meth:`stats` reads them as plain ints, and the observability
+    exports copy the registry after the run.
     """
 
     def __init__(
@@ -220,28 +218,14 @@ class AdmissionGateway:
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryRecorder(noise_std=0.0)
         )
-        self.obs: Optional[Observer] = None
-        self._bind_metrics(MetricsRegistry())
         self.bucket = TokenBucket(
             self.config.rate_per_second, float(self.config.burst)
         )
         self._queues: Dict[str, Deque[QueuedRequest]] = {}
         self._seq = itertools.count()
-
-    def attach_observer(self, obs: Observer) -> None:
-        """Publish into a shared observer (call before the run starts).
-
-        Every pump round becomes a ``gateway.pump`` span on the
-        ``serve`` stream, and the outcome counters, the SLO tracker and
-        the micro-batcher are re-bound on the observer's registry.
-        :meth:`~repro.cluster.fleet.ClusterScheduler.attach_observer`
-        forwards here, so an observer handed to the experiment reaches
-        the gateway.
-        """
-        self.obs = obs
-        self._bind_metrics(obs.registry)
-
-    def _bind_metrics(self, registry: MetricsRegistry) -> None:
+        #: ``(time, requests started)`` per :meth:`pump` round.
+        self.pumps: List[Tuple[float, int]] = []
+        self.registry = registry = MetricsRegistry()
         outcomes = registry.counter(
             GATEWAY_OUTCOMES,
             "Admission-gateway verdicts by outcome.",
@@ -409,28 +393,12 @@ class AdmissionGateway:
         categories); each dispatch attempt spends one token.  Returns
         the requests that started.
         """
-        if self.obs is not None:
-            self.obs.tick(time)
-            cm = self.obs.span("gateway.pump", time, stream=STREAM_SERVE)
-        else:
-            cm = nullcontext(None)
-        with cm as span:
-            started = self._pump_round(time, seed_for)
-            if span is not None:
-                span.args["started"] = len(started)
-        for category in sorted(self._queues):
-            self._g_depth.labels(category=category).set(
-                len(self._queues[category]), time=time
-            )
-        return started
-
-    def _pump_round(self, time: float, seed_for) -> List[GameRequest]:
         self._expire(time)
         entries = sorted(
             (e for q in self._queues.values() for e in q),
             key=lambda e: e.seq,
         )
-        self.batcher.begin_round()
+        self.batcher.begin_round(time)
         started: List[GameRequest] = []
         resolved: List[QueuedRequest] = []
         for entry in entries:
@@ -469,6 +437,11 @@ class AdmissionGateway:
                 if len(survivors) != len(q):
                     q.clear()
                     q.extend(survivors)
+        self.pumps.append((time, len(started)))
+        for category in sorted(self._queues):
+            self._g_depth.labels(category=category).set(
+                len(self._queues[category]), time=time
+            )
         return started
 
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.baselines.base import SchedulingStrategy
     from repro.cluster.provisioner import Provisioner
     from repro.faults.plan import FaultPlan
-    from repro.obs.observer import Observer
     from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -313,7 +312,6 @@ def build_experiment(
     *,
     plan: Optional[FaultPlan] = None,
     arrivals: Optional[object] = None,
-    obs: Optional[Observer] = None,
     seed: Optional[int] = None,
 ) -> FleetExperiment:
     """The composition root: one config's fleet run, built but not run.
@@ -321,8 +319,8 @@ def build_experiment(
     Builds a fresh cluster (gateway included when configured) and the
     capacity plane the config implies, and wraps them in a
     :class:`FleetExperiment` over the config's games, horizon, arrival
-    rate and detect interval.  ``plan``, ``arrivals`` and ``obs`` pass
-    through to the experiment; ``seed`` overrides the experiment seed
+    rate and detect interval.  ``plan`` and ``arrivals`` pass through to
+    the experiment; ``seed`` overrides the experiment seed
     (default :func:`experiment_seed`), which replay uses to run from the
     seed its trace header recorded.
     """
@@ -337,7 +335,6 @@ def build_experiment(
         detect_interval=config.detect_interval,
         fault_plan=plan,
         provisioner=factory(cluster) if factory is not None else None,
-        obs=obs,
         arrivals=arrivals,
     )
 

@@ -334,6 +334,10 @@ _PINNED_CASES = {
     "chaos": ([["chaos", "contra", *_SMALL]], []),
     "chaos-reclaim-storm": (
         [["chaos", "contra", "--scenario", "reclaim-storm", *_SMALL]], []),
+    "chaos-reclaim-storm-obs": (
+        [["chaos", "contra", "--scenario", "reclaim-storm",
+          "--obs-out", "{tmp}/rs", *_SMALL]],
+        ["rs/metrics.prom", "rs/trace.json"]),
     "obs-faults": (
         [["obs", "contra", "--faults", "--out", "{tmp}/obs", *_SMALL]],
         ["obs/metrics.prom", "obs/trace.json"]),
@@ -367,6 +371,9 @@ _PINNED_SHA256 = {
     "chaos-reclaim-storm": (
         "c2973b1df02457ea7da9ac2a30a3f97f"
         "b262fa61d7293ffaf05cbd74358db651"),
+    "chaos-reclaim-storm-obs": (
+        "093d7a4d35840e4545bcf02e2a1ff5a5"
+        "e5d0f10b1e7cfc46f43bda91ec1ce29e"),
     "obs-faults": (
         "1f5f0fbea63b27d0cafdd56d55d2b48c"
         "c5345bb2f49251ea5c8e5adfc359249f"),

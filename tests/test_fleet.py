@@ -444,11 +444,20 @@ class TestFleetOfFleets:
     def test_obs_counters_region_labeled(self):
         from repro.obs import Observer
 
-        obs = Observer()
-        FleetOfFleets(BASE, _regions(2), obs=obs).run()
+        result = FleetOfFleets(BASE, _regions(2)).run()
+        obs = Observer().finalize(result)
         text = obs.metrics_text()
         assert 'fleet_requests_routed_total{region="r0"}' in text
         assert 'fleet_sessions_completed_total{region="r1"}' in text
+        routed = obs.registry.get("fleet_requests_routed_total")
+        done = obs.registry.get("fleet_sessions_completed_total")
+        for name, outcome in result.regions.items():
+            assert routed.labels(region=name).value == (
+                result.requests_routed[name]
+            )
+            assert done.labels(region=name).value == sum(
+                outcome.result.completed_runs.values()
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one region"):

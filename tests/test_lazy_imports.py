@@ -34,6 +34,13 @@ PACKAGES = ["repro"] + sorted(
 HEAVY = ("numpy", "repro.core")
 #: The fork seam and the stdlib modules only it needs.
 SEAM = ("repro.util.partition", "pickle", "signal", "traceback")
+#: Every module of the observability package.  No layer of a run holds
+#: an observer (the metrics and spans are read after the run), so a run
+#: without a gateway loads none of them, not even the naming table.
+OBS = ("repro.obs", *sorted(
+    f"repro.obs.{info.name}"
+    for info in pkgutil.iter_modules(importlib.import_module("repro.obs").__path__)
+))
 #: Modules no function of a plain fleet run executes: no gateway,
 #: record, fault plan, observer or warm pool, CoCG with the DTC backend.
 OPTIONAL = (
@@ -42,8 +49,7 @@ OPTIONAL = (
     "repro.faults.plan", "repro.faults.injector",
     "repro.trace.recorder", "repro.trace.format", "repro.trace.events",
     "repro.trace.players",
-    "repro.obs.observer", "repro.obs.metrics", "repro.obs.export",
-    "repro.obs.trace",
+    *OBS,
     "repro.mlkit.forest", "repro.mlkit.gbdt", "repro.mlkit.regression_tree",
     "repro.mlkit.model_selection",
     "repro.baselines.reactive", "repro.baselines.gaugur",

@@ -4,13 +4,16 @@ Covers the metrics registry (get-or-create by canonical name, label
 handling, counter monotonicity, fixed-bucket histograms), the sim-time
 tracer (deterministic span ids, per-stream nesting, loud failure on
 structural misuse), the canonical exporters against inline golden
-strings, and the headline acceptance property: two `FleetExperiment`
-runs from the same seed and fault plan produce a byte-identical
-``metrics.prom`` and an equal ``trace_digest()``.
+strings, the post-run reader (``Observer.finalize``), and the headline
+acceptance property: two `FleetExperiment` runs from the same seed and
+fault plan read into a byte-identical ``metrics.prom`` and an equal
+``trace_digest()``.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -98,17 +101,16 @@ class TestMetricsRegistry:
         assert child.cumulative() == [1, 1, 2]
         assert child.sum == 7.5 and child.count == 2
 
-    def test_set_time_is_monotone_and_stamps_samples(self):
+    def test_samples_take_the_time_of_their_update(self):
         reg = MetricsRegistry()
-        reg.set_time(10.0)
-        reg.set_time(4.0)  # the clock never goes backwards
-        assert reg.now == 10.0
         c = reg.counter("n_total")
-        c.inc()  # inherits registry.now
-        c2 = reg.counter("m_total")
-        c2.inc(time=3.0)  # explicit stamp wins
+        c.inc(time=3.0)
+        c.inc(time=10.0)
         assert c._default_child().time == 10.0
-        assert c2._default_child().time == 3.0
+        c2 = reg.counter("m_total")
+        c2.inc()  # no time: the sample stays unstamped
+        assert c2._default_child().time is None
+        assert prometheus_text(reg).splitlines()[-1] == "n_total 2 10000"
 
 
 # ----------------------------------------------------------------------
@@ -283,30 +285,43 @@ class TestObserver:
         assert obs.trace_digest() == trace_digest(golden_tracer())
 
     def test_shared_registry_across_subsystems(self):
-        # Two "subsystems" register the same canonical family — they get
-        # one counter, regardless of construction order.
+        # Two readers register the same canonical family — they get
+        # one counter, regardless of order.
         obs = Observer()
-        a = obs.counter("shared_total", "Shared.", ("who",))
-        b = obs.counter("shared_total", "Shared.", ("who",))
+        a = obs.registry.counter("shared_total", "Shared.", ("who",))
+        b = obs.registry.counter("shared_total", "Shared.", ("who",))
         a.labels(who="x").inc(time=1.0)
         b.labels(who="x").inc(time=2.0)
         assert a is b
         assert a.labels(who="x").value == 2.0
 
+    def test_include_copies_families_with_their_stamps(self):
+        source = golden_registry()
+        target = MetricsRegistry()
+        target.include(source)
+        assert prometheus_text(target) == GOLDEN_PROM
+        # A copy, not a share: the source moves on alone.
+        source.get("requests_total").labels(outcome="ok").inc(time=9.0)
+        assert prometheus_text(target) == GOLDEN_PROM
+        with pytest.raises(MetricError, match="already registered"):
+            target.include(source)
+
+    def test_finalize_rejects_what_it_cannot_read(self):
+        with pytest.raises(TypeError, match="cannot read a dict"):
+            Observer().finalize({})
+
 
 # ----------------------------------------------------------------------
-# Instrumented gateway: counters stay usable without an Observer
+# The gateway counts in its own registry; the reader copies it
 # ----------------------------------------------------------------------
 
-def build_fleet(toy_profile, *, obs=None, n_nodes=2):
+def build_fleet(toy_profile, *, n_nodes=2):
     nodes = [
         FleetNode(f"n{i}", CoCGStrategy(), {"toygame": toy_profile}, seed=i)
         for i in range(n_nodes)
     ]
     cluster = ClusterScheduler(nodes, policy="round-robin")
     gateway = AdmissionGateway(cluster, config=GatewayConfig(queue_capacity=64))
-    if obs is not None:
-        gateway.attach_observer(obs)
     cluster.attach_gateway(gateway)
     return cluster
 
@@ -315,17 +330,19 @@ class TestGatewayViews:
     def test_unobserved_gateway_counts_through_private_registry(
         self, toy_spec, toy_profile
     ):
+        from repro.obs.naming import GATEWAY_OUTCOMES
         from tests.test_serve import make_request
 
-        cluster = build_fleet(toy_profile, obs=None)
-        gateway = cluster.gateway
+        gateway = build_fleet(toy_profile).gateway
         assert gateway.stats()["queued"] == 0
         gateway.offer(make_request(toy_spec, rid=0), time=0.0)
         queued = gateway.stats()["queued"]
         assert queued == 1 and isinstance(queued, int)
         assert gateway.stats()["shed"] == 0
-        # no spans recorded when unobserved — pump still works
+        family = gateway.registry.get(GATEWAY_OUTCOMES)
+        assert family.labels(outcome="queued").value == 1.0
         gateway.pump(0.0, lambda request, incarnation: 1)
+        assert gateway.pumps == [(0.0, 1)]
 
     def test_observed_gateway_lands_in_the_shared_registry(
         self, toy_spec, toy_profile
@@ -333,17 +350,23 @@ class TestGatewayViews:
         from repro.obs.naming import GATEWAY_OUTCOMES
         from tests.test_serve import make_request
 
-        obs = Observer()
-        cluster = build_fleet(toy_profile, obs=obs)
-        cluster.gateway.offer(make_request(toy_spec, rid=0), time=0.0)
+        gateway = build_fleet(toy_profile).gateway
+        gateway.offer(make_request(toy_spec, rid=0), time=0.0)
+        gateway.pump(5.0, lambda request, incarnation: 1)
+        obs = Observer().finalize(gateway)
         family = obs.registry.get(GATEWAY_OUTCOMES)
-        assert family is not None
         assert family.labels(outcome="queued").value == 1.0
+        assert family.labels(outcome="admitted").value == 1.0
+        (span,) = obs.tracer.spans
+        assert (span.name, span.stream, span.begin) == (
+            "gateway.pump", "serve", 5.0
+        )
+        assert span.args == {"started": 1}
 
 
 class TestObserverReachesGateway:
-    """An observer wired into the cluster reaches its gateway, whichever
-    of the two is attached first."""
+    """Reading a finished experiment reaches its gateway, and reading
+    copies the gateway's registry rather than sharing it."""
 
     def test_experiment_observer_reaches_harness_gateway(self):
         from repro.trace.harness import (
@@ -356,35 +379,77 @@ class TestObserverReachesGateway:
         config = RunConfig(
             games=("contra",), players=2, sessions=2, horizon=120
         )
-        obs = Observer()
-        FleetExperiment(
+        experiment = FleetExperiment(
             build_cluster(config, build_profiles(config)),
             game_specs(config.games),
             horizon=config.horizon,
             rate_per_minute=config.rate_per_minute,
             seed=config.seed,
-            obs=obs,
-        ).run()
+        )
+        experiment.run()
+        obs = Observer().finalize(experiment)
         assert "serve_gateway_outcomes_total" in obs.metrics_text()
         assert "serve" in obs.tracer.streams()
 
-    def test_gateway_attached_after_observer_inherits_it(
+    def test_reading_leaves_the_gateway_registry_untouched(
         self, toy_spec, toy_profile
     ):
-        from repro.obs.naming import GATEWAY_OUTCOMES
         from tests.test_serve import make_request
 
-        obs = Observer()
-        cluster = ClusterScheduler(
-            [FleetNode("n0", CoCGStrategy(), {"toygame": toy_profile})]
-        )
-        cluster.attach_observer(obs)
-        gateway = AdmissionGateway(cluster)
-        cluster.attach_gateway(gateway)
-        assert gateway.obs is obs
+        gateway = build_fleet(toy_profile).gateway
         gateway.offer(make_request(toy_spec, rid=0), time=0.0)
-        family = obs.registry.get(GATEWAY_OUTCOMES)
-        assert family.labels(outcome="queued").value == 1.0
+        before = prometheus_text(gateway.registry)
+        first = Observer().finalize(gateway)
+        second = Observer().finalize(gateway)
+        assert prometheus_text(gateway.registry) == before
+        assert first.metrics_text() == second.metrics_text() == before
+
+
+# ----------------------------------------------------------------------
+# Nothing below the composition root holds an observer
+# ----------------------------------------------------------------------
+
+def _src_modules():
+    import repro
+
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root), ast.parse(path.read_text())
+
+
+def test_only_obs_and_the_cli_name_the_observer():
+    offenders = set()
+    for rel, tree in _src_modules():
+        if rel.parts[0] == "obs" or rel == Path("cli.py"):
+            continue
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "Observer")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "Observer")
+                or (isinstance(node, ast.alias) and node.name == "Observer")
+                or (isinstance(node, ast.FunctionDef)
+                    and node.name == "attach_observer")
+                or (isinstance(node, ast.arg) and node.arg == "obs")
+            )
+            if named:
+                offenders.add(str(rel))
+    assert not offenders
+
+
+def test_only_obs_serve_and_the_cli_import_repro_obs():
+    importers = set()
+    for rel, tree in _src_modules():
+        for node in ast.walk(tree):
+            modules = (
+                [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else [a.name for a in node.names]
+                if isinstance(node, ast.Import) else []
+            )
+            if any(m == "repro.obs" or m.startswith("repro.obs.")
+                   for m in modules):
+                importers.add(rel.parts[0])
+    assert importers == {"obs", "serve", "cli.py"}
 
 
 # ----------------------------------------------------------------------
@@ -401,19 +466,117 @@ def fault_plan(horizon):
 
 
 def observed_run(toy_spec, toy_profile, horizon=400):
-    obs = Observer()
-    cluster = build_fleet(toy_profile, obs=obs)
-    result = FleetExperiment(
-        cluster,
+    experiment = FleetExperiment(
+        build_fleet(toy_profile),
         [toy_spec],
         horizon=horizon,
         rate_per_minute=2.0,
         seed=9,
         detect_interval=5,
         fault_plan=fault_plan(horizon),
-        obs=obs,
-    ).run()
-    return result, obs
+    )
+    result = experiment.run()
+    return result, Observer().finalize(experiment)
+
+
+def provisioned_run(toy_spec, toy_profile, horizon=300):
+    """A retry-queue fleet with a capacity plane under a reclaim storm."""
+    from repro.cluster.provisioner import Provisioner, ProvisionerConfig
+    from repro.faults.chaos import reclaim_storm_plan
+
+    def node(node_id, seed):
+        return FleetNode(
+            node_id, CoCGStrategy(), {"toygame": toy_profile}, seed=seed
+        )
+
+    cluster = ClusterScheduler([node("n0", 0), node("n1", 1)])
+    provisioner = Provisioner(
+        cluster, lambda node_id: node(node_id, 7),
+        config=ProvisionerConfig(warm_pool_size=1), seed=3,
+    )
+    experiment = FleetExperiment(
+        cluster, [toy_spec], horizon=horizon, rate_per_minute=4.0, seed=9,
+        fault_plan=reclaim_storm_plan(horizon, seed=1, nodes=("n0", "n1")),
+        provisioner=provisioner,
+    )
+    experiment.run()
+    return experiment
+
+
+class TestReader:
+    @pytest.fixture(scope="class")
+    def experiment(self, toy_spec, toy_profile):
+        return provisioned_run(toy_spec, toy_profile)
+
+    def test_provisioner_families_come_from_its_events(self, experiment):
+        from repro.obs.naming import PROVISION_EVENTS, PROVISION_LATENCY
+
+        provisioner = experiment.provisioner
+        obs = Observer().finalize(experiment)
+        events = obs.registry.get(PROVISION_EVENTS)
+        assert {
+            values[0]: child.value for values, child in events.samples()
+        } == {k: v for k, v in provisioner.counts.items() if v}
+        requested = {
+            ev.node: ev.time for ev in provisioner.events
+            if ev.state == "requested"
+        }
+        booted = [
+            ev.time - requested[ev.node] for ev in provisioner.events
+            if ev.state == "warm" and ev.node in requested
+        ]
+        assert booted  # the storm provisions replacement capacity
+        latency = obs.registry.get(PROVISION_LATENCY).labels()
+        assert latency.count == len(booted)
+        assert latency.sum == pytest.approx(sum(booted))
+        lifecycle = [
+            s for s in obs.tracer.spans if s.name.endswith(".lifecycle")
+        ]
+        assert {s.stream for s in lifecycle} == {"cluster"}
+        assert {
+            s.name for s in lifecycle if s.args["state"] == "provisioning"
+        } == {f"node.{n}.lifecycle" for n in requested}
+        notices = [
+            s for s in lifecycle if s.args["state"] == "reclaim-notice"
+        ]
+        assert len(notices) == len(experiment.cluster.reclaims) > 0
+        assert all(s.args["fault_index"] >= 0 for s in notices)
+
+    def test_counters_equal_the_layers_own_counts(self, experiment):
+        from repro.obs.naming import (
+            ALGO1_EVALUATIONS, CLUSTER_DISPATCH, CLUSTER_PUMP_ROUNDS,
+        )
+
+        cluster = experiment.cluster
+        obs = Observer().finalize(experiment)
+        dispatch = obs.registry.get(CLUSTER_DISPATCH)
+        assert dispatch.labels(outcome="dispatched").value == (
+            cluster.dispatched
+        )
+        assert dispatch.labels(outcome="deferred").value == cluster.deferred
+        assert obs.registry.get(CLUSTER_PUMP_ROUNDS).value == len(
+            cluster.pumps
+        )
+        evaluations = obs.registry.get(ALGO1_EVALUATIONS)
+        scheds = [node.strategy.scheduler for node in cluster.nodes]
+        for verdict in (True, False):
+            assert evaluations.labels(
+                admitted=str(verdict).lower()
+            ).value == sum(s.distributor.verdicts[verdict] for s in scheds)
+        for node, sched in zip(cluster.nodes, scheds):
+            spans = [
+                s for s in obs.tracer.spans
+                if s.stream == f"node:{node.node_id}"
+            ]
+            assert [(s.begin, s.args["sessions"]) for s in spans] == (
+                sched.cycles
+            )
+
+    def test_reading_twice_gives_identical_artifacts(self, experiment):
+        first = Observer().finalize(experiment)
+        second = Observer().finalize(experiment)
+        assert first.metrics_text() == second.metrics_text()
+        assert first.trace_digest() == second.trace_digest()
 
 
 class TestEndToEndDeterminism:
@@ -442,7 +605,7 @@ class TestEndToEndDeterminism:
 
     def test_observation_does_not_change_the_run(self, toy_spec, toy_profile):
         def bare_run():
-            cluster = build_fleet(toy_profile, obs=None)
+            cluster = build_fleet(toy_profile)
             return FleetExperiment(
                 cluster,
                 [toy_spec],

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -43,7 +46,8 @@ HOOKED = frozenset(
 
 
 def reference_parse_suppressions(source: str) -> Suppressions:
-    """The tokenize-based parser, as the linter shipped it before."""
+    """The tokenize-based parser, as the linter shipped it before, with
+    its table keyed by the parser's line numbers."""
     table = Suppressions()
     if _PRAGMA_RE.search(source) is None:
         return table
@@ -51,9 +55,12 @@ def reference_parse_suppressions(source: str) -> Suppressions:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
         return table
-    # Rows as tokenize reads them: split at "\n" only.  splitlines() also
-    # splits at form feeds, so a row after one read the wrong text.
-    lines = source.split("\n")
+    # Tokenize reads rows split at "\n" only; the table is keyed by the
+    # lines the parser numbers, which a lone "\r" also ends.  (The
+    # splitlines() of the original also split at form feeds, so a row
+    # after one read the wrong text.)
+    rows = [0, *accumulate(len(row) + 1 for row in source.split("\n"))]
+    lines = [0, *(m.end() for m in re.finditer(r"\r\n?|\n", source))]
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
@@ -62,13 +69,14 @@ def reference_parse_suppressions(source: str) -> Suppressions:
             continue
         rules = _parse_rule_list(match.group("rules"))
         row, col = tok.start
-        text_before = lines[row - 1][:col]
-        if text_before.strip():
-            table.by_line.setdefault(row, set()).update(rules)
+        at = rows[row - 1] + col
+        line = bisect_right(lines, at)
+        if source[lines[line - 1]:at].strip():
+            table.by_line.setdefault(line, set()).update(rules)
         else:
             table.file_level.update(rules)
         table.declared.extend(
-            (row, rule) for rule in sorted(rules) if rule != _ALL
+            (line, rule) for rule in sorted(rules) if rule != _ALL
         )
     return table
 
@@ -141,6 +149,10 @@ CASES = {
                   {2: {"CG002"}}, {"CG001"}),
     "trailing_after_form_feed_row": ("x = 1\n\f\ny = 2  # lint: disable=CG001\n",
                                      {3: {"CG001"}}, set()),
+    "trailing_after_lone_cr": ("x = 1\ry = 2  # lint: disable=CG001\nz = 3\n",
+                               {2: {"CG001"}}, set()),
+    "standalone_after_lone_cr": ("x = 1\r# lint: disable=CG002\rz = 3\n",
+                                 {}, {"CG002"}),
     "second_hash_in_comment": ("x = 1  # note # lint: disable=CG001\n",
                                {1: {"CG001"}}, set()),
     "trailing": ("x = 1  # lint: disable=CG001, CG002\n",
