@@ -13,6 +13,8 @@ QoS — a taste of the §IV-D "larger servers, more games" discussion.
 Run:  python examples/multi_server_fleet.py
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro import CoCGStrategy, GameProfile, build_catalog
@@ -72,9 +74,13 @@ def main() -> None:
         # Dispatch: first server that admits.
         still_waiting = []
         for request in waiting:
-            session = request.make_session(seed=request.request_id)
+            # The session is built only by the server that admits it.
+            make_session = partial(request.make_session, seed=request.request_id)
             for node in fleet:
-                if node["strategy"].try_admit(session, time=t):
+                session = node["strategy"].try_admit(
+                    request.run_id(), request.spec.name, make_session, time=t
+                )
+                if session is not None:
                     node["sessions"][session.session_id] = session
                     break
             else:

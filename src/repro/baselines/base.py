@@ -10,15 +10,18 @@ capacity conservation is enforced uniformly across strategies.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
-from repro.platform_.allocator import Allocator
+from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.resources import ResourceVector
 from repro.sim.telemetry import TelemetryRecorder
 
-__all__ = ["SchedulingStrategy"]
+__all__ = ["SchedulingStrategy", "SessionFactory"]
+
+#: Builds the session a request launches; called only once it is admitted.
+SessionFactory = Callable[[], GameSession]
 
 
 class SchedulingStrategy(ABC):
@@ -49,24 +52,51 @@ class SchedulingStrategy(ABC):
             raise RuntimeError(f"{type(self).__name__} is not attached to a server")
         return self.allocator
 
-    def profile_of(self, session: GameSession) -> GameProfile:
-        """The offline profile of a session's game."""
+    def profile_of(self, game: str) -> GameProfile:
+        """The offline profile of a game."""
         try:
-            return self.profiles[session.spec.name]
+            return self.profiles[game]
         except KeyError:
             raise KeyError(
-                f"no profile for game {session.spec.name!r}; "
-                f"have {sorted(self.profiles)}"
+                f"no profile for game {game!r}; have {sorted(self.profiles)}"
             ) from None
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
-        """Admission test; on success the session must be placed."""
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
+        """Admission test for a session of ``game`` named ``session_id``.
 
-    @abstractmethod
+        On admission the strategy places ``session_id`` and returns the
+        session ``make_session()`` builds; on refusal it returns ``None``
+        and never calls ``make_session``.
+        """
+
+    def _admit(self, placed: bool, make_session: SessionFactory) -> Optional[GameSession]:
+        """Count the verdict; build the session only on a yes."""
+        if not placed:
+            self.rejections += 1
+            return None
+        self.admissions += 1
+        return make_session()
+
+    def _place(
+        self, session_id: str, ceiling: ResourceVector, *, time: float,
+        gpu_index: Optional[int] = None,
+    ) -> bool:
+        """Place ``ceiling``; False when the allocator refuses it."""
+        try:
+            self._require_attached().place(
+                session_id, ceiling, gpu_index=gpu_index, time=time
+            )
+        except AllocationError:
+            return False
+        return True
+
     def release(self, session_id: str, *, time: float) -> None:
         """Free a finished session's reservation."""
+        self._require_attached().release(session_id, time=time)
 
     def control(self, time: float, telemetry: TelemetryRecorder) -> None:
         """Periodic reaction to telemetry (static strategies do nothing)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.baselines.base import SchedulingStrategy
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.pipeline import GameProfile
 from repro.core.scheduler import CoCGConfig, CoCGScheduler
 from repro.games.session import GameSession
@@ -42,17 +42,19 @@ class CoCGStrategy(SchedulingStrategy):
         return self.scheduler
 
     # ------------------------------------------------------------------
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
         """Algorithm-1 admission through the core scheduler."""
         scheduler = self._require_scheduler()
         decision = scheduler.try_admit(
-            session, self.profile_of(session), time=time
+            session_id, self.profile_of(game), make_session, time=time
         )
-        if decision.admitted:
-            self.admissions += 1
-        else:
+        if not decision.admitted:
             self.rejections += 1
-        return decision.admitted
+            return None
+        self.admissions += 1
+        return scheduler.sessions[session_id].session
 
     def release(self, session_id: str, *, time: float) -> None:
         """Release a finished session."""

@@ -18,12 +18,13 @@ removes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.baselines.base import SchedulingStrategy
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
-from repro.platform_.allocator import AllocationError
 from repro.platform_.resources import ResourceVector
 from repro.util.validation import check_fraction
 
@@ -74,19 +75,10 @@ class GAugurStrategy(SchedulingStrategy):
             limit = np.minimum(limit, self.max_share * budget)
         return ResourceVector.from_array(limit).clip(0.0, 100.0)
 
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
         """Admit iff the fixed limits of every hosted game still fit."""
-        allocator = self._require_attached()
-        profile = self.profile_of(session)
-        limit = self.fixed_limit(profile)
-        try:
-            allocator.place(session.session_id, limit, time=time)
-        except AllocationError:
-            self.rejections += 1
-            return False
-        self.admissions += 1
-        return True
-
-    def release(self, session_id: str, *, time: float) -> None:
-        """Free the fixed limit."""
-        self._require_attached().release(session_id, time=time)
+        self._require_attached()
+        limit = self.fixed_limit(self.profile_of(game))
+        return self._admit(self._place(session_id, limit, time=time), make_session)

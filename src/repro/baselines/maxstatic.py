@@ -9,10 +9,11 @@ fits in what is left.
 
 from __future__ import annotations
 
-from repro.baselines.base import SchedulingStrategy
+from typing import Optional
+
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.allocation import AllocationPlanner
 from repro.games.session import GameSession
-from repro.platform_.allocator import AllocationError
 
 __all__ = ["MaxStaticStrategy"]
 
@@ -22,20 +23,10 @@ class MaxStaticStrategy(SchedulingStrategy):
 
     name = "max-static"
 
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
         """Admit iff the whole-game peak fits under the cap."""
-        allocator = self._require_attached()
-        profile = self.profile_of(session)
-        planner = AllocationPlanner(profile.library, accuracy=1.0)
-        peak = planner.peak_plan()
-        try:
-            allocator.place(session.session_id, peak, time=time)
-        except AllocationError:
-            self.rejections += 1
-            return False
-        self.admissions += 1
-        return True
-
-    def release(self, session_id: str, *, time: float) -> None:
-        """Free the peak reservation."""
-        self._require_attached().release(session_id, time=time)
+        planner = AllocationPlanner(self.profile_of(game).library, accuracy=1.0)
+        placed = self._place(session_id, planner.peak_plan(), time=time)
+        return self._admit(placed, make_session)

@@ -14,14 +14,13 @@ admission can only reason about the present.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.base import SchedulingStrategy
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.allocation import AllocationPlanner
 from repro.games.session import GameSession
-from repro.platform_.allocator import AllocationError
 from repro.platform_.resources import ResourceVector
 from repro.sim.telemetry import TelemetryRecorder
 from repro.util.validation import check_nonnegative
@@ -52,31 +51,29 @@ class ReactiveStrategy(SchedulingStrategy):
         self._hosted: Dict[str, GameSession] = {}
 
     # ------------------------------------------------------------------
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
         """Myopic admission: the entry footprint must fit *right now*."""
         allocator = self._require_attached()
-        profile = self.profile_of(session)
-        planner = AllocationPlanner(profile.library, accuracy=1.0)
+        planner = AllocationPlanner(self.profile_of(game).library, accuracy=1.0)
         entry = planner.for_loading()
         # Admission looks only at the present: current reservations plus
         # the newcomer's entry footprint must fit.
         gpu_index = allocator.gpu_order()[0]
-        if not allocator.can_place(entry, gpu_index):
-            self.rejections += 1
-            return False
-        try:
-            allocator.place(session.session_id, entry, gpu_index=gpu_index, time=time)
-        except AllocationError:
-            self.rejections += 1
-            return False
-        self._hosted[session.session_id] = session
-        self.admissions += 1
-        return True
+        session = self._admit(
+            allocator.can_place(entry, gpu_index)
+            and self._place(session_id, entry, time=time, gpu_index=gpu_index),
+            make_session,
+        )
+        if session is not None:
+            self._hosted[session_id] = session
+        return session
 
     def release(self, session_id: str, *, time: float) -> None:
         """Release a finished session."""
         self._hosted.pop(session_id, None)
-        self._require_attached().release(session_id, time=time)
+        super().release(session_id, time=time)
 
     def control(self, time: float, telemetry: TelemetryRecorder) -> None:
         """Follow each session's observed usage with a margin."""

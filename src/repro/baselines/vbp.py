@@ -11,10 +11,11 @@ rule.
 
 from __future__ import annotations
 
-from repro.baselines.base import SchedulingStrategy
+from typing import Optional
+
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.allocation import AllocationPlanner
 from repro.games.session import GameSession
-from repro.platform_.allocator import AllocationError
 from repro.util.validation import check_fraction
 
 __all__ = ["VBPStrategy"]
@@ -36,28 +37,17 @@ class VBPStrategy(SchedulingStrategy):
         check_fraction("run_fraction", run_fraction, inclusive=False)
         self.run_fraction = float(run_fraction)
 
-    def try_admit(self, session: GameSession, *, time: float) -> bool:
+    def try_admit(
+        self, session_id: str, game: str, make_session: SessionFactory, *, time: float
+    ) -> Optional[GameSession]:
         """Admit iff the full peak fits the remaining hardware; reserve
         0.9×peak."""
         allocator = self._require_attached()
-        profile = self.profile_of(session)
-        planner = AllocationPlanner(profile.library, accuracy=1.0)
+        planner = AllocationPlanner(self.profile_of(game).library, accuracy=1.0)
         peak = planner.peak_plan()
         # Admission: the full peak must fit in the remaining hardware.
         gpu_index = allocator.gpu_order()[0]
-        if not peak.fits_within(allocator.server.available(gpu_index)):
-            self.rejections += 1
-            return False
-        try:
-            allocator.place(
-                session.session_id, peak * self.run_fraction, time=time
-            )
-        except AllocationError:
-            self.rejections += 1
-            return False
-        self.admissions += 1
-        return True
-
-    def release(self, session_id: str, *, time: float) -> None:
-        """Free the fixed reservation."""
-        self._require_attached().release(session_id, time=time)
+        placed = peak.fits_within(
+            allocator.server.available(gpu_index)
+        ) and self._place(session_id, peak * self.run_fraction, time=time)
+        return self._admit(placed, make_session)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -500,10 +501,11 @@ class ColocationExperiment:
         k = self._offer_rotation % max(len(pending), 1)
         for request in self.strategy.order_requests(pending[k:] + pending[:k]):
             self._session_seeds += 1
-            session = request.make_session(
-                derive_seed(self._base_seed, "session", str(self._session_seeds))
-            )
-            if self.node.host(session, request, time=time):
+            seed = derive_seed(self._base_seed, "session", str(self._session_seeds))
+            if self.node.host(
+                request.run_id(), request, partial(request.make_session, seed),
+                time=time,
+            ):
                 self.backlog.started(request)
 
     def _aggregate(self, colocated_seconds: int) -> ExperimentResult:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 
-from repro.baselines.base import SchedulingStrategy
+from repro.baselines.base import SchedulingStrategy, SessionFactory
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
 from repro.platform_.allocator import Allocator
@@ -181,36 +182,35 @@ class FleetNode:
         seed: int,
         incarnation: int = 0,
     ) -> bool:
-        """Instantiate the request's session *on this node's platform*
-        and offer it to the local strategy.
+        """Offer the request to the local strategy as a session on this
+        node's platform, built only if the strategy admits it.
 
         ``incarnation > 0`` marks a crash-requeued relaunch; it suffixes
         the session id so the restart never aliases the dead run's
         telemetry and QoS history.
         """
-        run = f"r{request.request_id}" + (
-            f".{incarnation}" if incarnation else ""
+        session_id = f"{request.run_id(incarnation)}@{self.node_id}"
+        make_session = partial(
+            GameSession, request.spec, request.script, player=request.player,
+            seed=seed, platform=self.platform, session_id=session_id,
         )
-        session = GameSession(
-            request.spec,
-            request.script,
-            player=request.player,
-            seed=seed,
-            platform=self.platform,
-            session_id=f"{request.spec.name}-{run}@{self.node_id}",
-        )
-        return self.host(session, request, time=time)
+        return self.host(session_id, request, make_session, time=time)
 
     def host(
-        self, session: GameSession, request: GameRequest, *, time: float
+        self, session_id: str, request: GameRequest,
+        make_session: SessionFactory, *, time: float,
     ) -> bool:
-        """Offer a built ``session`` to the local strategy; on admission
+        """Offer ``request`` to the local strategy as ``session_id``; on
+        admission the strategy builds the session (``make_session``) and
         the node runs it until it finishes or is killed."""
-        if self.strategy.try_admit(session, time=time):
-            self.sessions[session.session_id] = session
-            self.requests[session.session_id] = request
-            return True
-        return False
+        session = self.strategy.try_admit(
+            session_id, request.spec.name, make_session, time=time
+        )
+        if session is None:
+            return False
+        self.sessions[session_id] = session
+        self.requests[session_id] = request
+        return True
 
     def tick(self, t: int) -> None:
         """Advance every hosted session one second: all advance first,

@@ -19,9 +19,9 @@ admission so much more permissive than whole-game peak reservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.platform_.resources import ResourceVector, _wrap
+from repro.platform_.resources import Floats4, ResourceVector, _wrap
 from repro.util.effects import effects
 
 __all__ = [
@@ -78,6 +78,11 @@ class BatchEvaluation:
     answers any number of candidate ``(entry, steady)`` pairs, instead
     of re-rolling every task's predictor per request × node.
 
+    Against a fixed snapshot a decision is a pure function of the
+    candidate's terms, so each distinct ``(entry, steady)`` pair is
+    decided once; every call still counts in
+    :attr:`Distributor.verdicts`.
+
     The snapshot is only valid while the running set is unchanged:
     after an admission or release, begin a new batch via
     :meth:`Distributor.begin_batch`.  Decisions are byte-identical to
@@ -90,6 +95,7 @@ class BatchEvaluation:
         self._running: List[RunningTaskView] = list(running)
         self._current: Optional[ResourceVector] = None
         self._worst: Optional[ResourceVector] = None
+        self._decided: Dict[Tuple[Floats4, Floats4], AdmissionDecision] = {}
 
     # ------------------------------------------------------------------
     @effects(hot_path=True)
@@ -141,7 +147,10 @@ class BatchEvaluation:
         steady_peak: ResourceVector,
     ) -> AdmissionDecision:
         """Algorithm 1 for one candidate against the shared snapshot."""
-        decision = self._decide(entry_consumption, steady_peak)
+        key = (entry_consumption.values, steady_peak.values)
+        decision = self._decided.get(key)
+        if decision is None:
+            decision = self._decided[key] = self._decide(entry_consumption, steady_peak)
         self._distributor.verdicts[decision.admitted] += 1
         return decision
 
@@ -152,8 +161,6 @@ class BatchEvaluation:
         steady_peak: ResourceVector,
     ) -> AdmissionDecision:
         d = self._distributor
-        budget = d.capacity * (1.0 + d.overshoot_tolerance)
-
         current = self._current_sum()
         if not (current + entry_consumption).fits_within(d.capacity):
             return AdmissionDecision(
@@ -163,7 +170,7 @@ class BatchEvaluation:
             )
 
         if not self._running:
-            ok = steady_peak.fits_within(budget)
+            ok = steady_peak.fits_within(d.peak_limit)
             return AdmissionDecision(
                 ok,
                 "empty server" if ok else "game exceeds server capacity alone",
@@ -171,7 +178,7 @@ class BatchEvaluation:
             )
 
         predicted = self._worst_coconsumption() + steady_peak
-        if predicted.fits_within(budget):
+        if predicted.fits_within(d.peak_limit):
             return AdmissionDecision(
                 True, "predicted co-consumption fits", predicted_peak=predicted
             )
@@ -213,6 +220,8 @@ class Distributor:
         self.capacity = capacity
         self.horizon = int(horizon)
         self.overshoot_tolerance = float(overshoot_tolerance)
+        #: What a predicted peak may reach: capacity × (1 + tolerance).
+        self.peak_limit = capacity * (1.0 + self.overshoot_tolerance)
         #: Algorithm-1 verdicts so far, by outcome (``True`` = admit).
         self.verdicts: Dict[bool, int] = {True: 0, False: 0}
         #: Shared evaluation passes opened (:meth:`begin_batch`).

@@ -21,7 +21,7 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -429,16 +429,18 @@ class CoCGScheduler:
     # ------------------------------------------------------------------
     def try_admit(
         self,
-        session: GameSession,
+        session_id: str,
         profile: GameProfile,
+        make_session: Callable[[], GameSession],
         *,
         time: float = 0.0,
         gpu_index: Optional[int] = None,
     ) -> AdmissionDecision:
-        """Algorithm-1 admission; on success the session is placed.
+        """Algorithm-1 admission; on success ``session_id`` is placed.
 
-        Algorithm 1 reads only the per-game terms; a planner of the
-        session's own is built only once the session is placed.
+        Algorithm 1 reads only the per-game terms; the session
+        (``make_session()``) and a planner of its own are made only once
+        the session is placed.
         """
         backend, entry, entry_min, steady = self._admission_plans(profile)
         decision = self.distributor.can_admit(
@@ -447,20 +449,20 @@ class CoCGScheduler:
         if not decision.admitted:
             self.rejections += 1
             self._now = time
-            self._log(session.session_id, "reject", decision.reason)
+            self._log(session_id, "reject", decision.reason)
             return decision
         gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
         grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
             entry_min.minimum(entry)
         )
         try:
-            self.allocator.place(session.session_id, grant, gpu_index=gi, time=time)
+            self.allocator.place(session_id, grant, gpu_index=gi, time=time)
         except AllocationError:
             self.rejections += 1
-            self.refused_placements.append((time, session.session_id))
+            self.refused_placements.append((time, session_id))
             return AdmissionDecision(False, "placement failed under the cap")
         ctl = SessionControl(
-            session,
+            make_session(),
             profile,
             self._make_planner(profile, backend),
             backend,
@@ -475,10 +477,10 @@ class CoCGScheduler:
         if not self.config.use_redundancy:
             ctl.planner.set_accuracy(1.0)  # zero Eq-1 margin
         ctl.desired = entry
-        self._sessions[session.session_id] = ctl
+        self._sessions[session_id] = ctl
         self.admissions += 1
         self._now = time
-        self._log(session.session_id, "admit", decision.reason)
+        self._log(session_id, "admit", decision.reason)
         return decision
 
     @staticmethod

@@ -14,8 +14,8 @@ CG006     no bare/swallowed exceptions in scheduler/distributor paths
 CG007     resource dimensions come from the canonical constants
 CG008     fault paths re-raise, log to telemetry, or transition health
 CG009     queues in ``serve``/``cluster`` declare an explicit bound
-CG014     module-level counter/total aggregates in ``serve``/``cluster``
-          /``faults`` go through the metrics registry
+CG014     counter/total aggregates in ``serve``/``cluster``/``faults``
+          live on the instance that counts, not at module level
 ========  ==============================================================
 """
 
@@ -727,18 +727,15 @@ _AGGREGATE_CALLS = frozenset({
 
 @register
 class RegistryBackedAggregates(Rule):
-    """CG014 — counter-like aggregates go through the metrics registry.
+    """CG014 — counter-like aggregates live on the instance that counts.
 
     A bare module-level dict/list named like a counter (``_totals = {}``,
     ``STATS = defaultdict(int)``) in ``serve/``, ``cluster/`` or
     ``faults/`` is invisible observability: it accumulates process-global
-    state the exporters never see, it survives across experiments inside
-    one process (two runs share the tally, breaking same-seed
-    determinism), and nothing stamps it with simulation time.  Mutable
-    aggregate accounting on these paths belongs in a
-    :class:`repro.obs.metrics.MetricsRegistry` — registered once by
-    canonical name, labeled, sim-time-stamped, and exported
-    deterministically.
+    state the post-run reader (``repro.obs.reader``) never sees, it
+    survives across experiments inside one process (two runs share the
+    tally, breaking same-seed determinism), and nothing ties it to the
+    run that produced it.
 
     Flagged: a module **top-level** ``Assign``/``AnnAssign`` whose
     target name matches ``count|counter|total|stats|metric|tally``
@@ -750,15 +747,15 @@ class RegistryBackedAggregates(Rule):
 
         _STAT_NAMES = {...}  # lint: disable=CG014 -- static lookup table, never mutated
 
-    Fix: register the aggregate on the shared
-    :class:`repro.obs.registry.MetricsRegistry` (``obs.counter`` /
-    ``obs.gauge``) instead of keeping a module-level tally.
+    Fix: keep the tally on the owning instance — an attribute of the
+    object that does the counting, like ``ClusterScheduler.dispatched``
+    — where ``repro.obs.reader`` reads it after the run.
     """
 
     rule_id = "CG014"
     name = "registry-backed-aggregates"
     description = ("module-level counter/total aggregate in serve/cluster/"
-                   "faults; use MetricsRegistry (repro.obs) or pragma it")
+                   "faults; keep the tally on its owning instance or pragma it")
 
     @classmethod
     def applies_to(cls, ctx: FileContext) -> bool:
@@ -782,9 +779,9 @@ class RegistryBackedAggregates(Rule):
                 and self._is_mutable_aggregate(value)):
             self.report(
                 target,
-                f"module-level aggregate {target.id!r} bypasses the metrics "
-                f"registry; register it in repro.obs (or pragma a genuinely "
-                f"static table)",
+                f"module-level aggregate {target.id!r} is process-global; "
+                f"keep the tally on the instance that owns it (or pragma a "
+                f"genuinely static table)",
             )
 
     def check(self) -> None:

@@ -55,9 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["read_run"]
 
 #: Node telemetry fault events that are lifecycle transitions, with the
-#: state each leaves the node in.  A standby's ``node-warming`` is not
-#: counted: it happens before the node joins the cluster.
+#: state each leaves the node in.  A provisioned node's ``node-warming``
+#: is logged just before it joins the cluster, and counts like the rest.
 _LIFECYCLE_STATES = {
+    "node-warming": "warming",
     "node-crash": "down",
     "node-recover": "up",
     "node-drain": "draining",

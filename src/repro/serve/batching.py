@@ -6,7 +6,9 @@ co-consumption and re-rolls every running session's predictor
 ``horizon`` iterations.  Within one scheduling tick none of that depends
 on the candidate, so a tick's pending requests form a natural
 *micro-batch*: one :class:`~repro.core.distributor.BatchEvaluation` per
-node answers every candidate from a single shared rollout pass.
+node answers every candidate from a single shared rollout pass, and
+decides each distinct game's terms once (a queue of a hundred ``contra``
+requests is one decision per node snapshot).
 
 Outcome equivalence is by construction, not by luck:
 
@@ -17,8 +19,9 @@ Outcome equivalence is by construction, not by luck:
 * the pre-screen evaluates the same ``(entry_min, steady)`` terms
   (``CoCGScheduler.admission_terms``) against the same running views as
   the node's own ``try_admit`` would, so it rejects exactly when the
-  node would reject — the node is simply never asked, and no
-  :class:`~repro.games.session.GameSession` is built for it;
+  node would reject — the node is simply never asked (neither path
+  builds a :class:`~repro.games.session.GameSession` for a refusal:
+  strategies build one only after they admit);
 * a node that passes the pre-screen still goes through the authoritative
   ``node.try_admit`` (placement can fail under the cap even when
   Algorithm 1 passes), and an admission drops that node's batch
@@ -64,8 +67,8 @@ class MicroBatcher:
         self._c_rounds = events.labels(event="rounds")
         #: Pre-screen Algorithm-1 evaluations (shared-rollout path).
         self._c_evaluations = events.labels(event="evaluations")
-        #: Candidates the pre-screen rejected — no session was built
-        #: and the node's ``try_admit`` was never entered.
+        #: Candidates the pre-screen rejected — the node's
+        #: ``try_admit`` was never entered.
         self._c_prescreen_rejects = events.labels(event="prescreen_rejects")
         self._c_admissions = events.labels(event="admissions")
         #: Candidate probes that fell back to plain ``try_admit``

@@ -39,6 +39,9 @@ __all__ = [
 #: Stored in place of a sample lost to a dropout fault.
 _DROPPED_ROW = (math.nan,) * N_DIMS
 
+#: Sensor-noise draws taken from the generator at a time (64 samples).
+_NOISE_BLOCK = 64 * N_DIMS
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -197,6 +200,9 @@ class TelemetryRecorder:
         check_nonnegative("noise_std", noise_std)
         self.noise_std = float(noise_std)
         self._rng = as_rng(seed)
+        #: The current block of scaled noise draws and the next unused one.
+        self._noise: List[float] = []
+        self._noise_at = 0
         self._columns: Dict[str, _Columns] = defaultdict(_Columns)
         self._perturbations: List[TelemetryPerturbation] = []
         self.fault_events: List[FaultEvent] = []
@@ -250,7 +256,15 @@ class TelemetryRecorder:
         cols.demand.extend(d)
         cols.allocation.extend(a)
         if self.noise_std > 0:
-            noise = self._rng.normal(scale=self.noise_std, size=N_DIMS).tolist()
+            # ``normal(scale=noise_std, size=4)`` per sample, bit for bit:
+            # numpy forms each draw as ``0.0 + noise_std * z``.
+            i = self._noise_at
+            if i == len(self._noise):
+                z = self._rng.standard_normal(_NOISE_BLOCK)
+                self._noise = (0.0 + self.noise_std * z).tolist()
+                i = 0
+            self._noise_at = i + N_DIMS
+            noise = self._noise[i:i + N_DIMS]
             # ``(demand.minimum(allocation) + noise).clip(0, 100)``.
             observed = _clipped_percent([
                 (x if x < y else y) + n for x, y, n in zip(d, a, noise)

@@ -37,6 +37,13 @@ class GameRequest:
     arrival: float
     request_id: int
 
+    def run_id(self, incarnation: int = 0) -> str:
+        """``<game>-r<id>[.<incarnation>]``, the id of this request's run
+        (a fleet node appends ``@<node>``); ``incarnation > 0`` marks a
+        crash-requeued relaunch."""
+        run = f"{self.spec.name}-r{self.request_id}"
+        return f"{run}.{incarnation}" if incarnation else run
+
     def make_session(self, seed: Seed) -> GameSession:
         """Instantiate the session this request launches."""
         return GameSession(
@@ -44,7 +51,7 @@ class GameRequest:
             self.script,
             player=self.player,
             seed=seed,
-            session_id=f"{self.spec.name}-r{self.request_id}",
+            session_id=self.run_id(),
         )
 
     @property

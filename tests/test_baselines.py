@@ -17,6 +17,13 @@ from repro.platform_.server import GPUDevice, Server
 from repro.sim.telemetry import TelemetryRecorder
 
 
+def offer(strategy, session, *, time):
+    """Offer an already-built session through the strategy interface."""
+    return strategy.try_admit(
+        session.session_id, session.spec.name, lambda: session, time=time
+    )
+
+
 def attach(strategy, profiles, cap=0.95):
     server = Server("s", gpus=[GPUDevice()])
     allocator = Allocator(server, utilization_cap=cap)
@@ -29,7 +36,7 @@ class TestMaxStatic:
         strat = MaxStaticStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        assert strat.try_admit(s, time=0)
+        assert offer(strat, s, time=0)
         alloc = strat.allocation_of(s.session_id)
         peak = toy_profile.library.max_peak()
         assert alloc.dominates(peak)
@@ -38,7 +45,7 @@ class TestMaxStatic:
         strat = MaxStaticStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        strat.try_admit(s, time=0)
+        offer(strat, s, time=0)
         before = strat.allocation_of(s.session_id)
         strat.control(5, TelemetryRecorder())
         assert strat.allocation_of(s.session_id) == before
@@ -47,7 +54,7 @@ class TestMaxStatic:
         strat = MaxStaticStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         admitted = sum(
-            strat.try_admit(GameSession(toy_spec, "full", seed=i), time=0)
+            offer(strat, GameSession(toy_spec, "full", seed=i), time=0) is not None
             for i in range(10)
         )
         assert 0 < admitted < 10
@@ -59,7 +66,7 @@ class TestVBP:
         strat = VBPStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        assert strat.try_admit(s, time=0)
+        assert offer(strat, s, time=0)
         alloc = strat.allocation_of(s.session_id)
         from repro.core.allocation import AllocationPlanner
 
@@ -80,7 +87,7 @@ class TestVBP:
         assert filler_gpu + 0.9 * peak.gpu <= 95.0, "test premise"
         allocator.place("filler", ResourceVector(gpu=filler_gpu))
         s = GameSession(toy_spec, "full", seed=0)
-        assert not strat.try_admit(s, time=0)
+        assert not offer(strat, s, time=0)
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
@@ -106,7 +113,7 @@ class TestGAugur:
         strat = GAugurStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        strat.try_admit(s, time=0)
+        offer(strat, s, time=0)
         before = strat.allocation_of(s.session_id)
         strat.control(5, TelemetryRecorder())
         assert strat.allocation_of(s.session_id) == before
@@ -117,7 +124,7 @@ class TestReactive:
         strat = ReactiveStrategy(margin=0.2)
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        strat.try_admit(s, time=0)
+        offer(strat, s, time=0)
         telemetry = TelemetryRecorder(noise_std=0.0)
         for t in range(5):
             telemetry.record(
@@ -134,7 +141,7 @@ class TestReactive:
         strat = ReactiveStrategy(floor=8.0)
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        strat.try_admit(s, time=0)
+        offer(strat, s, time=0)
         telemetry = TelemetryRecorder(noise_std=0.0)
         for t in range(5):
             telemetry.record(
@@ -147,7 +154,7 @@ class TestReactive:
         strat = ReactiveStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        strat.try_admit(s, time=0)
+        offer(strat, s, time=0)
         strat.release(s.session_id, time=1)
         strat.control(5, TelemetryRecorder())  # must not crash
 
@@ -157,7 +164,7 @@ class TestCoCGStrategyAdapter:
         strat = CoCGStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         s = GameSession(toy_spec, "full", seed=0)
-        assert strat.try_admit(s, time=0)
+        assert offer(strat, s, time=0) is s
         assert strat.admissions == 1
         assert strat.detect_interval == 5
         strat.release(s.session_id, time=1)
@@ -165,14 +172,14 @@ class TestCoCGStrategyAdapter:
     def test_requires_attach(self, toy_spec):
         s = GameSession(toy_spec, "full", seed=0)
         with pytest.raises(RuntimeError):
-            CoCGStrategy().try_admit(s, time=0)
+            offer(CoCGStrategy(), s, time=0)
 
     def test_unknown_game_profile(self, toy_spec, toy_profile, catalog):
         strat = CoCGStrategy()
         attach(strat, {toy_spec.name: toy_profile})
         alien = GameSession(catalog["contra"], "level-1", seed=0)
         with pytest.raises(KeyError):
-            strat.try_admit(alien, time=0)
+            offer(strat, alien, time=0)
 
 
 class TestRequestOrdering:

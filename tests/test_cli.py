@@ -372,8 +372,8 @@ _PINNED_SHA256 = {
         "c2973b1df02457ea7da9ac2a30a3f97f"
         "b262fa61d7293ffaf05cbd74358db651"),
     "chaos-reclaim-storm-obs": (
-        "093d7a4d35840e4545bcf02e2a1ff5a5"
-        "e5d0f10b1e7cfc46f43bda91ec1ce29e"),
+        "175d7e9aed191ce05f5deabfa2da92cd"
+        "afc32e1e4e6fb9ac01c5e20198c5cc68"),
     "obs-faults": (
         "1f5f0fbea63b27d0cafdd56d55d2b48c"
         "c5345bb2f49251ea5c8e5adfc359249f"),

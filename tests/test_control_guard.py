@@ -50,8 +50,8 @@ def _node_table(node) -> Dict[str, object]:
     }
 
 
-def control_tables(*, gateway: bool) -> Dict[str, Dict[str, object]]:
-    """The control-plane table of every node of the fixed fleet."""
+def control_experiment(*, gateway: bool):
+    """The fixed fleet, built and not yet run."""
     config = dataclasses.replace(CONFIG, gateway=gateway)
     plan = None
     if not gateway:
@@ -60,7 +60,12 @@ def control_tables(*, gateway: bool) -> Dict[str, Dict[str, object]]:
             .telemetry_dropout(30.0, duration=60.0, rate=0.3)
             .telemetry_noise(100.0, duration=40.0, std=2.0, spike_prob=0.1)
         )
-    experiment = build_experiment(config, build_profiles(config), plan=plan)
+    return build_experiment(config, build_profiles(config), plan=plan)
+
+
+def control_tables(*, gateway: bool) -> Dict[str, Dict[str, object]]:
+    """The control-plane table of every node of the fixed fleet."""
+    experiment = control_experiment(gateway=gateway)
     experiment.run()
     return {
         node.node_id: _node_table(node) for node in experiment.cluster.nodes

@@ -1,6 +1,8 @@
 """Tests for the Algorithm-1 distributor and the regulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distributor import AdmissionDecision, Distributor
 from repro.core.regulator import Regulator, RegulatorConfig
@@ -92,6 +94,53 @@ class TestDistributor:
             Distributor(BUDGET, horizon=0)
         with pytest.raises(ValueError):
             Distributor(BUDGET, overshoot_tolerance=-0.1)
+
+
+_terms = st.builds(
+    rv,
+    cpu=st.sampled_from([0.0, 5.0, 20.0, 40.0]),
+    gpu=st.sampled_from([0.0, 10.0, 30.0, 60.0]),
+    ram=st.sampled_from([0.0, 15.0]),
+)
+_tasks = st.builds(
+    FakeTask,
+    current=_terms,
+    peaks=st.lists(_terms, min_size=1, max_size=3),
+    minimum=st.one_of(st.none(), _terms),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    running=st.lists(_tasks, max_size=4),
+    # Few distinct terms, so candidates repeat and share an entry or a
+    # steady peak with different partners.
+    entries=st.lists(_terms, min_size=1, max_size=3),
+    steadies=st.lists(_terms, min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=12),
+    horizon=st.integers(1, 3),
+    tolerance=st.sampled_from([0.0, 0.1]),
+)
+def test_batch_decides_like_per_candidate_calls(
+    running, entries, steadies, picks, horizon, tolerance
+):
+    """A batch decides each distinct candidate once, yet answers and
+    counts every call exactly as one ``can_admit`` per candidate does."""
+    candidates = [
+        (entries[i % len(entries)], steadies[j % len(steadies)])
+        for i, j in picks
+    ]
+    batched = Distributor(BUDGET, horizon=horizon, overshoot_tolerance=tolerance)
+    single = Distributor(BUDGET, horizon=horizon, overshoot_tolerance=tolerance)
+    batch = batched.begin_batch(running)
+    for entry, steady in candidates:
+        got = batch.evaluate(entry, steady)
+        want = single.can_admit(entry, steady, running)
+        assert (got.admitted, got.reason, got.predicted_peak.values) == (
+            want.admitted, want.reason, want.predicted_peak.values
+        )
+    assert batched.verdicts == single.verdicts
+    assert sum(batched.verdicts.values()) == len(candidates)
 
 
 class TestRegulator:

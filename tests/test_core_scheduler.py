@@ -36,7 +36,7 @@ class TestAdmission:
     def test_admit_and_place(self, toy_spec, toy_profile):
         sched = make_scheduler()
         s = GameSession(toy_spec, "full", seed=0)
-        decision = sched.try_admit(s, toy_profile, time=0)
+        decision = sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         assert decision.admitted
         assert s.session_id in sched.sessions
         assert sched.allocation_of(s.session_id).is_nonnegative()
@@ -44,7 +44,7 @@ class TestAdmission:
     def test_release(self, toy_spec, toy_profile):
         sched = make_scheduler()
         s = GameSession(toy_spec, "full", seed=0)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         sched.release(s.session_id, time=1)
         assert s.session_id not in sched.sessions
 
@@ -53,7 +53,7 @@ class TestAdmission:
         admitted = 0
         for i in range(12):
             s = GameSession(toy_spec, "full", seed=i)
-            if sched.try_admit(s, toy_profile, time=0).admitted:
+            if sched.try_admit(s.session_id, toy_profile, lambda: s, time=0).admitted:
                 admitted += 1
         assert 1 <= admitted < 12
         assert sched.rejections > 0
@@ -64,7 +64,7 @@ class TestControlLoop:
         sched = make_scheduler()
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         s = GameSession(toy_spec, "full", seed=3)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         drive(sched, [s], telemetry, 60)
         ctl = sched.sessions[s.session_id]
         # After a minute the session is in its quiet stage and the
@@ -78,7 +78,7 @@ class TestControlLoop:
         sched = make_scheduler()
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         s = GameSession(toy_spec, "full", seed=3)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         quiet_allocs, heavy_allocs = [], []
         t = 0
         while not s.finished:
@@ -100,7 +100,7 @@ class TestControlLoop:
         sessions = []
         for i in range(3):
             s = GameSession(toy_spec, "full", seed=10 + i)
-            if sched.try_admit(s, toy_profile, time=0).admitted:
+            if sched.try_admit(s.session_id, toy_profile, lambda: s, time=0).admitted:
                 sessions.append(s)
         assert len(sessions) >= 2
         server = sched.allocator.server
@@ -124,7 +124,7 @@ class TestControlLoop:
         sched = make_scheduler()
         telemetry = TelemetryRecorder(noise_std=0.5, seed=2)
         s = GameSession(toy_spec, "full", seed=5)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         saw_loading_with_prediction = False
         t = 0
         while not s.finished and t < 400:
@@ -147,7 +147,7 @@ class TestControlLoop:
         sched = make_scheduler(regulator=RegulatorConfig(enabled=False))
         telemetry = TelemetryRecorder(noise_std=0.5, seed=3)
         s = GameSession(toy_spec, "full", seed=6)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         drive(sched, [s], telemetry, 100)
         assert sched.regulator.holds_started == 0
 
@@ -156,7 +156,7 @@ class TestSessionControlView:
     def test_predicted_peaks_nonempty(self, toy_spec, toy_profile):
         sched = make_scheduler()
         s = GameSession(toy_spec, "full", seed=0)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         ctl = sched.sessions[s.session_id]
         peaks = ctl.predicted_peaks(3)
         assert 1 <= len(peaks) <= 3
@@ -166,7 +166,7 @@ class TestSessionControlView:
     def test_min_allocation_compressible_while_loading(self, toy_spec, toy_profile):
         sched = make_scheduler()
         s = GameSession(toy_spec, "full", seed=0)
-        sched.try_admit(s, toy_profile, time=0)
+        sched.try_admit(s.session_id, toy_profile, lambda: s, time=0)
         ctl = sched.sessions[s.session_id]
         assert ctl.phase == "loading"
         assert ctl.min_allocation().cpu < ctl.desired.cpu

@@ -379,7 +379,7 @@ class TestSchedulerDegradation:
         sched = make_scheduler(failure_threshold=2)
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         session = GameSession(toy_spec, "full", seed=3)
-        assert sched.try_admit(session, toy_profile, time=0).admitted
+        assert sched.try_admit(session.session_id, toy_profile, lambda: session, time=0).admitted
         self.broken_predictors(monkeypatch, toy_profile)
         drive(sched, [session], telemetry, 150)
         ctl = sched.sessions[session.session_id]
@@ -392,7 +392,7 @@ class TestSchedulerDegradation:
         sched = make_scheduler(failure_threshold=1, failure_cooldown=300.0)
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         session = GameSession(toy_spec, "full", seed=3)
-        sched.try_admit(session, toy_profile, time=0)
+        sched.try_admit(session.session_id, toy_profile, lambda: session, time=0)
         self.broken_predictors(monkeypatch, toy_profile)
         drive(sched, [session], telemetry, 150)
         assert session.session_id in sched.degraded_sessions()
@@ -409,7 +409,7 @@ class TestSchedulerDegradation:
         sched = make_scheduler(**config)
         telemetry = TelemetryRecorder(noise_std=0.0, seed=0)
         session = GameSession(toy_spec, "full", seed=3)
-        sched.try_admit(session, toy_profile, time=0)
+        sched.try_admit(session.session_id, toy_profile, lambda: session, time=0)
         self.broken_predictors(monkeypatch, toy_profile)
         drive(sched, [session], telemetry, 150)
         assert sched.degraded_sessions() == [session.session_id]
@@ -426,7 +426,7 @@ class TestSchedulerDegradation:
         sched = make_scheduler(failure_threshold=1, failure_cooldown=20.0)
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         session = GameSession(toy_spec, "full", seed=3)
-        sched.try_admit(session, toy_profile, time=0)
+        sched.try_admit(session.session_id, toy_profile, lambda: session, time=0)
         predictor = next(iter(toy_profile.predictors.values()))
         monkeypatch.setattr(predictor, "failure_injected", True)
         drive(sched, [session], telemetry, 150)
@@ -445,8 +445,8 @@ class TestSchedulerDegradation:
         telemetry = TelemetryRecorder(noise_std=0.5, seed=0)
         good = GameSession(toy_spec, "full", seed=1)
         bad = GameSession(toy_spec, "full", seed=2)
-        sched.try_admit(good, toy_profile, time=0)
-        sched.try_admit(bad, toy_profile, time=0)
+        sched.try_admit(good.session_id, toy_profile, lambda: good, time=0)
+        sched.try_admit(bad.session_id, toy_profile, lambda: bad, time=0)
         original = CoCGScheduler._control_session
 
         def explode(self, ctl, window, interval):

@@ -54,7 +54,7 @@ SELF = "tests/test_lint_walk_guard.py"
 
 #: tree -> (finding count, 16-hex sha256 of the sorted format lines).
 TREE_PINS: Dict[str, tuple] = {
-    "tests": (64, "b3a87da23d548d75"),
+    "tests": (65, "667de3415d788b97"),
     "examples": (12, "1937bc785fb972cb"),
     "benchmarks": (22, "80bd76e5fbe5cc46"),
     "perfbench": (4, "e9a966a52d678a01"),
@@ -64,8 +64,8 @@ TREE_PINS: Dict[str, tuple] = {
 
 #: artifact -> 16-hex sha256 of its text for a cold lint of ``src``.
 SRC_PINS = {
-    "effects": "0cc59da27efa5b80",
-    "shard_plan": "bd823270880d1aca",
+    "effects": "9991e2559d2b7209",
+    "shard_plan": "dca7e4e8a35bab6d",
 }
 
 PLANTED = {
@@ -202,8 +202,9 @@ PLANTED_FINDINGS: List[str] = [
     'CPU/GPU/GPU_MEM/RAM constants',
     "cluster/pool_scheduler.py:29:20: CG007 .index('gpu_mem') on a dimension literal; use the "
     'index constants',
-    "cluster/pool_scheduler.py:4:1: CG014 module-level aggregate '_total_hits' bypasses the "
-    'metrics registry; register it in repro.obs (or pragma a genuinely static table)',
+    "cluster/pool_scheduler.py:4:1: CG014 module-level aggregate '_total_hits' is "
+    'process-global; keep the tally on the instance that owns it (or pragma a genuinely '
+    'static table)',
     'cluster/pool_scheduler.py:8:44: CG002 mutable default in lambda',
     'cluster/pool_scheduler.py:8:65: CG009 deque without maxlen= on the serving path; declare '
     'the bound (or pragma the external one)',

@@ -572,6 +572,24 @@ class TestReader:
                 sched.cycles
             )
 
+    def test_lifecycle_counts_every_warming_node(self, experiment):
+        from repro.obs.naming import CLUSTER_LIFECYCLE
+
+        warmed = [
+            ev for node in experiment.cluster.nodes
+            for ev in node.telemetry.fault_events if ev.kind == "node-warming"
+        ]
+        # Every provisioned node, pre-booted or replacement, warmed once.
+        provisioned = [
+            n.node_id for n in experiment.cluster.nodes
+            if n.node_id not in ("n0", "n1")
+        ]
+        assert sorted(ev.detail for ev in warmed) == sorted(provisioned)
+        assert warmed
+        obs = Observer().finalize(experiment)
+        sample = obs.registry.get(CLUSTER_LIFECYCLE).labels(state="warming")
+        assert sample.value == len(warmed)
+
     def test_reading_twice_gives_identical_artifacts(self, experiment):
         first = Observer().finalize(experiment)
         second = Observer().finalize(experiment)

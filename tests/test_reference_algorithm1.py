@@ -176,7 +176,7 @@ def test_scheduler_admission_matches_reference(
         session = GameSession(
             toy_spec, "full", player=player, seed=seed, session_id=f"g{i}"
         )
-        if scheduler.try_admit(session, toy_profile, time=0.0).admitted:
+        if scheduler.try_admit(session.session_id, toy_profile, lambda: session, time=0.0).admitted:
             sessions.append(session)
     for t in range(seconds):
         for session in sessions:

@@ -29,7 +29,7 @@ def rig(toy_spec, toy_profile):
     allocator = Allocator(Server("s", gpus=[GPUDevice()]))
     scheduler = CoCGScheduler(allocator, config=CoCGConfig())
     session = GameSession(toy_spec, "full", seed=0)
-    decision = scheduler.try_admit(session, toy_profile, time=0)
+    decision = scheduler.try_admit(session.session_id, toy_profile, lambda: session, time=0)
     assert decision.admitted
     telemetry = TelemetryRecorder(noise_std=0.0, seed=0)
     lib = toy_profile.library

@@ -248,3 +248,65 @@ def test_observed_window_is_numpy_mean_of_kept_rows(data, rows):
         assert got is None
     else:
         assert got.tobytes() == np.mean(kept, axis=0).tobytes()
+
+
+def _perturbations():
+    """A dropout on one session and noise with spikes on another, each
+    with its own seeded stream (fresh objects per call)."""
+    return [
+        TelemetryPerturbation(kind="dropout", start=40, end=160, rate=0.4,
+                              session="b", seed=5),
+        TelemetryPerturbation(kind="noise", start=90, end=230, std=3.0,
+                              spike_prob=0.2, session="c", seed=6),
+    ]
+
+
+def _reference_rows(samples, *, noise_std, seed, perturbations):
+    """Observed rows of the per-record algorithm: one
+    ``normal(scale=noise_std, size=4)`` draw per noisy sample."""
+    from repro.util.rng import as_rng
+
+    rng = as_rng(seed)
+    rows = {}
+    for time, sid, demand, allocation in samples:
+        usage = [x if x < y else y for x, y in zip(demand, allocation)]
+        if noise_std > 0:
+            noise = rng.normal(scale=noise_std, size=4).tolist()
+            usage = [u + n for u, n in zip(usage, noise)]
+        row = np.array(
+            [100.0 if x > 100.0 else 0.0 if x < 0.0 else x for x in usage]
+        )
+        for pert in perturbations:
+            if row is not None and pert.applies(time, sid):
+                row = pert.apply(row)
+        if row is None:
+            row = np.full(4, np.nan)
+        rows.setdefault(sid, []).append(np.clip(row, 0.0, 100.0))
+    return {sid: np.array(r) for sid, r in rows.items()}
+
+
+@pytest.mark.parametrize("noise_std", [0.8, 2.5, 0.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_block_drawn_noise_matches_per_record_draws(noise_std, perturbed):
+    """Over 900 noisy samples — more than three blocks of draws — the
+    recorder's observed rows equal the per-record reference bit for bit."""
+    gen = np.random.default_rng(2)
+    samples = [
+        (t, sid, tuple(gen.uniform(0, 110, 4)), tuple(gen.uniform(0, 100, 4)))
+        for t in range(300) for sid in ("a", "b", "c")
+    ]
+    rec = TelemetryRecorder(noise_std=noise_std, seed=17)
+    for pert in _perturbations() if perturbed else []:
+        rec.add_perturbation(pert)
+    for time, sid, demand, allocation in samples:
+        rec.record(time, sid, ResourceVector.from_array(demand),
+                   ResourceVector.from_array(allocation))
+    want = _reference_rows(
+        samples, noise_std=noise_std, seed=17,
+        perturbations=_perturbations() if perturbed else [],
+    )
+    assert rec.session_ids == list(want)
+    for sid, rows in want.items():
+        assert rec.observed_series(sid).values.tobytes() == rows.tobytes()
+    if perturbed:
+        assert 0 < rec.dropped_samples < 300
