@@ -29,9 +29,14 @@ SEED = 13
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="cocg-") as tmp:
+        run(Path(tmp))
+
+
+def run(workdir: Path) -> None:
+    """The whole workflow; every file it writes lands in ``workdir``."""
     catalog = build_catalog()
     spec = catalog[GAME]
-    workdir = Path(tempfile.mkdtemp(prefix="cocg-"))
     print(f"workspace: {workdir}")
 
     # 1. "Collect" telemetry and write it as CSV (what a real collector

@@ -10,12 +10,13 @@ capacity conservation is enforced uniformly across strategies.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.resources import ResourceVector
+from repro.platform_.server import Placement
 from repro.sim.telemetry import TelemetryRecorder
 
 __all__ = ["SchedulingStrategy", "SessionFactory"]
@@ -101,9 +102,14 @@ class SchedulingStrategy(ABC):
     def control(self, time: float, telemetry: TelemetryRecorder) -> None:
         """Periodic reaction to telemetry (static strategies do nothing)."""
 
+    @property
+    def placements(self) -> Mapping[str, Placement]:
+        """Hosted sessions' placements: the server's read-only live view."""
+        return self._require_attached().server.placements
+
     def allocation_of(self, session_id: str) -> ResourceVector:
         """Current ceiling of a hosted session."""
-        return self._require_attached().allocation_of(session_id)
+        return self.placements[session_id].allocation
 
     def degraded_sessions(self) -> Sequence[str]:
         """Sessions running in degraded (fault-fallback) mode.

@@ -216,11 +216,12 @@ class FleetNode:
         """Advance every hosted session one second: all advance first,
         so interference sees every co-runner; then each second is
         recorded and finished runs are released."""
-        degraded = set(self.strategy.degraded_sessions())
-        allocation_of = self.strategy.allocation_of
+        listed = self.strategy.degraded_sessions()
+        degraded = set(listed) if listed else None
+        placements = self.strategy.placements
         advanced = []
         for sid, session in list(self.sessions.items()):
-            allocation = allocation_of(sid)
+            allocation = placements[sid].allocation
             advanced.append((sid, session, allocation, session.advance(allocation)))
         slowdowns = None
         if self.interference is not None and len(advanced) > 1:
@@ -239,7 +240,7 @@ class FleetNode:
                 sid, tick.nominal_fps, demand, allocation,
                 frame_lock=tick.frame_lock,
             )
-            if degraded and sid in degraded:
+            if degraded is not None and sid in degraded:
                 self.qos.note_degraded(sid, time=t)
             if tick.stage_completed:
                 # The session just appended (stage, start, end) to its

@@ -842,6 +842,5 @@ class CoCGScheduler:
         for sid, vec in desired.items():
             old = placements[sid].allocation.values
             fits = all(v <= o + 1e-9 for v, o in zip(vec, old))
-            (shrinks if fits else grows).append(sid)
-        for sid in shrinks + grows:
-            self.allocator.retune_clamped(sid, _wrap(desired[sid]), time=time)
+            (shrinks if fits else grows).append((sid, vec))
+        self.allocator.retune_all_clamped(shrinks + grows, time=time)

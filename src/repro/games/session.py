@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.games.player import BurstEvent, PlayerModel
 from repro.games.spec import GameSpec, ScriptSpec, StageKind, StageSpec
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
-from repro.platform_.resources import ResourceVector, _clipped_percent
+from repro.platform_.resources import ResourceVector, _wrap
 from repro.util.rng import Seed, as_rng
 
 __all__ = ["SessionTick", "GameSession"]
@@ -42,6 +42,8 @@ _AR_RHO = 0.85
 _NOISE_SCALE = math.sqrt(1.0 - _AR_RHO**2)
 #: AR(1) state at a stage or cluster change.
 _NO_DEVIATION = (0.0, 0.0, 0.0, 0.0)
+#: Bound once: :meth:`GameSession.advance` tests every second against it.
+_LOADING = StageKind.LOADING
 #: Minimum realized execution-stage duration in seconds.
 _MIN_STAGE_SECONDS = 5.0
 
@@ -221,51 +223,17 @@ class GameSession:
         """Simulate one second under the given resource ceiling.
 
         Returns the tick record.  Calling after the session finished
-        raises ``RuntimeError``.
+        raises ``RuntimeError``.  Draws, in order: AR(1) noise, bursts
+        (execution only), a cluster switch, the next stage's entry.
         """
-        if self.finished:
+        stages, idx = self._stages, self._stage_idx
+        if idx >= len(stages):
             raise RuntimeError(f"session {self.session_id} has finished")
-        inst = self._stages[self._stage_idx]
+        inst = stages[idx]
         stage = inst.spec
+        loading = stage.kind is _LOADING
         cluster = self.spec.clusters[self._active_cluster]
 
-        demand = self._sample_demand(cluster, stage)
-        self._elapsed += 1
-
-        if stage.kind is StageKind.LOADING:
-            # Loading advances at the CPU-supply rate: starving it is the
-            # regulator's time-stealing lever.
-            d_cpu = demand.cpu
-            rate = 1.0 if d_cpu <= 1e-9 else min(1.0, allocation.cpu / d_cpu)
-            self._stage_progress += rate
-        else:
-            self._stage_progress += 1.0
-            self._advance_cluster_dwell(stage)
-
-        stage_completed = self._stage_progress >= inst.duration - 1e-9
-        if stage_completed:
-            self.history.append((stage.name, self._stage_start, self._elapsed))
-            self._stage_idx += 1
-            if not self.finished:
-                self._enter_stage()
-
-        return SessionTick(
-            self._elapsed, demand, stage.name, stage.kind, stage.stage_type,
-            cluster.name, cluster.nominal_fps, self.spec.frame_lock,
-            stage_completed, self.finished,
-        )
-
-    def _advance_cluster_dwell(self, stage: StageSpec) -> None:
-        if len(stage.clusters) == 1:
-            return
-        self._dwell_left -= 1.0
-        if self._dwell_left <= 0:
-            others = [c for c in stage.clusters if c != self._active_cluster]
-            self._active_cluster = others[int(self._rng.integers(len(others)))]
-            self._dwell_left = self._sample_dwell(stage)
-            self._deviation = _NO_DEVIATION
-
-    def _sample_demand(self, cluster, stage: StageSpec) -> ResourceVector:
         # Plain float arithmetic in numpy's operation order: the demand
         # stream stays bit-identical to the vectorized formula
         # ``clip(clip(mean·f) + ρ·dev + (n·(std·f))·√(1-ρ²) + bursts, 0, 100)``.
@@ -283,19 +251,50 @@ class GameSession:
         v2 = _AR_RHO * v2 + (n2 * s2) * _NOISE_SCALE
         v3 = _AR_RHO * v3 + (n3 * s3) * _NOISE_SCALE
         self._deviation = (v0, v1, v2, v3)
-        demand = [m0 + v0, m1 + v1, m2 + v2, m3 + v3]
-
-        if stage.kind is StageKind.EXECUTION:
+        d0, d1, d2, d3 = m0 + v0, m1 + v1, m2 + v2, m3 + v3
+        if not loading:
             burst = self.player.maybe_burst(self._rng)
             if burst is not None:
                 self._bursts.append(burst)
             if self._bursts:
                 for b in self._bursts:
-                    demand = [x + e for x, e in zip(demand, b.extra.values)]
-                self._bursts = [b.tick() for b in self._bursts]
-                self._bursts = [b for b in self._bursts if b.active]
+                    e0, e1, e2, e3 = b.extra.values
+                    d0, d1, d2, d3 = d0 + e0, d1 + e1, d2 + e2, d3 + e3
+                self._bursts = [b for b in map(BurstEvent.tick, self._bursts) if b.active]
+        d0 = 100.0 if d0 > 100.0 else 0.0 if d0 < 0.0 else d0
+        demand = _wrap((d0, 100.0 if d1 > 100.0 else 0.0 if d1 < 0.0 else d1,
+                        100.0 if d2 > 100.0 else 0.0 if d2 < 0.0 else d2,
+                        100.0 if d3 > 100.0 else 0.0 if d3 < 0.0 else d3))
+        self._elapsed = elapsed = self._elapsed + 1
 
-        return _clipped_percent(demand)
+        if loading:
+            # Loading advances at the CPU-supply rate: starving it is the
+            # regulator's time-stealing lever.
+            rate = 1.0 if d0 <= 1e-9 else min(1.0, allocation.cpu / d0)
+            progress = self._stage_progress + rate
+        else:
+            progress = self._stage_progress + 1.0
+            if len(stage.clusters) > 1:
+                self._dwell_left -= 1.0
+                if self._dwell_left <= 0:
+                    others = [c for c in stage.clusters if c != self._active_cluster]
+                    self._active_cluster = others[int(self._rng.integers(len(others)))]
+                    self._dwell_left = self._sample_dwell(stage)
+                    self._deviation = _NO_DEVIATION
+        self._stage_progress = progress
+
+        stage_completed = progress >= inst.duration - 1e-9
+        if stage_completed:
+            self.history.append((stage.name, self._stage_start, elapsed))
+            self._stage_idx = idx = idx + 1
+            if idx < len(stages):
+                self._enter_stage()
+
+        return SessionTick(
+            elapsed, demand, stage.name, stage.kind, stage.stage_type,
+            cluster.name, cluster.nominal_fps, self.spec.frame_lock,
+            stage_completed, idx >= len(stages),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = "finished" if self.finished else self.current_stage.name

@@ -14,10 +14,10 @@ the only object the schedulers mutate.  It adds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from repro.platform_.resources import ResourceVector, _wrap
-from repro.platform_.server import CapacityError, Placement, Server
+from repro.platform_.resources import Floats4, ResourceVector, _wrap
+from repro.platform_.server import CapacityError, Placement, Server, Totals
 from repro.util.validation import check_fraction
 
 __all__ = ["AllocationError", "AllocationEvent", "Allocator"]
@@ -61,11 +61,14 @@ class Allocator:
         """Capacity × cap, as seen by a session on ``gpu_index``."""
         return self.server.capacity_vector(gpu_index) * self.utilization_cap
 
-    def _budget(self, gpu_index: int, held: Optional[ResourceVector] = None) -> List[float]:
-        """``(capacity × cap − used).clip(0)`` in floats, then ``(… + held).clip(0)``."""
-        cap, free = self.utilization_cap, self.server.available(gpu_index).values
-        out = [max(c * cap - (c - a), 0.0)
-               for c, a in zip(self.server.capacity_vector(gpu_index).values, free)]
+    def _budget(self, gpu_index: int, held: Optional[ResourceVector] = None,
+                totals: Optional[Totals] = None) -> List[float]:
+        """``(capacity × cap − used).clip(0)`` in floats, then ``(… + held).clip(0)``;
+        ``used`` is ``c − (c − total)`` over the server's current ``totals``."""
+        cpu, ram, devices = self.server._totals() if totals is None else totals
+        cap = self.utilization_cap
+        out = [max(c * cap - (c - (c - t)), 0.0) for c, t in zip(
+            self.server.capacity_vector(gpu_index).values, (cpu, *devices[gpu_index], ram))]
         return out if held is None else [max(x + h, 0.0) for x, h in zip(out, held.values)]
 
     def capped_available(self, gpu_index: int) -> ResourceVector:
@@ -136,15 +139,25 @@ class Allocator:
 
         Returns the allocation actually granted.  This is what the
         regulator uses when it *shrinks* a session to resolve a spike —
-        shrinking must never fail.
+        shrinking must never fail.  The one-grant :meth:`retune_all_clamped`.
         """
-        placement = self._placement(session_id)
-        budget = self._budget(placement.gpu_index, placement.allocation)
-        granted = _wrap(tuple([max(a if a < b else b, 0.0)
-                               for a, b in zip(allocation.values, budget)]))
-        self.server.set_allocation(session_id, granted)
-        self._audit(time, "retune", placement, granted)
-        return granted
+        self.retune_all_clamped([(session_id, allocation.values)], time=time)
+        return self._placement(session_id).allocation
+
+    def retune_all_clamped(self, grants: Iterable[Tuple[str, Floats4]], *,
+                           time: float = 0.0) -> None:
+        """Clamp and apply ``(session_id, ceiling)`` grants in order.  Each
+        grant's budget reads the totals the previous grant's capacity
+        check summed; a refused grant raises ``CapacityError`` rolled
+        back, with the earlier grants kept."""
+        totals = self.server._totals()
+        for session_id, ceiling in grants:
+            placement = self._placement(session_id)
+            budget = self._budget(placement.gpu_index, placement.allocation, totals)
+            granted = _wrap(tuple([max(a if a < b else b, 0.0)
+                                   for a, b in zip(ceiling, budget)]))
+            totals = self.server.set_allocation(session_id, granted)
+            self._audit(time, "retune", placement, granted)
 
     def release(self, session_id: str, *, time: float = 0.0) -> None:
         """Remove a session and free its reservation."""

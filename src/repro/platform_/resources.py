@@ -64,11 +64,6 @@ def _wrap(values: Floats4) -> "ResourceVector":
     return out
 
 
-def _clipped_percent(values: Iterable[float]) -> "ResourceVector":
-    """``from_array(values).clip(0.0, 100.0)`` for 4 plain floats, one wrap."""
-    return _wrap(tuple([100.0 if x > 100.0 else 0.0 if x < 0.0 else x for x in values]))
-
-
 def _close(x: float, y: float) -> bool:
     """``np.isclose(x, y)`` with numpy's default tolerances."""
     return (abs(x - y) <= _ATOL + _RTOL * abs(y) and math.isfinite(y)) or x == y

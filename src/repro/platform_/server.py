@@ -21,6 +21,9 @@ from repro.util.validation import check_positive
 
 __all__ = ["GPUDevice", "Placement", "Server", "CapacityError"]
 
+#: Summed ceilings: cpu, ram, and ``[gpu, gpu_mem]`` per device.
+Totals = Tuple[float, float, List[List[float]]]
+
 
 class CapacityError(ValueError):
     """Raised when an operation would exceed server capacity."""
@@ -132,7 +135,7 @@ class Server:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def _totals(self) -> Tuple[float, float, List[List[float]]]:
+    def _totals(self) -> Totals:
         """Summed cpu and ram ceilings, and ``[gpu, gpu_mem]`` per device:
         one pass in placement order from 0, equal to ``sum()`` bit for bit."""
         cpu = ram = 0
@@ -209,25 +212,28 @@ class Server:
         self._placements[session_id] = placement
         return placement
 
-    def set_allocation(self, session_id: str, allocation: ResourceVector) -> None:
+    def set_allocation(self, session_id: str, allocation: ResourceVector) -> Totals:
         """Retune a hosted session's ceiling (cgroup update).
 
-        The new allocation must keep the server within capacity.
+        The new allocation must keep the server within capacity.  Returns
+        the :meth:`_totals` that check summed.
         """
         placement = self._require(session_id)
         if not allocation.is_nonnegative():
             raise ValueError(f"allocation must be non-negative, got {allocation}")
         old = placement.allocation
         placement.allocation = allocation
-        if self._overcommitted():
+        totals = self._totals()
+        if self._overcommitted(totals):
             placement.allocation = old
             raise CapacityError(
                 f"allocation {allocation} for {session_id!r} exceeds capacity"
             )
+        return totals
 
-    def _overcommitted(self) -> bool:
-        """Whether the placed ceilings exceed the host or any device."""
-        cpu, ram, devices = self._totals()
+    def _overcommitted(self, totals: Totals) -> bool:
+        """Whether ceilings summing to ``totals`` exceed the host or any device."""
+        cpu, ram, devices = totals
         if cpu > self.cpu_capacity + 1e-9 or ram > self.ram_capacity + 1e-9:
             return True
         return any(

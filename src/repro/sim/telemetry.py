@@ -19,12 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.platform_.resources import (
-    DIMENSIONS,
-    N_DIMS,
-    ResourceVector,
-    _clipped_percent,
-)
+from repro.platform_.resources import DIMENSIONS, N_DIMS, ResourceVector, _wrap
 from repro.util.rng import Seed, as_rng
 from repro.util.timeseries import ResourceSeries
 from repro.util.validation import check_fraction, check_nonnegative
@@ -255,24 +250,30 @@ class TelemetryRecorder:
         cols.times.append(int(time))
         cols.demand.extend(d)
         cols.allocation.extend(a)
-        if self.noise_std > 0:
+        # ``demand.minimum(allocation)``: on a tie numpy keeps the allocation.
+        (d0, d1, d2, d3), (a0, a1, a2, a3) = d, a
+        u0, u1, u2, u3 = (d0 if d0 < a0 else a0, d1 if d1 < a1 else a1,
+                          d2 if d2 < a2 else a2, d3 if d3 < a3 else a3)
+        noisy = self.noise_std > 0
+        if noisy:
             # ``normal(scale=noise_std, size=4)`` per sample, bit for bit:
             # numpy forms each draw as ``0.0 + noise_std * z``.
             i = self._noise_at
-            if i == len(self._noise):
+            noise = self._noise
+            if i == len(noise):
                 z = self._rng.standard_normal(_NOISE_BLOCK)
-                self._noise = (0.0 + self.noise_std * z).tolist()
+                self._noise = noise = (0.0 + self.noise_std * z).tolist()
                 i = 0
             self._noise_at = i + N_DIMS
-            noise = self._noise[i:i + N_DIMS]
-            # ``(demand.minimum(allocation) + noise).clip(0, 100)``.
-            observed = _clipped_percent([
-                (x if x < y else y) + n for x, y, n in zip(d, a, noise)
-            ])
-            row = observed.values
-        else:
-            observed = demand.minimum(allocation)
-            row = observed.clip(0.0, 100.0).values
+            u0, u1, u2, u3 = (u0 + noise[i], u1 + noise[i + 1],
+                              u2 + noise[i + 2], u3 + noise[i + 3])
+        # ``.clip(0, 100)``; with noise the observation is the clipped
+        # sum, without it the unclipped minimum.
+        row = (100.0 if u0 > 100.0 else 0.0 if u0 < 0.0 else u0,
+               100.0 if u1 > 100.0 else 0.0 if u1 < 0.0 else u1,
+               100.0 if u2 > 100.0 else 0.0 if u2 < 0.0 else u2,
+               100.0 if u3 > 100.0 else 0.0 if u3 < 0.0 else u3)
+        observed = _wrap(row if noisy else (u0, u1, u2, u3))
         # Perturbations work on arrays; most samples meet none of them.
         perturbed: Optional[np.ndarray] = None
         valid = True

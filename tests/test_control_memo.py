@@ -24,8 +24,8 @@ from repro.core.predictor import PredictorBackendError, StagePredictor
 from repro.core.stages import Segment, StageTypeId
 from repro.games.category import GameCategory
 from repro.platform_.allocator import AllocationError, Allocator
-from repro.platform_.resources import ResourceVector
-from repro.platform_.server import Server
+from repro.platform_.resources import ResourceVector, _wrap
+from repro.platform_.server import CapacityError, Server
 from repro.streaming.encoder import EncoderModel
 
 
@@ -281,3 +281,117 @@ def test_float_budget_matches_the_vector_formula(held, requests, cap):
         want = reference_retune_clamped(allocator, sid, request)
         assert bits(allocator.retune_clamped(sid, request)) == bits(want)
         assert bits(allocator.allocation_of(sid)) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# One allocator pass per control cycle
+# ---------------------------------------------------------------------------
+
+def reference_retune_clamped_call(
+    allocator: Allocator, session_id: str, allocation: ResourceVector,
+    *, time: float = 0.0,
+) -> ResourceVector:
+    """``Allocator.retune_clamped`` as it was before the one-pass grant:
+    the budget from ``Server.available``, then the server's own checks."""
+    server = allocator.server
+    placement = allocator._placement(session_id)
+    gi, cap = placement.gpu_index, allocator.utilization_cap
+    free = server.available(gi).values
+    out = [max(c * cap - (c - a), 0.0)
+           for c, a in zip(server.capacity_vector(gi).values, free)]
+    budget = [max(x + h, 0.0) for x, h in zip(out, placement.allocation.values)]
+    granted = ResourceVector.from_array(
+        [max(a if a < b else b, 0.0) for a, b in zip(allocation.values, budget)])
+    server.set_allocation(session_id, granted)
+    allocator._audit(time, "retune", placement, granted)
+    return granted
+
+
+def _state(allocator: Allocator) -> tuple:
+    """Ceilings, audit trail and summed totals, every float by its bits."""
+    server = allocator.server
+    cpu, ram, devices = server._totals()
+    return (
+        {sid: bits(p.allocation) for sid, p in server.placements.items()},
+        [(e.time, e.action, e.session_id, e.gpu_index, bits(e.allocation))
+         for e in allocator.events],
+        [float(x).hex() for x in (cpu, ram, *(v for dev in devices for v in dev))],
+    )
+
+
+def _twin_allocators(held, cap, shrink):
+    """Two allocators over equal servers holding the same placements;
+    ``shrink`` then lowers GPU 0's core capacity under what it holds."""
+    twins = []
+    for _ in range(2):
+        server = Server("s")
+        allocator = Allocator(server, utilization_cap=cap)
+        for i, (vec, gi) in enumerate(held):
+            # Placed on the server directly, so the cap can be
+            # oversubscribed and some budgets clip to zero.
+            vec = vec * 0.3
+            if server.fits(vec, gi):
+                server.place(f"s{i}", gi, vec)
+        if shrink is not None:
+            server.gpus[0].gpu_capacity = shrink
+        twins.append(allocator)
+    return twins
+
+
+def _apply(run, cycle):
+    """``None`` once ``run(cycle)`` returns, or the ``CapacityError`` it raised."""
+    try:
+        run(cycle)
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    held=st.lists(st.tuples(_vector, st.integers(0, 1)), min_size=1, max_size=5),
+    cycles=st.lists(
+        st.lists(st.tuples(st.integers(0, 4), _vector), min_size=1, max_size=6),
+        min_size=1, max_size=4),
+    cap=st.sampled_from([0.5, 0.9, 0.95]),
+    shrink=st.one_of(st.none(), st.floats(1.0, 60.0)),
+)
+def test_one_pass_grant_equals_sequential_retune_clamped(held, cycles, cap, shrink):
+    """Each cycle's one-pass grant leaves what sequential calls of the old
+    ``retune_clamped`` leave: bit-identical ceilings and totals, equal
+    audit events in equal order, and the same refusal on an overcommit."""
+    fast, slow = _twin_allocators(held, cap, shrink)
+    sids = list(fast.server.placements)
+    if not sids:
+        return
+    for t, cycle in enumerate(cycles):
+        grants = [(sids[k % len(sids)], vec.values) for k, vec in cycle]
+
+        def sequential(grants, t=t):
+            for sid, vec in grants:
+                reference_retune_clamped_call(slow, sid, _wrap(vec), time=t)
+
+        got = _apply(lambda g: fast.retune_all_clamped(g, time=t), grants)
+        assert got == _apply(sequential, grants)
+        assert _state(fast) == _state(slow)
+
+
+def test_one_pass_grant_rolls_back_an_overcommitted_grant():
+    server = Server("s")
+    allocator = Allocator(server)
+    allocator.place("a", ResourceVector(cpu=10, gpu=40), gpu_index=0)
+    allocator.place("b", ResourceVector(cpu=10, gpu=40), gpu_index=0)
+    server.gpus[0].gpu_capacity = 50.0  # the device now holds 80 of 50
+    before = _state(allocator)
+    with pytest.raises(CapacityError):
+        allocator.retune_all_clamped(
+            [("a", (10.0, 15.0, 0.0, 0.0)), ("b", (10.0, 5.0, 0.0, 0.0))])
+    assert _state(allocator) == before  # "a" rolled back, "b" never reached
+    # A shrink that clears the overcommit lands, and the next grant's
+    # budget reads the totals it left: 50 × 0.95 − 45 + 40 held.
+    allocator.retune_all_clamped(
+        [("a", (10.0, 5.0, 0.0, 0.0)), ("b", (10.0, 45.0, 0.0, 0.0))], time=7.0)
+    assert _state(allocator)[0] == {"a": bits(ResourceVector(cpu=10, gpu=5)),
+                                    "b": bits(ResourceVector(cpu=10, gpu=42.5))}
+    assert [(e.time, e.session_id) for e in allocator.events[-2:]] == [
+        (7.0, "a"), (7.0, "b")]

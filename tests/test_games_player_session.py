@@ -1,6 +1,7 @@
 """Tests for the player model and the runtime game session."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -230,3 +231,61 @@ def test_demand_streams_are_pinned(catalog, platform):
     for name in sorted(catalog):
         digest = demand_stream_digest(catalog[name], platform)
         assert digest == DEMAND_STREAM_SHA256[(name, platform.name)], name
+
+
+def tick_stream_digest(spec, platform, seconds=600):
+    """sha256 over every field of ``seconds`` of :class:`SessionTick` s.
+
+    The same back-to-back replay as :func:`demand_stream_digest`; after
+    each session its ``history`` and the final state of its generator
+    are hashed too, so a reordered or extra draw shows even when it
+    leaves the demand floats alone.
+    """
+    throttled = ResourceVector(cpu=15.0, gpu=100.0, gpu_mem=100.0, ram=100.0)
+    h = hashlib.sha256()
+    t = 0
+    run = 0
+    while t < seconds:
+        session = GameSession(
+            spec, seed=run, platform=platform, session_id=f"{spec.name}#{run}"
+        )
+        run += 1
+        while not session.finished and t < seconds:
+            tick = session.advance(throttled if t % 3 == 0 else FULL)
+            h.update(struct.pack("<4d", *tick.demand.values))
+            lock = None if tick.frame_lock is None else float(tick.frame_lock).hex()
+            h.update(repr((
+                tick.time, tick.stage_name, tick.stage_kind.name,
+                sorted(tick.stage_type), tick.cluster,
+                float(tick.nominal_fps).hex(), lock,
+                tick.stage_completed, tick.finished,
+            )).encode())
+            t += 1
+        h.update(repr((session.elapsed, session.history)).encode())
+        h.update(repr(session._rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+#: sha256 of 600 s of full tick records per (game, platform), captured
+#: before ``GameSession.advance`` absorbed its demand and dwell helpers.
+TICK_STREAM_SHA256 = {
+    ('contra', 'i7-7700+gtx2080'): "ac66342e92e0a5a861e01891f311be03dd36753babbf3eaaac4517a17c93ce47",
+    ('csgo', 'i7-7700+gtx2080'): "3921e3185685f545744a1c9febad4ae014e4bf1162f5fd99c2aa6a0b4772c912",
+    ('devil_may_cry', 'i7-7700+gtx2080'): "f7f1d0a90249cdd4989ef4d1e124442608d9e2ec64c1b290a4d60352d9562b1b",
+    ('dota2', 'i7-7700+gtx2080'): "e43996196c8d32a55108db2cce770b7d31161781f71596df886f1630d3b7e7eb",
+    ('genshin', 'i7-7700+gtx2080'): "d6949a288602f2ef108fae4808644878731904b50bcee2e70a2f22bde7620157",
+    ('contra', 'weak-gpu'): "6e0dbc176ee2fb9a9df1c41bae73cbf9bbbcccb7c2d9fd7f7e9899a730ee8d6d",
+    ('csgo', 'weak-gpu'): "281cf53c119e6ff25e45f11655ce204e647f04649c2e83a36af94010541c1132",
+    ('devil_may_cry', 'weak-gpu'): "af157e2937794c55332f3d061268dc7b255d7747d97dfb441b0558ea21a5f709",
+    ('dota2', 'weak-gpu'): "49b3f1a80246fcc7a6b799aea5da1958e2654af3fe4b67fdb5cff2017c3f1db4",
+    ('genshin', 'weak-gpu'): "c7961c185fe388f11bc73d5e24e0b83d40bf85b1df8b1d9ec6a4a6ec5b7b2596",
+}
+
+
+@pytest.mark.parametrize(
+    "platform", [REFERENCE_PLATFORM, WEAK_GPU_PLATFORM], ids=lambda p: p.name
+)
+def test_tick_streams_are_pinned(catalog, platform):
+    for name in sorted(catalog):
+        digest = tick_stream_digest(catalog[name], platform)
+        assert digest == TICK_STREAM_SHA256[(name, platform.name)], name

@@ -45,9 +45,33 @@ HOOKED = frozenset(
     + [node_cls for node_cls, _ in SUMMARY_HOOKS])
 
 
+#: A line end as ``ast`` counts lines, and a lone ``\r`` among them.
+LINE_END_RE = re.compile(r"\r\n?|\n")
+LONE_CR_RE = re.compile(r"\r(?!\n)")
+
+
+def _tree(source: str) -> str | None:
+    """The AST with every position, or ``None`` when it does not parse."""
+    try:
+        return ast.dump(ast.parse(source), include_attributes=True)
+    except SyntaxError:
+        return None
+
+
 def reference_parse_suppressions(source: str) -> Suppressions:
     """The tokenize-based parser, as the linter shipped it before, with
-    its table keyed by the parser's line numbers."""
+    its table keyed by the parser's line numbers.
+
+    Tokenize splits rows at ``"\n"`` only, so in a file with lone-CR
+    line ends a comment token runs on over the lines after it.  Such a
+    file is judged on its copy with every line end written as ``"\n"``:
+    ``ast`` numbers ``"\r"``, ``"\r\n"`` and ``"\n"`` lines alike, and
+    the copy's tree, positions included, is checked to be the same.
+    """
+    if LONE_CR_RE.search(source):
+        rewritten = LINE_END_RE.sub("\n", source)
+        assert _tree(rewritten) == _tree(source), "a line end moved the tree"
+        return reference_parse_suppressions(rewritten)
     table = Suppressions()
     if _PRAGMA_RE.search(source) is None:
         return table
@@ -60,7 +84,7 @@ def reference_parse_suppressions(source: str) -> Suppressions:
     # splitlines() of the original also split at form feeds, so a row
     # after one read the wrong text.)
     rows = [0, *accumulate(len(row) + 1 for row in source.split("\n"))]
-    lines = [0, *(m.end() for m in re.finditer(r"\r\n?|\n", source))]
+    lines = [0, *(m.end() for m in LINE_END_RE.finditer(source))]
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
@@ -153,6 +177,9 @@ CASES = {
                                {2: {"CG001"}}, set()),
     "standalone_after_lone_cr": ("x = 1\r# lint: disable=CG002\rz = 3\n",
                                  {}, {"CG002"}),
+    "all_lone_cr": ("x = 1  # lint: disable=CG001\r# lint: disable=CG002\r"
+                    'y = "#"  # lint: disable=CG003\r',
+                    {1: {"CG001"}, 3: {"CG003"}}, {"CG002"}),
     "second_hash_in_comment": ("x = 1  # note # lint: disable=CG001\n",
                                {1: {"CG001"}}, set()),
     "trailing": ("x = 1  # lint: disable=CG001, CG002\n",
@@ -212,7 +239,7 @@ RULE_LISTS = ["", "=CG001", "=CG001,CG002", "= CG007 ", "=CG199"]
         st.tuples(st.sampled_from(TEMPLATES), st.sampled_from(RULE_LISTS),
                   st.booleans()),
         min_size=1, max_size=8),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
 )
 def test_generated_sources_match_the_reference(statements, newline):
     source = "".join(

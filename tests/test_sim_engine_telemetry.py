@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.sim.engine import SimulationEngine
-from repro.sim.telemetry import TelemetryPerturbation, TelemetryRecorder
+from repro.sim.telemetry import (_DROPPED_ROW, _NOISE_BLOCK, TelemetryPerturbation,
+                                 TelemetryRecorder)
 
 
 def rv(cpu=0, gpu=0, gpu_mem=0, ram=0):
@@ -310,3 +311,106 @@ def test_block_drawn_noise_matches_per_record_draws(noise_std, perturbed):
         assert rec.observed_series(sid).values.tobytes() == rows.tobytes()
     if perturbed:
         assert 0 < rec.dropped_samples < 300
+
+
+def _clipped_percent(values):
+    """The deleted ``resources._clipped_percent``: 4 floats clipped to [0, 100]."""
+    return ResourceVector.from_array(
+        [100.0 if x > 100.0 else 0.0 if x < 0.0 else x for x in values])
+
+
+class ReferenceRecorder(TelemetryRecorder):
+    """``TelemetryRecorder.record`` as it was before it was unrolled over
+    the four dimensions: a vector minimum, a noise slice and a clip."""
+
+    def record(self, time, session_id, demand, allocation):
+        cols = self._columns[session_id]
+        d, a = demand.values, allocation.values
+        cols.times.append(int(time))
+        cols.demand.extend(d)
+        cols.allocation.extend(a)
+        if self.noise_std > 0:
+            i = self._noise_at
+            if i == len(self._noise):
+                z = self._rng.standard_normal(_NOISE_BLOCK)
+                self._noise = (0.0 + self.noise_std * z).tolist()
+                i = 0
+            self._noise_at = i + N_DIMS
+            noise = self._noise[i:i + N_DIMS]
+            observed = _clipped_percent([
+                (x if x < y else y) + n for x, y, n in zip(d, a, noise)
+            ])
+            row = observed.values
+        else:
+            observed = demand.minimum(allocation)
+            row = observed.clip(0.0, 100.0).values
+        perturbed = None
+        valid = True
+        for pert in self._perturbations:
+            if not pert.applies(time, session_id):
+                continue
+            perturbed = pert.apply(observed.array if perturbed is None else perturbed)
+            if perturbed is None:
+                valid = False
+                break
+        if not valid:
+            self.dropped_samples += 1
+            row = _DROPPED_ROW
+        elif perturbed is not None:
+            row = np.clip(perturbed, 0.0, 100.0).tolist()
+        cols.observed.extend(row)
+        cols.valid.append(valid)
+        return observed
+
+
+#: A recorded component: signed zeros, the 0/100 edges and beyond 100.
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 100.0, 130.0]),
+    st.floats(0.0, 120.0, allow_nan=False),
+)
+_sample = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.lists(_component, min_size=4, max_size=4),
+    st.lists(_component, min_size=4, max_size=4),
+)
+#: Fresh perturbations by name; every window covers times 0..79.
+_PERTURBATIONS = {
+    "dropout": lambda: TelemetryPerturbation(
+        kind="dropout", start=0, end=80, rate=0.3, session="a", seed=3),
+    "noise": lambda: TelemetryPerturbation(
+        kind="noise", start=5, end=80, std=2.0, seed=4),
+    "spike": lambda: TelemetryPerturbation(
+        kind="noise", start=0, end=60, spike_prob=0.5, session="b", seed=5),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(_sample, min_size=1, max_size=80),
+    noise_std=st.sampled_from([0.0, 0.8, 40.0]),
+    installed=st.lists(st.sampled_from(sorted(_PERTURBATIONS)), unique=True),
+)
+def test_unrolled_record_matches_the_reference(samples, noise_std, installed):
+    """Stored columns and returned observations equal the pre-unrolling
+    ``record`` bit for bit, noise draws and perturbations included."""
+    recorders = []
+    for cls in (TelemetryRecorder, ReferenceRecorder):
+        rec = cls(noise_std=noise_std, seed=9)
+        for name in installed:
+            rec.add_perturbation(_PERTURBATIONS[name]())
+        recorders.append(rec)
+    fast, slow = recorders
+    for t, (sid, demand, allocation) in enumerate(samples):
+        d = ResourceVector.from_array(demand)
+        a = ResourceVector.from_array(allocation)
+        got, want = fast.record(t, sid, d, a), slow.record(t, sid, d, a)
+        assert got.array.tobytes() == want.array.tobytes()
+    assert fast.session_ids == slow.session_ids
+    for sid in slow.session_ids:
+        f, s = fast._columns[sid], slow._columns[sid]
+        for column in ("times", "demand", "allocation", "observed"):
+            assert getattr(f, column).tobytes() == getattr(s, column).tobytes()
+        assert f.valid == s.valid
+    assert fast.dropped_samples == slow.dropped_samples
+    assert ([p.hits for p in fast._perturbations]
+            == [p.hits for p in slow._perturbations])
