@@ -59,14 +59,17 @@ __all__ = [
 _AdmissionPlans = Tuple[str, ResourceVector, ResourceVector, ResourceVector]
 
 
-def _total(rows: Iterable[Floats4]) -> List[float]:
-    """Sum of a non-empty sequence of float 4-tuples, added in order (the
-    ``np.sum(rows, axis=0)`` order, so totals stay bit-identical)."""
-    it = iter(rows)
-    total = list(next(it))
-    for row in it:
-        total = [t + x for t, x in zip(total, row)]
-    return total
+def _total(rows: Iterable[Floats4]) -> Floats4:
+    """Sum of float 4-tuples, added in order (the ``np.sum(rows, axis=0)``
+    order, so totals stay bit-identical).  The sum starts from ``-0.0``,
+    which every float plus ``-0.0`` leaves unchanged: the first row."""
+    c = g = m = r = -0.0
+    for c1, g1, m1, r1 in rows:
+        c += c1
+        g += g1
+        m += m1
+        r += r1
+    return c, g, m, r
 
 
 @dataclass(frozen=True)
@@ -568,59 +571,52 @@ class CoCGScheduler:
             else:
                 self._control_degraded(ctl, window)
                 return
-        judgment = ctl.predictor.judge(
-            window, ctl.believed if ctl.phase == "execution" else None
+        if ctl.phase != "execution":
+            self._control_loading(ctl, ctl.predictor.judge(window, None), interval)
+            return
+        # Saturation guard: telemetry shows *usage*, which is clipped at
+        # the granted ceiling.  A window pinned against the grant no
+        # longer resembles the stage's true clusters — reinterpreting it
+        # would "discover" a cheaper stage, shrink the grant, and spiral.
+        # A pinned window means demand ≥ grant, not a stage change.  The
+        # one trustworthy signal while pinned is a *voluntary* GPU drop
+        # far below the grant: that is a real loading screen.  Only that
+        # test reads a pinned window's judgment, so only it computes one.
+        try:
+            granted = self.allocator.allocation_of(ctl.session.session_id).values
+        except KeyError:  # pragma: no cover - defensive
+            granted = ctl.desired.values
+        # "Pinned" must mean *clipped at the ceiling*, not merely high:
+        # q95-planned ceilings put healthy usage at 0.85–0.95 of the
+        # grant.  A 5-second usage mean within noise of the grant itself
+        # only happens when demand exceeds it every second.
+        usage = window.tolist()
+        for g, w in zip(granted, usage):
+            if g > 1.0 and w >= g - max(0.8, 0.015 * g):
+                break
+        else:  # unpinned: the frame is judged as observed
+            self._control_execution(ctl, ctl.predictor.judge(window, ctl.believed))
+            return
+        gpu_granted = granted[1]
+        if gpu_granted > 1.0 and usage[1] < 0.7 * gpu_granted:
+            judgment = ctl.predictor.judge(window, ctl.believed)
+            if judgment.kind is JudgmentKind.LOADING:  # voluntary GPU drop
+                self._control_execution(ctl, judgment)
+                return
+        # Starved: probe the ceiling upward (geometrically, capped at the
+        # whole-game peak) until usage unpins — only then can the frame
+        # be judged faithfully.
+        # desired.maximum((desired × 1.3 + 2).minimum(target))
+        target = ctl.planner.peak_plan()
+        probe = []
+        for d, t in zip(ctl.desired.values, target.values):
+            p = d * 1.3 + 2.0
+            p = p if p < t else t
+            probe.append(d if d > p else p)
+        ctl.desired = _wrap(tuple(probe))
+        self._log(
+            ctl.session.session_id, "probe", f"ceiling raised toward {target!r}"
         )
-        if ctl.phase == "execution":
-            # Saturation guard: telemetry shows *usage*, which is clipped
-            # at the granted ceiling.  A window pinned against the grant
-            # no longer resembles the stage's true clusters —
-            # reinterpreting it would "discover" a cheaper stage, shrink
-            # the grant, and spiral.  A pinned window means demand ≥
-            # grant, not a stage change.  The one trustworthy signal
-            # while pinned is a *voluntary* GPU drop far below the grant:
-            # that is a real loading screen.
-            try:
-                granted = self.allocator.allocation_of(
-                    ctl.session.session_id
-                ).values
-            except KeyError:  # pragma: no cover - defensive
-                granted = ctl.desired.values
-            # "Pinned" must mean *clipped at the ceiling*, not merely high:
-            # q95-planned ceilings put healthy usage at 0.85–0.95 of the
-            # grant.  A 5-second usage mean within noise of the grant
-            # itself only happens when demand exceeds it every second.
-            usage = window.tolist()
-            pinned = any(
-                g > 1.0 and w >= g - max(0.8, 0.015 * g)
-                for g, w in zip(granted, usage)
-            )
-            if pinned:
-                gpu_granted = granted[1]
-                voluntary_gpu_drop = (
-                    judgment.kind is JudgmentKind.LOADING
-                    and gpu_granted > 1.0
-                    and usage[1] < 0.7 * gpu_granted
-                )
-                if not voluntary_gpu_drop:
-                    # Starved: probe the ceiling upward (geometrically,
-                    # capped at the whole-game peak) until usage unpins —
-                    # only then can the frame be judged faithfully.
-                    # desired.maximum((desired × 1.3 + 2).minimum(target))
-                    target = ctl.planner.peak_plan()
-                    desired = ctl.desired.values
-                    probe = [p if p < t else t for p, t in
-                             zip([d * 1.3 + 2.0 for d in desired], target.values)]
-                    ctl.desired = _wrap(tuple([d if d > p else p
-                                               for d, p in zip(desired, probe)]))
-                    self._log(
-                        ctl.session.session_id, "probe",
-                        f"ceiling raised toward {target!r}",
-                    )
-                    return
-            self._control_execution(ctl, judgment)
-        else:
-            self._control_loading(ctl, judgment, interval)
 
     def _control_degraded(self, ctl: SessionControl, window: np.ndarray) -> None:
         """Reactive usage-following for an open-breaker session.
@@ -820,14 +816,17 @@ class CoCGScheduler:
         if any(over):
             # Phase 1: throttle loading sessions on the violated dims.
             steal = self.config.regulator.steal_fraction
+            throttled_any = False
             for sid, ctl in self._sessions.items():
                 if ctl.phase == "loading":
+                    throttled_any = True
                     throttled = ctl.planner.throttled_loading(steal).values
                     desired[sid] = tuple([
                         (d if d < c else c) if o else d
                         for d, c, o in zip(desired[sid], throttled, over)
                     ])
-            total = _total(desired.values())
+            if throttled_any:
+                total = _total(desired.values())
             # Phase 2: proportional scale on still-violated dims.
             factors = [
                 b / (t if t > 1e-9 else 1e-9) if t > b else 1.0
@@ -840,7 +839,9 @@ class CoCGScheduler:
         # fits within its old ceiling (``fits_within``'s 1e-9 slack).
         shrinks, grows = [], []
         for sid, vec in desired.items():
-            old = placements[sid].allocation.values
-            fits = all(v <= o + 1e-9 for v, o in zip(vec, old))
+            v0, v1, v2, v3 = vec
+            o0, o1, o2, o3 = placements[sid].allocation.values
+            fits = (v0 <= o0 + 1e-9 and v1 <= o1 + 1e-9
+                    and v2 <= o2 + 1e-9 and v3 <= o3 + 1e-9)
             (shrinks if fits else grows).append((sid, vec))
         self.allocator.retune_all_clamped(shrinks + grows, time=time)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
@@ -118,9 +119,10 @@ class StageSpec:
         if len(set(self.clusters)) != len(self.clusters):
             raise ValueError(f"stage {self.name!r} repeats a cluster")
 
-    @property
+    @cached_property
     def stage_type(self) -> FrozenSet[str]:
-        """The cluster combination defining this stage's *type*."""
+        """The cluster combination defining this stage's *type* (built
+        once per spec: every simulated session-second reads it)."""
         return frozenset(self.clusters)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.platform_.resources import Floats4, ResourceVector, _wrap
-from repro.platform_.server import CapacityError, Placement, Server, Totals
+from repro.platform_.server import CapacityError, Placement, Server
 from repro.util.validation import check_fraction
 
 __all__ = ["AllocationError", "AllocationEvent", "Allocator"]
@@ -61,11 +61,10 @@ class Allocator:
         """Capacity × cap, as seen by a session on ``gpu_index``."""
         return self.server.capacity_vector(gpu_index) * self.utilization_cap
 
-    def _budget(self, gpu_index: int, held: Optional[ResourceVector] = None,
-                totals: Optional[Totals] = None) -> List[float]:
+    def _budget(self, gpu_index: int, held: Optional[ResourceVector] = None) -> List[float]:
         """``(capacity × cap − used).clip(0)`` in floats, then ``(… + held).clip(0)``;
-        ``used`` is ``c − (c − total)`` over the server's current ``totals``."""
-        cpu, ram, devices = self.server._totals() if totals is None else totals
+        ``used`` is ``c − (c − total)`` over the server's current totals."""
+        cpu, ram, devices = self.server._totals()
         cap = self.utilization_cap
         out = [max(c * cap - (c - (c - t)), 0.0) for c, t in zip(
             self.server.capacity_vector(gpu_index).values, (cpu, *devices[gpu_index], ram))]
@@ -147,16 +146,30 @@ class Allocator:
     def retune_all_clamped(self, grants: Iterable[Tuple[str, Floats4]], *,
                            time: float = 0.0) -> None:
         """Clamp and apply ``(session_id, ceiling)`` grants in order.  Each
-        grant's budget reads the totals the previous grant's capacity
-        check summed; a refused grant raises ``CapacityError`` rolled
-        back, with the earlier grants kept."""
-        totals = self.server._totals()
+        grant's budget (:meth:`_budget`, inline over capacities read once
+        per call) reads the totals the previous grant's capacity check
+        summed; a refused grant raises ``CapacityError`` rolled back, with
+        the earlier grants kept."""
+        server = self.server
+        cap = self.utilization_cap
+        cpu_cap, ram_cap = server.cpu_capacity, server.ram_capacity
+        devices = [(g.gpu_capacity, g.gpu_mem_capacity) for g in server.gpus]
+        totals = server._totals()
         for session_id, ceiling in grants:
             placement = self._placement(session_id)
-            budget = self._budget(placement.gpu_index, placement.allocation, totals)
-            granted = _wrap(tuple([max(a if a < b else b, 0.0)
-                                   for a, b in zip(ceiling, budget)]))
-            totals = self.server.set_allocation(session_id, granted)
+            gi = placement.gpu_index
+            gpu_cap, mem_cap = devices[gi]
+            cpu, ram, used = totals
+            gpu, mem = used[gi]
+            h0, h1, h2, h3 = placement.allocation.values
+            a0, a1, a2, a3 = ceiling
+            b0 = max(max(cpu_cap * cap - (cpu_cap - (cpu_cap - cpu)), 0.0) + h0, 0.0)
+            b1 = max(max(gpu_cap * cap - (gpu_cap - (gpu_cap - gpu)), 0.0) + h1, 0.0)
+            b2 = max(max(mem_cap * cap - (mem_cap - (mem_cap - mem)), 0.0) + h2, 0.0)
+            b3 = max(max(ram_cap * cap - (ram_cap - (ram_cap - ram)), 0.0) + h3, 0.0)
+            granted = _wrap((max(a0 if a0 < b0 else b0, 0.0), max(a1 if a1 < b1 else b1, 0.0),
+                             max(a2 if a2 < b2 else b2, 0.0), max(a3 if a3 < b3 else b3, 0.0)))
+            totals = server.set_allocation(session_id, granted)
             self._audit(time, "retune", placement, granted)
 
     def release(self, session_id: str, *, time: float = 0.0) -> None:

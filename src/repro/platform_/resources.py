@@ -271,7 +271,8 @@ class ResourceVector:
 
     def is_nonnegative(self) -> bool:
         """True when no component is negative."""
-        return all(x >= -1e-9 for x in self._v)
+        a0, a1, a2, a3 = self._v
+        return a0 >= -1e-9 and a1 >= -1e-9 and a2 >= -1e-9 and a3 >= -1e-9
 
     def max_component(self) -> float:
         """Largest component (the binding dimension under uniform caps)."""

@@ -236,10 +236,10 @@ class Server:
         cpu, ram, devices = totals
         if cpu > self.cpu_capacity + 1e-9 or ram > self.ram_capacity + 1e-9:
             return True
-        return any(
-            dev_gpu > g.gpu_capacity + 1e-9 or dev_mem > g.gpu_mem_capacity + 1e-9
-            for g, (dev_gpu, dev_mem) in zip(self.gpus, devices)
-        )
+        for g, (dev_gpu, dev_mem) in zip(self.gpus, devices):
+            if dev_gpu > g.gpu_capacity + 1e-9 or dev_mem > g.gpu_mem_capacity + 1e-9:
+                return True
+        return False
 
     def remove(self, session_id: str) -> Placement:
         """Release a session's reservation."""

@@ -9,8 +9,10 @@ output of the code before the planner, predictor and budget arithmetic
 were memoized and moved to plain floats; a changed ``detail`` string, a
 reordered retune or a grant that differs in its last bit moves an entry.
 
-Two runs are covered: the faulted, gateway-off fleet of
-``test_substrate_guard`` and the same fleet with the gateway on.
+Three runs are covered: the faulted, gateway-off fleet of
+``test_substrate_guard``, the same fleet with the gateway on, and the
+seed-11 ``launch-day`` corpus scenario (three saturated nodes, gateway
+on), whose flash crowd keeps most control visits on the probe path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import hashlib
 from typing import Dict
 
 from repro.faults.plan import FaultPlan
+from repro.games.catalog import build_catalog
+from repro.trace.corpus import ScenarioArrivals, get_scenario
 from repro.trace.harness import build_experiment, build_profiles
 
 from tests.test_substrate_guard import CONFIG
@@ -63,13 +67,30 @@ def control_experiment(*, gateway: bool):
     return build_experiment(config, build_profiles(config), plan=plan)
 
 
+def launch_day_experiment():
+    """The fault-free ``launch-day`` corpus scenario as ``cocg corpus
+    generate`` builds it, not yet run."""
+    scenario = get_scenario("launch-day")
+    config = scenario.config
+    catalog = build_catalog()
+    arrivals = ScenarioArrivals(scenario, [catalog[g] for g in config.games])
+    return build_experiment(
+        config, build_profiles(config, catalog), arrivals=arrivals
+    )
+
+
+def experiment_tables(experiment) -> Dict[str, Dict[str, object]]:
+    """The control-plane table of every node of a finished run."""
+    return {
+        node.node_id: _node_table(node) for node in experiment.cluster.nodes
+    }
+
+
 def control_tables(*, gateway: bool) -> Dict[str, Dict[str, object]]:
     """The control-plane table of every node of the fixed fleet."""
     experiment = control_experiment(gateway=gateway)
     experiment.run()
-    return {
-        node.node_id: _node_table(node) for node in experiment.cluster.nodes
-    }
+    return experiment_tables(experiment)
 
 
 PINNED_FAULTED: Dict[str, Dict[str, object]] = {
@@ -102,6 +123,27 @@ PINNED_GATEWAY: Dict[str, Dict[str, object]] = {
     },
 }
 
+PINNED_LAUNCH_DAY: Dict[str, Dict[str, object]] = {
+    "node-0": {
+        "decisions": "4b5dae7046ab9ec0",
+        "allocator": "fe26121ffffb04b6",
+        "admissions": 18,
+        "rejections": 35,
+    },
+    "node-1": {
+        "decisions": "11647e4e427595bb",
+        "allocator": "8eaedc0bb8842da7",
+        "admissions": 16,
+        "rejections": 54,
+    },
+    "node-2": {
+        "decisions": "f64267cc08589a80",
+        "allocator": "22a8762bf5687826",
+        "admissions": 18,
+        "rejections": 77,
+    },
+}
+
 
 def test_faulted_fleet_control_plane_is_pinned():
     assert control_tables(gateway=False) == PINNED_FAULTED
@@ -109,3 +151,9 @@ def test_faulted_fleet_control_plane_is_pinned():
 
 def test_gateway_fleet_control_plane_is_pinned():
     assert control_tables(gateway=True) == PINNED_GATEWAY
+
+
+def test_launch_day_control_plane_is_pinned():
+    experiment = launch_day_experiment()
+    experiment.run()
+    assert experiment_tables(experiment) == PINNED_LAUNCH_DAY

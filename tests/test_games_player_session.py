@@ -9,7 +9,7 @@ import pytest
 from repro.games.category import GameCategory
 from repro.games.player import PlayerModel
 from repro.games.session import GameSession
-from repro.games.spec import StageKind
+from repro.games.spec import ClusterSpec, GameSpec, ScriptSpec, StageKind, StageSpec
 from repro.platform_.profile import (
     BIG_SERVER_PLATFORM,
     REFERENCE_PLATFORM,
@@ -289,3 +289,50 @@ def test_tick_streams_are_pinned(catalog, platform):
     for name in sorted(catalog):
         digest = tick_stream_digest(catalog[name], platform)
         assert digest == TICK_STREAM_SHA256[(name, platform.name)], name
+
+
+def _triad_spec():
+    """One short loading stage, then a long execution stage over three
+    clusters with short dwells: every cluster switch draws the next
+    cluster from two others (``integers(2)``), which advances the
+    generator, so the switch's draw order shows in the stream.  No
+    catalog stage has more than two clusters."""
+    def cluster(name, cpu, gpu):
+        return ClusterSpec(
+            name,
+            ResourceVector(cpu=cpu, gpu=gpu, gpu_mem=20.0, ram=15.0),
+            ResourceVector(cpu=1.5, gpu=1.5, gpu_mem=0.5, ram=0.5),
+        )
+    return GameSpec(
+        name="triad",
+        category=GameCategory.WEB,
+        clusters={
+            "load": cluster("load", 45.0, 5.0),
+            "walk": cluster("walk", 20.0, 25.0),
+            "fight": cluster("fight", 35.0, 55.0),
+            "menu": cluster("menu", 15.0, 10.0),
+        },
+        stages={
+            "boot": StageSpec("boot", StageKind.LOADING, ("load",), 6.0),
+            "play": StageSpec(
+                "play", StageKind.EXECUTION, ("walk", "fight", "menu"), 150.0,
+                cluster_dwell=8.0, duration_scale=0.3,
+            ),
+        },
+        scripts=(ScriptSpec("play", "three-cluster stage", ("boot", "play")),),
+        long_term=False,
+    )
+
+
+#: sha256 of :func:`tick_stream_digest` for :func:`_triad_spec`, captured
+#: before ``StageSpec.stage_type`` was computed once per spec.
+TRIAD_TICK_STREAM_SHA256 = (
+    "809960661935b2d2e46d62e51f6f19000e492be00a6cbb648c05169b67961f12"
+)
+
+
+def test_three_cluster_tick_stream_is_pinned():
+    spec = _triad_spec()
+    assert len(spec.stages["play"].clusters) == 3
+    digest = tick_stream_digest(spec, REFERENCE_PLATFORM)
+    assert digest == TRIAD_TICK_STREAM_SHA256

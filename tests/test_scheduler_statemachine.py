@@ -9,7 +9,9 @@ windows* (the session object is placed but never advanced), so each
   (``transient-revert`` — the Figs 9/10 robustness story);
 * a wrong stage belief re-matched by the rehearsal callback
   (``callback``) with the Eq-1 cushion;
-* a starved, ceiling-pinned session probed upward (``probe``).
+* a starved, ceiling-pinned session probed upward (``probe``);
+* a pinned window whose GPU drops far below its grant: a loading frame
+  ends the stage (``stage-end``), an execution frame is still probed.
 """
 
 import numpy as np
@@ -172,6 +174,37 @@ class TestStateMachine:
         after = rig["scheduler"].allocation_of(sid)
         assert after.dominates(before)
         assert np.any(after.array > before.array + 1e-9)
+
+    def _gpu_drop(self, rig, base):
+        """``base`` pinned at the heavy stage's CPU ceiling with GPU
+        usage at most 0.6x its grant: the voluntary-GPU-drop test then
+        reads the frame's judgment."""
+        self._enter_heavy(rig)
+        granted = rig["scheduler"].allocation_of(rig["session"].session_id)
+        frame = base.copy()
+        frame[0] = granted.cpu
+        frame[1] = min(frame[1], 0.6 * granted.gpu)
+        return frame
+
+    def test_pinned_gpu_drop_on_a_loading_frame_ends_the_stage(self, rig):
+        lib = rig["lib"]
+        frame = self._gpu_drop(rig, lib.stats(lib.loading_type).mean)
+        assert lib.classify_frame(frame) in lib.loading_clusters
+        seen = len(actions(rig))
+        feed(rig, frame)
+        assert actions(rig)[seen:] == ["stage-end"]
+        ctl = rig["scheduler"].sessions[rig["session"].session_id]
+        assert ctl.phase == "loading"
+
+    def test_pinned_gpu_drop_on_an_execution_frame_probes(self, rig):
+        lib = rig["lib"]
+        frame = self._gpu_drop(rig, stage_mean(rig, rig["heavy"]))
+        assert lib.classify_frame(frame) not in lib.loading_clusters
+        seen = len(actions(rig))
+        feed(rig, frame)
+        assert actions(rig)[seen:] == ["probe"]
+        ctl = rig["scheduler"].sessions[rig["session"].session_id]
+        assert ctl.phase == "execution" and ctl.believed == rig["heavy"]
 
     def test_decision_log_orders_by_time(self, rig):
         feed(rig, loading_usage(rig))
