@@ -3,8 +3,9 @@
 Drives the real serve stack (gateway → micro-batcher → distributor over
 synthetic nodes, reusing :func:`test_serve_throughput.drive`) and then
 reads the finished gateway with :meth:`repro.obs.Observer.finalize`,
-which copies the gateway's registry and turns its pump rounds into
-spans.  No observer is attached while the run executes, so the bench
+which builds the ``serve_*`` families from the gateway's records
+(verdict events, tallies, SLO records, batcher counts) and turns its
+pump rounds into spans.  No observer is attached while the run executes, so the bench
 times the post-run read against the run it reads, and checks:
 
 * **behavioural transparency** — a run that is read admits exactly the

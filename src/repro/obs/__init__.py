@@ -8,8 +8,8 @@ run —
 * :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges and fixed-bucket histograms, registered once by
   canonical name and stamped with **simulation** time;
-* :mod:`~repro.obs.trace` — sim-time spans with parent/child nesting
-  and identities derived from ``(stream, sequence)``, never wall clock;
+* :mod:`~repro.obs.trace` — complete sim-time spans with identities
+  derived from ``(stream, sequence)``, never wall clock;
 * :mod:`~repro.obs.export` — Prometheus text exposition and
   Perfetto-loadable Chrome trace JSON, both canonical: same seed + same
   fault plan ⇒ byte-identical ``metrics.prom`` and equal
@@ -21,9 +21,8 @@ run —
 * :mod:`~repro.obs.naming` — the canonical metric/stream taxonomy.
 
 ``repro.obs`` is a *leaf*: it imports nothing from the rest of the
-package (the reader reads the run it is handed), and only ``serve``
-(which counts in a registry of its own) and the CLI import it.  See
-``docs/OBSERVABILITY.md``.
+package (the reader reads the run it is handed), and only the CLI
+imports it.  See ``docs/OBSERVABILITY.md``.
 """
 
 from repro import _lazy_exports
@@ -37,8 +36,6 @@ __all__ = [
     "MetricError",
     "Tracer",
     "Span",
-    "SpanNestingError",
-    "UnclosedSpanError",
     "prometheus_text",
     "chrome_trace",
     "chrome_trace_json",
@@ -59,7 +56,5 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "MetricsRegistry": ".metrics",
     "Observer": ".observer",
     "Span": ".trace",
-    "SpanNestingError": ".trace",
     "Tracer": ".trace",
-    "UnclosedSpanError": ".trace",
 })

@@ -15,14 +15,16 @@ Design rules, all in service of *deterministic* observability (same seed
 * iteration everywhere is sorted (families by name, children by label
   values), so exports cannot inherit insertion order.
 
-The serve layer counts in a registry on its hot path: an update is one
-dict lookup (memoised by holding the child) plus a float add.
+Only :mod:`repro.obs` builds a registry: the reader fills one from a
+finished run's plain records, and the exporters print it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+from bisect import bisect_right
+from functools import reduce
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.naming import check_label_name, check_metric_name
@@ -78,12 +80,23 @@ class _HistogramChild:
 
     def observe(self, value: float, *, time: Optional[float] = None) -> None:
         """Record one observation into its (first fitting) bucket."""
+        self.observe_all([value], time=time)
+
+    def observe_all(
+        self, values: List[float], *, time: Optional[float] = None
+    ) -> None:
+        """Record ``values`` (none NaN) in order, each into its first
+        fitting bucket; the sum adds them left to right."""
+        if not values:
+            return
+        ordered = sorted(values)
+        below = 0
         for i, bound in enumerate(self._bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        self.sum += value
-        self.count += 1
+            upto = bisect_right(ordered, bound)
+            self.counts[i] += upto - below
+            below = upto
+        self.sum = reduce(add, values, self.sum)
+        self.count += len(values)
         self.time = time
 
     def cumulative(self) -> List[int]:
@@ -178,10 +191,6 @@ class Gauge(_Family):
     def set(self, value: float, *, time: Optional[float] = None) -> None:
         """Set the (unlabeled) gauge."""
         self._default_child().set(value, time=time)
-
-    def add(self, amount: float, *, time: Optional[float] = None) -> None:
-        """Adjust the (unlabeled) gauge by ``amount`` (may be negative)."""
-        self._default_child().inc(amount, time=time)
 
     @property
     def value(self) -> float:
@@ -292,14 +301,6 @@ class MetricsRegistry:
         return self._get_or_create(  # type: ignore[return-value]
             name, lambda: probe, probe.signature()
         )
-
-    def include(self, other: "MetricsRegistry") -> None:
-        """Copy every family of ``other`` in, samples and stamps as they
-        stand; a name already registered here raises."""
-        for family in other.families():
-            if family.name in self._families:
-                raise MetricError(f"{family.name} is already registered")
-            self._families[family.name] = copy.deepcopy(family)
 
     # ------------------------------------------------------------------
     def families(self) -> List[_Family]:

@@ -1,7 +1,7 @@
 """The one handle a finished run is read into: registry + tracer.
 
 No subsystem holds an observer.  Each keeps its own plain logs and
-counters while it runs; :meth:`Observer.finalize` reads them once the
+counts while it runs; :meth:`Observer.finalize` reads them once the
 run is over (:mod:`repro.obs.reader`), the way
 :meth:`repro.trace.TraceRecorder.finalize` reads a run into a trace.
 An observed and an unobserved run therefore execute the same code.
@@ -10,7 +10,7 @@ An observed and an unobserved run therefore execute the same code.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro.obs.export import chrome_trace_json, prometheus_text, trace_digest
 from repro.obs.metrics import MetricsRegistry
@@ -21,22 +21,11 @@ __all__ = ["Observer"]
 
 
 class Observer:
-    """Bundles a :class:`MetricsRegistry` and a :class:`Tracer`.
+    """Bundles a fresh :class:`MetricsRegistry` and :class:`Tracer`."""
 
-    Parameters
-    ----------
-    registry / tracer:
-        Pre-built components to share; fresh ones by default.
-    """
-
-    def __init__(
-        self,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
 
     def finalize(self, run: object) -> "Observer":
         """Read a finished run into the registry and tracer (what

@@ -4,9 +4,9 @@ No layer of the simulator holds an observer.  Each keeps its own plain,
 always-on records, and this module turns them into the canonical
 families and spans of :mod:`repro.obs.naming` once the run is over:
 
-* the gateway's metrics registry (its counters, the SLO tracker's and
-  the micro-batcher's) is copied as it stands, and its pump rounds
-  become ``gateway.pump`` spans;
+* the gateway's verdict events, pump rounds (also ``gateway.pump``
+  spans), tallies and last-pump queue depths, its SLO tracker's
+  records and its micro-batcher's counts;
 * the cluster's dispatch stamps, retry-queue pump rounds and
   reclamation notices, each node's telemetry fault events (lifecycle
   transitions) and QoS degraded seconds;
@@ -23,6 +23,9 @@ stamped with the simulation time of the last event it counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.naming import (
@@ -35,21 +38,30 @@ from repro.obs.naming import (
     FAULTS_INJECTED,
     FLEET_COMPLETED,
     FLEET_ROUTED,
+    GATEWAY_BACKPRESSURE,
+    GATEWAY_DEFERRALS,
+    GATEWAY_OUTCOMES,
+    GATEWAY_QUEUE_DEPTH,
+    GATEWAY_RETRIES,
+    GATEWAY_THROTTLED_ROUNDS,
     PROVISION_BUCKETS,
     PROVISION_EVENTS,
     PROVISION_LATENCY,
     QOS_DEGRADED_SECONDS,
+    QUEUE_WAIT_SECONDS,
     SCHED_DECISIONS,
     SCHED_DEGRADED_TRANSITIONS,
+    SLO_OUTCOMES,
     STREAM_CLUSTER,
     STREAM_FAULTS,
     STREAM_SERVE,
+    WAIT_BUCKETS,
     lifecycle_span,
     node_stream,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.obs.metrics import Counter
+    from repro.obs.metrics import Counter as CounterFamily
     from repro.obs.observer import Observer
 
 __all__ = ["read_run"]
@@ -90,7 +102,7 @@ def _latest(*times: Optional[float]) -> Optional[float]:
 
 
 def _count(
-    family: "Counter", value: float, time: Optional[float], **labels: str
+    family: "CounterFamily", value: float, time: Optional[float], **labels: str
 ) -> None:
     """Create the labeled sample; add ``value`` stamped ``time``, if any."""
     child = family.labels(**labels)
@@ -120,11 +132,106 @@ def read_run(obs: "Observer", run: object) -> None:
 
 # ----------------------------------------------------------------------
 def _read_gateway(obs: "Observer", gateway) -> None:
-    obs.registry.include(gateway.registry)
+    registry = obs.registry
+    # Every verdict is one event; labels spell dead-lettered with an
+    # underscore.  Sample stamps are the time of the last update.
+    events = gateway.telemetry.gateway_events
+    raw = Counter(map(attrgetter("outcome"), events))
+    raw_at = _last_times(reversed(events), len(raw),
+                         lambda e: (e.outcome, e.time))
+    verdicts = {o.replace("-", "_"): n for o, n in raw.items()}
+    verdict_at = {o.replace("-", "_"): t for o, t in raw_at.items()}
+    outcomes = registry.counter(
+        GATEWAY_OUTCOMES, "Admission-gateway verdicts by outcome.",
+        ("outcome",),
+    )
+    for outcome in ("queued", "admitted", "shed", "dead_lettered"):
+        _count(outcomes, verdicts.get(outcome, 0), verdict_at.get(outcome),
+               outcome=outcome)
+    # Unlabeled counters that never moved export no sample at all.
+    for name, help, count, time in (
+        (GATEWAY_RETRIES, "Requeue attempts after a deferred dispatch.",
+         gateway.deferrals, gateway.deferred_at),
+        (GATEWAY_DEFERRALS, "Dispatch attempts that found no willing node.",
+         gateway.deferrals, gateway.deferred_at),
+        (GATEWAY_THROTTLED_ROUNDS,
+         "Pump rounds that ran out of tokens with work still queued.",
+         gateway.throttled_rounds, gateway.throttled_at),
+        (GATEWAY_BACKPRESSURE,
+         "Requests shed early because usable capacity sat below the floor.",
+         gateway.backpressure_sheds, gateway.backpressure_at),
+    ):
+        family = registry.counter(name, help)
+        if count:
+            family.inc(count, time=time)
+    depth = registry.gauge(
+        GATEWAY_QUEUE_DEPTH, "Requests currently queued, per category.",
+        ("category",),
+    )
+    last_pump = gateway.pumps[-1][0] if gateway.pumps else None
+    for category, queued in gateway.pump_depths.items():
+        depth.labels(category=category).set(queued, time=last_pump)
+    _read_slo(registry, gateway.slo.records)
+    batcher_events = registry.counter(
+        BATCHER_EVENTS, "Micro-batcher activity by event kind.", ("event",)
+    )
+    batcher = gateway.batcher
+    for event, count, time in (
+        ("rounds", len(gateway.pumps), last_pump),
+        ("evaluations", batcher.evaluations, batcher.evaluated_at),
+        ("prescreen_rejects", batcher.prescreen_rejects, batcher.rejected_at),
+        ("admissions", verdicts.get("admitted", 0),
+         verdict_at.get("admitted")),
+        ("fallback_probes", batcher.fallback_probes, batcher.probed_at),
+    ):
+        _count(batcher_events, count, time, event=event)
     for time, started in gateway.pumps:
         obs.tracer.record(
             "gateway.pump", time, stream=STREAM_SERVE, started=started
         )
+
+
+def _last_times(newest_first, distinct: int, key_time) -> Dict:
+    """``{key: time}`` of each key's latest item, scanning newest first
+    until all ``distinct`` keys are seen."""
+    last: Dict = {}
+    for item in newest_first:
+        key, time = key_time(item)
+        if key not in last:
+            last[key] = time
+            if len(last) == distinct:
+                break
+    return last
+
+
+def _read_slo(registry, records) -> None:
+    """The wait histogram and outcome counts of an SLO tracker's
+    ``(category, outcome, wait, time)`` records."""
+    waits = registry.histogram(
+        QUEUE_WAIT_SECONDS, "Time-in-queue before each gateway verdict.",
+        ("category",), buckets=WAIT_BUCKETS,
+    )
+    categories = list(map(itemgetter(0), records))
+    observed = list(map(itemgetter(2), records))
+    category_at = _last_times(reversed(records), len(set(categories)),
+                              lambda r: (r[0], r[3]))
+    for category, time in category_at.items():
+        # This category's waits, in record order.
+        waits.labels(category=category).observe_all(
+            list(compress(observed, map(category.__eq__, categories))),
+            time=time,
+        )
+    counts = Counter(map(itemgetter(0, 1), records))
+    key_at = _last_times(reversed(records), len(counts),
+                         lambda r: (r[:2], r[3]))
+    outcomes = registry.counter(
+        SLO_OUTCOMES, "Gateway verdicts by category and outcome.",
+        ("category", "outcome"),
+    )
+    for (category, outcome), count in counts.items():
+        outcomes.labels(
+            category=category, outcome=outcome.replace("-", "_")
+        ).inc(count, time=key_at[category, outcome])
 
 
 def _read_fleet(obs: "Observer", result) -> None:
@@ -263,12 +370,8 @@ def _read_schedulers(obs: "Observer", cluster) -> None:
     # batcher stamps.  Every batch is opened just before a verdict.
     admitted_at = _latest(actions.get("admit", (0, None))[1], refused_at)
     rejected_at = actions.get("reject", (0, None))[1]
-    gateway = cluster.gateway
-    if gateway is not None:
-        prescreen = gateway.registry.get(BATCHER_EVENTS)
-        rejected_at = _latest(
-            rejected_at, prescreen.labels(event="prescreen_rejects").time
-        )
+    if cluster.gateway is not None:
+        rejected_at = _latest(rejected_at, cluster.gateway.batcher.rejected_at)
     _count(batches, opened, _latest(admitted_at, rejected_at))
     _count(evaluations, verdicts[True], admitted_at, admitted="true")
     _count(evaluations, verdicts[False], rejected_at, admitted="false")

@@ -6,59 +6,35 @@ are derived from ``(stream, per-stream sequence)`` — never wall clock,
 never ``id()`` — so two same-seed runs produce identical traces byte
 for byte.
 
-Two recording shapes:
-
-* :meth:`Tracer.span` — a context manager for code-scoped work
-  (``with tracer.span("gateway.pump", time=now): ...``).  Nesting is
-  tracked per stream: an inner span's ``parent`` is the enclosing open
-  span, and closing out of order raises :class:`SpanNestingError`.
-* :meth:`Tracer.record` — a complete span whose window is known up
-  front (a fault's ``[start, recover)`` window).
-
-Export refuses to run while spans are still open
-(:class:`UnclosedSpanError`): a truncated trace would silently hide the
-very interval that was being measured.
+The reader knows each span's whole window once the run is over, so
+:meth:`Tracer.record` takes it in one call: a point span (a pump round)
+or an interval (a fault's ``[start, recover)`` window).  No span is
+ever open, and none nests in another.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-__all__ = [
-    "Span",
-    "SpanNestingError",
-    "UnclosedSpanError",
-    "Tracer",
-]
-
-
-class SpanNestingError(RuntimeError):
-    """A span was closed that is not the innermost open span of its
-    stream (or was never begun / already closed)."""
-
-
-class UnclosedSpanError(RuntimeError):
-    """The trace was exported (or checked) with spans still open."""
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
 class Span:  # lint: disable=CG013 -- exported via the obs trace, not the fleet digest
     """One traced interval.
 
-    ``seq`` is the span's position in its stream's begin order; the
+    ``seq`` is the span's position in its stream's record order; the
     identity ``"<stream>#<seq>"`` is therefore a pure function of the
-    run's event sequence.  ``args`` may be filled in until the span is
-    closed (they land in the Chrome trace's ``args`` object).
+    run's event sequence.  ``args`` land in the Chrome trace's ``args``
+    object.
     """
 
     name: str
     stream: str
     seq: int
     begin: float
-    end: Optional[float] = None
-    parent: Optional[str] = None
+    end: float
     args: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -67,15 +43,8 @@ class Span:  # lint: disable=CG013 -- exported via the obs trace, not the fleet 
         return f"{self.stream}#{self.seq}"
 
     @property
-    def closed(self) -> bool:
-        """Whether the span has an end time."""
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         """Span length in (sim) seconds; 0 for point spans."""
-        if self.end is None:
-            raise UnclosedSpanError(f"span {self.span_id} ({self.name}) is open")
         return self.end - self.begin
 
 
@@ -89,77 +58,6 @@ class Tracer:
     def __init__(self) -> None:
         self._spans: List[Span] = []
         self._next_seq: Dict[str, int] = {}
-        self._open: Dict[str, List[Span]] = {}  # per-stream stacks
-
-    # ------------------------------------------------------------------
-    def begin(
-        self, name: str, time: float, *, stream: str = "main", **args: object
-    ) -> Span:
-        """Open a span at ``time``; it nests under the stream's current
-        innermost open span, if any."""
-        seq = self._next_seq.get(stream, 0)
-        self._next_seq[stream] = seq + 1
-        stack = self._open.setdefault(stream, [])
-        parent = stack[-1].span_id if stack else None
-        span = Span(
-            name=name,
-            stream=stream,
-            seq=seq,
-            begin=float(time),
-            parent=parent,
-            args=dict(args),
-        )
-        stack.append(span)
-        self._spans.append(span)
-        return span
-
-    def end(self, span: Span, time: Optional[float] = None) -> None:
-        """Close ``span`` at ``time`` (default: its begin — a point span).
-
-        The span must be the innermost open span of its stream;
-        anything else is a structural bug and raises loudly.
-        """
-        stack = self._open.get(span.stream, [])
-        if span.closed or span not in stack:
-            raise SpanNestingError(
-                f"span {span.span_id} ({span.name}) is not open"
-            )
-        if stack[-1] is not span:
-            raise SpanNestingError(
-                f"span {span.span_id} ({span.name}) closed before its inner "
-                f"span {stack[-1].span_id} ({stack[-1].name})"
-            )
-        end = span.begin if time is None else float(time)
-        if end < span.begin:
-            raise ValueError(
-                f"span {span.span_id} cannot end at {end} < begin {span.begin}"
-            )
-        span.end = end
-        stack.pop()
-
-    @contextmanager
-    def span(
-        self, name: str, time: float, *, stream: str = "main", **args: object
-    ) -> Iterator[Span]:
-        """Context manager over :meth:`begin`/:meth:`end`.
-
-        The span closes at its begin time (sim time rarely advances
-        inside one engine callback); set ``span.end`` beforehand — or
-        mutate ``span.args`` — to annotate the interval::
-
-            with tracer.span("gateway.pump", time=now, stream="serve") as s:
-                started = pump()
-                s.args["started"] = len(started)
-        """
-        s = self.begin(name, time, stream=stream, **args)
-        try:
-            yield s
-        finally:
-            # The body may have assigned ``s.end`` to stretch the span;
-            # route that through :meth:`end` so the stack still pops.
-            if s in self._open.get(stream, []):
-                end, s.end = s.end, None
-                self.end(s, end)
 
     def record(
         self,
@@ -170,31 +68,26 @@ class Tracer:
         stream: str = "main",
         **args: object,
     ) -> Span:
-        """Record a complete span in one call (window known up front)."""
-        span = self.begin(name, begin, stream=stream, **args)
-        self.end(span, end)
+        """Record a complete span; ``end`` defaults to ``begin`` (a
+        point span) and may not precede it."""
+        seq = self._next_seq.get(stream, 0)
+        begin = float(begin)
+        end = begin if end is None else float(end)
+        if end < begin:
+            raise ValueError(
+                f"span {stream}#{seq} ({name}) cannot end at {end} "
+                f"< begin {begin}"
+            )
+        self._next_seq[stream] = seq + 1
+        span = Span(name, stream, seq, begin, end, dict(args))
+        self._spans.append(span)
         return span
 
     # ------------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """Every recorded span, in begin order (copy)."""
+        """Every recorded span, in record order (copy)."""
         return list(self._spans)
-
-    def open_spans(self) -> List[Span]:
-        """Spans begun but not yet closed, sorted by stream then seq."""
-        return [
-            s
-            for stream in sorted(self._open)
-            for s in self._open[stream]
-        ]
-
-    def require_closed(self) -> None:
-        """Raise :class:`UnclosedSpanError` naming any open span."""
-        open_ = self.open_spans()
-        if open_:
-            ids = ", ".join(f"{s.span_id} ({s.name})" for s in open_)
-            raise UnclosedSpanError(f"spans still open: {ids}")
 
     def streams(self) -> List[str]:
         """Streams that recorded at least one span, sorted."""

@@ -37,8 +37,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.distributor import BatchEvaluation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.naming import BATCHER_EVENTS
 
 if TYPE_CHECKING:  # pragma: no cover - cluster imports nothing from here
     from repro.cluster.fleet import ClusterScheduler, FleetNode
@@ -53,34 +51,32 @@ class MicroBatcher:
     One instance lives inside an
     :class:`~repro.serve.gateway.AdmissionGateway`; the gateway calls
     :meth:`begin_round` once per pump and :meth:`dispatch_one` per due
-    request.  Counters expose how much work batching saved; they live in
-    the gateway's ``registry`` as ``serve_batcher_events_total{event=...}``
-    and are read through :meth:`stats`.
+    request.  Plain counts expose how much work batching saved (read
+    through :meth:`stats`); the three the gateway's logs cannot recount
+    keep the sim time of their last update.
     """
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        events = registry.counter(
-            BATCHER_EVENTS,
-            "Micro-batcher activity by event kind.",
-            ("event",),
-        )
-        self._c_rounds = events.labels(event="rounds")
+    def __init__(self) -> None:
+        #: Batch rounds begun, and batched dispatches that stuck.
+        self.rounds = 0
+        self.admissions = 0
         #: Pre-screen Algorithm-1 evaluations (shared-rollout path).
-        self._c_evaluations = events.labels(event="evaluations")
+        self.evaluations = 0
+        self.evaluated_at: Optional[float] = None
         #: Candidates the pre-screen rejected — the node's
         #: ``try_admit`` was never entered.
-        self._c_prescreen_rejects = events.labels(event="prescreen_rejects")
-        self._c_admissions = events.labels(event="admissions")
+        self.prescreen_rejects = 0
+        self.rejected_at: Optional[float] = None
         #: Candidate probes that fell back to plain ``try_admit``
         #: (non-CoCG strategy or unknown game profile).
-        self._c_fallback_probes = events.labels(event="fallback_probes")
+        self.fallback_probes = 0
+        self.probed_at: Optional[float] = None
         self._batches: Dict[str, BatchEvaluation] = {}
 
     # ------------------------------------------------------------------
-    def begin_round(self, time: float) -> None:
-        """Start a fresh batch round at ``time``: all node snapshots are
-        dropped."""
-        self._c_rounds.inc(time=time)
+    def begin_round(self) -> None:
+        """Start a fresh batch round: all node snapshots are dropped."""
+        self.rounds += 1
         self._batches = {}
 
     @staticmethod
@@ -125,12 +121,15 @@ class MicroBatcher:
                     batch = sched.distributor.begin_batch(sched.task_views())
                     self._batches[node.node_id] = batch
                 entry_min, steady = sched.admission_terms(profile)
-                self._c_evaluations.inc(time=time)
+                self.evaluations += 1
+                self.evaluated_at = time
                 if not batch.evaluate(entry_min, steady).admitted:
-                    self._c_prescreen_rejects.inc(time=time)
+                    self.prescreen_rejects += 1
+                    self.rejected_at = time
                     continue
             else:
-                self._c_fallback_probes.inc(time=time)
+                self.fallback_probes += 1
+                self.probed_at = time
             if node.try_admit(
                 request,
                 time=time,
@@ -139,7 +138,7 @@ class MicroBatcher:
             ):
                 # The node's running set changed; its snapshot is stale.
                 self._batches.pop(node.node_id, None)
-                self._c_admissions.inc(time=time)
+                self.admissions += 1
                 cluster.note_dispatch("dispatched", time=time)
                 return node
         cluster.note_dispatch("deferred", time=time)
@@ -147,12 +146,11 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Counters as a flat dict of ints (``admissions`` counts batched
-        dispatches that stuck)."""
+        """The counts as a flat dict of ints."""
         return {
-            "rounds": int(self._c_rounds.value),
-            "evaluations": int(self._c_evaluations.value),
-            "prescreen_rejects": int(self._c_prescreen_rejects.value),
-            "admissions": int(self._c_admissions.value),
-            "fallback_probes": int(self._c_fallback_probes.value),
+            "rounds": self.rounds,
+            "evaluations": self.evaluations,
+            "prescreen_rejects": self.prescreen_rejects,
+            "admissions": self.admissions,
+            "fallback_probes": self.fallback_probes,
         }

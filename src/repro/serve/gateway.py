@@ -23,25 +23,20 @@ deterministically, on simulation time:
 
 Dispatch itself is micro-batched through
 :class:`~repro.serve.batching.MicroBatcher` (one shared Algorithm-1 pass
-per node per round).
+per node per round).  The gateway counts nothing twice: its verdicts are
+the event log, its rounds the :attr:`AdmissionGateway.pumps` log, and
+the few facts no log holds are plain ints stamped with the sim time of
+their last update.  :mod:`repro.obs.reader` builds the ``serve_*``
+metric families from these records after the run.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.naming import (
-    GATEWAY_BACKPRESSURE,
-    GATEWAY_DEFERRALS,
-    GATEWAY_OUTCOMES,
-    GATEWAY_QUEUE_DEPTH,
-    GATEWAY_RETRIES,
-    GATEWAY_THROTTLED_ROUNDS,
-)
 from repro.serve.batching import MicroBatcher
 from repro.serve.slo import SloTracker
 from repro.sim.telemetry import TelemetryRecorder
@@ -190,20 +185,15 @@ class AdmissionGateway:
         ``pump`` through it.
     config:
         Queue/rate/patience bounds.
-    telemetry:
-        Recorder for :class:`~repro.sim.telemetry.GatewayEvent` entries;
-        a noise-free private recorder by default.  Its digest is folded
-        into the fleet digest by
-        :class:`~repro.cluster.experiment.FleetExperiment`.  Every
-        verdict — ``queued``, ``shed``, ``admitted``, ``dead-lettered``
-        — lands there once, with its request id and (when admitted)
-        node; a :class:`~repro.trace.TraceRecorder` reads the verdicts
-        back from it after the run.
 
-    The outcome counters live only in the gateway's own metrics
-    :attr:`registry` (the SLO tracker and the micro-batcher count there
-    too); :meth:`stats` reads them as plain ints, and the observability
-    exports copy the registry after the run.
+    Every verdict — ``queued``, ``shed``, ``admitted``,
+    ``dead-lettered`` — lands once in :attr:`telemetry`, a noise-free
+    recorder of :class:`~repro.sim.telemetry.GatewayEvent` entries with
+    the request id and (when admitted) node.  Its digest is folded into
+    the fleet digest by
+    :class:`~repro.cluster.experiment.FleetExperiment`, and
+    :meth:`stats`, a :class:`~repro.trace.TraceRecorder` and the
+    observability reader all count verdicts from it after the fact.
     """
 
     def __init__(
@@ -211,13 +201,10 @@ class AdmissionGateway:
         scheduler: "ClusterScheduler",
         *,
         config: Optional[GatewayConfig] = None,
-        telemetry: Optional[TelemetryRecorder] = None,
     ):
         self.scheduler = scheduler
         self.config = config if config is not None else GatewayConfig()
-        self.telemetry = (
-            telemetry if telemetry is not None else TelemetryRecorder(noise_std=0.0)
-        )
+        self.telemetry = TelemetryRecorder(noise_std=0.0)
         self.bucket = TokenBucket(
             self.config.rate_per_second, float(self.config.burst)
         )
@@ -225,40 +212,21 @@ class AdmissionGateway:
         self._seq = itertools.count()
         #: ``(time, requests started)`` per :meth:`pump` round.
         self.pumps: List[Tuple[float, int]] = []
-        self.registry = registry = MetricsRegistry()
-        outcomes = registry.counter(
-            GATEWAY_OUTCOMES,
-            "Admission-gateway verdicts by outcome.",
-            ("outcome",),
-        )
-        # Pre-resolved children: hot-path increments are one float add,
-        # and all four outcomes always appear in the export.
-        self._c_queued = outcomes.labels(outcome="queued")
-        self._c_admitted = outcomes.labels(outcome="admitted")
-        self._c_shed = outcomes.labels(outcome="shed")
-        self._c_dead_lettered = outcomes.labels(outcome="dead_lettered")
-        self._c_retries = registry.counter(
-            GATEWAY_RETRIES, "Requeue attempts after a deferred dispatch."
-        )
-        self._c_deferrals = registry.counter(
-            GATEWAY_DEFERRALS,
-            "Dispatch attempts that found no willing node.",
-        )
-        self._c_throttled = registry.counter(
-            GATEWAY_THROTTLED_ROUNDS,
-            "Pump rounds that ran out of tokens with work still queued.",
-        )
-        self._c_backpressure = registry.counter(
-            GATEWAY_BACKPRESSURE,
-            "Requests shed early because usable capacity sat below the floor.",
-        )
-        self._g_depth = registry.gauge(
-            GATEWAY_QUEUE_DEPTH,
-            "Requests currently queued, per category.",
-            ("category",),
-        )
-        self.slo = SloTracker(registry)
-        self.batcher = MicroBatcher(registry)
+        #: Each category's queue depth as of the latest pump round.
+        self.pump_depths: Dict[str, int] = {}
+        # Tallies no log holds: a count and the sim time of its last one.
+        #: Dispatch attempts that found no willing node; each requeues
+        #: the request for another round (a retry).
+        self.deferrals = 0
+        self.deferred_at: Optional[float] = None
+        #: Pump rounds that ran out of tokens with work still queued.
+        self.throttled_rounds = 0
+        self.throttled_at: Optional[float] = None
+        #: Sheds caused by the capacity floor, not a full queue.
+        self.backpressure_sheds = 0
+        self.backpressure_at: Optional[float] = None
+        self.slo = SloTracker()
+        self.batcher = MicroBatcher()
 
     # ------------------------------------------------------------------
     @property
@@ -322,8 +290,8 @@ class AdmissionGateway:
         if len(q) >= capacity:
             backpressure = capacity < self.config.queue_capacity
             if backpressure:
-                self._c_backpressure.inc(time=time)
-            self._c_shed.inc(time=time)
+                self.backpressure_sheds += 1
+                self.backpressure_at = time
             self.slo.record(category, "shed", 0.0, time=time)
             detail = "capacity floor" if backpressure else "queue full"
             self.telemetry.record_gateway_event(
@@ -340,7 +308,6 @@ class AdmissionGateway:
                 incarnation=incarnation,
             )
         )
-        self._c_queued.inc(time=time)
         self.telemetry.record_gateway_event(
             time, "queued", category, f"r{request.request_id}",
             request_id=request.request_id,
@@ -353,7 +320,6 @@ class AdmissionGateway:
     def _dead_letter(self, entry: QueuedRequest, time: float, reason: str) -> None:
         from repro.cluster.fleet import DeadLetter  # import cycle guard
 
-        self._c_dead_lettered.inc(time=time)
         self.scheduler.dead_letters.append(
             DeadLetter(entry.request, float(time), entry.attempts, reason)
         )
@@ -398,12 +364,13 @@ class AdmissionGateway:
             (e for q in self._queues.values() for e in q),
             key=lambda e: e.seq,
         )
-        self.batcher.begin_round(time)
+        self.batcher.begin_round()
         started: List[GameRequest] = []
         resolved: List[QueuedRequest] = []
         for entry in entries:
             if not self.bucket.try_take(time):
-                self._c_throttled.inc(time=time)
+                self.throttled_rounds += 1
+                self.throttled_at = time
                 break
             node = self.batcher.dispatch_one(
                 self.scheduler, entry, time=time, seed_for=seed_for
@@ -411,7 +378,6 @@ class AdmissionGateway:
             if node is not None:
                 started.append(entry.request)
                 resolved.append(entry)
-                self._c_admitted.inc(time=time)
                 self.slo.record(
                     entry.category, "admitted",
                     max(0.0, time - entry.enqueued), time=time,
@@ -423,9 +389,9 @@ class AdmissionGateway:
                     node=node.node_id,
                 )
                 continue
-            self._c_deferrals.inc(time=time)
+            self.deferrals += 1
+            self.deferred_at = time
             entry.attempts += 1
-            self._c_retries.inc(time=time)
             if entry.attempts > self.config.max_retries:
                 self._dead_letter(entry, time, "retries exhausted")
                 resolved.append(entry)
@@ -438,31 +404,30 @@ class AdmissionGateway:
                     q.clear()
                     q.extend(survivors)
         self.pumps.append((time, len(started)))
-        for category in sorted(self._queues):
-            self._g_depth.labels(category=category).set(
-                len(self._queues[category]), time=time
-            )
+        self.pump_depths = {
+            category: len(self._queues[category])
+            for category in sorted(self._queues)
+        }
         return started
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Outcome counters as a flat dict of ints.
+        """Outcome counts as a flat dict of ints.
 
-        ``queued``/``admitted``/``shed``/``dead_lettered`` are verdicts;
-        ``deferrals`` counts dispatch attempts that found no willing
-        node, ``throttled_rounds`` pump rounds that ran out of tokens
-        with work still queued, and ``backpressure_sheds`` sheds caused
-        by the capacity floor rather than a genuinely full queue.
+        ``queued``/``admitted``/``shed``/``dead_lettered`` are verdicts,
+        counted from the event log; ``deferrals``, ``throttled_rounds``
+        and ``backpressure_sheds`` are the tallies of the same names.
         """
+        verdicts = Counter(e.outcome for e in self.telemetry.gateway_events)
         return {
-            "queued": int(self._c_queued.value),
-            "admitted": int(self._c_admitted.value),
-            "shed": int(self._c_shed.value),
-            "dead_lettered": int(self._c_dead_lettered.value),
-            "deferrals": int(self._c_deferrals.value),
+            "queued": verdicts["queued"],
+            "admitted": verdicts["admitted"],
+            "shed": verdicts["shed"],
+            "dead_lettered": verdicts["dead-lettered"],
+            "deferrals": self.deferrals,
             "depth": self.depth,
-            "throttled_rounds": int(self._c_throttled.value),
-            "backpressure_sheds": int(self._c_backpressure.value),
+            "throttled_rounds": self.throttled_rounds,
+            "backpressure_sheds": self.backpressure_sheds,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

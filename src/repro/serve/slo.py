@@ -7,21 +7,17 @@ request spent queued before it, and summarizes per game category with
 deterministic nearest-rank percentiles — no interpolation, so two
 identical runs print identical summaries to full precision.
 
-Every recorded outcome is also mirrored into the canonical registry
-metrics of the gateway's :class:`~repro.obs.metrics.MetricsRegistry` —
+The tracker keeps one record per outcome, in record order;
+:mod:`repro.obs.reader` replays the records into
 ``serve_queue_wait_seconds`` (a fixed-bucket histogram per category)
-and ``serve_slo_outcomes_total`` — so the Prometheus export tells the
-same story as :meth:`SloTracker.summaries`.  The exact-percentile lists
-stay authoritative; the registry view is additive.
+and ``serve_slo_outcomes_total`` after the run, so the Prometheus export
+tells the same story as :meth:`SloTracker.summaries`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.naming import QUEUE_WAIT_SECONDS, SLO_OUTCOMES, WAIT_BUCKETS
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CategorySlo", "SloTracker", "percentile_nearest_rank"]
 
@@ -62,31 +58,12 @@ class CategorySlo:
 
 
 class SloTracker:
-    """Per-category admission-outcome and time-in-queue accounting.
+    """Per-category admission-outcome and time-in-queue accounting."""
 
-    Parameters
-    ----------
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` whose
-        ``serve_queue_wait_seconds`` histogram and
-        ``serve_slo_outcomes_total`` counter every :meth:`record` also
-        lands in.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._waits: Dict[str, List[float]] = {}
-        self._outcomes: Dict[str, Dict[str, int]] = {}
-        self._wait_hist = registry.histogram(
-            QUEUE_WAIT_SECONDS,
-            "Time-in-queue before each gateway verdict.",
-            ("category",),
-            buckets=WAIT_BUCKETS,
-        )
-        self._outcome_counter = registry.counter(
-            SLO_OUTCOMES,
-            "Gateway verdicts by category and outcome.",
-            ("category", "outcome"),
-        )
+    def __init__(self) -> None:
+        #: ``(category, outcome, wait seconds, sim time or None)`` per
+        #: :meth:`record`, in record order.
+        self.records: List[Tuple[str, str, float, Optional[float]]] = []
 
     # ------------------------------------------------------------------
     def record(
@@ -98,35 +75,31 @@ class SloTracker:
         time: Optional[float] = None,
     ) -> None:
         """Record one gateway outcome with its time-in-queue."""
-        if wait_seconds < 0:
+        if not wait_seconds >= 0:  # NaN fails too
             raise ValueError(f"wait_seconds must be >= 0, got {wait_seconds}")
-        self._waits.setdefault(category, []).append(float(wait_seconds))
-        per_cat = self._outcomes.setdefault(category, {})
-        per_cat[outcome] = per_cat.get(outcome, 0) + 1
-        self._wait_hist.labels(category=category).observe(
-            wait_seconds, time=time
-        )
-        # Prometheus label values: dead-lettered -> dead_lettered.
-        self._outcome_counter.labels(
-            category=category, outcome=outcome.replace("-", "_")
-        ).inc(time=time)
+        self.records.append((category, outcome, float(wait_seconds), time))
 
     # ------------------------------------------------------------------
     @property
     def categories(self) -> List[str]:
         """Recorded categories, sorted for stable iteration."""
-        return sorted(self._waits)
+        return sorted({r[0] for r in self.records})
 
     def summary(self, category: str) -> CategorySlo:
         """Percentile summary of one category."""
-        waits = self._waits.get(category)
+        waits: List[float] = []
+        outcomes: Dict[str, int] = {}
+        for cat, outcome, wait, _time in self.records:
+            if cat == category:
+                waits.append(wait)
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if not waits:
             raise KeyError(f"no SLO samples for category {category!r}")
         ordered = sorted(waits)
         return CategorySlo(
             category=category,
             count=len(ordered),
-            outcomes=dict(self._outcomes[category]),
+            outcomes=outcomes,
             wait_mean=sum(ordered) / len(ordered),
             wait_p50=percentile_nearest_rank(ordered, 50.0),
             wait_p90=percentile_nearest_rank(ordered, 90.0),

@@ -15,7 +15,6 @@ from repro.cluster import ClusterScheduler, FleetNode
 from repro.cluster.fleet import NodeHealth, dispatch_order
 from repro.core.distributor import AdmissionDecision, Distributor
 from repro.games.player import PlayerModel
-from repro.obs.metrics import MetricsRegistry
 from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.serve import (
     AdmissionGateway,
@@ -100,7 +99,7 @@ class TestSlo:
             percentile_nearest_rank([1.0], 101.0)
 
     def test_summary_counts_every_outcome(self):
-        slo = SloTracker(MetricsRegistry())
+        slo = SloTracker()
         slo.record("FPS", "admitted", 2.0)
         slo.record("FPS", "admitted", 4.0)
         slo.record("FPS", "shed", 0.0)
@@ -114,11 +113,14 @@ class TestSlo:
         assert len(slo.summary_lines()) == 2
 
     def test_missing_category_and_negative_wait(self):
-        slo = SloTracker(MetricsRegistry())
+        slo = SloTracker()
         with pytest.raises(KeyError):
             slo.summary("nope")
         with pytest.raises(ValueError):
             slo.record("FPS", "admitted", -1.0)
+        with pytest.raises(ValueError):
+            slo.record("FPS", "admitted", float("nan"))
+        assert slo.records == []
 
 
 # ----------------------------------------------------------------------
