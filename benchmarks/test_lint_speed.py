@@ -6,7 +6,7 @@ per-file rules, and module summarisation for ~100 files.  The
 content-hash cache makes a warm run skip all of that for unchanged
 files, so the invariant this bench *asserts* (not just reports) is the
 incremental contract: a warm run re-parses nothing — with the effect
-system (CG015–CG018), the shard certification (CG019–CG022), and the
+system (CG015–CG017), the shard certification (CG020–CG022), and the
 ``effects.json``/``shardplan.json`` exports enabled, which run entirely
 from cached summaries — and after touching one module only that module
 is re-analyzed while project findings are still recomputed from the

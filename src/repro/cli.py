@@ -31,9 +31,9 @@ Four subcommands cover the operator workflow the paper describes:
 * ``cocg corpus list|generate`` — list the shipped workload scenarios or
   regenerate their ``.cgtrace`` files under ``corpus/``;
 * ``cocg lint [PATH …]`` — run the CoCG invariant checker
-  (:mod:`repro.lint`, per-file rules CG001–CG009 plus the
-  whole-program rules CG010–CG014 and the effect system
-  CG015–CG018) over the codebase.
+  (:mod:`repro.lint`, per-file rules CG001–CG009 and CG014, the
+  whole-program rules CG010–CG013, the effect system CG015–CG017 and
+  the shard certification CG020–CG022) over the codebase.
 
 Every fleet command turns its flags into one
 :class:`~repro.trace.harness.RunConfig` and builds its run through

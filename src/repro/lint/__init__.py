@@ -17,19 +17,20 @@ and type-annotated public APIs.  This package parses the tree with
   unseeded RNG draw laundered through helpers into ``serve/``, a set
   iteration whose order reaches the fleet digest — that no single file
   reveals.  On the same graph, the **effect system**
-  (:mod:`repro.lint.effects`, **CG015** – **CG018**) infers
+  (:mod:`repro.lint.effects`, **CG015** – **CG017**) infers
   per-function effect signatures (:data:`EFFECT_NAMES`) by fixpoint
-  propagation and checks shard-safety of the fleet path, drift against
-  ``@effects(...)`` declarations (:mod:`repro.util.effects`), the
-  architecture layering DAG, and hot-path purity; ``--effects-out``
-  exports the signatures as a deterministic ``effects.json``.  On top
-  of both, the **shard-interference analyzer**
-  (:mod:`repro.lint.shards`, **CG019** – **CG022**) classifies every
-  function reachable from a shard entry point (``@shard_entry(...)``
-  or the fleet/serve conventions) as *shard-local*,
-  *shard-shared-read*, or *shard-interfering*, flags cross-partition
-  mutable reach, merge-order fragility, seed-stream partition leakage,
-  and cross-shard digest writes, and exports the byte-stable
+  propagation and checks shard-safety of the fleet path (with both
+  witness chains when two entry points reach one write), drift against
+  ``@effects(...)`` declarations (:mod:`repro.util.effects`) and
+  hot-path purity, and the architecture layering DAG;
+  ``--effects-out`` exports the signatures as a deterministic
+  ``effects.json``.  On top of both, the **shard-interference
+  analyzer** (:mod:`repro.lint.shards`, **CG020** – **CG022**)
+  classifies every function reachable from a shard entry point
+  (``@shard_entry(...)`` or the fleet/serve conventions) as
+  *shard-local*, *shard-shared-read*, or *shard-interfering*, flags
+  merge-order fragility, seed-stream partition leakage, and
+  cross-shard digest writes, and exports the byte-stable
   ``shardplan.json`` certificate via ``--shard-plan-out``.  See
   ``docs/LINT.md``.
 

@@ -84,7 +84,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     parser.add_argument(
         "--no-project", action="store_true",
-        help="skip the whole-program phase (CG010-CG013)",
+        help="skip the whole-program phase (CG010-CG017, CG020-CG022)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="CoCG invariant checker "
                     "(per-file CG001-CG009 and CG014, "
                     "whole-program CG010-CG013, "
-                    "effect system CG015-CG018, "
-                    "shard certification CG019-CG022)",
+                    "effect system CG015-CG017, "
+                    "shard certification CG020-CG022)",
     ))
 
 

@@ -1,4 +1,4 @@
-"""Effect-signature inference and the effect-system rules (CG015–CG018).
+"""Effect-signature inference and the effect-system rules (CG015–CG017).
 
 The taint rules (CG010–CG013) answer "does hazard X reach sink Y?".
 Sharding the control plane (ROADMAP item 1) needs the dual question
@@ -17,14 +17,14 @@ callee→caller with one reverse BFS per effect — equivalent to the
 classic worklist fixpoint because the transfer function is monotone
 union over a finite lattice, but with a witness chain for free.
 
-On top of the inferred signatures sit four rules:
+On top of the inferred signatures sit three rules:
 
 * **CG015** — shard safety: nothing reachable from a fleet/gateway/
   dispatch entry point may write shared module/class state;
 * **CG016** — declared-vs-inferred drift against ``@effects(...)``
-  declarations (:mod:`repro.util.effects`);
-* **CG017** — architecture layering over the package DAG;
-* **CG018** — hot-path purity for the Algorithm-1/rollout path.
+  declarations (:mod:`repro.util.effects`), and hot-path purity for
+  the Algorithm-1/rollout path;
+* **CG017** — architecture layering over the package DAG.
 
 :func:`render_effects` exports every non-pure or declared function's
 signature as a sorted, deterministic JSON artifact (``effects.json`` in
@@ -39,15 +39,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.lint.dataflow import (
     Witness,
-    entry_chain,
-    reach_from,
     reach_taints,
     render_chain,
     witness_chain,
 )
 from repro.lint.project import FunctionSummary, ProjectContext, ProjectRule
 from repro.lint.registry import ANALYZER_VERSION, register_project
-from repro.lint.shards import SHARD_EXEMPT_PACKAGES, shard_entry_points
+from repro.lint.shards import shard_analysis
 
 __all__ = [
     "EFFECT_NAMES",
@@ -58,7 +56,6 @@ __all__ = [
     "ShardSafetyRule",
     "EffectDeclarationRule",
     "LayeringRule",
-    "HotPathPurityRule",
 ]
 
 #: The effect alphabet in canonical report order.  Mirrors
@@ -100,7 +97,7 @@ class EffectInference:
     Construction runs the whole inference (six reverse BFS passes);
     queries afterwards are dictionary lookups.  The
     :class:`~repro.lint.project.ProjectContext` owns one instance per
-    run (:func:`infer_effects`), shared by CG012, CG015–CG018 and the
+    run (:func:`infer_effects`), shared by CG012, CG016 and the
     artifact writer.
     """
 
@@ -195,10 +192,10 @@ def render_effects(project: ProjectContext) -> str:
 # ---------------------------------------------------------------------------
 # CG015 — shard safety
 
-# Entry-point discovery and the exemption set live in
-# :mod:`repro.lint.shards` (the shard-interference analyzer) so CG015
-# and the CG019–CG022 certification rules can never disagree about what
-# an entry point is.
+# Entry-point discovery, reachability and the exemption set live in
+# :mod:`repro.lint.shards` (the shard-interference analyzer), so CG015,
+# CG020–CG022 and the certificate can never disagree about what an
+# entry point reaches.
 
 
 @register_project
@@ -214,14 +211,22 @@ class ShardSafetyRule(ProjectRule):
     conventional ``run``/``pump``/``dispatch``/``submit`` terminals
     under ``cluster``/``serve`` — and flags each reachable function that stores
     into module- or class-level bindings, printing the entry-to-write
-    call chain.  Writes inside ``obs`` (the metrics registry — the
-    sanctioned home for shared aggregates) and ``lint`` (import-time
-    rule registration) are exempt.
+    call chain.  When two or more entry points reach the same write —
+    the static analogue of a data race once the streams are partitioned
+    — the finding names how many and prints the first two witness
+    chains, the pair of code paths that would race.  Writes inside
+    ``lint`` (import-time rule registration) are exempt.
 
-    Fix: move the state onto an instance owned by the shard (``self``),
-    pass it explicitly, or record through the metrics registry
-    (``repro.obs``).  ``# lint: disable=CG015`` only for state that is
-    provably shard-local.
+    Example — ``cluster/a.py`` and ``cluster/b.py`` each define
+    ``run()`` calling ``bump()``, which stores into a module-level
+    ``_state``: one CG015 at the store, with ``chain 1: cluster.a:run
+    -> cluster.shared:bump; chain 2: cluster.b:run ->
+    cluster.shared:bump``.
+
+    Fix: move the state onto an instance owned by the shard (``self``)
+    or pass it explicitly down the chain shown.  ``# lint:
+    disable=CG015`` only with a stated proof that the state is
+    shard-local, or that the write is idempotent.
     """
 
     rule_id = "CG015"
@@ -232,25 +237,25 @@ class ShardSafetyRule(ProjectRule):
     )
 
     def check(self) -> None:
-        entries = sorted(shard_entry_points(self.project))
-        parents = reach_from(self.project.graph, entries)
-        for node in sorted(parents):
+        analysis = shard_analysis(self.project)
+        for node, chains in analysis.blocking_writes():
             mod = self.project.module_of(node)
-            if mod.package in SHARD_EXEMPT_PACKAGES:
-                continue
             fn = self.project.function(node)
-            if not fn.global_writes:
-                continue
-            chain = entry_chain(parents, node)
-            entry = chain[0].replace("::", ":")
+            entries = analysis.reached_by[node]
+            if len(entries) == 1:
+                reach = (f"shard entry point {entries[0].replace('::', ':')} "
+                         f"(chain: {chains[0]})")
+            else:
+                reach = (f"{len(entries)} shard entry points -- a static "
+                         f"race once streams are partitioned "
+                         f"(chain 1: {chains[0]}; chain 2: {chains[1]})")
             for site in fn.global_writes:
                 self.report(
                     mod, site.line, site.col,
                     f"{site.desc} in {fn.qualname}() is reachable from "
-                    f"shard entry point {entry} "
-                    f"(chain: {render_chain(chain)}); shard-parallel "
-                    f"fleets must not share mutable module/class state -- "
-                    f"keep it on an instance or in the metrics registry",
+                    f"{reach}; shard-parallel fleets must not share "
+                    f"mutable module/class state -- keep it on the "
+                    f"instance that owns it",
                 )
 
 
@@ -267,25 +272,37 @@ def _fmt(effects) -> str:
 class EffectDeclarationRule(ProjectRule):
     """``@effects(...)`` declarations must match the inferred signature.
 
-    A declaration is a contract: callers (and the CG018 hot-path rule)
-    rely on it instead of re-deriving the transitive behaviour.  The
-    contract rots in two directions — a function grows an effect its
-    decorator does not admit (undeclared), or keeps declaring one the
-    analyzer can no longer find (stale).  Both directions error, with
-    the witness call chain for undeclared effects.
+    A declaration is a contract: callers rely on it instead of
+    re-deriving the transitive behaviour.  The contract rots in two
+    directions — a function grows an effect its decorator does not
+    admit (undeclared), or keeps declaring one the analyzer can no
+    longer find (stale).  Both directions error, with the witness call
+    chain for undeclared effects.
+
+    ``hot_path=True`` functions are held to more.  ROADMAP item 2
+    vectorises the Algorithm-1/rollout path (a numpy or compiled kernel
+    swap), which is behaviour-preserving only if the path is
+    referentially transparent up to its declared RNG stream: no clock
+    reads, no shared-state writes, no engine emission, no digest
+    writes, no I/O.  So a hot-path function may declare at most
+    ``rng``, and every undeclared effect it has is reported with a
+    hot-path hint instead of "declare it".
 
     Fix: for an undeclared effect, either add it to ``@effects(...)`` or
-    break the call edge the chain shows; for a stale one, delete the
-    name from the decorator.  The inference is conservative (name-
-    resolved call graph), so a spurious edge can be cut by renaming an
-    over-generic method, or suppressed with ``# lint: disable=CG016`` on
-    the ``def`` line.
+    break the call edge the chain shows — on a hot path, hoist the
+    effect out (record results after the kernel returns; pass drawn
+    samples in), or drop ``hot_path=True`` if the function genuinely is
+    not hot-path; for a stale one, delete the name from the decorator.
+    The inference is conservative (name-resolved call graph), so a
+    spurious edge can be cut by renaming an over-generic method, or
+    suppressed with ``# lint: disable=CG016`` on the ``def`` line.
     """
 
     rule_id = "CG016"
     name = "effect-declaration-drift"
     description = (
-        "@effects declaration disagrees with the inferred effect signature"
+        "@effects declaration disagrees with the inferred effect signature, "
+        "or a hot-path function has effects beyond its declared RNG stream"
     )
 
     def check(self) -> None:
@@ -299,17 +316,24 @@ class EffectDeclarationRule(ProjectRule):
                 node = f"{name}::{qual}"
                 inferred = inference.effects_of(node)
                 declared = frozenset(fn.declared_effects)
+                where = "hot-path " if fn.hot_path else ""
                 for effect in sorted(inferred - declared,
                                      key=EFFECT_NAMES.index):
                     witness = inference.witness(node, effect)
                     chain = inference.chain(node, effect)
+                    if not fn.hot_path:
+                        hint = (f"add '{effect}' to @effects(...) or break "
+                                f"the call edge")
+                    elif effect == "rng":
+                        hint = "declare it with @effects('rng', hot_path=True)"
+                    else:
+                        hint = "hoist the effect out of the hot path"
                     self.report(
                         mod, fn.line, 1,
-                        f"{fn.qualname}() declares {_fmt(declared)} but the "
-                        f"analyzer infers undeclared '{effect}': "
+                        f"{where}{fn.qualname}() declares {_fmt(declared)} "
+                        f"but the analyzer infers undeclared '{effect}': "
                         f"{witness.target} "
-                        f"(chain: {render_chain(chain)}); add '{effect}' to "
-                        f"@effects(...) or break the call edge",
+                        f"(chain: {render_chain(chain)}); {hint}",
                     )
                 for effect in sorted(declared - inferred,
                                      key=EFFECT_NAMES.index):
@@ -319,6 +343,14 @@ class EffectDeclarationRule(ProjectRule):
                         f"analyzer cannot find; drop the stale name from "
                         f"@effects(...)",
                     )
+                if fn.hot_path:
+                    for effect in sorted(declared - {"rng"},
+                                         key=EFFECT_NAMES.index):
+                        self.report(
+                            mod, fn.line, 1,
+                            f"hot-path {fn.qualname}() declares '{effect}'; "
+                            f"a hot-path function may declare at most 'rng'",
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -400,70 +432,3 @@ class LayeringRule(ProjectRule):
                     f"invert the dependency or inject it from the "
                     f"composition root",
                 )
-
-
-# ---------------------------------------------------------------------------
-# CG018 — hot-path purity
-
-
-@register_project
-class HotPathPurityRule(ProjectRule):
-    """``@effects(..., hot_path=True)`` functions must be pure-but-RNG.
-
-    ROADMAP item 2 vectorises the Algorithm-1/rollout path (a numpy or
-    compiled kernel swap).  That swap is behaviour-preserving only if
-    the path is referentially transparent up to its declared RNG
-    stream: no clock reads, no shared-state writes, no engine emission,
-    no digest writes, no I/O.  This rule holds every function marked
-    ``hot_path=True`` to exactly that — its inferred signature must be
-    a subset of its declared ``rng`` (and ``rng`` itself must be
-    declared to be allowed).
-
-    Fix: hoist the offending effect out of the hot path (record results
-    after the kernel returns; pass drawn samples in), or — if the
-    function genuinely is not hot-path — drop ``hot_path=True``.
-    """
-
-    rule_id = "CG018"
-    name = "hot-path-impure"
-    description = (
-        "hot-path function has effects beyond its declared RNG stream"
-    )
-
-    def check(self) -> None:
-        inference = infer_effects(self.project)
-        for name in sorted(self.project.modules):
-            mod = self.project.modules[name]
-            for qual in sorted(mod.functions):
-                fn = mod.functions[qual]
-                if not fn.hot_path:
-                    continue
-                node = f"{name}::{qual}"
-                declared = frozenset(fn.declared_effects or [])
-                bad_declared = declared - {"rng"}
-                for effect in sorted(bad_declared,
-                                     key=EFFECT_NAMES.index):
-                    self.report(
-                        mod, fn.line, 1,
-                        f"hot-path {fn.qualname}() declares '{effect}'; a "
-                        f"hot-path function may declare at most 'rng'",
-                    )
-                allowed = declared & {"rng"}
-                inferred = inference.effects_of(node)
-                # bad declarations were already reported above; don't
-                # report the same effect twice when it is also inferred.
-                for effect in sorted(inferred - allowed - bad_declared,
-                                     key=EFFECT_NAMES.index):
-                    witness = inference.witness(node, effect)
-                    chain = inference.chain(node, effect)
-                    hint = (
-                        "declare it with @effects('rng', hot_path=True)"
-                        if effect == "rng"
-                        else "hoist the effect out of the hot path"
-                    )
-                    self.report(
-                        mod, fn.line, 1,
-                        f"hot-path {fn.qualname}() has effect '{effect}': "
-                        f"{witness.target} "
-                        f"(chain: {render_chain(chain)}); {hint}",
-                    )

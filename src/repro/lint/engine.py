@@ -19,9 +19,9 @@
 
 2. **Whole-program** — the summaries form a
    :class:`~repro.lint.project.ProjectContext` over which the
-   CG010–CG022 rules run taint/reachability queries on one shared call
-   graph, effect inference and shard analysis.  This phase is
-   cheap graph work and is recomputed every run, cached summaries
+   CG010–CG017 and CG020–CG022 rules run taint/reachability queries on
+   one shared call graph, effect inference and shard analysis.  This
+   phase is cheap graph work and is recomputed every run, cached summaries
    included: a changed module can shift reachability for *unchanged*
    reverse dependencies, so their project findings must never be
    replayed from cache.
@@ -53,6 +53,7 @@ from repro.lint.project import (
     summarize_module,
 )
 from repro.lint.registry import (
+    RETIRED,
     FileContext,
     Rule,
     all_project_rules,
@@ -64,8 +65,8 @@ from repro.lint.registry import (
 # Importing the rule modules populates both registries.
 import repro.lint.rules  # noqa: F401  (side-effect import)
 import repro.lint.project_rules  # noqa: F401  (side-effect import)
-import repro.lint.shards as _shards  # registers CG019-CG022
-import repro.lint.effects as _effects  # registers CG015-CG018
+import repro.lint.shards as _shards  # registers CG020-CG022
+import repro.lint.effects as _effects  # registers CG015-CG017
 
 __all__ = ["LintResult", "lint_paths", "iter_python_files"]
 
@@ -166,16 +167,22 @@ def _pragma_hygiene(path: str, suppressions: Suppressions,
     the worst failure mode a suppression system can have (the author
     believes a rule is off), so an unknown id is a loud CG000-level
     finding listing the valid ids, exactly like ``--explain`` fails on
-    an unknown id.  CG000 findings are never themselves suppressible.
+    an unknown id.  A retired id gets the same finding, naming the rule
+    that reports its hazard now.  CG000 findings are never themselves
+    suppressible.
     """
     out: list[Finding] = []
     for line, token in suppressions.declared:
-        if token not in known:
-            out.append(Finding(
-                path=path, line=line, col=1, rule_id=_SYNTAX_RULE_ID,
-                message=(f"pragma names unknown rule id {token!r}; "
-                         f"valid ids: {valid}"),
-            ))
+        if token in RETIRED:
+            message = (f"pragma names retired rule id {token!r}; its "
+                       f"hazard is reported as {RETIRED[token]}")
+        elif token not in known:
+            message = (f"pragma names unknown rule id {token!r}; "
+                       f"valid ids: {valid}")
+        else:
+            continue
+        out.append(Finding(path=path, line=line, col=1,
+                           rule_id=_SYNTAX_RULE_ID, message=message))
     return out
 
 
@@ -315,7 +322,7 @@ def lint_paths(
         phases (``--select CG011`` runs only the whole-program RNG
         rule).
     whole_program:
-        Run the CG010–CG013 project phase (default).  Per-file-only
+        Run the whole-program phase (default).  Per-file-only
         mode exists for fixtures that are not meaningful as a project.
     cache:
         A loaded :class:`~repro.lint.cache.LintCache`.  The engine
@@ -331,7 +338,7 @@ def lint_paths(
         (:func:`repro.lint.effects.render_effects`) into
         :attr:`LintResult.effects` (backs ``--effects-out``).  Implies
         nothing about rule selection — the inference runs even when
-        CG015–CG018 are deselected.
+        CG015–CG017 are deselected.
     shard_plan:
         Additionally render the shard-interference certificate
         (:func:`repro.lint.shards.render_shard_plan`) into

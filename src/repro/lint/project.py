@@ -115,6 +115,9 @@ NP_RANDOM_ALLOWED = frozenset({
     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
 })
 STDLIB_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
+#: Suffix of an RNG draw's description when it calls through a global
+#: random module namespace — exactly the call sites CG001 reports.
+GLOBAL_STATE_DRAW = " (global state)"
 
 #: Method terminals that schedule simulation-engine events when called
 #: on an object (``engine.at/after/every``) — the ``engine_emit`` seed.
@@ -961,12 +964,12 @@ class _Summarizer:
         namespace = imp.random_namespace(parts)
         if namespace == "numpy.random":
             if name not in NP_RANDOM_ALLOWED:
-                desc = f"numpy.random.{name}() (global state)"
+                desc = f"numpy.random.{name}(){GLOBAL_STATE_DRAW}"
             elif name == "default_rng" and not node.args:
                 desc = "default_rng() with no seed (OS entropy)"
         elif namespace == "random":
             if name not in STDLIB_RANDOM_ALLOWED:
-                desc = f"random.{name}() (global state)"
+                desc = f"random.{name}(){GLOBAL_STATE_DRAW}"
         elif len(parts) == 1:
             if name in imp.random_fns:
                 desc = f"{name}() (global random state)"

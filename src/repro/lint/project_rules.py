@@ -33,7 +33,7 @@ from repro.lint.dataflow import (
     witness_chain,
 )
 from repro.lint.effects import infer_effects
-from repro.lint.project import ProjectRule
+from repro.lint.project import GLOBAL_STATE_DRAW, ProjectRule
 from repro.lint.registry import register_project
 
 __all__ = [
@@ -178,7 +178,12 @@ class RngStreamDiscipline(_TaintRule):
     CG001 flags global-state draws file-by-file; this rule catches the
     laundered ones — an unseeded ``random.random()`` or ``default_rng()``
     two helper calls upstream of the serving path — and reports at the
-    critical package's entry into the tainted chain.
+    critical package's entry into the tainted chain.  A draw sitting
+    directly in a critical function is reported here only when CG001
+    does not already report it at the same position (an unseeded
+    ``default_rng()``, a call through a ``from random import``
+    alias); CG001's draws still seed the taint, so their callers'
+    laundered chains are reported.
 
     Fix: thread a seeded ``Generator`` down the call chain shown in
     the witness; the chain tells you exactly which helper needs the
@@ -195,12 +200,18 @@ class RngStreamDiscipline(_TaintRule):
               "of hidden global state")
 
     def _own_sites(self, node: str) -> list:
+        # A global-state call through the module namespace is CG001's
+        # finding at the same position; never double-report it.
+        return [site for site in self._draws(node)
+                if not site.desc.endswith(GLOBAL_STATE_DRAW)]
+
+    def _draws(self, node: str) -> list:
         if _is_rng_module(node.split("::", 1)[0]):
             return []
         return self.project.function(node).rng_draws
 
     def _taint_of(self, node: str) -> Optional[str]:
-        sites = self._own_sites(node)
+        sites = self._draws(node)
         return sites[0].desc if sites else None
 
     def _reaching(self) -> Dict[str, Witness]:

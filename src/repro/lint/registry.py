@@ -33,6 +33,7 @@ __all__ = [
     "rule_class",
     "explain_rule",
     "UnknownRuleError",
+    "RETIRED",
     "ANALYZER_VERSION",
 ]
 
@@ -133,6 +134,12 @@ class Rule:
         self.ctx.report(self.rule_id, node, message)
 
 
+#: retired rule id -> the live rule that reports its hazard now.
+#: Retired ids are never reused: ``--explain`` names the successor,
+#: ``--select``/``--ignore`` reject them with its name, and a pragma
+#: naming one draws a CG000 finding that names it.
+RETIRED = {"CG018": "CG016", "CG019": "CG015"}
+
 #: rule id -> rule class, in registration order.
 _REGISTRY: dict[str, Type[Rule]] = {}
 
@@ -143,29 +150,38 @@ _PROJECT_REGISTRY: dict[str, type] = {}
 
 class UnknownRuleError(ValueError):
     """Raised when ``--select``/``--ignore`` names a rule that does not
-    exist."""
+    exist, or one that is retired."""
+
+
+def _retired_note(rule_id: str) -> str:
+    """Why a retired id no longer names a rule, naming its successor."""
+    return (f"rule id {rule_id} is retired; its hazard is reported "
+            f"as {RETIRED[rule_id]}")
+
+
+def _new_rule_id(cls: type) -> str:
+    """``cls.rule_id``, refusing a missing, taken or retired id."""
+    rule_id = getattr(cls, "rule_id", "")
+    if not rule_id:
+        raise ValueError(f"{cls.__name__} must set a rule_id")
+    if (rule_id in _REGISTRY or rule_id in _PROJECT_REGISTRY
+            or rule_id in RETIRED):
+        raise ValueError(f"duplicate rule id {rule_id}")
+    return rule_id
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the global registry; a missing
     or duplicate id or a hook naming no ast class raises ValueError."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} must set a rule_id")
+    rule_id = _new_rule_id(cls)
     node_hooks(cls)
-    if cls.rule_id in _REGISTRY or cls.rule_id in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.rule_id}")
-    _REGISTRY[cls.rule_id] = cls
+    _REGISTRY[rule_id] = cls
     return cls
 
 
 def register_project(cls: type) -> type:
     """Class decorator adding a whole-program rule to the registry."""
-    rule_id = getattr(cls, "rule_id", "")
-    if not rule_id:
-        raise ValueError(f"{cls.__name__} must set a rule_id")
-    if rule_id in _REGISTRY or rule_id in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_id}")
-    _PROJECT_REGISTRY[rule_id] = cls
+    _PROJECT_REGISTRY[_new_rule_id(cls)] = cls
     return cls
 
 
@@ -179,6 +195,19 @@ def all_project_rules() -> dict[str, type]:
     return dict(_PROJECT_REGISTRY)
 
 
+def _check_known(ids: list) -> None:
+    """Raise on any id that names no live rule; a retired id's error
+    names its successor."""
+    retired = [r for r in ids if r in RETIRED]
+    if retired:
+        raise UnknownRuleError("; ".join(_retired_note(r)
+                                         for r in sorted(retired)))
+    known = set(_REGISTRY) | set(_PROJECT_REGISTRY)
+    unknown = [r for r in ids if r not in known]
+    if unknown:
+        raise UnknownRuleError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+
+
 def _resolve(
     registry: dict,
     select: Optional[Iterable[str]],
@@ -190,19 +219,14 @@ def _resolve(
     must not error merely because CG010 is a whole-program rule, and a
     typo must fail loudly instead of silently linting nothing.
     """
-    known = set(_REGISTRY) | set(_PROJECT_REGISTRY)
     chosen = dict(registry)
     if select is not None:
         wanted = list(select)
-        unknown = [r for r in wanted if r not in known]
-        if unknown:
-            raise UnknownRuleError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+        _check_known(wanted)
         chosen = {r: registry[r] for r in registry if r in set(wanted)}
     if ignore is not None:
         dropped = list(ignore)
-        unknown = [r for r in dropped if r not in known]
-        if unknown:
-            raise UnknownRuleError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+        _check_known(dropped)
         chosen = {r: c for r, c in chosen.items() if r not in set(dropped)}
     return list(chosen.values())
 
@@ -260,6 +284,11 @@ def explain_rule(rule_id: str) -> str:
     if rule_id == "CG000":
         return (f"CG000 · syntax-error\n  file does not parse\n\n"
                 f"{_SYNTAX_RULE_EXPLANATION}")
+    if rule_id in RETIRED:
+        successor = RETIRED[rule_id]
+        return (f"{rule_id} · retired\n  {_retired_note(rule_id)}; a "
+                f"``# lint: disable={rule_id}`` pragma suppresses nothing "
+                f"(CG000 names {successor})\n\n{explain_rule(successor)}")
     cls = rule_class(rule_id)
     doc = inspect.cleandoc(cls.__doc__ or "(no rationale recorded)")
     scope = ("whole-program" if rule_id in _PROJECT_REGISTRY

@@ -43,7 +43,7 @@ __all__ = [
     "CanonicalDimensions",
     "FaultPathAccountability",
     "BoundedQueues",
-    "RegistryBackedAggregates",
+    "InstanceOwnedAggregates",
 ]
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -726,7 +726,7 @@ _AGGREGATE_CALLS = frozenset({
 
 
 @register
-class RegistryBackedAggregates(Rule):
+class InstanceOwnedAggregates(Rule):
     """CG014 — counter-like aggregates live on the instance that counts.
 
     A bare module-level dict/list named like a counter (``_totals = {}``,
@@ -753,7 +753,7 @@ class RegistryBackedAggregates(Rule):
     """
 
     rule_id = "CG014"
-    name = "registry-backed-aggregates"
+    name = "instance-owned-aggregates"
     description = ("module-level counter/total aggregate in serve/cluster/"
                    "faults; keep the tally on its owning instance or pragma it")
 

@@ -1,4 +1,4 @@
-"""Shard-interference analysis and the certification rules (CG019–CG022).
+"""Shard-interference analysis and the certification rules (CG020–CG022).
 
 ROADMAP item 1 splits the control plane into partitioned event streams
 — one engine heap per shard, merged deterministically.  That split is
@@ -29,11 +29,11 @@ counterpart — :func:`repro.util.effects.shard_entry` and
 :func:`repro.sim.engine.validate_shard_plan` — cross-checks the shipped
 certificate against the entry points actually registered at run time.
 
-Four rules enforce the contract:
+Three rules enforce the contract (CG015, in :mod:`repro.lint.effects`,
+reports every entry-reachable shared-state write from the same
+reachability, with both witness chains when two entries reach it):
 
 ========  ==============================================================
-CG019     cross-partition mutable reach: two distinct entry points both
-          reach the same shared-state write (both witness chains shown)
 CG020     merge-order fragility: an engine emit whose priority ties are
           broken by anything other than the documented band ownership
 CG021     seed-stream partition leakage: a ``derive_seed`` namespace
@@ -69,7 +69,6 @@ __all__ = [
     "shard_analysis",
     "shard_entry_points",
     "render_shard_plan",
-    "CrossPartitionMutableReach",
     "MergeOrderFragility",
     "SeedStreamPartitionLeakage",
     "CrossShardDigestWrite",
@@ -82,11 +81,9 @@ __all__ = [
 SHARD_ENTRY_TERMINALS = frozenset({"run", "pump", "dispatch", "submit"})
 SHARD_ENTRY_PACKAGES = ("cluster", "serve")
 
-#: Packages whose in-package writes are the sanctioned exceptions:
-#: ``obs`` *owns* the metrics registry (that is where shared aggregates
-#: are supposed to live), and ``lint`` mutates its rule registries at
-#: import time only.
-SHARD_EXEMPT_PACKAGES = frozenset({"lint", "obs"})
+#: Packages whose in-package writes are the sanctioned exception:
+#: ``lint`` mutates its rule registries at import time only.
+SHARD_EXEMPT_PACKAGES = frozenset({"lint"})
 
 #: Group assigned to conventional (undecorated) entry points.  Today's
 #: tree is one partition; the next PR splits it per region by
@@ -102,9 +99,9 @@ def shard_family(group: str) -> str:
     whose groups share a family run on replicas of the same partition
     template — the regional shards of one fleet — so code reachable
     from several of them is still local to each replica's heap, never
-    contended between heaps.  Locality (and rules CG019/CG022) is
-    therefore judged per family, while the certificate's entry table
-    keeps the full ``family:member`` spelling.
+    contended between heaps.  Locality (and rule CG022) is therefore
+    judged per family, while the certificate's entry table keeps the
+    full ``family:member`` spelling.
     """
     return group.split(":", 1)[0]
 
@@ -145,8 +142,8 @@ class ShardAnalysis:
     witness chains) and one reverse BFS for write-interference over the
     project's call graph; the
     :class:`~repro.lint.project.ProjectContext` owns one instance per
-    run (:func:`shard_analysis`), shared by the CG019–CG022 rules and
-    the certificate writer.
+    run (:func:`shard_analysis`), shared by CG015, the CG020–CG022
+    rules and the certificate writer.
     """
 
     def __init__(self, project: ProjectContext):
@@ -209,6 +206,17 @@ class ShardAnalysis:
     def chain_from(self, entry: str, node: str) -> List[str]:
         """The entry-to-function call chain (for witness printing)."""
         return entry_chain(self.entry_parents[entry], node)
+
+    def blocking_writes(self) -> List[Tuple[str, List[str]]]:
+        """``(node, chains)`` for each reachable function that itself
+        writes shared state, sorted by node: the rendered chains from
+        its first two entry points.  Exempt packages' writes do not
+        count.  CG015 and the certificate both read this list."""
+        return [
+            (node, [render_chain(self.chain_from(entry, node))
+                    for entry in self.reached_by[node][:2]])
+            for node in sorted(self.reached_by) if self._own_write(node)
+        ]
 
     # -- priority bands (CG020) ----------------------------------------
     def priority_bands(self) -> Dict[int, List[Tuple[str, str, str]]]:
@@ -287,22 +295,14 @@ def render_shard_plan(project: ProjectContext) -> str:
             module_class[module] = cls
 
     interfering: List[dict] = []
-    for node in sorted(analysis.reached_by):
-        fn = project.function(node)
-        mod = project.module_of(node)
-        if mod.package in SHARD_EXEMPT_PACKAGES or not fn.global_writes:
-            continue
-        entries = analysis.reached_by[node]
-        for site in fn.global_writes:
+    for node, chains in analysis.blocking_writes():
+        for site in project.function(node).global_writes:
             interfering.append({
                 "function": node,
                 "line": site.line,
                 "site": site.desc,
-                "entries": list(entries),
-                "chains": [
-                    render_chain(analysis.chain_from(e, node))
-                    for e in entries[:2]
-                ],
+                "entries": list(analysis.reached_by[node]),
+                "chains": chains,
             })
 
     payload = {
@@ -344,65 +344,6 @@ def render_shard_plan(project: ProjectContext) -> str:
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# CG019 — cross-partition mutable reach
-
-
-@register_project
-class CrossPartitionMutableReach(ProjectRule):
-    """Two distinct shard entry points must not reach the same write.
-
-    This is the static analogue of a data race: once the control plane
-    is partitioned, a module-/class-level write reachable from two
-    entry points means two shards mutate the same state, and the
-    interleaving — hence the fleet digest — becomes schedule-dependent.
-    CG015 already flags any entry-reachable write; this rule upgrades
-    the finding when *multiple* entries converge on one write site and
-    prints both witness chains, because that is the pair of code paths
-    the next PR would actually race against each other.
-
-    Fix: move the state onto a per-shard instance, pass it explicitly
-    down one of the two chains shown, or route the aggregate through
-    the metrics registry (``repro.obs``).  ``# lint: disable=CG019``
-    only with a stated proof that the write is idempotent or the
-    entries can never run on distinct shards.
-    """
-
-    rule_id = "CG019"
-    name = "cross-partition-mutable-reach"
-    description = (
-        "two shard entry points reach the same module/class-state write"
-    )
-
-    def check(self) -> None:
-        analysis = shard_analysis(self.project)
-        for node in sorted(analysis.reached_by):
-            mod = self.project.module_of(node)
-            if mod.package in SHARD_EXEMPT_PACKAGES:
-                continue
-            fn = self.project.function(node)
-            if not fn.global_writes:
-                continue
-            entries = analysis.reached_by[node]
-            if len(entries) < 2:
-                continue
-            first, second = entries[0], entries[1]
-            chains = (
-                render_chain(analysis.chain_from(first, node)),
-                render_chain(analysis.chain_from(second, node)),
-            )
-            for site in fn.global_writes:
-                self.report(
-                    mod, site.line, site.col,
-                    f"{site.desc} in {fn.qualname}() is reachable from "
-                    f"{len(entries)} shard entry points -- a static race "
-                    f"once streams are partitioned "
-                    f"(chain 1: {chains[0]}; chain 2: {chains[1]}); "
-                    f"keep the state per-shard or merge through the "
-                    f"metrics registry",
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ class SimulationEngine:
 
 
 # ---------------------------------------------------------------------------
-# Shard-plan validation (runtime half of the CG019-CG022 certification)
+# Shard-plan validation (runtime half of the shard certification: CG015
+# and CG020-CG022)
 
 
 class ShardPlanError(ValueError):

@@ -6,9 +6,9 @@ event emission, digest writes, file/console I/O — by a fixpoint over the
 project call graph.  :func:`effects` is the matching *declaration*: a
 zero-runtime-cost decorator that states the effects a function is
 allowed to have, so rule **CG016** can fail the build when the two
-drift apart, and rule **CG018** can hold the Algorithm-1/rollout hot
-path to purity (no effects beyond declared RNG), which is what makes a
-future vectorised or compiled kernel swap provably behaviour-preserving.
+drift apart and hold the Algorithm-1/rollout hot path to purity (no
+effects beyond declared RNG), which is what makes a future vectorised
+or compiled kernel swap provably behaviour-preserving.
 
 "Zero runtime cost" is literal: the decorator stores two attributes on
 the function object at import time and returns the function unchanged —
@@ -27,9 +27,9 @@ Usage::
     def sample(rng): ...
 
     @effects("rng", hot_path=True)   # pure-but-RNG *and* on the hot path
-    def rollout(...): ...            # (CG018 enforces the purity)
+    def rollout(...): ...            # (CG016 enforces the purity)
 
-The shard-certification half (rules CG019–CG022 and the
+The shard-certification half (rules CG015, CG020–CG022 and the
 ``shardplan.json`` certificate) uses two more zero-cost markers from
 this module:
 
@@ -90,7 +90,7 @@ def effects(*names: str, hot_path: bool = False) -> Callable[[_F], _F]:
         function pure.
     hot_path:
         Mark the function as part of the Algorithm-1/rollout hot path.
-        CG018 then requires its *inferred* signature to be empty except
+        CG016 then requires its *inferred* signature to be empty except
         for declared ``rng``.
 
     The decorator validates eagerly at import time — a typo'd effect
@@ -133,8 +133,9 @@ def shard_entry(group: str) -> Callable[[_F], _F]:
     forward from every entry, and classifies each reachable function as
     shard-local, shard-shared-read, or shard-interfering in the
     ``shardplan.json`` certificate.  Entries in the same ``group``
-    execute on the same partition; rules CG019/CG021/CG022 only fire on
-    state reachable from *distinct* partitions.
+    execute on the same partition; rule CG015's two-chain race report
+    and rules CG021/CG022 only fire on state reachable from *distinct*
+    partitions.
 
     Groups come in two spellings: a bare name (``"fleet"``) or a
     ``family:member`` pair (``"region:controller"``).  The part before

@@ -1,7 +1,7 @@
 """Tests for the effect system: signature inference, the ``@effects``
-decorator, CG015–CG018, the ``effects.json`` artifact, precise
-``self.method`` and ``super().method`` call resolution, and the ``--explain``/``--effects-out``
-CLI flags."""
+decorator, CG015–CG017 and the retired CG018, the ``effects.json``
+artifact, precise ``self.method`` and ``super().method`` call
+resolution, and the ``--explain``/``--effects-out`` CLI flags."""
 
 import ast
 import json
@@ -17,6 +17,7 @@ from repro.lint import (
     explain_rule,
     infer_effects,
     lint_paths,
+    load_baseline,
     render_effects,
     rule_class,
     summarize_module,
@@ -421,7 +422,26 @@ class TestCG015:
         assert rule_ids(result) == ["CG015"]
         assert result.findings[0].path.endswith("stats.py")
 
-    def test_metrics_registry_writes_are_exempt(self, tmp_path):
+    def test_lint_registry_writes_are_exempt(self, tmp_path):
+        result = lint_paths([write_tree(tmp_path, {
+            "serve/gateway.py": """\
+                from lint.registry import bump
+
+                def pump(q):
+                    bump()
+                """,
+            "lint/registry.py": """\
+                TOTALS = {}
+
+                def bump():
+                    TOTALS["n"] = 1
+                """,
+        })], select=["CG015"])
+        assert result.ok
+
+    def test_obs_writes_are_findings(self, tmp_path):
+        # obs/ only reads finished runs, so a module-level write there
+        # that an entry point reaches is shared state like any other.
         result = lint_paths([write_tree(tmp_path, {
             "serve/gateway.py": """\
                 from obs.metrics import bump
@@ -436,7 +456,11 @@ class TestCG015:
                     TOTALS["n"] = 1
                 """,
         })], select=["CG015"])
-        assert result.ok
+        assert rule_ids(result) == ["CG015"]
+        finding = result.findings[0]
+        assert finding.path.endswith("metrics.py")
+        assert "serve.gateway:pump -> obs.metrics:bump" in finding.message
+        assert "metrics registry" not in finding.message
 
     def test_instance_state_is_clean(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {
@@ -605,10 +629,13 @@ class TestCG017:
 
 
 # ----------------------------------------------------------------------
-# CG018 — hot-path purity
+# CG018 — retired: hot-path purity is checked by CG016
 # ----------------------------------------------------------------------
 
 class TestCG018:
+    """The cases of the retired CG018, on the same trees: CG016 reports
+    each hazard now, and the id itself names its successor."""
+
     def test_clock_on_hot_path_errors(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {
             "core/kernel.py": """\
@@ -619,9 +646,11 @@ class TestCG018:
                 def step(x):
                     return time.time() + x
                 """,
-        })], select=["CG018"])
-        assert rule_ids(result) == ["CG018"]
-        assert "'clock'" in result.findings[0].message
+        })], select=["CG016"])
+        assert rule_ids(result) == ["CG016"]
+        message = result.findings[0].message
+        assert "hot-path step()" in message and "'clock'" in message
+        assert "hoist the effect out of the hot path" in message
 
     def test_undeclared_rng_suggests_declaring_it(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {
@@ -632,8 +661,8 @@ class TestCG018:
                 def draw(rng):
                     return rng.normal()
                 """,
-        })], select=["CG018"])
-        assert rule_ids(result) == ["CG018"]
+        })], select=["CG016"])
+        assert rule_ids(result) == ["CG016"]
         assert "@effects('rng', hot_path=True)" in result.findings[0].message
 
     def test_declared_rng_is_the_allowed_exception(self, tmp_path):
@@ -645,7 +674,7 @@ class TestCG018:
                 def draw(rng):
                     return rng.normal()
                 """,
-        })], select=["CG016", "CG018"])
+        })], select=["CG016"])
         assert result.ok
 
     def test_hot_path_may_declare_at_most_rng(self, tmp_path):
@@ -657,15 +686,66 @@ class TestCG018:
                 def dump(x):
                     print(x)
                 """,
-        })], select=["CG018"])
-        assert rule_ids(result) == ["CG018"]
+        })], select=["CG016"])
+        assert rule_ids(result) == ["CG016"]
         assert "at most 'rng'" in result.findings[0].message
 
     def test_shipped_hot_path_is_pure(self):
         # The annotated Algorithm-1/rollout path must hold under its own
-        # analyzer: no CG016 drift, no CG018 impurity.
-        result = lint_paths(["src"], select=["CG016", "CG018"])
+        # analyzer: no CG016 drift or hot-path impurity.
+        result = lint_paths(["src"], select=["CG016"])
         assert result.ok, [f.format() for f in result.findings]
+
+    def test_explain_names_the_successor(self, capsys):
+        assert lint_main(["--explain", "CG018"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("CG018 · retired")
+        assert "reported as CG016" in out
+        assert "CG016 · effect-declaration-drift" in out
+
+    def test_select_or_ignore_exits_2_naming_the_successor(self, tmp_path,
+                                                             capsys):
+        for flag in ("--select", "--ignore"):
+            assert lint_main([str(tmp_path), "--no-cache",
+                              flag, "CG018"]) == 2
+            err = capsys.readouterr().err
+            assert "CG018 is retired" in err and "CG016" in err
+
+    def test_list_rules_omits_retired_ids(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in
+                  capsys.readouterr().out.splitlines()
+                  if line.startswith("CG")]
+        assert "CG016" in listed and "CG015" in listed
+        assert "CG018" not in listed and "CG019" not in listed
+        assert len(listed) == 20
+
+    def test_baseline_with_the_retired_id_loads(self, tmp_path, capsys):
+        tree = write_tree(tmp_path / "t", {
+            "core/kernel.py": """\
+                import time
+                from repro.util.effects import effects
+
+                @effects(hot_path=True)
+                def step(x):
+                    return time.time() + x
+                """,
+        })
+        baseline = tmp_path / "baseline.json"
+        args = [str(tree), "--no-cache", "--baseline", str(baseline)]
+        assert lint_main(args + ["--update-baseline"]) == 0
+        payload = json.loads(baseline.read_text())
+        payload["findings"].append({
+            "fingerprint": "0123456789abcdef",
+            "rule_id": "CG018",
+            "path": "core/kernel.py",
+            "message": "hot-path step() has effect 'clock'",
+        })
+        baseline.write_text(json.dumps(payload))
+        assert load_baseline(baseline)["0123456789abcdef"]["rule_id"] == \
+            "CG018"
+        assert lint_main(args) == 0
+        capsys.readouterr()
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,8 @@ class TestCG011:
         assert "sample" in finding.message
 
     def test_draw_directly_inside_critical_package(self, tmp_path):
+        # A global-state draw is CG001's finding at the same position;
+        # CG011 does not report it a second time.
         result = lint_paths([write_tree(tmp_path, {
             "faults/chaos.py": """\
                 import random
@@ -182,9 +184,25 @@ class TestCG011:
                 def shake():
                     return random.gauss(0, 1)
                 """,
-        })], select=["CG011"])
-        assert rule_ids(result) == ["CG011"]
+        })], select=["CG001", "CG011"])
+        assert rule_ids(result) == ["CG001"]
         assert "random.gauss" in result.findings[0].message
+
+    def test_draw_cg001_misses_inside_critical_package(self, tmp_path):
+        # An unseeded constructor is allowed file-by-file, so CG011
+        # still reports it where it sits.
+        result = lint_paths([write_tree(tmp_path, {
+            "sim/boot.py": """\
+                import numpy as np
+
+                def fresh():
+                    return np.random.default_rng()
+                """,
+        })], select=["CG001", "CG011"])
+        assert rule_ids(result) == ["CG011"]
+        finding = result.findings[0]
+        assert (finding.line, finding.col) == (4, 12)
+        assert "default_rng() with no seed" in finding.message
 
     def test_seeded_streams_are_clean(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {
@@ -344,8 +362,8 @@ class TestProjectRegistry:
     def test_registry_has_all_project_rules(self):
         assert sorted(all_project_rules()) == [
             "CG010", "CG011", "CG012", "CG013",
-            "CG015", "CG016", "CG017", "CG018",
-            "CG019", "CG020", "CG021", "CG022",
+            "CG015", "CG016", "CG017",
+            "CG020", "CG021", "CG022",
         ]
 
     def test_select_spans_both_registries(self):
@@ -579,10 +597,10 @@ class TestBaseline:
         write_baseline(baseline_file, result.findings)
 
         (tree / "serve" / "direct.py").write_text(textwrap.dedent("""\
-            import random
+            from util.noise import sample
 
             def pick():
-                return random.random()
+                return sample()
             """))
         again = lint_paths([tree], select=["CG011"])
         new = apply_baseline(again.findings, load_baseline(baseline_file))
@@ -636,10 +654,10 @@ class TestChangedFlag:
                                              capsys):
         tree = write_tree(tmp_path, {
             "pkg/serve/old.py": """\
-                import random
+                import numpy as np
 
                 def try_admit(x):
-                    return random.random()
+                    return np.random.default_rng()
                 """,
             "pkg/serve/fresh.py": """\
                 def try_admit(x):
@@ -652,10 +670,10 @@ class TestChangedFlag:
         # Introduce a violation in one file only; the committed one
         # keeps its (old) violation but must not be reported.
         (tree / "pkg" / "serve" / "fresh.py").write_text(textwrap.dedent("""\
-            import random
+            import numpy as np
 
             def try_admit(x):
-                return random.random()
+                return np.random.default_rng()
             """))
         monkeypatch.chdir(tree)
         assert lint_main(["pkg", "--select", "CG011", "--no-cache",
@@ -675,10 +693,10 @@ class TestChangedFlag:
         _git(tree, "commit", "-qm", "seed")
         write_tree(tree, {
             "pkg/serve/new.py": """\
-                import random
+                import numpy as np
 
                 def try_admit(x):
-                    return random.random()
+                    return np.random.default_rng()
                 """,
         })
         monkeypatch.chdir(tree)

@@ -512,7 +512,7 @@ class TestCG009:
 
 
 # ----------------------------------------------------------------------
-# CG014 — registry-backed aggregates
+# CG014 — instance-owned aggregates
 # ----------------------------------------------------------------------
 
 class TestCG014:

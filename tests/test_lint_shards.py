@@ -1,7 +1,7 @@
 """Tests for the shard-interference analyzer: entry discovery, the
-shard classification lattice, rules CG019–CG022 (positive / negative /
-pragma), the ``shardplan.json`` certificate (schema, byte stability,
-committed golden), the runtime ``@shard_entry`` /
+shard classification lattice, rules CG020–CG022 and the retired CG019
+(positive / negative / pragma), the ``shardplan.json`` certificate
+(schema, byte stability, committed golden), the runtime ``@shard_entry`` /
 ``validate_shard_plan`` half, and the CG000 pragma-hygiene check.
 
 The golden certificate lives at ``tests/data/shardplan_golden.json``
@@ -242,7 +242,7 @@ class TestClassification:
                 def run():
                     record()
             """,
-            "obs/metrics.py": """
+            "lint/registry.py": """
                 REGISTRY = {}
 
                 def record():
@@ -251,7 +251,28 @@ class TestClassification:
         })
         analysis = shard_analysis(project)
         assert analysis.classification("cluster.a::run") == "shard_local"
-        assert analysis.classification("obs.metrics::record") == "shard_local"
+        assert analysis.classification("lint.registry::record") == \
+            "shard_local"
+
+    def test_obs_writes_interfere(self):
+        # obs/ only reads finished runs; it is no exempt package.
+        project = build_project({
+            "cluster/a.py": """
+                def run():
+                    record()
+            """,
+            "obs/metrics.py": """
+                REGISTRY = {}
+
+                def record():
+                    REGISTRY["n"] = 1
+            """,
+        })
+        analysis = shard_analysis(project)
+        assert analysis.classification("cluster.a::run") == \
+            "shard_interfering"
+        assert analysis.classification("obs.metrics::record") == \
+            "shard_interfering"
 
     def test_unreachable_is_unclassified(self):
         project = build_project({
@@ -264,7 +285,7 @@ class TestClassification:
 
 
 # ----------------------------------------------------------------------
-# CG019 — cross-partition mutable reach
+# CG019 — retired: cross-partition mutable reach is reported by CG015
 # ----------------------------------------------------------------------
 
 CROSS_WRITE = {
@@ -286,27 +307,35 @@ CROSS_WRITE = {
 
 
 class TestCG019:
+    """The cases of the retired CG019, on the same trees: CG015 reports
+    the write once, with both chains, and the id names its successor."""
+
     def test_two_entries_one_write(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, CROSS_WRITE)],
-                            select=["CG019"])
-        assert rule_ids(result) == ["CG019"]
+                            select=["CG015"])
+        assert rule_ids(result) == ["CG015"]
         message = result.findings[0].message
+        assert "2 shard entry points" in message
         assert "chain 1:" in message and "chain 2:" in message
         assert "cluster.a:run" in message and "cluster.b:run" in message
+        assert "metrics registry" not in message
 
     def test_single_entry_is_cg015s_business(self, tmp_path):
         files = dict(CROSS_WRITE)
         del files["cluster/b.py"]
-        result = lint_paths([write_tree(tmp_path, files)], select=["CG019"])
-        assert rule_ids(result) == []
+        result = lint_paths([write_tree(tmp_path, files)], select=["CG015"])
+        assert rule_ids(result) == ["CG015"]
+        message = result.findings[0].message
+        assert "shard entry point cluster.a:run (chain: " in message
+        assert "chain 2:" not in message
 
     def test_exempt_package_clean(self, tmp_path):
         files = {
             "cluster/a.py": CROSS_WRITE["cluster/a.py"],
             "cluster/b.py": CROSS_WRITE["cluster/b.py"],
-            "obs/shared.py": CROSS_WRITE["cluster/shared.py"],
+            "lint/shared.py": CROSS_WRITE["cluster/shared.py"],
         }
-        result = lint_paths([write_tree(tmp_path, files)], select=["CG019"])
+        result = lint_paths([write_tree(tmp_path, files)], select=["CG015"])
         assert rule_ids(result) == []
 
     def test_pragma_suppresses(self, tmp_path):
@@ -315,10 +344,38 @@ class TestCG019:
             TOTALS = {}
 
             def bump():
+                TOTALS["n"] = 1  # lint: disable=CG015
+        """
+        result = lint_paths([write_tree(tmp_path, files)], select=["CG015"])
+        assert rule_ids(result) == []
+
+    def test_retired_pragma_is_cg000_naming_the_successor(self, tmp_path):
+        files = dict(CROSS_WRITE)
+        files["cluster/shared.py"] = """
+            TOTALS = {}
+
+            def bump():
                 TOTALS["n"] = 1  # lint: disable=CG019
         """
-        result = lint_paths([write_tree(tmp_path, files)], select=["CG019"])
-        assert rule_ids(result) == []
+        result = lint_paths([write_tree(tmp_path, files)], select=["CG015"])
+        assert rule_ids(result) == ["CG000", "CG015"]
+        cg000 = result.findings[0]
+        assert "retired rule id 'CG019'" in cg000.message
+        assert "reported as CG015" in cg000.message
+        assert "valid ids" not in cg000.message
+
+    def test_explain_names_the_successor(self, capsys):
+        assert lint_main(["--explain", "cg019"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("CG019 · retired")
+        assert "reported as CG015" in out
+        assert "CG015 · shard-unsafe-global-write" in out
+
+    def test_select_exits_2_naming_the_successor(self, tmp_path, capsys):
+        assert lint_main([str(tmp_path), "--no-cache",
+                          "--select", "CG015,CG019"]) == 2
+        err = capsys.readouterr().err
+        assert "CG019 is retired" in err and "CG015" in err
 
 
 # ----------------------------------------------------------------------
@@ -757,7 +814,8 @@ class TestPragmaHygiene:
         listed = message.split("valid ids:")[1].split(", ")
         assert [r.strip() for r in listed] == \
             sorted(r.strip() for r in listed)
-        assert "CG019" in message and "CG022" in message
+        assert "CG020" in message and "CG022" in message
+        assert "CG018" not in listed and "CG019" not in listed
 
     def test_known_rule_id_is_clean(self, tmp_path):
         result = lint_paths([write_tree(tmp_path, {
@@ -798,7 +856,7 @@ class TestCLI:
             """,
         })
         out = tmp_path / "shardplan.json"
-        code = lint_main([str(tree), "--no-cache", "--select", "CG019",
+        code = lint_main([str(tree), "--no-cache", "--select", "CG015",
                           "--shard-plan-out", str(out)])
         capsys.readouterr()
         assert code == 0
