@@ -96,9 +96,21 @@ class SyntheticScheduler:
         self.distributor = Distributor(capacity, horizon=DIST_HORIZON)
         self.memo = memo
         self.tasks = []  # lint: disable=CG009 - bounded by admission capacity
+        self._batch = None
 
     def task_views(self):
         return list(self.tasks)
+
+    def admission_batch(self):
+        """One Algorithm-1 snapshot per running set, as ``CoCGScheduler``
+        keeps; :meth:`set_tasks` drops it."""
+        if self._batch is None:
+            self._batch = self.distributor.begin_batch(self.tasks)
+        return self._batch
+
+    def set_tasks(self, tasks):
+        self.tasks = tasks
+        self._batch = None
 
     def admission_terms(self, profile):
         return profile.entry_min, profile.steady
@@ -127,12 +139,12 @@ class SyntheticNode:
         if not decision.admitted:
             return False
         duration = 45.0 + (request.request_id % 60)
-        sched.tasks.append(
+        sched.set_tasks(sched.tasks + [
             SyntheticTask(
                 profile.steady, profile.steady, time + duration,
                 self._counter, sched.memo,
             )
-        )
+        ])
         return True
 
     def headroom(self):
@@ -147,7 +159,7 @@ class SyntheticNode:
             if task.end_time > time:
                 task.invalidate_rollouts()
                 keep.append(task)
-        sched.tasks = keep
+        sched.set_tasks(keep)
 
 
 def synthetic_profiles(specs):

@@ -5,8 +5,8 @@ Algorithm-1 dispatch, per-category SLO report.
 Runs Poisson arrivals over a three-node fleet fronted by an
 :class:`repro.serve.AdmissionGateway`: requests queue per game category
 under a token-bucket rate limit, overload is shed explicitly, and
-dispatch shares one Algorithm-1 evaluation pass per node per round
-(micro-batching).
+dispatch pre-screens each node on its one Algorithm-1 snapshot per node
+state, which the node's own admission shares.
 
 With ``--check-determinism`` the gateway run executes twice and the
 script exits non-zero unless both produce byte-identical fleet digests

@@ -83,9 +83,11 @@ class BatchEvaluation:
     decided once; every call still counts in
     :attr:`Distributor.verdicts`.
 
-    The snapshot is only valid while the running set is unchanged:
-    after an admission or release, begin a new batch via
-    :meth:`Distributor.begin_batch`.  Decisions are byte-identical to
+    The snapshot is only valid while the running set and its control
+    state are unchanged: ``CoCGScheduler.admission_batch`` keeps one
+    and drops it on every admission, release and control cycle, then
+    begins a new one via :meth:`Distributor.begin_batch` on the next
+    question.  Decisions are byte-identical to
     per-candidate :meth:`Distributor.can_admit` calls — the sequential
     path delegates here with a single-use batch.
     """

@@ -21,13 +21,13 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.adjustment import DynamicAdjuster, backend_rotation
 from repro.core.allocation import AllocationPlanner
-from repro.core.distributor import AdmissionDecision, Distributor
+from repro.core.distributor import AdmissionDecision, BatchEvaluation, Distributor
 from repro.core.pipeline import GameProfile
 from repro.core.predictor import (
     Judgment,
@@ -57,6 +57,10 @@ __all__ = [
 
 #: ``(backend, entry, entry_min, steady_peak)`` — one game's admission plans.
 _AdmissionPlans = Tuple[str, ResourceVector, ResourceVector, ResourceVector]
+
+#: A candidate Algorithm 1 admits but the allocator cannot place under
+#: the cap.
+_PLACEMENT_REFUSED = AdmissionDecision(False, "placement failed under the cap")
 
 
 def _total(rows: Iterable[Floats4]) -> Floats4:
@@ -358,6 +362,10 @@ class CoCGScheduler:
         self.refused_placements: List[Tuple[float, str]] = []
         #: ``(time, sessions hosted after the cycle)`` per :meth:`control`.
         self.cycles: List[Tuple[float, int]] = []
+        # The Algorithm-1 snapshot of the running set (:meth:`admission_batch`)
+        # and the ``(game, gpu_index)`` placements refused under it.
+        self._batch: Optional[BatchEvaluation] = None
+        self._refused: Set[Tuple[str, Optional[int]]] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -424,8 +432,29 @@ class CoCGScheduler:
         return entry_min, steady
 
     def task_views(self) -> List[SessionControl]:
-        """The running set as Algorithm-1 task views (batcher input)."""
+        """The running set as Algorithm-1 task views."""
         return list(self._sessions.values())
+
+    def admission_batch(self) -> BatchEvaluation:
+        """The Algorithm-1 snapshot of the current running set.
+
+        Algorithm 1 judges a newcomer only against the running set and
+        its control state, so one snapshot answers every admission
+        question until one of them changes: it is opened by the first
+        question and shared by :meth:`try_admit` and the serve-layer
+        pre-screen.  A successful admission, :meth:`release` and
+        :meth:`control` drop it (with the placements refused under it);
+        under CoCG they are every allocator mutation.
+        """
+        batch = self._batch
+        if batch is None:
+            batch = self._batch = self.distributor.begin_batch(self.task_views())
+        return batch
+
+    def _drop_snapshot(self) -> None:
+        """The running set or its control state is about to change."""
+        self._batch = None
+        self._refused.clear()
 
     # ------------------------------------------------------------------
     # Admission (the distributor front end)
@@ -441,29 +470,35 @@ class CoCGScheduler:
     ) -> AdmissionDecision:
         """Algorithm-1 admission; on success ``session_id`` is placed.
 
-        Algorithm 1 reads only the per-game terms; the session
-        (``make_session()``) and a planner of its own are made only once
-        the session is placed.
+        Algorithm 1 reads only the per-game terms, and answers from
+        :meth:`admission_batch`; the session (``make_session()``) and a
+        planner of its own are made only once the session is placed.  A
+        capped placement refused under the current snapshot stays
+        refused for the same ``(game, gpu_index)`` until the snapshot is
+        dropped: nothing it reads has changed.
         """
         backend, entry, entry_min, steady = self._admission_plans(profile)
-        decision = self.distributor.can_admit(
-            entry_min, steady, self.task_views()
-        )
+        decision = self.admission_batch().evaluate(entry_min, steady)
         if not decision.admitted:
             self.rejections += 1
             self._now = time
             self._log(session_id, "reject", decision.reason)
             return decision
-        gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
-        grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
-            entry_min.minimum(entry)
-        )
-        try:
-            self.allocator.place(session_id, grant, gpu_index=gi, time=time)
-        except AllocationError:
+        placement = (profile.spec.name, gpu_index)
+        if placement not in self._refused:
+            gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
+            grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
+                entry_min.minimum(entry)
+            )
+            try:
+                self.allocator.place(session_id, grant, gpu_index=gi, time=time)
+            except AllocationError:
+                self._refused.add(placement)
+        if placement in self._refused:
             self.rejections += 1
             self.refused_placements.append((time, session_id))
-            return AdmissionDecision(False, "placement failed under the cap")
+            return _PLACEMENT_REFUSED
+        self._drop_snapshot()
         ctl = SessionControl(
             make_session(),
             profile,
@@ -509,6 +544,7 @@ class CoCGScheduler:
     def release(self, session_id: str, *, time: float = 0.0) -> None:
         """Remove a finished/aborted session."""
         if session_id in self._sessions:
+            self._drop_snapshot()
             self._sessions[session_id].invalidate_rollouts()
             del self._sessions[session_id]
             self.allocator.release(session_id, time=time)
@@ -528,6 +564,7 @@ class CoCGScheduler:
         """
         interval = self.config.detect_interval
         self._now = time
+        self._drop_snapshot()
         for sid, ctl in self._sessions.items():
             window = telemetry.observed_window(sid, interval)
             if window is None:

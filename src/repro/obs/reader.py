@@ -366,8 +366,9 @@ def _read_schedulers(obs: "Observer", cluster) -> None:
     # Algorithm 1 runs in try_admit, which then logs an admit or a
     # reject or refuses the placement, all at that time; or in the
     # gateway's pre-screen, whose passes go on at once to the same
-    # node's try_admit over the same running set and whose rejects the
-    # batcher stamps.  Every batch is opened just before a verdict.
+    # node's try_admit on the same snapshot and whose rejects the
+    # batcher stamps.  A snapshot is opened by the verdict that first
+    # reads it; the batches sample carries the latest verdict's time.
     admitted_at = _latest(actions.get("admit", (0, None))[1], refused_at)
     rejected_at = actions.get("reject", (0, None))[1]
     if cluster.gateway is not None:

@@ -6,8 +6,8 @@ traffic from millions of users" reaches the distributor at all:
 * :mod:`~repro.serve.gateway` — bounded per-category queues, token-bucket
   rate limiting, explicit shed/dead-letter outcomes in the telemetry
   digest;
-* :mod:`~repro.serve.batching` — one shared Algorithm-1 pass per node
-  per scheduling tick instead of per request×node;
+* :mod:`~repro.serve.batching` — an Algorithm-1 pre-screen on each
+  node's shared snapshot (one per node state, not per request×node);
 * :mod:`~repro.serve.slo` — per-category time-in-queue percentiles;
 * :mod:`~repro.serve.loadgen` — deterministic open/closed-loop request
   generation at ≥100k-request scale.

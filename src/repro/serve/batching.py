@@ -1,14 +1,15 @@
-"""Micro-batched Algorithm-1 dispatch.
+"""Algorithm-1 pre-screened dispatch.
 
-Naive per-request admission evaluates Algorithm 1 from scratch for every
-``request × node`` pair: each evaluation re-sums the node's current
-co-consumption and re-rolls every running session's predictor
-``horizon`` iterations.  Within one scheduling tick none of that depends
-on the candidate, so a tick's pending requests form a natural
-*micro-batch*: one :class:`~repro.core.distributor.BatchEvaluation` per
-node answers every candidate from a single shared rollout pass, and
+Naive per-request admission asks every ``request × node`` pair the
+node's ``try_admit``.  Algorithm 1 judges a newcomer only against the
+node's running set, so each CoCG node keeps one shared
+:class:`~repro.core.distributor.BatchEvaluation` over that set
+(``CoCGScheduler.admission_batch``): it sums the node's current
+co-consumption and rolls its sessions' predictors forward at most once,
 decides each distinct game's terms once (a queue of a hundred ``contra``
-requests is one decision per node snapshot).
+requests is one decision per node snapshot), and is dropped only when
+the node admits, releases or runs its control cycle.  The batcher reads
+that snapshot to pre-screen each candidate node before asking it.
 
 Outcome equivalence is by construction, not by luck:
 
@@ -17,15 +18,15 @@ Outcome equivalence is by construction, not by luck:
   :meth:`~repro.cluster.fleet.ClusterScheduler.candidate_order` (the
   round-robin cursor advances identically);
 * the pre-screen evaluates the same ``(entry_min, steady)`` terms
-  (``CoCGScheduler.admission_terms``) against the same running views as
-  the node's own ``try_admit`` would, so it rejects exactly when the
-  node would reject — the node is simply never asked (neither path
-  builds a :class:`~repro.games.session.GameSession` for a refusal:
-  strategies build one only after they admit);
+  (``CoCGScheduler.admission_terms``) against the same snapshot the
+  node's own ``try_admit`` reads, so it rejects exactly when the node
+  would reject — the node is simply never asked (neither path builds a
+  :class:`~repro.games.session.GameSession` for a refusal: strategies
+  build one only after they admit);
 * a node that passes the pre-screen still goes through the authoritative
   ``node.try_admit`` (placement can fail under the cap even when
-  Algorithm 1 passes), and an admission drops that node's batch
-  snapshot, since its running set just changed.
+  Algorithm 1 passes), whose verdict is the pre-screen's own memoized
+  decision.
 
 Nodes whose strategy does not expose a CoCG scheduler (baselines) fall
 back to plain ``try_admit`` — the batcher degrades to naive dispatch for
@@ -36,31 +37,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.distributor import BatchEvaluation
-
 if TYPE_CHECKING:  # pragma: no cover - cluster imports nothing from here
     from repro.cluster.fleet import ClusterScheduler, FleetNode
-    from repro.serve.gateway import QueuedRequest
+    from repro.serve.gateway import AdmissionGateway, QueuedRequest
 
 __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Per-tick shared Algorithm-1 evaluation across a fleet's nodes.
+    """Algorithm-1 pre-screen in front of a fleet's nodes.
 
     One instance lives inside an
-    :class:`~repro.serve.gateway.AdmissionGateway`; the gateway calls
-    :meth:`begin_round` once per pump and :meth:`dispatch_one` per due
-    request.  Plain counts expose how much work batching saved (read
-    through :meth:`stats`); the three the gateway's logs cannot recount
-    keep the sim time of their last update.
+    :class:`~repro.serve.gateway.AdmissionGateway`, which calls
+    :meth:`dispatch_one` per due request.  Plain counts expose how much
+    work the pre-screen saved (read through :meth:`stats`); each keeps
+    the sim time of its last update.  Rounds and admissions are the
+    gateway's own records (its ``pumps`` log and its admitted verdicts).
     """
 
-    def __init__(self) -> None:
-        #: Batch rounds begun, and batched dispatches that stuck.
-        self.rounds = 0
-        self.admissions = 0
-        #: Pre-screen Algorithm-1 evaluations (shared-rollout path).
+    def __init__(self, gateway: "AdmissionGateway") -> None:
+        self._gateway = gateway
+        #: Pre-screen Algorithm-1 evaluations (shared-snapshot path).
         self.evaluations = 0
         self.evaluated_at: Optional[float] = None
         #: Candidates the pre-screen rejected — the node's
@@ -71,14 +68,8 @@ class MicroBatcher:
         #: (non-CoCG strategy or unknown game profile).
         self.fallback_probes = 0
         self.probed_at: Optional[float] = None
-        self._batches: Dict[str, BatchEvaluation] = {}
 
     # ------------------------------------------------------------------
-    def begin_round(self) -> None:
-        """Start a fresh batch round: all node snapshots are dropped."""
-        self.rounds += 1
-        self._batches = {}
-
     @staticmethod
     def _probe(node: "FleetNode"):
         """The node's CoCG scheduler, if its strategy exposes one."""
@@ -86,8 +77,7 @@ class MicroBatcher:
         if sched is None:
             return None
         if not (
-            hasattr(sched, "distributor")
-            and hasattr(sched, "task_views")
+            hasattr(sched, "admission_batch")
             and hasattr(sched, "admission_terms")
         ):
             return None
@@ -101,7 +91,7 @@ class MicroBatcher:
         time: float,
         seed_for,
     ) -> Optional["FleetNode"]:
-        """Place one request using the round's shared batch snapshots.
+        """Place one request, pre-screening each node on its snapshot.
 
         Mirrors :meth:`ClusterScheduler.dispatch` (same candidate order,
         same ``dispatched``/``deferred`` accounting) with the Algorithm-1
@@ -116,14 +106,10 @@ class MicroBatcher:
                 else None
             )
             if sched is not None and profile is not None:
-                batch = self._batches.get(node.node_id)
-                if batch is None:
-                    batch = sched.distributor.begin_batch(sched.task_views())
-                    self._batches[node.node_id] = batch
                 entry_min, steady = sched.admission_terms(profile)
                 self.evaluations += 1
                 self.evaluated_at = time
-                if not batch.evaluate(entry_min, steady).admitted:
+                if not sched.admission_batch().evaluate(entry_min, steady).admitted:
                     self.prescreen_rejects += 1
                     self.rejected_at = time
                     continue
@@ -136,9 +122,6 @@ class MicroBatcher:
                 seed=seed_for(request, entry.incarnation),
                 incarnation=entry.incarnation,
             ):
-                # The node's running set changed; its snapshot is stale.
-                self._batches.pop(node.node_id, None)
-                self.admissions += 1
                 cluster.note_dispatch("dispatched", time=time)
                 return node
         cluster.note_dispatch("deferred", time=time)
@@ -147,10 +130,14 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """The counts as a flat dict of ints."""
+        gateway = self._gateway
         return {
-            "rounds": self.rounds,
+            "rounds": len(gateway.pumps),
             "evaluations": self.evaluations,
             "prescreen_rejects": self.prescreen_rejects,
-            "admissions": self.admissions,
+            "admissions": sum(
+                1 for e in gateway.telemetry.gateway_events
+                if e.outcome == "admitted"
+            ),
             "fallback_probes": self.fallback_probes,
         }

@@ -21,12 +21,11 @@ deterministically, on simulation time:
   which is part of the fleet digest: replays must reproduce shedding
   decisions byte-for-byte, exactly like usage samples.
 
-Dispatch itself is micro-batched through
-:class:`~repro.serve.batching.MicroBatcher` (one shared Algorithm-1 pass
-per node per round).  The gateway counts nothing twice: its verdicts are
-the event log, its rounds the :attr:`AdmissionGateway.pumps` log, and
-the few facts no log holds are plain ints stamped with the sim time of
-their last update.  :mod:`repro.obs.reader` builds the ``serve_*``
+Dispatch itself goes through :class:`~repro.serve.batching.MicroBatcher`
+(an Algorithm-1 pre-screen on each node's shared snapshot).  The
+gateway counts nothing twice: its verdicts are the event log, its rounds
+the :attr:`AdmissionGateway.pumps` log, and the few facts no log holds
+are plain ints stamped with the sim time of their last update.  :mod:`repro.obs.reader` builds the ``serve_*``
 metric families from these records after the run.
 """
 
@@ -226,7 +225,7 @@ class AdmissionGateway:
         self.backpressure_sheds = 0
         self.backpressure_at: Optional[float] = None
         self.slo = SloTracker()
-        self.batcher = MicroBatcher()
+        self.batcher = MicroBatcher(self)
 
     # ------------------------------------------------------------------
     @property
@@ -364,7 +363,6 @@ class AdmissionGateway:
             (e for q in self._queues.values() for e in q),
             key=lambda e: e.seq,
         )
-        self.batcher.begin_round()
         started: List[GameRequest] = []
         resolved: List[QueuedRequest] = []
         for entry in entries:

@@ -406,10 +406,16 @@ class TelemetryRecorder:
             cols = self._columns[sid]
             h.update(sid.encode())
             h.update(np.array(cols.times, dtype=np.int64).tobytes())
-            h.update(np.asarray(cols.valid, dtype=np.bool_).tobytes())
+            valid = np.asarray(cols.valid, dtype=np.bool_)
+            h.update(valid.tobytes())
             rounded = np.round(_matrix(cols.observed), 6)
-            for row, ok in zip(rounded, cols.valid):
-                h.update(row.tobytes() if ok else b"<dropped>")
+            if valid.all():
+                # sha256 streams: the whole C-ordered matrix hashes as
+                # its rows one after another.
+                h.update(rounded.tobytes())
+            else:
+                for row, ok in zip(rounded, cols.valid):
+                    h.update(row.tobytes() if ok else b"<dropped>")
         for ev in self.fault_events:
             h.update(f"{ev.time:.6f}|{ev.kind}|{ev.detail}\n".encode())
         # Gateway outcomes extend the digest without perturbing it for

@@ -32,7 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.events import (
     KNOWN_SCHEMAS,
@@ -78,9 +78,14 @@ class TraceDigestError(TraceError):
     """The body does not hash to the trailer's ``payload_digest``."""
 
 
+#: One encoder for every line: ``json.dumps`` with keyword arguments
+#: builds a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical(obj: object) -> str:
     """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def digest(lines: Sequence[str]) -> str:
@@ -190,6 +195,12 @@ class TraceDocument:
     stages: List[StageEvent] = field(default_factory=list)
     faults: List[FaultScheduleEvent] = field(default_factory=list)
     trailer: TraceTrailer = TraceTrailer(0, "", "")
+    #: The body lines a :meth:`sealed` copy's trailer hashed, which its
+    #: :meth:`dumps` writes; ``None`` on any other document (``replace``
+    #: and the constructor never carry it over).
+    _sealed_body: Optional[List[str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Writing
@@ -208,9 +219,13 @@ class TraceDocument:
         return digest(self.body_lines())
 
     def sealed(self, fleet_digest: str) -> "TraceDocument":
-        """A copy with a freshly computed, consistent trailer."""
+        """A copy with a freshly computed, consistent trailer.
+
+        The copy is a finished trace: its :meth:`dumps` writes the body
+        lines the trailer hashed rather than serializing them again.
+        """
         body = self.body_lines()
-        return TraceDocument(
+        doc = TraceDocument(
             header=self.header,
             arrivals=list(self.arrivals),
             stages=list(self.stages),
@@ -221,11 +236,14 @@ class TraceDocument:
                 fleet_digest=fleet_digest,
             ),
         )
+        doc._sealed_body = body
+        return doc
 
     def dumps(self) -> str:
         """The complete trace text (header + sorted body + trailer)."""
         lines = [canonical(self.header.to_dict())]
-        lines.extend(self.body_lines())
+        body = self._sealed_body
+        lines.extend(self.body_lines() if body is None else body)
         lines.append(canonical(self.trailer.to_dict()))
         return "\n".join(lines) + "\n"
 
@@ -367,7 +385,8 @@ def _parse_header(line: str) -> TraceHeader:
 
 
 def _parse_body(kind: object, payload: Dict, lineno: int) -> BodyEvent:
-    if kind not in _KIND_RANK:
+    # A JSON list or object is unhashable: test the type before the table.
+    if not isinstance(kind, str) or kind not in _KIND_RANK:
         known = ", ".join(sorted(_RECORD_FIELDS))
         raise TraceFormatError(
             f"line {lineno}: unknown record kind {kind!r}; known kinds: "

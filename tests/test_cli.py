@@ -363,8 +363,8 @@ _PINNED_SHA256 = {
         "eec2b31f0a97a9553895f17d0ebc8dbb"
         "07bd703a6a9dc32b6b6fa1c136b25d4b"),
     "serve-obs": (
-        "8bd9500f115ceab637a327e200f9d9b9"
-        "177532df094ae885f39fcd968c03ff08"),
+        "6324812111cc0be36c76c99819583161"
+        "883a28f06756c7de3491a667bee9d114"),
     "chaos": (
         "e327b47114ee8ec541bd08c90fdf09c6"
         "f8505d7e276a95b96475951f344fa37f"),
@@ -375,8 +375,8 @@ _PINNED_SHA256 = {
         "175d7e9aed191ce05f5deabfa2da92cd"
         "afc32e1e4e6fb9ac01c5e20198c5cc68"),
     "obs-faults": (
-        "1f5f0fbea63b27d0cafdd56d55d2b48c"
-        "c5345bb2f49251ea5c8e5adfc359249f"),
+        "fb13a6efee1d570ab2b48f55564a3add"
+        "0c2068b9b4c836a14e1dc069f1fdbc1c"),
     "record-replay": (
         "eebb48e669ac23d27c4c5e6a06ce1131"
         "87464781a4ee8a898caf5b97f5260ed8"),

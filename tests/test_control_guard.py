@@ -13,6 +13,13 @@ Three runs are covered: the faulted, gateway-off fleet of
 ``test_substrate_guard``, the same fleet with the gateway on, and the
 seed-11 ``launch-day`` corpus scenario (three saturated nodes, gateway
 on), whose flash crowd keeps most control visits on the probe path.
+
+Two runs also pin how many Algorithm-1 decisions they make
+(``BatchEvaluation._decide`` calls): ``launch-day`` and the benchmark's
+``fleet-n4`` (four regions of the substrate fleet, 900 s, retry-queue
+dispatch).  Each node shares one snapshot per running set between the
+gateway pre-screen and ``try_admit``, so a return to a snapshot per
+question fails here by count.
 """
 
 from __future__ import annotations
@@ -21,7 +28,11 @@ import dataclasses
 import hashlib
 from typing import Dict
 
+import pytest
+
+from repro.core.distributor import BatchEvaluation
 from repro.faults.plan import FaultPlan
+from repro.fleet import FleetOfFleets, RegionSpec
 from repro.games.catalog import build_catalog
 from repro.trace.corpus import ScenarioArrivals, get_scenario
 from repro.trace.harness import build_experiment, build_profiles
@@ -153,7 +164,36 @@ def test_gateway_fleet_control_plane_is_pinned():
     assert control_tables(gateway=True) == PINNED_GATEWAY
 
 
-def test_launch_day_control_plane_is_pinned():
+@pytest.fixture
+def decisions(monkeypatch):
+    """Counts ``BatchEvaluation._decide`` calls made in this process."""
+    made = []
+    decide = BatchEvaluation._decide
+
+    def counted(self, *args):
+        made.append(None)
+        return decide(self, *args)
+
+    monkeypatch.setattr(BatchEvaluation, "_decide", counted)
+    return made
+
+
+def test_launch_day_control_plane_is_pinned(decisions):
     experiment = launch_day_experiment()
     experiment.run()
     assert experiment_tables(experiment) == PINNED_LAUNCH_DAY
+    assert len(decisions) == 325
+
+
+def test_fleet_n4_algorithm1_decisions_are_pinned(decisions):
+    fleet = FleetOfFleets(
+        dataclasses.replace(CONFIG, horizon=900),
+        [RegionSpec(f"r{i}") for i in range(4)],
+    )
+    shards = fleet.build_shards()
+    # Every shard in this process, so every decision is counted.
+    merged = fleet.merge({name: shards[name].run() for name in sorted(shards)})
+    assert merged.merged_digest == (
+        "05120f3702af7a011488b5698466d444d134db299bf97a2af383679075749f15"
+    )
+    assert len(decisions) == 602

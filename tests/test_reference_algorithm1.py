@@ -15,17 +15,26 @@ rollout memoized by :meth:`SessionControl.predicted_peaks`.  Any optimisation
 of that path (vectorising it, changing the vector representation) must
 keep every decision and every ``predicted_peak`` bit-identical to the
 reference.
+
+:class:`CoCGScheduler` keeps one snapshot per node state and shares it
+between admission questions, remembering the capped placements refused
+under it.  The reference, :class:`FreshScheduler`, asks
+:meth:`Distributor.can_admit` afresh for every request and attempts
+every placement.
+Random interleavings of admissions, control cycles and releases must
+leave both with the same decisions, logs and counters.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.distributor import Distributor
+from repro.core.distributor import AdmissionDecision, Distributor
+from repro.core.health import PredictorHealth
 from repro.core.scheduler import CoCGScheduler, SessionControl
 from repro.games.player import PlayerModel
 from repro.games.session import GameSession
-from repro.platform_.allocator import Allocator
+from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.resources import ResourceVector
 from repro.platform_.server import GPUDevice, Server
 from repro.sim.telemetry import TelemetryRecorder
@@ -225,3 +234,138 @@ def test_reference_agrees_on_a_hand_checked_case():
     # Step 0: 50 + 40 = 90; step 1: 20 + 40 = 60; M = 90; 90 + 15 > 100.
     assert not ok
     np.testing.assert_array_equal(peak.array, [0, 105, 0, 0])
+
+
+# ----------------------------------------------------------------------
+# The shared snapshot against per-request Algorithm 1
+# ----------------------------------------------------------------------
+class FreshScheduler(CoCGScheduler):
+    """The reference admission: a single-use batch per request through
+    ``can_admit``, and every placement attempted."""
+
+    def try_admit(self, session_id, profile, make_session, *, time=0.0,
+                  gpu_index=None):
+        backend, entry, entry_min, steady = self._admission_plans(profile)
+        decision = self.distributor.can_admit(
+            entry_min, steady, self.task_views()
+        )
+        if not decision.admitted:
+            self.rejections += 1
+            self._now = time
+            self._log(session_id, "reject", decision.reason)
+            return decision
+        gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
+        grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
+            entry_min.minimum(entry)
+        )
+        try:
+            self.allocator.place(session_id, grant, gpu_index=gi, time=time)
+        except AllocationError:
+            self.rejections += 1
+            self.refused_placements.append((time, session_id))
+            return AdmissionDecision(False, "placement failed under the cap")
+        ctl = SessionControl(
+            make_session(), profile, self._make_planner(profile, backend),
+            backend, self.config.replace_after,
+            steal_fraction=self.config.regulator.steal_fraction,
+            health=PredictorHealth(
+                threshold=self.config.failure_threshold,
+                cooldown=self.config.failure_cooldown,
+            ),
+            now=time,
+        )
+        ctl.desired = entry
+        self._sessions[session_id] = ctl
+        self.admissions += 1
+        self._now = time
+        self._log(session_id, "admit", decision.reason)
+        return decision
+
+
+def _decision_bits(decision):
+    peak = decision.predicted_peak
+    return (decision.admitted, decision.reason,
+            None if peak is None else peak.values)
+
+
+#: ``admit`` a game, optionally pinned to a GPU (GPU 1 is too small to
+#: hold any boot, so pinning to it forces a placement refusal);
+#: ``tick`` seconds of play; a ``control`` cycle; ``release`` the n-th
+#: hosted session.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), st.integers(0, 1),
+                  st.sampled_from([None, 0, 1])),
+        st.tuples(st.just("tick"), st.integers(1, 30)),
+        st.tuples(st.just("control")),
+        st.tuples(st.just("release"), st.integers(0, 7)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(ops=[("admit", 0, 1), ("admit", 0, 1), ("admit", 1, None),
+              ("admit", 1, 1), ("admit", 0, None), ("admit", 0, 1),
+              ("tick", 6), ("control",), ("admit", 0, 1), ("release", 0),
+              ("admit", 1, 1), ("admit", 1, None)], cpu=100.0)
+@example(ops=[("admit", 1, None), ("admit", 1, None), ("admit", 1, None),
+              ("tick", 20), ("control",), ("admit", 1, None)], cpu=40.0)
+@given(ops=_ops, cpu=st.sampled_from([40.0, 100.0]))
+def test_shared_snapshot_matches_per_request_admission(
+    toy_spec, toy_profile, catalog, contra_profile, ops, cpu
+):
+    """A small CPU puts Algorithm 1 and placement near their bounds,
+    where a stale snapshot would answer differently."""
+    games = [(toy_spec, toy_profile), (catalog["contra"], contra_profile)]
+    sides = []
+    for cls in (CoCGScheduler, FreshScheduler):
+        server = Server("s", cpu_capacity=cpu,
+                        gpus=[GPUDevice(), GPUDevice(1.0, 1.0)])
+        sides.append((cls(Allocator(server, utilization_cap=0.95)),
+                      TelemetryRecorder(seed=0), {}))
+    t = 0
+    for i, op in enumerate(ops):
+        decisions = []
+        for scheduler, telemetry, sessions in sides:
+            if op[0] == "admit":
+                spec, profile = games[op[1]]
+                sid = f"g{i}"
+
+                def make(spec=spec, sid=sid, sessions=sessions):
+                    player = PlayerModel(f"p{sid}", spec.category, seed=i)
+                    sessions[sid] = GameSession(
+                        spec, player=player, seed=i, session_id=sid
+                    )
+                    return sessions[sid]
+
+                decisions.append(_decision_bits(scheduler.try_admit(
+                    sid, profile, make, time=float(t), gpu_index=op[2]
+                )))
+            elif op[0] == "tick":
+                for second in range(t, t + op[1]):
+                    for sid, session in list(sessions.items()):
+                        alloc = scheduler.allocation_of(sid)
+                        tick = session.advance(alloc)
+                        telemetry.record(second, sid, tick.demand, alloc)
+                        if tick.finished:
+                            scheduler.release(sid, time=second)
+                            del sessions[sid]
+            elif op[0] == "control":
+                scheduler.control(float(t), telemetry)
+            elif sessions:
+                sid = sorted(sessions)[op[1] % len(sessions)]
+                scheduler.release(sid, time=float(t))
+                del sessions[sid]
+        if op[0] == "tick":
+            t += op[1]
+        assert decisions[:1] == decisions[1:]
+    (shared, *_), (fresh, *_) = sides
+    assert shared.decision_log == fresh.decision_log
+    assert shared.refused_placements == fresh.refused_placements
+    assert shared.rejections == fresh.rejections
+    assert shared.admissions == fresh.admissions
+    assert shared.distributor.verdicts == fresh.distributor.verdicts
+    assert ([repr(e) for e in shared.allocator.events]
+            == [repr(e) for e in fresh.allocator.events])
+    assert shared.distributor.batches <= fresh.distributor.batches

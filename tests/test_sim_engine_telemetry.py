@@ -286,6 +286,23 @@ def _reference_rows(samples, *, noise_std, seed, perturbations):
     return {sid: np.array(r) for sid, r in rows.items()}
 
 
+def _reference_digest(rec):
+    """The session part of :meth:`TelemetryRecorder.digest`, one rounded
+    row per ``update`` (the recorder hashes a drop-free matrix at once)."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for sid in sorted(rec._columns):
+        cols = rec._columns[sid]
+        h.update(sid.encode())
+        h.update(np.array(cols.times, dtype=np.int64).tobytes())
+        h.update(np.asarray(cols.valid, dtype=np.bool_).tobytes())
+        observed = np.array(cols.observed).reshape(-1, N_DIMS)
+        for row, ok in zip(np.round(observed, 6), cols.valid):
+            h.update(row.tobytes() if ok else b"<dropped>")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("noise_std", [0.8, 2.5, 0.0])
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_block_drawn_noise_matches_per_record_draws(noise_std, perturbed):
@@ -311,6 +328,8 @@ def test_block_drawn_noise_matches_per_record_draws(noise_std, perturbed):
         assert rec.observed_series(sid).values.tobytes() == rows.tobytes()
     if perturbed:
         assert 0 < rec.dropped_samples < 300
+    # No fault or gateway event: the digest is the sessions' part alone.
+    assert rec.digest() == _reference_digest(rec)
 
 
 def _clipped_percent(values):

@@ -83,6 +83,16 @@ class TestFormatRoundTrip:
         assert document.trailer.records == len(lines)
         assert document.trailer.payload_digest == document.payload_digest()
 
+    def test_sealed_dumps_equals_a_fresh_serialization(self, document):
+        # A sealed copy writes the body lines its seal hashed; a
+        # replace()d copy carries none of them and serializes afresh.
+        import dataclasses
+
+        fresh = dataclasses.replace(document)
+        assert document._sealed_body is not None
+        assert fresh._sealed_body is None
+        assert document.dumps() == fresh.dumps()
+
     def test_fingerprint_matches_config(self, document):
         assert document.header.fingerprint == config_fingerprint(
             document.header.config
@@ -125,6 +135,13 @@ class TestFormatRejection:
         lines = document.dumps().rstrip("\n").split("\n")
         lines.insert(1, '{"record":"teleport","t":0.0}')
         with pytest.raises(TraceFormatError, match="teleport"):
+            TraceDocument.loads("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("kind", ['["stage"]', '{"k":1}'])
+    def test_unhashable_record_kind_rejected_by_line(self, document, kind):
+        lines = document.dumps().rstrip("\n").split("\n")
+        lines.insert(1, '{"record":%s,"t":0.0}' % kind)
+        with pytest.raises(TraceFormatError, match="line 2: unknown record kind"):
             TraceDocument.loads("\n".join(lines) + "\n")
 
     def test_out_of_order_body_rejected(self, document):
